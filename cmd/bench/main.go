@@ -235,10 +235,9 @@ type FaultRecoveryEntry struct {
 
 // RemoteFleetEntry is one cross-host fleet measurement: the same consensus
 // fleet dispatched through the full multi-host transport path — template
-// expansion, a transport process per member, frame/write deadline guards,
-// elastic explicit-index dispatch — with /bin/sh as the loopback stand-in
-// for ssh, so the section runs on any machine. An sshd-backed fleet differs
-// only in the command template.
+// expansion, a transport process per member, frame/write deadline guards —
+// with /bin/sh as the loopback stand-in for ssh, so the section runs on any
+// machine. An sshd-backed fleet differs only in the command template.
 type RemoteFleetEntry struct {
 	// Workload names the fleet.
 	Workload string `json:"workload"`
@@ -263,8 +262,7 @@ type RemoteFleetEntry struct {
 	SpeedupVs1Member float64 `json:"speedup_vs_1member"`
 	// ParallelEfficiency is this arm's throughput relative to the 1-member
 	// arm at the same total core budget: what the cross-host transport and
-	// elastic dispatch cost on top of plain process sharding. 0 for the
-	// 1-member row.
+	// spreading the fleet over members cost. 0 for the 1-member row.
 	ParallelEfficiency float64 `json:"parallel_efficiency"`
 	// Identical records that the folded sequence matched the in-process
 	// engine's byte for byte.
@@ -316,7 +314,7 @@ type LargeNEntry struct {
 	WallNanos int64 `json:"wall_ns"`
 	// NsPerInteraction is wall time per simulated interaction.
 	NsPerInteraction float64 `json:"ns_per_interaction"`
-	// Identical reports whether the 1- and 2-shard coordinator arms both
+	// Identical reports whether the 1-, 2- and 4-shard coordinator arms all
 	// folded exactly the in-process result sequence.
 	Identical bool `json:"results_identical"`
 }
@@ -795,11 +793,11 @@ func measureShards(workload string, n int64, k int, kern core.Kernel, trials int
 // measureRemoteFleet runs the same consensus fleet through the multi-host
 // transport at 1 and 4 members — workers started by RemoteLauncher through
 // the /bin/sh loopback template (this binary re-executed in worker mode,
-// with {cores} partitioning the fixed total core budget) under elastic
-// explicit-index dispatch — and compares every folded sequence against the
-// in-process engine's. parallel_efficiency prices the whole cross-host
-// path against the 1-member baseline at the same core budget; it errors if
-// any arm folds a different sequence.
+// with {cores} partitioning the fixed total core budget) — and compares
+// every folded sequence against the in-process engine's.
+// parallel_efficiency prices the whole cross-host path against the 1-member
+// baseline at the same core budget; it errors if any arm folds a different
+// sequence.
 func measureRemoteFleet(workload string, n int64, k int, kern core.Kernel, trials int, seed uint64) ([]RemoteFleetEntry, error) {
 	cfg, err := conf.Uniform(n, k, 0)
 	if err != nil {
@@ -847,7 +845,6 @@ func measureRemoteFleet(workload string, n int64, k int, kern core.Kernel, trial
 			Seed:      seed,
 			Spec:      spec,
 			Launcher:  launcher,
-			Elastic:   true,
 		}, func(i int, data []byte) error {
 			var r experiment.ShardResult
 			if err := json.Unmarshal(data, &r); err != nil {

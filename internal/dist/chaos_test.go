@@ -156,6 +156,35 @@ func TestChaosExhaustedBudgetRedistributes(t *testing.T) {
 	}
 }
 
+// TestChaosRequeuedBoundedByInFlightWork pins Result.Requeued to its doc:
+// only work in flight at a failure is re-sent. Shard 1 dies on connect in
+// both incarnations and is written off early; the survivor then receives
+// every later wave as ordinary dispatch, so the count stays within
+// pipelineDepth·wave per failure however many waves follow.
+func TestChaosRequeuedBoundedByInFlightWork(t *testing.T) {
+	for _, waves := range []int{32, 64} {
+		opts := chaosOpts(2, &FaultLauncher{
+			Inner:    &PipeLauncher{Build: echoBuild},
+			Schedule: ReconnectStorm(1, 2),
+		})
+		opts.MaxRelaunches = 1
+		opts.MaxTrials = waves * opts.Wave
+		ref := chaosReference(t, opts)
+		st := &foldState{}
+		res, err := Run(opts, st.sink, nil, st)
+		if err != nil {
+			t.Fatalf("waves=%d: %v", waves, err)
+		}
+		failures := res.Relaunches + 1
+		if bound := failures * pipelineDepth * opts.Wave; res.Requeued == 0 || res.Requeued > bound {
+			t.Fatalf("waves=%d: res = %+v, want 0 < Requeued <= %d", waves, res, bound)
+		}
+		if res.Trials != opts.MaxTrials || !reflect.DeepEqual(st.Seq, ref.Seq) {
+			t.Fatalf("waves=%d: fold diverged from fault-free run", waves)
+		}
+	}
+}
+
 // TestChaosAllShardsLostLeavesUsableCheckpoint crashes every incarnation of
 // every shard: the run must fail with a permanent-failure error — not hang
 // — and leave a checkpoint from which a clean rerun completes

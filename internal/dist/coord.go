@@ -340,22 +340,16 @@ type Options struct {
 	// (DefaultRelaunchBackoff when zero); each further relaunch of the
 	// same shard doubles it, capped at eight times the base.
 	RelaunchBackoff time.Duration
-	// Elastic switches the coordinator to elastic membership: every wave is
-	// dispatched as explicit-index assignments balanced across the current
-	// member set instead of by the modular ownership rule, so members may
-	// join (see Join) and leave mid-run without changing which randomness
-	// stream any trial draws — the fold stays byte-identical to the fixed
-	// single-process run. A departing member is handled exactly like a lost
-	// shard: its outstanding indices are requeued and its own launcher is
-	// asked to relaunch it (budget and backoff as usual) before its stream
-	// is redistributed across the remaining members.
-	Elastic bool
-	// Join, when non-nil, admits new members mid-run (it implies Elastic):
-	// each Launcher received is launched as an additional member slot,
-	// handshakes against the same spec hash, and is dealt its balanced
-	// share of every subsequently dispatched wave. Joiners keep their own
-	// Launcher for relaunches. Close or abandon the channel freely; the
-	// coordinator never blocks on it.
+	// Join, when non-nil, admits new members mid-run: each Launcher
+	// received is launched as an additional member slot, handshakes against
+	// the same spec hash, and is dealt its balanced share of every
+	// subsequently dispatched wave. Every wave is dealt explicitly across
+	// the current member set, so members may join and leave without changing
+	// which randomness stream any trial draws — the fold stays
+	// byte-identical to the single-process run. A departing member is
+	// handled exactly like a lost shard. Joiners keep their own Launcher for
+	// relaunches. Close or abandon the channel freely; the coordinator never
+	// blocks on it.
 	Join <-chan Launcher
 	// Interrupt, when non-nil, requests a graceful early exit once it is
 	// closed: the coordinator finishes folding the wave in flight, writes

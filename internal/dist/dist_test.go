@@ -61,40 +61,6 @@ func runEcho(t *testing.T, opts Options, stop func() bool) (*foldState, Result) 
 	return st, res
 }
 
-// TestShardIndicesPartition checks that the per-shard index sets partition
-// every wave range exactly, for ranges that do and do not align with the
-// shard count.
-func TestShardIndicesPartition(t *testing.T) {
-	for _, shards := range []int{1, 2, 3, 4, 7} {
-		for _, r := range [][2]int{{0, 16}, {5, 6}, {3, 20}, {10, 10}, {0, 1}} {
-			lo, hi := r[0], r[1]
-			seen := map[int]int{}
-			for shard := 0; shard < shards; shard++ {
-				for _, i := range ShardIndices(lo, hi, shard, shards) {
-					if i < lo || i >= hi {
-						t.Fatalf("shards=%d [%d,%d): shard %d got out-of-range index %d", shards, lo, hi, shard, i)
-					}
-					if i%shards != shard {
-						t.Fatalf("shards=%d: index %d assigned to shard %d", shards, i, shard)
-					}
-					seen[i]++
-				}
-			}
-			for i := lo; i < hi; i++ {
-				if seen[i] != 1 {
-					t.Fatalf("shards=%d [%d,%d): index %d covered %d times", shards, lo, hi, i, seen[i])
-				}
-			}
-			if len(seen) != hi-lo {
-				t.Fatalf("shards=%d [%d,%d): covered %d indices", shards, lo, hi, len(seen))
-			}
-		}
-	}
-	if got := ShardIndices(0, 10, 3, 2); got != nil {
-		t.Fatalf("invalid shard: got %v", got)
-	}
-}
-
 // TestParseShardArg pins the round trip and the rejections.
 func TestParseShardArg(t *testing.T) {
 	shard, shards, err := ParseShardArg(ShardArg(3, 8))
@@ -361,6 +327,22 @@ func TestProtocolVersionRejected(t *testing.T) {
 	r := newMsgReader(strings.NewReader(`{"v":99,"type":"job","trial":0}` + "\n"))
 	if _, err := r.next(); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("expected version error, got %v", err)
+	}
+}
+
+// TestServeHaltBeforeJobIsClean pins the shutdown race: the coordinator's
+// halt can overtake a job header still queued for an idle worker, and the
+// worker must then exit cleanly without writing anything.
+func TestServeHaltBeforeJobIsClean(t *testing.T) {
+	var in, out strings.Builder
+	if err := writeMsg(&in, Msg{Type: TypeHalt}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Serve(strings.NewReader(in.String()), &out, 1, 2, echoBuild); err != nil {
+		t.Fatalf("Serve on a halt-only stream: %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("Serve wrote %q, want nothing", out.String())
 	}
 }
 

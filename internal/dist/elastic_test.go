@@ -11,7 +11,8 @@ import (
 // The elastic-membership suite: workers joining late, leaving mid-run, and
 // getting partitioned, with the fold required to stay byte-identical to the
 // undisturbed fixed-membership run — the ISSUE 10 acceptance bar. The CI
-// network-chaos job runs this file under -race.
+// fault-injection job runs this file, with the rest of the package, under
+// -race.
 
 // leavingLauncher models a member that leaves the fleet for good: its first
 // Launch yields a worker that crashes mid-wave, and every relaunch attempt
@@ -40,14 +41,13 @@ func (l *leavingLauncher) Launch(shard, shards int) (*Conn, error) {
 }
 
 // TestElasticDispatchByteIdentical pins the base property: explicit-index
-// elastic dispatch folds byte-identically to the modular fixed-membership
-// run at every member count, with nothing counted as a requeue.
+// dispatch folds byte-identically to the single-member run at every member
+// count, with nothing counted as a requeue.
 func TestElasticDispatchByteIdentical(t *testing.T) {
 	opts := chaosOpts(1, &PipeLauncher{Build: echoBuild})
 	ref := chaosReference(t, opts)
 	for _, members := range []int{1, 2, 4} {
 		e := chaosOpts(members, &PipeLauncher{Build: echoBuild})
-		e.Elastic = true
 		st := &foldState{}
 		res, err := Run(e, st.sink, nil, st)
 		if err != nil {
@@ -126,7 +126,6 @@ func TestElasticKillResumeByteIdentical(t *testing.T) {
 
 	resume := opts
 	resume.Shards = 3
-	resume.Elastic = true
 	resume.CheckpointPath = cp
 	st2 := &foldState{}
 	res2, err := Run(resume, st2.sink, nil, st2)

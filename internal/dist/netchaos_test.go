@@ -11,8 +11,8 @@ import (
 // partitions, frames lost in transit, slow links, reconnect storms —
 // against the real coordinator event loop, each required to end in a fold
 // byte-identical to a fault-free run (or, for the slow link, to end without
-// any recovery at all). The CI network-chaos job runs this file under
-// -race.
+// any recovery at all). The CI fault-injection job runs this file, with the
+// rest of the package, under -race.
 
 // TestNetChaosPartitionSelfHeals partitions one shard mid-wave: both
 // directions go silent without an error, so only the liveness deadline can

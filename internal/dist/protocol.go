@@ -5,20 +5,20 @@
 //
 // The design leans entirely on the engine's determinism contract: trial i
 // draws its randomness from a stream derived from (seed, i) alone, so any
-// process can compute any trial. A shard therefore needs to know only which
-// global indices it owns — index i belongs to shard i mod S — and the
-// coordinator needs only to fold the returned payloads in global
+// process can compute any trial. The coordinator therefore deals every wave
+// to the current members as explicit index lists — who computes an index is
+// pure scheduling — and needs only to fold the returned payloads in global
 // trial-index order. Order-sensitive floating-point aggregation then lands
 // on exactly the same bits at every shard count, which is the property the
 // shard-determinism CI job pins.
 //
 // The wire protocol is versioned JSONL over the worker's stdin/stdout: the
 // coordinator sends a job header (spec, seed, shard identity, spec hash),
-// the worker answers with a hello echoing the verified hash, and then waves
-// of trial indices flow down and per-trial result payloads flow back, each
-// wave closed by a wavedone barrier message. The wave barrier is the
-// cross-process analogue of StreamAdaptive's dispatch wave: after folding a
-// wave the coordinator evaluates the stopping predicate, writes a
+// the worker answers with a hello echoing the verified hash, and then
+// explicit trial-index lists flow down and per-trial result payloads flow
+// back, each wave closed by a wavedone barrier message. The wave barrier is
+// the cross-process analogue of StreamAdaptive's dispatch wave: after
+// folding a wave the coordinator evaluates the stopping predicate, writes a
 // checkpoint (caller aggregate state + next trial index + spec hash), and
 // either dispatches the next wave or halts every worker. Interrupted runs
 // resume from the checkpoint instead of restarting, and a resumed run's
@@ -39,13 +39,16 @@ import (
 // and coordinators reject lines from any other version, so mixed-binary
 // fleets — much easier to assemble by accident now that RemoteLauncher
 // starts workers from per-host binaries — fail loudly instead of folding
-// garbage. Version 3 made the wavedone barrier echo the indices the worker
-// computed, which the coordinator's frame-integrity check relies on to
-// detect result frames lost in transit; version 2 switched the trial
-// payloads and job specs to the 128-bit interaction clock's hi/lo word
-// pairs (budget_hi/budget_lo, interactions_hi/interactions_lo); version 1
-// carried single int64 clock fields, which overflow past n = ⌊√MaxInt64⌋.
-const ProtocolVersion = 3
+// garbage. Version 4 made explicit index lists the only dispatch form: a
+// version 3 coordinator's index-less wave would run nothing on a version 4
+// worker and stall the run until the liveness deadline. Version 3 made the
+// wavedone barrier echo the indices the worker computed, which the
+// coordinator's frame-integrity check relies on to detect result frames
+// lost in transit; version 2 switched the trial payloads and job specs to
+// the 128-bit interaction clock's hi/lo word pairs (budget_hi/budget_lo,
+// interactions_hi/interactions_lo); version 1 carried single int64 clock
+// fields, which overflow past n = ⌊√MaxInt64⌋.
+const ProtocolVersion = 4
 
 // errProtocolVersion marks a cross-version protocol line: the failure is a
 // build mismatch, deterministic across relaunches, so the coordinator
@@ -56,9 +59,8 @@ var errProtocolVersion = errors.New("protocol version mismatch")
 const (
 	// TypeJob opens the session: spec, seed, shard identity, spec hash.
 	TypeJob = "job"
-	// TypeWave dispatches the global trial-index range [Lo, Hi); the worker
-	// runs the indices it owns (congruent to its shard modulo the shard
-	// count).
+	// TypeWave dispatches the explicit global trial indices Indices, all
+	// within the wave range [Lo, Hi).
 	TypeWave = "wave"
 	// TypeHalt asks the worker to exit cleanly.
 	TypeHalt = "halt"
@@ -70,8 +72,8 @@ const (
 	TypeHello = "hello"
 	// TypeResult carries one trial's result payload.
 	TypeResult = "result"
-	// TypeWaveDone marks the wave barrier: every owned index of [Lo, Hi)
-	// has been emitted.
+	// TypeWaveDone marks the wave barrier: every dispatched index has been
+	// emitted.
 	TypeWaveDone = "wavedone"
 	// TypeError aborts the session with a worker-side error.
 	TypeError = "error"
@@ -98,15 +100,13 @@ type Msg struct {
 	Lo int `json:"lo,omitempty"`
 	// Hi is the wave range's exclusive upper bound.
 	Hi int `json:"hi,omitempty"`
-	// Indices, when non-empty on a wave message, overrides the modular
-	// ownership rule: the worker runs exactly these global indices instead
-	// of its share of [Lo, Hi). The coordinator uses it to requeue a dead
-	// shard's outstanding indices — to its relaunched incarnation or to a
-	// surviving shard — without changing which randomness stream any trial
-	// draws (streams depend on the global index alone), and elastic runs
-	// dispatch every wave this way so membership changes cannot move work
-	// implicitly. On a wavedone message Indices echoes the indices the
-	// worker actually computed and emitted, the coordinator's
+	// Indices, on a wave message, lists exactly the global indices the
+	// worker runs. The coordinator deals every wave this way — first-time
+	// dispatch, requeues to a relaunched incarnation, redistribution to
+	// survivors alike — so membership changes never move work implicitly
+	// and no trial's randomness stream changes (streams depend on the
+	// global index alone). On a wavedone message Indices echoes the indices
+	// the worker actually computed and emitted, the coordinator's
 	// frame-integrity evidence: an echoed index the coordinator never
 	// received a result for was lost in transit.
 	Indices []int `json:"indices,omitempty"`
@@ -160,7 +160,7 @@ func (d *msgReader) next() (Msg, error) {
 		return Msg{}, fmt.Errorf("dist: bad protocol line %.80q: %w", line, err)
 	}
 	if m.V != ProtocolVersion {
-		return Msg{}, fmt.Errorf("dist: protocol version %d, want %d (%w; version 1 predates the 128-bit interaction clock, version 2 the wavedone integrity echo — rebuild so coordinator and every worker host match)",
+		return Msg{}, fmt.Errorf("dist: protocol version %d, want %d (%w; version 1 predates the 128-bit interaction clock, version 2 the wavedone integrity echo, version 3 explicit-only dealing — rebuild so coordinator and every worker host match)",
 			m.V, ProtocolVersion, errProtocolVersion)
 	}
 	switch m.Type {

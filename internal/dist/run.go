@@ -110,7 +110,6 @@ type coordinator struct {
 	maxRelaunches int
 	backoff       time.Duration
 	intr          <-chan struct{}
-	elastic       bool
 	join          <-chan Launcher
 
 	slots []*shardSlot
@@ -134,14 +133,13 @@ type coordinator struct {
 }
 
 // Run executes a distributed trial run: it launches Options.Shards workers,
-// partitions each wave's global trial indices across them (index i belongs
-// to shard i mod Shards; elastic runs instead deal every wave explicitly
-// across the current member set), folds the returned payloads into sink
-// strictly in global trial-index order, and evaluates stop after every
-// fold, exactly as experiment.StreamAdaptive does in process — so the
-// folded prefix, and every order-sensitive aggregate built from it, is
-// byte-identical to the single-process run of the same spec and seed at
-// every shard count and under any membership history.
+// deals each wave's global trial indices across the current member set as
+// explicit index lists, folds the returned payloads into sink strictly in
+// global trial-index order, and evaluates stop after every fold, exactly as
+// experiment.StreamAdaptive does in process — so the folded prefix, and
+// every order-sensitive aggregate built from it, is byte-identical to the
+// single-process run of the same spec and seed at every shard count and
+// under any membership history (see Options.Join).
 //
 // Run survives worker failure: crashed, hung (see Options.WorkerTimeout),
 // and garbage-emitting workers are detected, their outstanding trial
@@ -231,7 +229,6 @@ func Run(opts Options, sink func(trial int, data []byte) error, stop func() bool
 		done:          start,
 		log:           opts.Log,
 		res:           &res,
-		elastic:       opts.Elastic || opts.Join != nil,
 		join:          opts.Join,
 	}
 	if co.maxRelaunches == 0 {
@@ -417,8 +414,8 @@ func (co *coordinator) awaitEvent() {
 	case sm := <-co.msgs:
 		co.handle(sm)
 	case l, ok := <-co.join:
-		// A closed Join channel just stops admitting; a nil one (non-elastic
-		// run, or closed and nilled) never fires.
+		// A closed Join channel just stops admitting; a nil one (no joins
+		// configured, or closed and nilled) never fires.
 		if !ok {
 			co.join = nil
 			return
@@ -596,11 +593,7 @@ func (co *coordinator) markUndelivered(s *shardSlot, m Msg) {
 	if m.Type != TypeWave {
 		return
 	}
-	idx := m.Indices
-	if len(idx) == 0 {
-		idx = ShardIndices(m.Lo, m.Hi, s.id, len(co.slots))
-	}
-	for _, i := range idx {
+	for _, i := range m.Indices {
 		if o, ok := co.owner[i]; ok && o == s.id {
 			if _, have := co.pending[i]; !have {
 				co.deadIdx[i] = true
@@ -702,29 +695,38 @@ func (co *coordinator) relaunch(s *shardSlot) {
 		return
 	}
 	co.res.Relaunches++
-	co.sendOwed(s)
+	co.sendIndices(s, co.owned(s), true)
 }
 
 // redistribute hands a lost shard's outstanding indices to the surviving
 // shards. Future waves route around the lost shard in dispatch.
 func (co *coordinator) redistribute(from *shardSlot) {
-	var idx []int
-	for i, o := range co.owner {
-		if o == from.id {
-			idx = append(idx, i)
-		}
-	}
+	idx := co.owned(from)
 	from.owed = 0
 	co.assign(idx, true)
 }
 
-// assign deals indices round-robin across the non-lost shards and
+// owned returns, sorted, the dispatched indices a shard still owes — some
+// of a wave's indices may already have results.
+func (co *coordinator) owned(s *shardSlot) []int {
+	var idx []int
+	for i, o := range co.owner {
+		if o == s.id {
+			idx = append(idx, i)
+		}
+	}
+	sort.Ints(idx)
+	return idx
+}
+
+// assign deals sorted indices round-robin across the non-lost shards and
 // dispatches them as explicit-index waves (immediately to live shards; a
 // shard in backoff receives its share when it relaunches). It serves both
-// the orphan-requeue path (requeue accounting on) and elastic dispatch,
-// where every wave is dealt this way across the current member set. With no
-// targets left the indices stay owned by a lost shard, which the fold loop
-// reads as "wave not completable" once the all-lost fatal error is set.
+// first-time wave dispatch and the orphan-requeue path (requeue accounting
+// on). The deal starts at idx[0] mod the target count, so a contiguous wave
+// over an intact fleet lands index i on shard i mod S. With no targets left
+// nothing is dealt, which the fold loop reads as "wave not completable" once
+// the all-lost fatal error is set.
 func (co *coordinator) assign(idx []int, requeue bool) {
 	if len(idx) == 0 {
 		return
@@ -738,45 +740,30 @@ func (co *coordinator) assign(idx []int, requeue bool) {
 	if len(targets) == 0 {
 		return
 	}
-	sort.Ints(idx)
-	per := make(map[int][]int, len(targets))
-	for j, i := range idx {
-		t := targets[j%len(targets)]
-		co.owner[i] = t.id
-		t.owed++
-		per[t.id] = append(per[t.id], i)
-	}
-	for _, t := range targets {
-		if list := per[t.id]; len(list) > 0 {
-			co.sendIndices(t, list, requeue)
+	// idx[j] goes to target (idx[0]+j) mod nt, so each target's share is a
+	// sorted stride of idx.
+	nt := len(targets)
+	for k, t := range targets {
+		share := make([]int, 0, (len(idx)+nt-1)/nt)
+		for j := (k - idx[0]%nt + nt) % nt; j < len(idx); j += nt {
+			co.owner[idx[j]] = t.id
+			share = append(share, idx[j])
 		}
+		t.owed += len(share)
+		co.sendIndices(t, share, requeue)
 	}
 }
 
-// sendOwed requeues every index a shard owes as explicit-index waves — the
-// relaunch path, where some of a wave's indices may already have results.
-func (co *coordinator) sendOwed(s *shardSlot) {
-	var idx []int
-	for i, o := range co.owner {
-		if o == s.id {
-			idx = append(idx, i)
-		}
-	}
-	if len(idx) > 0 {
-		co.sendIndices(s, idx, true)
-	}
-}
-
-// sendIndices enqueues explicit-index waves for idx (sorted in place),
+// sendIndices enqueues explicit-index waves for the sorted indices idx,
 // grouped by the wave each index belongs to so worker-side wave accounting
-// stays well-formed. requeue marks the dispatch as failure recovery for
-// Result accounting; elastic first-time dispatch uses the same wire shape
-// but is not a requeue.
+// stays well-formed. The messages keep subslices of idx, so the caller must
+// not reuse it. requeue marks the dispatch as failure recovery for Result
+// accounting; first-time dispatch uses the same wire shape but is not a
+// requeue.
 func (co *coordinator) sendIndices(s *shardSlot, idx []int, requeue bool) {
 	if s.sendq == nil {
 		return
 	}
-	sort.Ints(idx)
 	if requeue {
 		co.res.Requeued += len(idx)
 	}
@@ -790,7 +777,7 @@ func (co *coordinator) sendIndices(s *shardSlot, idx []int, requeue bool) {
 		for end < len(idx) && idx[end] < hi {
 			end++
 		}
-		if !co.enqueue(s, Msg{Type: TypeWave, Lo: lo, Hi: hi, Indices: append([]int(nil), idx[start:end]...)}) {
+		if !co.enqueue(s, Msg{Type: TypeWave, Lo: lo, Hi: hi, Indices: idx[start:end:end]}) {
 			return
 		}
 		start = end
@@ -803,44 +790,19 @@ func (co *coordinator) waveLoOf(i int) int {
 	return co.start + (i-co.start)/co.wave*co.wave
 }
 
-// dispatch assigns one wave. In elastic mode the whole range is dealt as
-// explicit-index waves balanced across the current member set — ownership
-// is decided per wave at dispatch time, so a member set that grew or shrank
-// since the last wave simply changes who computes what, never what any
-// trial computes. Otherwise each non-lost shard gets its modular share (a
-// plain wave message; shards in backoff receive theirs on relaunch), and
-// lost shards' shares are dealt to the survivors as explicit-index waves.
+// dispatch deals one wave as explicit-index waves balanced across the
+// current member set. Ownership is decided per wave at dispatch time, so a
+// member set that grew or shrank since the last wave simply changes who
+// computes what, never what any trial computes.
 func (co *coordinator) dispatch(wv waveRange) {
 	if co.fatal != nil {
 		return
 	}
-	if co.elastic {
-		idx := make([]int, 0, wv.hi-wv.lo)
-		for i := wv.lo; i < wv.hi; i++ {
-			idx = append(idx, i)
-		}
-		co.assign(idx, false)
-		return
+	idx := make([]int, 0, wv.hi-wv.lo)
+	for i := wv.lo; i < wv.hi; i++ {
+		idx = append(idx, i)
 	}
-	var orphans []int
-	for _, s := range co.slots {
-		own := ShardIndices(wv.lo, wv.hi, s.id, len(co.slots))
-		if len(own) == 0 {
-			continue
-		}
-		if s.health == healthLost {
-			orphans = append(orphans, own...)
-			continue
-		}
-		for _, i := range own {
-			co.owner[i] = s.id
-		}
-		s.owed += len(own)
-		if s.sendq != nil {
-			co.enqueue(s, Msg{Type: TypeWave, Lo: wv.lo, Hi: wv.hi})
-		}
-	}
-	co.assign(orphans, true)
+	co.assign(idx, false)
 }
 
 // enqueue hands a command to the shard's sender without ever blocking the

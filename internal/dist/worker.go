@@ -19,32 +19,15 @@ type TrialRunner func(indices []int, emit func(trial int, data []byte)) error
 // the USD instance.
 type BuildRunner func(spec []byte, seed uint64) (TrialRunner, error)
 
-// ShardIndices returns the global trial indices in [lo, hi) owned by the
-// shard: those congruent to shard modulo shards. The assignment is a pure
-// function of the global index, so wave boundaries never change which shard
-// computes a trial.
-func ShardIndices(lo, hi, shard, shards int) []int {
-	if shards < 1 || shard < 0 || shard >= shards || hi <= lo {
-		return nil
-	}
-	first := lo + ((shard-lo%shards)+shards)%shards
-	if first >= hi {
-		return nil
-	}
-	out := make([]int, 0, (hi-first+shards-1)/shards)
-	for i := first; i < hi; i += shards {
-		out = append(out, i)
-	}
-	return out
-}
-
 // Serve runs the worker side of the protocol on a command stream r and a
 // result stream w (a worker process's stdin and stdout): it reads the job
 // header, verifies the spec hash and the shard identity against the
-// expected one, builds the trial runner, and then serves wave commands
-// until a halt or EOF. EOF before halt means the coordinator died (or
-// aborted); Serve treats it as a clean shutdown so killed coordinators do
-// not leave workers complaining.
+// expected one, builds the trial runner, and then runs each wave command's
+// explicit index list until a halt or EOF. EOF before halt means the
+// coordinator died (or aborted); Serve treats it as a clean shutdown so
+// killed coordinators do not leave workers complaining. A halt before the
+// job is clean too: the coordinator's shutdown halt can overtake a job
+// header still queued for an idle worker.
 func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error {
 	if build == nil {
 		return fmt.Errorf("dist: Serve needs a BuildRunner")
@@ -56,6 +39,9 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 			return nil
 		}
 		return err
+	}
+	if job.Type == TypeHalt {
+		return nil
 	}
 	if job.Type != TypeJob {
 		return fmt.Errorf("dist: worker expected %s message first, got %s", TypeJob, job.Type)
@@ -86,16 +72,11 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 		}
 		switch m.Type {
 		case TypeWave:
-			// An explicit index list (a requeued wave) overrides the modular
-			// ownership rule; either way every index draws the stream derived
-			// from its global position, so who computes it cannot matter.
-			indices := m.Indices
-			if len(indices) == 0 {
-				indices = ShardIndices(m.Lo, m.Hi, shard, shards)
-			}
+			// Every index draws the stream derived from its global
+			// position, so which worker computes it cannot matter.
 			var emitErr error
-			emitted := make([]int, 0, len(indices))
-			err := runner(indices, func(trial int, data []byte) {
+			emitted := make([]int, 0, len(m.Indices))
+			err := runner(m.Indices, func(trial int, data []byte) {
 				if emitErr == nil {
 					emitErr = writeMsg(w, Msg{Type: TypeResult, Trial: trial, Data: data})
 				}

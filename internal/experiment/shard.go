@@ -367,12 +367,8 @@ type ShardRunOptions struct {
 	// (see dist.Options.MaxRelaunches); 0 means the dist default,
 	// dist.NoRelaunch disables recovery entirely.
 	MaxRelaunches int
-	// Elastic switches the cell to elastic membership: every wave is dealt
-	// explicitly across the current member set (see dist.Options.Elastic),
-	// so workers may join and leave between waves.
-	Elastic bool
-	// Join, when non-nil, admits late-joining workers mid-run and implies
-	// Elastic (see dist.Options.Join).
+	// Join, when non-nil, admits late-joining workers mid-run
+	// (see dist.Options.Join).
 	Join <-chan dist.Launcher
 	// Interrupt, when closed, asks the coordinator to stop after the wave
 	// in flight (see dist.Options.Interrupt): the cell checkpoints and
@@ -419,7 +415,6 @@ func RunShardedConsensus(spec ShardSpec, metric *AdaptiveMetric, opts ShardRunOp
 		Policy:         opts.Policy,
 		WorkerTimeout:  opts.WorkerTimeout,
 		MaxRelaunches:  opts.MaxRelaunches,
-		Elastic:        opts.Elastic,
 		Join:           opts.Join,
 		Interrupt:      opts.Interrupt,
 		Log:            opts.Log,
