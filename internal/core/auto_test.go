@@ -332,3 +332,106 @@ func TestAutoBudgetTruncation(t *testing.T) {
 		t.Fatalf("clock %v overran budget %d", res.Interactions, budget)
 	}
 }
+
+// skewedConfig returns a k-opinion configuration of n agents with a quarter
+// undecided and the decided agents split in proportion 1:2:…:k, so
+// adjacent categories carry distinct, uneven weights.
+func skewedConfig(t testing.TB, n int64, k int) *conf.Config {
+	t.Helper()
+	u := n / 4
+	decided := n - u
+	parts := int64(k) * int64(k+1) / 2
+	support := make([]int64, k)
+	var used int64
+	for j := range support {
+		support[j] = decided / parts * int64(j+1)
+		used += support[j]
+	}
+	support[k-1] += decided - used
+	c, err := conf.FromSupport(support, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestCategoricalSelectsFirstCumAboveDraw(t *testing.T) {
+	// The guide table only picks where a draw's scan starts; it must never
+	// change which category the draw selects. Replay each seed through
+	// sampleWindowCategorical and through a plain linear scan over
+	// independently built cumulative weights on a second source with the
+	// same seed, and require identical per-category counts. The window
+	// sizes cover guides below, at and just above the 8-bucket minimum and
+	// at the table's cap; the populations cover draw spaces W below 2⁶⁴
+	// (n = 10³) and above it (n near MaxN), i.e. both Uint128n paths.
+	for _, n := range []int64{1000, conf.MaxN - 7} {
+		for _, k := range []int{1, 2, 32, 33} {
+			cfg := skewedConfig(t, n, k)
+			for _, m := range []int64{1, 8, 9, 12, 200, int64(16*k - 1)} {
+				seed := uint64(n) ^ uint64(k)<<32 ^ uint64(m)<<48
+				s := newSim(t, cfg, seed, WithKernel(KernelAuto(0)))
+				w := s.productiveWeight()
+				d := s.n - s.u
+				s.ensureBatchScratch(k)
+				vals := s.tree.View()
+				s.sampleWindowCategorical(vals, w, m, d)
+
+				cum := make([]u128.U128, 2*k)
+				var c u128.U128
+				for j, x := range vals {
+					c = c.Add(u128.Mul64(uint64(s.u), uint64(x)))
+					cum[j] = c
+				}
+				for j, x := range vals {
+					c = c.Add(u128.Mul64(uint64(x), uint64(d-x)))
+					cum[k+j] = c
+				}
+				if c != w {
+					t.Fatalf("n=%d k=%d: cumulative total %v != W %v", n, k, c, w)
+				}
+				if (n < 1e6) != (w.Hi == 0) {
+					t.Fatalf("n=%d k=%d: W = %v on the wrong side of 2⁶⁴", n, k, w)
+				}
+				want := make([]int64, 2*k)
+				ref := rng.New(seed)
+				for e := int64(0); e < m; e++ {
+					r := ref.Uint128n(w)
+					idx := 0
+					for cum[idx].Leq(r) {
+						idx++
+					}
+					want[idx]++
+				}
+				for j, got := range s.batchCounts {
+					if got != want[j] {
+						t.Fatalf("n=%d k=%d m=%d: category %d drew %d, linear scan %d", n, k, m, j, got, want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkCategoricalWindow(b *testing.B) {
+	// One categorical window at the small-n fleet shape (n = 10³, k = 32):
+	// the cumulative and guide build plus m draws, the per-window cost the
+	// auto kernel pays between leap-condition checks.
+	const n, k = 1000, 32
+	for _, m := range []int64{12, 200, 500} {
+		b.Run(benchName("m", int(m)), func(b *testing.B) {
+			s, err := New(skewedConfig(b, n, k), rng.New(1), WithKernel(KernelAuto(0)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := s.productiveWeight()
+			d := s.n - s.u
+			s.ensureBatchScratch(k)
+			vals := s.tree.View()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.sampleWindowCategorical(vals, w, m, d)
+			}
+		})
+	}
+}

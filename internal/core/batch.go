@@ -70,10 +70,11 @@ func KernelBatched(tol float64) Kernel {
 //   - m < minAutoWindow: exact stepping (the window law degenerates to the
 //     single-event law there anyway, and per-window setup would dominate);
 //   - m < autoCategoricalFactor·k: per-event categorical draws against the
-//     frozen cumulative weights — O(k) setup plus O(log k) per event, with a
-//     single negative-binomial span draw for the whole window, which beats
-//     both exact stepping (one geometric per event) and binomial chaining
-//     (whose 2k inversion setups dominate small windows);
+//     frozen cumulative weights — O(k + m) per window for the cumulative
+//     build, a guide table sized to m and the m guided draws, plus a
+//     single negative-binomial span draw for the whole window — which
+//     beats both exact stepping (one geometric per event) and binomial
+//     chaining (whose 2k inversion setups dominate small windows);
 //   - larger m: the chained-binomial batch of KernelBatched, whose O(k)
 //     cost is independent of m.
 //
@@ -243,30 +244,28 @@ func (s *Simulator) stepSkip(w, budget u128.U128) (Event, bool) {
 // resliced to the live k or stale trailing weights would leak window events
 // onto phantom opinions.
 func (s *Simulator) ensureBatchScratch(k int) {
-	// The categorical sampler's cumulative array is padded to a power of
-	// two strictly greater than 2k, so at least one trailing slot holds the
-	// absorbing u128.Max sentinel: the guide build's forward scan must stop
-	// inside the array even for buckets whose smallest threshold is >= W
-	// (the threshold-space bucketing reaches such buckets; no draw does).
-	// The guide table carries two buckets per cumulative slot, which keeps
-	// the expected guide scan under half a step so the scan branch stays
-	// predictable.
-	cumLen := 1
-	for cumLen <= 2*k {
-		cumLen <<= 1
-	}
-	if cap(s.batchVals) < k || cap(s.batchCum) < cumLen {
+	// The categorical sampler's cumulative array carries one slot past the
+	// 2k category weights for the absorbing u128.Max sentinel: the guide
+	// build's forward scan must stop inside the array even for buckets whose
+	// smallest threshold is >= W (the threshold-space bucketing reaches such
+	// buckets; no draw does). The guide table's capacity is twice the power
+	// of two strictly greater than 2k — two buckets per category slot,
+	// which keeps the expected guide scan under half a step for the largest
+	// categorical windows; each window builds only the prefix its size
+	// needs (see sampleWindowCategorical).
+	guideLen := 2 << bits.Len(uint(2*k))
+	if cap(s.batchVals) < k || cap(s.batchGuide) < guideLen {
 		s.batchVals = make([]int64, k)
 		s.batchCounts = make([]int64, 2*k)
 		s.batchWeights = make([]float64, k)
-		s.batchCum = make([]u128.U128, cumLen)
-		s.batchGuide = make([]int32, 2*cumLen)
+		s.batchCum = make([]u128.U128, 2*k+1)
+		s.batchGuide = make([]int32, guideLen)
 	}
 	s.batchVals = s.batchVals[:k]
 	s.batchCounts = s.batchCounts[:2*k]
 	s.batchWeights = s.batchWeights[:k]
-	s.batchCum = s.batchCum[:cumLen]
-	s.batchGuide = s.batchGuide[:2*cumLen]
+	s.batchCum = s.batchCum[:2*k+1]
+	s.batchGuide = s.batchGuide[:guideLen]
 }
 
 // sampleWindowChained draws the per-opinion adopt/undecide counts of one
@@ -294,11 +293,12 @@ func (s *Simulator) sampleWindowChained(vals []int64, m, d int64, pAdopt float64
 // sampleWindowChained by m individual categorical draws against the exact
 // integer cumulative weights of the 2k event categories (adopt opinion j
 // with weight u·xⱼ, undecide opinion i with weight xᵢ·(D−xᵢ)) — the same
-// multinomial distribution, materialized event by event. Cost is one O(k)
-// cumulative build plus O(log k) per event, which undercuts the chained
-// sampler's 2k inversion setups whenever m is small relative to k. It fills
-// batchCounts from the pre-window supports vals and returns the adopt
-// total.
+// multinomial distribution, materialized event by event. Cost is O(k + m)
+// — the O(k) cumulative build, a guide table of O(m) buckets, and m guided
+// draws whose scans total O(k + m) expected steps — which undercuts the
+// chained sampler's 2k inversion setups whenever m is small relative to k.
+// It fills batchCounts from the pre-window supports vals and returns the
+// adopt total.
 func (s *Simulator) sampleWindowCategorical(vals []int64, w u128.U128, m, d int64) int64 {
 	k := len(vals)
 	cum := s.batchCum
@@ -314,11 +314,9 @@ func (s *Simulator) sampleWindowCategorical(vals []int64, w u128.U128, m, d int6
 		cum[k+j] = c
 		counts[k+j] = 0
 	}
-	// c == W by construction; thresholds are drawn in [0, W). The power-of-
-	// two padding is an absorbing sentinel a draw can never reach.
-	for j := 2 * k; j < len(cum); j++ {
-		cum[j] = u128.Max
-	}
+	// c == W by construction; thresholds are drawn in [0, W). The trailing
+	// slot is an absorbing sentinel a draw can never reach.
+	cum[2*k] = u128.Max
 	// Guide table (Chen's method), bucketed by a threshold's top bits within
 	// the draw space [0, w): with lz = w's leading-zero count, a threshold
 	// shifted left by lz normalizes to the top of the 128-bit range, and its
@@ -326,11 +324,16 @@ func (s *Simulator) sampleWindowCategorical(vals []int64, w u128.U128, m, d int6
 	// [g·2^(128−gb−lz), (g+1)·2^(128−gb−lz)), and guide[g] is the first
 	// category index a threshold in that bucket can select — correct as a
 	// scan start because thresholds grow with the bucket index. A draw then
-	// begins its linear scan at its bucket's entry, which leaves O(1)
-	// expected scan steps because the bucket count matches the category
-	// count. The build is one merge pass: the category pointer only moves
-	// forward.
-	guide := s.batchGuide
+	// begins its linear scan at its bucket's entry. The bucket count is the
+	// next power of two >= m (at least 8, at most the table's capacity):
+	// the build then costs O(m + k), where a fixed table of 4k–8k buckets
+	// dominated windows of a dozen draws, and the draws' scans still total
+	// O(m + k) expected steps. Every draw selects the first category with
+	// cum > r whatever the bucket count, so the sampled window does not
+	// depend on it. The build is one merge pass: the category pointer only
+	// moves forward.
+	nb := max(1<<bits.Len64(uint64(m-1)), 8)
+	guide := s.batchGuide[:min(nb, len(s.batchGuide))]
 	gb := uint(bits.Len(uint(len(guide)) - 1)) // log₂ of the bucket count
 	lz := uint(128 - w.Len())
 	idx := 0

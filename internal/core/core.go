@@ -260,7 +260,9 @@ type Simulator struct {
 	// Scratch buffers of the batched and auto kernels, allocated on first
 	// use: batchCounts holds a window's adopt counts (first k slots) and
 	// undecide counts (next k), batchCum the categorical sampler's 2k
-	// cumulative weights, batchGuide its draw-acceleration table.
+	// cumulative weights plus one u128.Max sentinel, batchGuide its
+	// draw-acceleration table, sized for the largest categorical window;
+	// each window builds only the power-of-two prefix its size needs.
 	batchVals    []int64
 	batchCounts  []int64
 	batchWeights []float64
