@@ -651,17 +651,18 @@ func measureSmallNFleet(k int, quick bool, seed uint64) ([]FleetEntry, error) {
 		var exactTps float64
 		for _, kern := range kernels {
 			start := time.Now()
-			outs := experiment.CollectArena(trials, 1, seed, func(i int, src *rng.Source, a *experiment.Arena) u128.U128 {
+			ran := 0
+			experiment.Stream(trials, 1, seed, func(i int, src *rng.Source, a *experiment.Arena) u128.U128 {
 				s, err := a.Simulator(cfg, src)
 				if err != nil {
 					panic(err) // configuration validated above
 				}
 				s.SetKernel(kern)
 				return s.Run(core.NoBudget).Interactions
-			})
+			}, func(int, u128.U128) { ran++ })
 			wall := time.Since(start).Nanoseconds()
-			if len(outs) != trials {
-				return nil, fmt.Errorf("bench: fleet ran %d/%d trials", len(outs), trials)
+			if ran != trials {
+				return nil, fmt.Errorf("bench: fleet ran %d/%d trials", ran, trials)
 			}
 			fe := FleetEntry{
 				Workload:  "small-n-consensus",
@@ -1175,7 +1176,8 @@ func measureTrials(workload string, n int64, k int, kern core.Kernel, trials int
 	runFleet := func(useArena bool) ([]experiment.USDRun, int64, error) {
 		var firstErr error
 		start := time.Now()
-		runs := experiment.CollectArena(trials, 1, seed, func(i int, src *rng.Source, a *experiment.Arena) experiment.USDRun {
+		runs := make([]experiment.USDRun, trials)
+		experiment.Stream(trials, 1, seed, func(i int, src *rng.Source, a *experiment.Arena) experiment.USDRun {
 			if !useArena {
 				// Pre-engine cost model: a fresh source, simulator, and
 				// tracker per trial. rng.New(Derive(seed, i)) is the exact
@@ -1189,7 +1191,7 @@ func measureTrials(workload string, n int64, k int, kern core.Kernel, trials int
 				firstErr = err
 			}
 			return r
-		})
+		}, func(i int, r experiment.USDRun) { runs[i] = r })
 		return runs, time.Since(start).Nanoseconds(), firstErr
 	}
 

@@ -17,7 +17,7 @@
 // the worker answers with a hello echoing the verified hash, and then
 // explicit trial-index lists flow down and per-trial result payloads flow
 // back, each wave closed by a wavedone barrier message. The wave barrier is
-// the cross-process analogue of StreamAdaptive's dispatch wave: after
+// the cross-process analogue of StreamAdaptive's dispatch window: after
 // folding a wave the coordinator evaluates the stopping predicate, writes a
 // checkpoint (caller aggregate state + next trial index + spec hash), and
 // either dispatches the next wave or halts every worker. Interrupted runs

@@ -2,29 +2,21 @@ package experiment
 
 import (
 	"encoding/json"
-	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
-// StreamAdaptive is the sequential-stopping layer over the worker-pool trial
-// engine: instead of a fixed trial count, the caller supplies a hard cap and
-// a stopping predicate over the streamed aggregates, and the engine runs
-// only as many trials as the predicate demands. Trials are dispatched in
-// waves; results are folded into the sink strictly in trial-index order and
-// the predicate is consulted after every fold, so the number of folded
-// trials is a pure function of (seed, predicate) — never of parallelism or
-// scheduling. Billion-agent sweeps, where a trial costs seconds, become
-// self-budgeting: cells with low variance stop after a handful of trials,
-// cells near a phase boundary keep sampling until their confidence interval
-// closes.
-
-// DefaultWave is the dispatch wave size when AdaptiveOptions.Wave is zero:
-// large enough to keep a typical worker pool busy between stop checks, small
-// enough that at most a handful of in-flight trials are discarded when the
-// predicate fires mid-wave.
-const DefaultWave = 16
+// StreamAdaptive is the sequential-stopping layer over the trial engine:
+// instead of a fixed trial count, the caller supplies a hard cap and a
+// stopping predicate over the streamed aggregates, and the engine runs only
+// as many trials as the predicate demands. Results are folded into the sink
+// strictly in trial-index order and the predicate is consulted after every
+// fold, so the number of folded trials is a pure function of (seed,
+// predicate) — never of parallelism or scheduling. Billion-agent sweeps,
+// where a trial costs seconds, become self-budgeting: cells with low
+// variance stop after a handful of trials, cells near a phase boundary keep
+// sampling until their confidence interval closes.
 
 // AdaptiveOptions configure StreamAdaptive.
 type AdaptiveOptions struct {
@@ -34,14 +26,9 @@ type AdaptiveOptions struct {
 	// Parallelism bounds concurrent trials; 0 means GOMAXPROCS. It affects
 	// wall-clock only, never the folded results.
 	Parallelism int
-	// Wave is the dispatch wave size; 0 means DefaultWave, and waves below
-	// the worker count are raised to it so no worker idles at the wave
-	// barrier. The wave bounds the work wasted when the predicate fires
-	// mid-wave; it never influences the stop point.
-	Wave int
 	// Seed is the stream-family seed; trial i draws from rng.Derive(Seed, i)
-	// exactly as in Collect and Stream, so an adaptive run that folds T
-	// trials is byte-identical to Stream with trials = T.
+	// exactly as in Stream, so an adaptive run that folds T trials is
+	// byte-identical to Stream with trials = T.
 	Seed uint64
 }
 
@@ -62,101 +49,13 @@ type AdaptiveResult struct {
 // folded prefix is byte-identical to Stream(result.Trials, …) at every
 // parallelism level (the determinism regression test pins this).
 //
-// Dispatch happens in waves of opts.Wave trials (DefaultWave when zero,
-// raised to the worker count so no worker idles at the wave barrier).
-// Trials of the final wave that were computed but not folded when the
-// predicate fired are discarded, so at most one wave of work is wasted per
-// adaptive run.
+// It runs on Stream's worker pool, so when the predicate fires at the T-th
+// fold no trial at index T+4·parallelism or beyond has been started. Trials
+// computed past the stop are discarded, queued ones are never run, and
+// StreamAdaptive returns only once the running ones have finished.
 func StreamAdaptive[T any](opts AdaptiveOptions, fn func(i int, src *rng.Source, a *Arena) T, sink func(i int, v T), stop func() bool) AdaptiveResult {
-	max := opts.MaxTrials
-	if max <= 0 {
-		return AdaptiveResult{}
-	}
-	wave := opts.Wave
-	if wave <= 0 {
-		wave = DefaultWave
-	}
-	parallelism := clampParallelism(max, opts.Parallelism)
-	// A wave below the worker count would leave workers idle at every
-	// barrier, so waves grow to the parallelism. This never moves the stop
-	// point — that depends only on the in-order fold sequence — it only
-	// widens the bounded waste, which is inherently >= parallelism−1
-	// in-flight trials anyway.
-	if wave < parallelism {
-		wave = parallelism
-	}
-	if wave > max {
-		wave = max
-	}
-	if parallelism == 1 {
-		var a Arena
-		for i := 0; i < max; i++ {
-			sink(i, fn(i, a.source(opts.Seed, i), &a))
-			if stop() {
-				return AdaptiveResult{Trials: i + 1, Stopped: true}
-			}
-		}
-		return AdaptiveResult{Trials: max, Stopped: false}
-	}
-
-	type slot struct {
-		i int
-		v T
-	}
-	next := make(chan int)
-	// The buffer holds a full wave, so workers never block on the results
-	// channel mid-wave and the dispatch loop cannot deadlock against them.
-	results := make(chan slot, wave)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var a Arena
-			for i := range next {
-				results <- slot{i, fn(i, a.source(opts.Seed, i), &a)}
-			}
-		}()
-	}
-	// On every return path: stop feeding workers, then drain whatever the
-	// final wave still has in flight so no goroutine leaks.
-	defer func() {
-		close(next)
-		go func() {
-			wg.Wait()
-			close(results)
-		}()
-		for range results {
-		}
-	}()
-
-	pending := make(map[int]T, wave)
-	for lo := 0; lo < max; lo += wave {
-		hi := lo + wave
-		if hi > max {
-			hi = max
-		}
-		for i := lo; i < hi; i++ {
-			next <- i
-		}
-		for done := lo; done < hi; {
-			s := <-results
-			pending[s.i] = s.v
-			for {
-				v, ok := pending[done]
-				if !ok {
-					break
-				}
-				delete(pending, done)
-				sink(done, v)
-				done++
-				if stop() {
-					return AdaptiveResult{Trials: done, Stopped: true}
-				}
-			}
-		}
-	}
-	return AdaptiveResult{Trials: max, Stopped: false}
+	trials, stopped := run(opts.MaxTrials, opts.Parallelism, opts.Seed, func(pos int) int { return pos }, fn, sink, stop)
+	return AdaptiveResult{Trials: trials, Stopped: stopped}
 }
 
 // AdaptiveMetric is one named measurement of an adaptive stream: a Welford

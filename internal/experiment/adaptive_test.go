@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/conf"
 	"repro/internal/core"
@@ -74,48 +75,83 @@ func TestStreamAdaptiveByteIdenticalToStream(t *testing.T) {
 	}
 }
 
-// TestStreamAdaptiveWaveIndependence pins the stop point across wave sizes:
-// the wave is a dispatch detail, so only wasted work may change with it.
-func TestStreamAdaptiveWaveIndependence(t *testing.T) {
-	for _, wave := range []int{1, 3, 16, 64} {
-		var sum float64
-		folded := 0
-		res := StreamAdaptive(AdaptiveOptions{MaxTrials: 100, Parallelism: 4, Wave: wave, Seed: 5},
-			func(i int, src *rng.Source, _ *Arena) float64 { return src.Float64() },
-			func(i int, v float64) { folded++; sum += v },
-			func() bool { return folded >= 23 })
-		if res.Trials != 23 || !res.Stopped {
-			t.Fatalf("wave %d: result %+v", wave, res)
-		}
-	}
-}
-
-// TestStreamAdaptiveBoundedWaste checks the wave contract: when the
-// predicate fires after trial T, no trial beyond the end of T's wave is ever
-// computed.
+// TestStreamAdaptiveBoundedWaste pins the engine's stop contract at
+// parallelism 2 and 4: once the predicate fires at fold T, no trial at index
+// T+4·parallelism or beyond is ever started, dispatched trials no worker has
+// started are taken back rather than run, and StreamAdaptive returns only
+// after the running ones finish, leaving no goroutine behind.
 func TestStreamAdaptiveBoundedWaste(t *testing.T) {
-	const (
-		wave   = 8
-		stopAt = 20 // fires mid-wave: trials 0..23 may compute, 24+ must not
-	)
-	var maxIndex atomic.Int64
-	maxIndex.Store(-1)
-	folded := 0
-	StreamAdaptive(AdaptiveOptions{MaxTrials: 1000, Parallelism: 4, Wave: wave, Seed: 1},
-		func(i int, src *rng.Source, _ *Arena) int {
-			for {
-				cur := maxIndex.Load()
-				if int64(i) <= cur || maxIndex.CompareAndSwap(cur, int64(i)) {
-					break
+	const stopAt = 20
+	for _, par := range []int{2, 4} {
+		window := 4 * par
+		before := runtime.NumGoroutine()
+
+		// Trial stopAt-1 is slow, so the other workers run as far past the
+		// fold as the window lets them before the predicate fires.
+		var maxIndex atomic.Int64
+		maxIndex.Store(-1)
+		folded := 0
+		StreamAdaptive(AdaptiveOptions{MaxTrials: 1000, Parallelism: par, Seed: 1},
+			func(i int, _ *rng.Source, _ *Arena) int {
+				if i == stopAt-1 {
+					time.Sleep(50 * time.Millisecond)
 				}
-			}
-			return i
-		},
-		func(i int, v int) { folded++ },
-		func() bool { return folded >= stopAt })
-	waveEnd := int64(((stopAt-1)/wave + 1) * wave)
-	if got := maxIndex.Load(); got >= waveEnd {
-		t.Fatalf("trial %d computed; waves should have stopped dispatch before %d", got, waveEnd)
+				for {
+					cur := maxIndex.Load()
+					if int64(i) <= cur || maxIndex.CompareAndSwap(cur, int64(i)) {
+						break
+					}
+				}
+				return i
+			},
+			func(int, int) { folded++ },
+			func() bool { return folded >= stopAt })
+		if got := maxIndex.Load(); got >= stopAt+int64(window) {
+			t.Fatalf("parallelism %d: trial %d computed after a stop at fold %d; the window ends before %d",
+				par, got, stopAt, stopAt+window)
+		}
+
+		// Trials from stopAt on hold their worker until well after the
+		// predicate fires, so every worker is busy when it does: the trials
+		// still queued must be taken back, leaving at most one started late
+		// trial per worker, and all of them finished before the return.
+		release := make(chan struct{})
+		var started, finished atomic.Int64
+		folded = 0
+		res := StreamAdaptive(AdaptiveOptions{MaxTrials: 1000, Parallelism: par, Seed: 1},
+			func(i int, _ *rng.Source, _ *Arena) int {
+				if i >= stopAt {
+					started.Add(1)
+					<-release
+					finished.Add(1)
+				}
+				return i
+			},
+			func(int, int) { folded++ },
+			func() bool {
+				if folded < stopAt {
+					return false
+				}
+				time.AfterFunc(100*time.Millisecond, func() { close(release) })
+				return true
+			})
+		if res.Trials != stopAt || !res.Stopped {
+			t.Fatalf("parallelism %d: result %+v", par, res)
+		}
+		if s, f := started.Load(), finished.Load(); s > int64(par) || f != s {
+			t.Fatalf("parallelism %d: %d trials past the stop started, %d finished by the return; want at most %d, all finished",
+				par, s, f, par)
+		}
+
+		// Workers exit right after their last trial; the deadline only
+		// forgives goroutine teardown, never a worker left blocked.
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("parallelism %d: %d goroutines after StreamAdaptive returned, %d before", par, n, before)
+		}
 	}
 }
 
@@ -145,10 +181,10 @@ func TestStreamAdaptiveEdgeCases(t *testing.T) {
 	if res != (AdaptiveResult{}) {
 		t.Fatalf("zero-cap result %+v", res)
 	}
-	// Wave larger than the cap, predicate immediately satisfied after the
+	// Parallelism above the cap, predicate immediately satisfied after the
 	// first fold.
 	folded := 0
-	res = StreamAdaptive(AdaptiveOptions{MaxTrials: 3, Wave: 100, Parallelism: 8, Seed: 1},
+	res = StreamAdaptive(AdaptiveOptions{MaxTrials: 3, Parallelism: 8, Seed: 1},
 		func(i int, src *rng.Source, _ *Arena) int { return i },
 		func(int, int) { folded++ },
 		func() bool { return true })

@@ -43,15 +43,17 @@ func a1Skip() Experiment {
 			}
 			measure := func(cfg *conf.Config, skip bool, seed uint64) (stats.Summary, time.Duration, error) {
 				start := time.Now()
-				times := Collect(trials, 1 /* serialize for fair timing */, seed,
-					func(i int, src *rng.Source) float64 {
+				times := make([]float64, trials)
+				Stream(trials, 1 /* serialize for fair timing */, seed,
+					func(i int, src *rng.Source, _ *Arena) float64 {
 						s, err := core.New(cfg, src, core.WithSkipping(skip))
 						if err != nil {
 							return math.NaN()
 						}
 						res := s.Run(core.NoBudget)
 						return res.Interactions.Float64()
-					})
+					},
+					func(i int, v float64) { times[i] = v })
 				elapsed := time.Since(start)
 				s, err := stats.Summarize(times)
 				return s, elapsed, err
@@ -111,14 +113,16 @@ func a2Engine() Experiment {
 			if err != nil {
 				return err
 			}
-			agg := CollectArena(trials, p.Parallelism, p.Seed+83, func(i int, src *rng.Source, a *Arena) float64 {
+			agg := make([]float64, trials)
+			Stream(trials, p.Parallelism, p.Seed+83, func(i int, src *rng.Source, a *Arena) float64 {
 				t, _, err := consensusTime(a, cfg, src, core.NoBudget, p.Kernel)
 				if err != nil {
 					return math.NaN()
 				}
 				return t.Float64()
-			})
-			agent := Collect(trials, p.Parallelism, p.Seed+84, func(i int, src *rng.Source) float64 {
+			}, func(i int, v float64) { agg[i] = v })
+			agent := make([]float64, trials)
+			Stream(trials, p.Parallelism, p.Seed+84, func(i int, src *rng.Source, _ *Arena) float64 {
 				e, err := pop.NewEngine(cfg, pop.USD{Opinions: k}, pop.UniformScheduler{Src: src})
 				if err != nil {
 					return math.NaN()
@@ -128,7 +132,7 @@ func a2Engine() Experiment {
 					return math.NaN()
 				}
 				return float64(res.Interactions)
-			})
+			}, func(i int, v float64) { agent[i] = v })
 			sAgg, err := stats.Summarize(agg)
 			if err != nil {
 				return err
@@ -170,7 +174,8 @@ func a3SelfInteraction() Experiment {
 				return err
 			}
 			run := func(noSelf bool, seed uint64) []float64 {
-				return Collect(trials, p.Parallelism, seed, func(i int, src *rng.Source) float64 {
+				times := make([]float64, trials)
+				Stream(trials, p.Parallelism, seed, func(i int, src *rng.Source, _ *Arena) float64 {
 					var sched pop.Scheduler
 					if noSelf {
 						sched = pop.NoSelfScheduler{Src: src}
@@ -186,7 +191,8 @@ func a3SelfInteraction() Experiment {
 						return math.NaN()
 					}
 					return float64(res.Interactions)
-				})
+				}, func(i int, v float64) { times[i] = v })
+				return times
 			}
 			sWith, err := stats.Summarize(run(false, p.Seed+85))
 			if err != nil {

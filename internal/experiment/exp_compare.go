@@ -21,7 +21,9 @@ func gossipRounds(p Params, seed uint64, cfg *conf.Config, dyn gossip.Dynamic, t
 		won    bool
 		ok     bool
 	}
-	outs := Collect(trials, p.Parallelism, seed, func(i int, src *rng.Source) outcome {
+	var rounds []float64
+	wins, completed := 0, 0
+	Stream(trials, p.Parallelism, seed, func(i int, src *rng.Source, _ *Arena) outcome {
 		e, err := gossip.NewEngine(cfg, dyn, src)
 		if err != nil {
 			return outcome{}
@@ -31,19 +33,16 @@ func gossipRounds(p Params, seed uint64, cfg *conf.Config, dyn gossip.Dynamic, t
 			return outcome{}
 		}
 		return outcome{rounds: float64(res.Rounds), won: res.Winner == 0, ok: true}
-	})
-	var rounds []float64
-	wins, completed := 0, 0
-	for _, o := range outs {
+	}, func(_ int, o outcome) {
 		if !o.ok {
-			continue
+			return
 		}
 		completed++
 		rounds = append(rounds, o.rounds)
 		if o.won {
 			wins++
 		}
-	}
+	})
 	if completed == 0 {
 		return stats.Summary{}, 0, 0, fmt.Errorf("experiment: no gossip trial reached consensus")
 	}

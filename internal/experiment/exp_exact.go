@@ -56,25 +56,25 @@ func x3Exact() Experiment {
 					t   float64
 					won bool
 				}
-				outs := CollectArena(trials, p.Parallelism, p.Seed+uint64(idx)*107,
+				var times []float64
+				wins := 0
+				Stream(trials, p.Parallelism, p.Seed+uint64(idx)*107,
 					func(i int, src *rng.Source, a *Arena) obs {
 						t, winner, err := consensusTime(a, cfg, src, core.NoBudget, p.Kernel)
 						if err != nil {
 							return obs{t: math.NaN()}
 						}
 						return obs{t: t.Float64(), won: winner == 0}
+					},
+					func(_ int, o obs) {
+						if math.IsNaN(o.t) {
+							return
+						}
+						times = append(times, o.t)
+						if o.won {
+							wins++
+						}
 					})
-				var times []float64
-				wins := 0
-				for _, o := range outs {
-					if math.IsNaN(o.t) {
-						continue
-					}
-					times = append(times, o.t)
-					if o.won {
-						wins++
-					}
-				}
 				mean, half, err := stats.MeanCI(times, 1.96)
 				if err != nil {
 					return err

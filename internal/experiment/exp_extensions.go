@@ -33,8 +33,9 @@ func x1Synchronized() Experiment {
 				if err != nil {
 					return err
 				}
-				syncRounds := Collect(trials, p.Parallelism, p.Seed+uint64(k)*97,
-					func(i int, src *rng.Source) float64 {
+				syncRounds := make([]float64, trials)
+				Stream(trials, p.Parallelism, p.Seed+uint64(k)*97,
+					func(i int, src *rng.Source, _ *Arena) float64 {
 						e, err := gossip.NewSyncEngine(cfg, src)
 						if err != nil {
 							return math.NaN()
@@ -44,7 +45,8 @@ func x1Synchronized() Experiment {
 							return math.NaN()
 						}
 						return float64(res.Rounds)
-					})
+					},
+					func(i int, v float64) { syncRounds[i] = v })
 				sSync, err := stats.Summarize(syncRounds)
 				if err != nil {
 					return err

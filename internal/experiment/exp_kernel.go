@@ -65,16 +65,6 @@ func k1KernelAgreement() Experiment {
 				run USDRun
 				ok  bool
 			}
-			collect := func(cfg *conf.Config, kern core.Kernel, seedOff uint64) []trial {
-				return CollectArena(trials, p.Parallelism, p.Seed+seedOff, func(i int, src *rng.Source, a *Arena) trial {
-					r, err := RunTracked(a, cfg, src, core.NoBudget, 0, kern)
-					if err != nil || r.Result.Outcome != core.OutcomeConsensus {
-						return trial{}
-					}
-					return trial{run: r, ok: true}
-				})
-			}
-
 			const (
 				ksAlpha     = 0.01 // two-sample KS significance for consensus times
 				winTol      = 0.12 // max |leader-win-rate| gap (≈4σ at 200 trials)
@@ -102,11 +92,17 @@ func k1KernelAgreement() Experiment {
 				oks    int
 				phases [][]float64
 			}
-			gather := func(ts []trial) gathered {
+			gather := func(cfg *conf.Config, kern core.Kernel, seedOff uint64) gathered {
 				g := gathered{phases: make([][]float64, 5)}
-				for _, t := range ts {
+				Stream(trials, p.Parallelism, p.Seed+seedOff, func(i int, src *rng.Source, a *Arena) trial {
+					r, err := RunTracked(a, cfg, src, core.NoBudget, 0, kern)
+					if err != nil || r.Result.Outcome != core.OutcomeConsensus {
+						return trial{}
+					}
+					return trial{run: r, ok: true}
+				}, func(_ int, t trial) {
 					if !t.ok {
-						continue
+						return
 					}
 					g.oks++
 					g.times = append(g.times, t.run.Result.Interactions.Float64())
@@ -118,7 +114,7 @@ func k1KernelAgreement() Experiment {
 							g.phases[ph-1] = append(g.phases[ph-1], t.run.Phases.End[ph-1].Float64())
 						}
 					}
-				}
+				})
 				return g
 			}
 
@@ -130,12 +126,12 @@ func k1KernelAgreement() Experiment {
 				// All arms share the same derived seed per trial index
 				// (common random numbers), so the comparisons are genuinely
 				// paired; the kernels then consume the stream differently.
-				ge := gather(collect(cfg, core.KernelExact, uint64(ci)*1000+1))
+				ge := gather(cfg, core.KernelExact, uint64(ci)*1000+1)
 				if ge.oks == 0 {
 					return fmt.Errorf("no successful exact runs for config %s", c.name)
 				}
 				for _, kern := range kernels {
-					gw := gather(collect(cfg, kern, uint64(ci)*1000+1))
+					gw := gather(cfg, kern, uint64(ci)*1000+1)
 					if gw.oks == 0 {
 						return fmt.Errorf("no successful %v runs for config %s", kern, c.name)
 					}
@@ -243,24 +239,23 @@ func k2NScaling() Experiment {
 					won bool
 					ok  bool
 				}
-				outs := CollectArena(c.trials, p.Parallelism, p.Seed+uint64(n), func(i int, src *rng.Source, a *Arena) out {
+				var times []float64
+				wins := 0
+				Stream(c.trials, p.Parallelism, p.Seed+uint64(n), func(i int, src *rng.Source, a *Arena) out {
 					t, winner, err := consensusTime(a, cfg, src, core.NoBudget, c.kern)
 					if err != nil {
 						return out{}
 					}
 					return out{t: t.Float64(), won: winner == 0, ok: true}
-				})
-				var times []float64
-				wins := 0
-				for _, o := range outs {
+				}, func(_ int, o out) {
 					if !o.ok {
-						continue
+						return
 					}
 					times = append(times, o.t)
 					if o.won {
 						wins++
 					}
-				}
+				})
 				s, err := stats.Summarize(times)
 				if err != nil {
 					return fmt.Errorf("n=%d: %w", n, err)

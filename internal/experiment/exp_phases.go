@@ -35,19 +35,18 @@ func t1Phases() Experiment {
 					if err != nil {
 						return err
 					}
-					runs := CollectArena(trials, p.Parallelism, p.Seed+uint64(n)+uint64(k), func(i int, src *rng.Source, a *Arena) USDRun {
+					lnN := math.Log(float64(n))
+					norm := make([][]float64, 5)
+					var totals []float64
+					Stream(trials, p.Parallelism, p.Seed+uint64(n)+uint64(k), func(i int, src *rng.Source, a *Arena) USDRun {
 						r, err := RunTracked(a, cfg, src, core.NoBudget, 0, p.Kernel)
 						if err != nil {
 							return USDRun{}
 						}
 						return r
-					})
-					lnN := math.Log(float64(n))
-					norm := make([][]float64, 5)
-					var totals []float64
-					for _, r := range runs {
+					}, func(_ int, r USDRun) {
 						if r.Result.Outcome != core.OutcomeConsensus {
-							continue
+							return
 						}
 						bounds := []float64{
 							float64(n) * lnN,
@@ -62,7 +61,7 @@ func t1Phases() Experiment {
 							}
 						}
 						totals = append(totals, r.Result.ParallelTime/(float64(k)*lnN))
-					}
+					})
 					if len(totals) == 0 {
 						return fmt.Errorf("no successful runs for n=%d k=%d", n, k)
 					}
@@ -134,7 +133,8 @@ func t6Phase1() Experiment {
 			measure := func(cfg *conf.Config, seedOff uint64) []obs {
 				x10 := cfg.Support[0]
 				bias0 := cfg.AdditiveBias()
-				return CollectArena(trials, p.Parallelism, p.Seed+seedOff, func(i int, src *rng.Source, a *Arena) obs {
+				outs := make([]obs, trials)
+				Stream(trials, p.Parallelism, p.Seed+seedOff, func(i int, src *rng.Source, a *Arena) obs {
 					s, err := a.Simulator(cfg, src, core.WithKernel(p.Kernel))
 					if err != nil {
 						return obs{}
@@ -158,7 +158,8 @@ func t6Phase1() Experiment {
 						o.multRatio = float64(x1) / float64(x2)
 					}
 					return o
-				})
+				}, func(i int, o obs) { outs[i] = o })
+				return outs
 			}
 
 			addObs := measure(addCfg, 1)

@@ -43,7 +43,9 @@ func x4Scheduler() Experiment {
 					won  bool
 					done bool
 				}
-				outs := Collect(trials, p.Parallelism, p.Seed+uint64(skew*1000), func(i int, src *rng.Source) outcome {
+				var times []float64
+				wins, completed := 0, 0
+				Stream(trials, p.Parallelism, p.Seed+uint64(skew*1000), func(i int, src *rng.Source, _ *Arena) outcome {
 					sched, err := pop.NewWeightedScheduler(weights, src)
 					if err != nil {
 						return outcome{}
@@ -63,19 +65,16 @@ func x4Scheduler() Experiment {
 						return outcome{}
 					}
 					return outcome{t: float64(res.Interactions), won: res.Winner == 0, done: true}
-				})
-				var times []float64
-				wins, completed := 0, 0
-				for _, o := range outs {
+				}, func(_ int, o outcome) {
 					if !o.done {
-						continue
+						return
 					}
 					completed++
 					times = append(times, o.t)
 					if o.won {
 						wins++
 					}
-				}
+				})
 				if completed == 0 {
 					tbl.AddRowf(fmt.Sprintf("zipf %.1f", skew), "0/"+itoa(trials), "-", "-", "-")
 					continue

@@ -20,25 +20,24 @@ func timeStats(p Params, seed uint64, cfg *conf.Config, trials int, budget u128.
 		won bool
 		ok  bool
 	}
-	outs := CollectArena(trials, p.Parallelism, seed, func(i int, src *rng.Source, a *Arena) outcome {
+	var times []float64
+	wins, completed := 0, 0
+	Stream(trials, p.Parallelism, seed, func(i int, src *rng.Source, a *Arena) outcome {
 		t, winner, err := consensusTime(a, cfg, src, budget, p.Kernel)
 		if err != nil {
 			return outcome{}
 		}
 		return outcome{t: t.Float64(), won: winner == 0, ok: true}
-	})
-	var times []float64
-	wins, completed := 0, 0
-	for _, o := range outs {
+	}, func(_ int, o outcome) {
 		if !o.ok {
-			continue
+			return
 		}
 		completed++
 		times = append(times, o.t)
 		if o.won {
 			wins++
 		}
-	}
+	})
 	if completed == 0 {
 		return stats.Summary{}, 0, 0, fmt.Errorf("experiment: no trial reached consensus")
 	}
@@ -166,20 +165,19 @@ func t4NoBias() Experiment {
 				if err != nil {
 					return err
 				}
-				runs := CollectArena(trials, p.Parallelism, p.Seed+uint64(n)*41, func(i int, src *rng.Source, a *Arena) USDRun {
+				winnerCounts := make([]int64, k)
+				var times []float64
+				agree := 0
+				completed := 0
+				Stream(trials, p.Parallelism, p.Seed+uint64(n)*41, func(i int, src *rng.Source, a *Arena) USDRun {
 					r, err := RunTracked(a, cfg, src, core.NoBudget, 0, p.Kernel)
 					if err != nil {
 						return USDRun{}
 					}
 					return r
-				})
-				winnerCounts := make([]int64, k)
-				var times []float64
-				agree := 0
-				completed := 0
-				for _, r := range runs {
+				}, func(_ int, r USDRun) {
 					if r.Result.Winner < 0 {
-						continue
+						return
 					}
 					completed++
 					winnerCounts[r.Result.Winner]++
@@ -187,7 +185,7 @@ func t4NoBias() Experiment {
 					if r.Phases.LeaderAtT2 == r.Result.Winner {
 						agree++
 					}
-				}
+				})
 				if completed == 0 {
 					return fmt.Errorf("no consensus for n=%d", n)
 				}

@@ -71,7 +71,8 @@ func f1Undecided() Experiment {
 			type bandObs struct {
 				samples, upViol, loViol int64
 			}
-			outs := Collect(trials, p.Parallelism, p.Seed+2, func(i int, src *rng.Source) bandObs {
+			var samples, up, lo int64
+			Stream(trials, p.Parallelism, p.Seed+2, func(i int, src *rng.Source, _ *Arena) bandObs {
 				var o bandObs
 				s, err := core.New(cfg, src, core.WithKernel(p.Kernel))
 				if err != nil {
@@ -93,13 +94,11 @@ func f1Undecided() Experiment {
 					}
 				})
 				return o
-			})
-			var samples, up, lo int64
-			for _, o := range outs {
+			}, func(_ int, o bandObs) {
 				samples += o.samples
 				up += o.upViol
 				lo += o.loViol
-			}
+			})
 			tbl := NewTable(
 				fmt.Sprintf("Band violations over %d runs (%d observed configurations):", trials, samples),
 				"bound", "value at xmax=n/k", "violations")
@@ -142,7 +141,8 @@ func f2GapGrowth() Experiment {
 			gap := func(s *core.Simulator) float64 {
 				return math.Abs(float64(s.Support(0) - s.Support(1)))
 			}
-			outs := Collect(trials, p.Parallelism, p.Seed+3, func(i int, src *rng.Source) gapObs {
+			var t1s, t2s []float64
+			Stream(trials, p.Parallelism, p.Seed+3, func(i int, src *rng.Source, _ *Arena) gapObs {
 				s, err := core.New(cfg, src, core.WithKernel(p.Kernel))
 				if err != nil {
 					return gapObs{}
@@ -151,14 +151,12 @@ func f2GapGrowth() Experiment {
 				t1 := r1.Interactions.Float64()
 				r2 := s.RunUntil(core.NoBudget, func(sim *core.Simulator) bool { return gap(sim) >= target2 })
 				return gapObs{t1: t1, t2: r2.Interactions.Float64(), ok: true}
-			})
-			var t1s, t2s []float64
-			for _, o := range outs {
+			}, func(_ int, o gapObs) {
 				if o.ok {
 					t1s = append(t1s, o.t1/float64(n))
 					t2s = append(t2s, (o.t2-o.t1)/float64(n))
 				}
-			}
+			})
 			s1, err := stats.Summarize(t1s)
 			if err != nil {
 				return err

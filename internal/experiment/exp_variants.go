@@ -125,7 +125,9 @@ func k5Stubborn(p Params, w io.Writer, focus core.Variant, verdict func(bool) st
 			winner  int
 			decided bool
 		}
-		outs := CollectArena(trials, p.Parallelism, p.Seed+uint64(ri)*1000, func(i int, src *rng.Source, a *Arena) out {
+		decided, wins := 0, 0
+		var par float64
+		Stream(trials, p.Parallelism, p.Seed+uint64(ri)*1000, func(i int, src *rng.Source, a *Arena) out {
 			r, err := RunTracked(a, cfg, src, budget, 0, p.Kernel, opts...)
 			if err != nil {
 				return out{}
@@ -136,19 +138,16 @@ func k5Stubborn(p Params, w io.Writer, focus core.Variant, verdict func(bool) st
 				winner:  r.Result.Winner,
 				decided: oc == core.OutcomeDominance || oc == core.OutcomeConsensus,
 			}
-		})
-		decided, wins := 0, 0
-		var par float64
-		for _, o := range outs {
+		}, func(_ int, o out) {
 			if !o.decided {
-				continue
+				return
 			}
 			decided++
 			par += o.t / float64(n)
 			if o.winner == 0 {
 				wins++
 			}
-		}
+		})
 		if decided > 0 {
 			par /= float64(decided)
 		}
@@ -203,22 +202,21 @@ func k5Unconstrained(p Params, w io.Writer, verdict func(bool) string) error {
 			t  float64
 			ok bool
 		}
-		outs := CollectArena(trials, p.Parallelism, p.Seed+uint64(ki)*7777, func(i int, src *rng.Source, a *Arena) out {
+		oks := 0
+		var sum float64
+		Stream(trials, p.Parallelism, p.Seed+uint64(ki)*7777, func(i int, src *rng.Source, a *Arena) out {
 			t, _, err := consensusTime(a, cfg, src, core.NoBudget, core.KernelExact, opts...)
 			if err != nil {
 				return out{}
 			}
 			return out{t: t.Float64(), ok: true}
-		})
-		oks := 0
-		var sum float64
-		for _, o := range outs {
+		}, func(_ int, o out) {
 			if !o.ok {
-				continue
+				return
 			}
 			oks++
 			sum += o.t
-		}
+		})
 		mean := sum / math.Max(float64(oks), 1)
 		norm := mean / (float64(n) * math.Log(float64(n)))
 		pass := oks == trials && norm <= timeTol

@@ -42,9 +42,9 @@ type Params struct {
 	// definition and ignore it.
 	Variant core.Variant
 	// Adaptive switches per-cell trial counts to sequential stopping where
-	// an experiment supports it (K3, and cmd/sweep points): trials run in
-	// waves until the consensus-time CI closes below RelWidth or MaxTrials
-	// is reached. K4-lower-bound is adaptive by construction and only reads
+	// an experiment supports it (K3, and cmd/sweep points): trials run
+	// until the consensus-time CI closes below RelWidth or MaxTrials is
+	// reached. K4-lower-bound is adaptive by construction and only reads
 	// RelWidth/MaxTrials from here.
 	Adaptive bool
 	// RelWidth is the adaptive stopping target: the relative half-width of

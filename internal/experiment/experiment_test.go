@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/conf"
@@ -42,12 +41,12 @@ func TestTableRaggedRows(t *testing.T) {
 	}
 }
 
-func TestCollectOrderAndDeterminism(t *testing.T) {
-	fn := func(i int, src *rng.Source) uint64 {
+func TestStreamOrderAndDeterminism(t *testing.T) {
+	fn := func(i int, src *rng.Source, _ *Arena) uint64 {
 		return uint64(i)*1e9 + src.Uint64()%1e9
 	}
-	a := Collect(50, 8, 7, fn)
-	b := Collect(50, 2, 7, fn) // different parallelism, same seed
+	a := streamSlice(50, 8, 7, fn)
+	b := streamSlice(50, 2, 7, fn) // different parallelism, same seed
 	for i := range a {
 		if a[i]/1e9 != uint64(i) {
 			t.Fatalf("output %d out of order", i)
@@ -56,7 +55,7 @@ func TestCollectOrderAndDeterminism(t *testing.T) {
 			t.Fatalf("parallelism changed trial %d: %d vs %d", i, a[i], b[i])
 		}
 	}
-	c := Collect(50, 8, 8, fn)
+	c := streamSlice(50, 8, 8, fn)
 	same := 0
 	for i := range a {
 		if a[i] == c[i] {
@@ -68,26 +67,12 @@ func TestCollectOrderAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestCollectEdgeCases(t *testing.T) {
-	if out := Collect(0, 4, 1, func(int, *rng.Source) int { return 1 }); out != nil {
-		t.Fatal("zero trials must return nil")
-	}
-	var calls atomic.Int64
-	out := Collect(3, 100, 1, func(i int, _ *rng.Source) int {
-		calls.Add(1)
-		return i
-	})
-	if calls.Load() != 3 || len(out) != 3 {
-		t.Fatalf("calls=%d len=%d", calls.Load(), len(out))
-	}
-}
-
 func TestRunTracked(t *testing.T) {
 	cfg, err := conf.Uniform(1000, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := runTracked(cfg, rng.New(5), core.NoBudget, 0, core.KernelExact)
+	r, err := RunTracked(nil, cfg, rng.New(5), core.NoBudget, 0, core.KernelExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +97,7 @@ func TestConsensusTimeBudgetError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := consensusTime(nil, cfg, rng.New(1), u128.From64(10), core.KernelExact); err == nil {
+	if _, _, err := consensusTime(new(Arena), cfg, rng.New(1), u128.From64(10), core.KernelExact); err == nil {
 		t.Fatal("budget exhaustion not reported")
 	}
 }

@@ -12,20 +12,26 @@ import (
 	"repro/internal/u128"
 )
 
-// The trial engine runs Monte-Carlo trials across a bounded worker pool.
-// Each worker owns an Arena — a simulator, a phase tracker, and a
-// randomness source that are re-seeded in place between trials — so
-// fleet-scale sweeps pay the allocation cost of core.New once per worker
-// instead of once per trial. Every trial draws its randomness from an
-// independent stream derived deterministically from (seed, index), and
-// core.Simulator.Reset re-initializes state exhaustively, so the outputs
-// are byte-identical at every parallelism level (see the determinism test).
+// The trial engine runs Monte-Carlo trials across one bounded, in-order
+// worker pool (run), behind three doors: Stream for trials [0, n),
+// StreamIndices for an explicit index list (a shard's share), and
+// StreamAdaptive for a capped run with a stopping predicate. Each worker
+// owns an Arena — a simulator, a phase tracker, and a randomness source that
+// are re-seeded in place between trials — so fleet-scale sweeps pay the
+// allocation cost of core.New once per worker instead of once per trial.
+// Every trial draws its randomness from an independent stream derived
+// deterministically from (seed, index), core.Simulator.Reset re-initializes
+// state exhaustively, and results are folded in index order on the calling
+// goroutine, so the folds are byte-identical at every parallelism level
+// (see the determinism tests).
 
-// Arena is the per-worker reusable state of the trial engine. Trial
-// callbacks may use its Simulator and Tracker helpers instead of core.New
-// and phase.NewTracker to run allocation-free after the first trial; the
-// zero value is ready to use. An Arena must not be shared between
-// goroutines.
+// Arena is the per-worker reusable state of the trial engine: every trial
+// callback of Stream, StreamIndices and StreamAdaptive receives its
+// worker's Arena. Trial callbacks may use its Simulator and Tracker helpers
+// instead of core.New and phase.NewTracker to run allocation-free after the
+// first trial; the zero value is ready to use. An Arena (and everything
+// obtained from it) must not be shared between goroutines or retained past
+// the callback.
 type Arena struct {
 	src     rng.Source
 	sim     *core.Simulator
@@ -81,64 +87,16 @@ func clampParallelism(trials, parallelism int) int {
 	return parallelism
 }
 
-// Collect runs fn for every trial index in [0, trials) across the worker
-// pool and returns the outputs in trial order. Each trial receives an
-// independent random stream derived deterministically from (seed, i), so
-// results do not depend on scheduling or parallelism. The source is owned
-// by the engine and must not be retained past the callback.
-func Collect[T any](trials, parallelism int, seed uint64, fn func(i int, src *rng.Source) T) []T {
-	return CollectArena(trials, parallelism, seed, func(i int, src *rng.Source, _ *Arena) T {
-		return fn(i, src)
-	})
-}
-
-// CollectArena is Collect with access to the worker's Arena, so trial
-// bodies can reuse the worker's simulator and tracker across trials. The
-// arena (and everything obtained from it) must not be retained past the
-// callback.
-func CollectArena[T any](trials, parallelism int, seed uint64, fn func(i int, src *rng.Source, a *Arena) T) []T {
-	if trials <= 0 {
-		return nil
-	}
-	parallelism = clampParallelism(trials, parallelism)
-	out := make([]T, trials)
-	if parallelism == 1 {
-		var a Arena
-		for i := 0; i < trials; i++ {
-			out[i] = fn(i, a.source(seed, i), &a)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var a Arena
-			for i := range next {
-				out[i] = fn(i, a.source(seed, i), &a)
-			}
-		}()
-	}
-	for i := 0; i < trials; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
-}
-
 // Stream runs fn for every trial index in [0, trials) across the worker
 // pool and delivers each output to sink exactly once, in trial-index order,
-// on the calling goroutine. Unlike Collect it never materializes the full
-// result slice: at most O(parallelism) outputs are in flight (a trial is
-// dispatched only after trial i−window has been consumed), so million-trial
+// on the calling goroutine. It never materializes the full result slice:
+// at most 4·parallelism trials run ahead of the sink, so million-trial
 // sweeps can fold into online aggregators (stats.Online, stats.P2) in
-// constant memory. In-order delivery makes order-sensitive floating-point
+// constant memory, and a caller that wants the slice writes out[i] = v in
+// its sink. In-order delivery makes order-sensitive floating-point
 // aggregation byte-identical at every parallelism level.
 func Stream[T any](trials, parallelism int, seed uint64, fn func(i int, src *rng.Source, a *Arena) T, sink func(i int, v T)) {
-	streamIndexed(trials, parallelism, seed, func(pos int) int { return pos }, fn, sink)
+	run(trials, parallelism, seed, func(pos int) int { return pos }, fn, sink, nil)
 }
 
 // StreamIndices is Stream over an explicit list of global trial indices:
@@ -146,20 +104,31 @@ func Stream[T any](trials, parallelism int, seed uint64, fn func(i int, src *rng
 // from rng.Derive(seed, indices[j]) — exactly the stream it would receive
 // in a full [0, trials) run — and results are delivered to sink in slice
 // order, tagged with the global index. It is the shard entry point of the
-// distributed engine (internal/dist): a shard owning every S-th index
+// distributed engine (internal/dist): a shard dealt any subset of indices
 // reproduces, trial for trial, the work a single-process run would do for
 // those indices, which is what makes coordinator folds byte-identical to
 // in-process runs at every shard count.
 func StreamIndices[T any](indices []int, parallelism int, seed uint64, fn func(i int, src *rng.Source, a *Arena) T, sink func(i int, v T)) {
-	streamIndexed(len(indices), parallelism, seed, func(pos int) int { return indices[pos] }, fn, sink)
+	run(len(indices), parallelism, seed, func(pos int) int { return indices[pos] }, fn, sink, nil)
 }
 
-// streamIndexed is the shared worker-pool core of Stream and StreamIndices:
-// count trials whose global index is index(pos), dispatched across the pool
-// and delivered in position order.
-func streamIndexed[T any](count, parallelism int, seed uint64, index func(pos int) int, fn func(i int, src *rng.Source, a *Arena) T, sink func(i int, v T)) {
+// run is the trial engine's one worker pool, behind Stream, StreamIndices
+// and StreamAdaptive. It runs count trials, the one at position pos running
+// global index i = index(pos) on the stream rng.Derive(seed, i), and folds
+// their outputs into sink in position order on the calling goroutine. When
+// stop is non-nil it is consulted after every fold, and the run ends at the
+// first fold it reports true. run returns the number of folded trials and
+// whether stop ended the run.
+//
+// The parallel path keeps at most window = 4·parallelism trials dispatched
+// past the last fold, which bounds both the reorder buffer and, when stop
+// fires at fold T, the wasted work: no trial at position T+window or later
+// is ever started. On stop, run takes back the dispatched trials no worker
+// has started and waits for the running ones, so no goroutine outlives the
+// call.
+func run[T any](count, parallelism int, seed uint64, index func(pos int) int, fn func(i int, src *rng.Source, a *Arena) T, sink func(i int, v T), stop func() bool) (folded int, stopped bool) {
 	if count <= 0 {
-		return
+		return 0, false
 	}
 	parallelism = clampParallelism(count, parallelism)
 	if parallelism == 1 {
@@ -167,19 +136,22 @@ func streamIndexed[T any](count, parallelism int, seed uint64, index func(pos in
 		for pos := 0; pos < count; pos++ {
 			i := index(pos)
 			sink(i, fn(i, a.source(seed, i), &a))
+			if stop != nil && stop() {
+				return pos + 1, true
+			}
 		}
-		return
+		return count, false
 	}
 
 	type slot struct {
 		pos int
 		v   T
 	}
-	// The dispatch window caps how far ahead of the sink trials may run,
-	// bounding both the reorder buffer and the number of buffered results.
-	window := parallelism * 4
-	tickets := make(chan struct{}, window)
-	next := make(chan int)
+	window := 4 * parallelism
+	// Both channels hold a full window, and at most a window of trials is
+	// ever dispatched but unfolded, so neither the dispatching sends below
+	// nor the workers' result sends can block.
+	next := make(chan int, window)
 	results := make(chan slot, window)
 	var wg sync.WaitGroup
 	for w := 0; w < parallelism; w++ {
@@ -193,31 +165,42 @@ func streamIndexed[T any](count, parallelism int, seed uint64, index func(pos in
 			}
 		}()
 	}
-	go func() {
-		for pos := 0; pos < count; pos++ {
-			tickets <- struct{}{}
-			next <- pos
-		}
+	defer func() {
 		close(next)
+		for range next {
+			// Take back trials no worker has started.
+		}
 		wg.Wait()
-		close(results)
 	}()
 
-	pending := make(map[int]T, window)
-	done := 0
-	for s := range results {
-		pending[s.pos] = s.v
-		for {
-			v, ok := pending[done]
-			if !ok {
-				break
+	dispatched := min(count, window)
+	for pos := 0; pos < dispatched; pos++ {
+		next <- pos
+	}
+	// Position pos waits in reorder[pos%window] until every earlier
+	// position has been folded.
+	reorder := make([]slot, window)
+	for pos := range reorder {
+		reorder[pos].pos = -1
+	}
+	for folded < count {
+		s := <-results
+		reorder[s.pos%window] = s
+		for r := &reorder[folded%window]; r.pos == folded; r = &reorder[folded%window] {
+			v := r.v
+			*r = slot{pos: -1}
+			sink(index(folded), v)
+			folded++
+			if stop != nil && stop() {
+				return folded, true
 			}
-			delete(pending, done)
-			sink(index(done), v)
-			done++
-			<-tickets
+			if dispatched < count {
+				next <- dispatched
+				dispatched++
+			}
 		}
 	}
+	return folded, false
 }
 
 // USDRun is the outcome of one tracked USD run.
@@ -232,8 +215,9 @@ type USDRun struct {
 
 // RunTracked simulates the USD from c to consensus (or budget) with phase
 // tracking under the given stepping kernel, reusing the arena's simulator
-// and tracker when a is non-nil (pass the *Arena handed to a CollectArena
-// or Stream callback; nil allocates fresh state). checkEvery controls how
+// and tracker when a is non-nil (pass the *Arena handed to a Stream,
+// StreamIndices or StreamAdaptive trial callback; nil allocates fresh
+// state). checkEvery controls how
 // often the O(k) phase conditions are evaluated; 0 picks a
 // resolution-preserving default — per-interval for the exact kernel,
 // per-window for a batched kernel (whose observations already cover many
@@ -272,29 +256,15 @@ func RunTracked(a *Arena, c *conf.Config, src *rng.Source, budget u128.U128, che
 	return USDRun{Result: res, Phases: tr.Times(), InitialLeader: leader}, nil
 }
 
-// runTracked is RunTracked without an arena, kept for call sites outside
-// the trial engine.
-func runTracked(c *conf.Config, src *rng.Source, budget u128.U128, checkEvery int, kern core.Kernel) (USDRun, error) {
-	return RunTracked(nil, c, src, budget, checkEvery, kern)
-}
-
-// consensusTime runs the USD from c to consensus under the given kernel,
-// reusing the arena's simulator when a is non-nil, and returns the
-// interaction count and winner. It fails if the budget is exhausted first.
+// consensusTime runs the USD from c to consensus under the given kernel on
+// the arena's simulator and returns the interaction count and winner. It
+// fails if the budget is exhausted first.
 func consensusTime(a *Arena, c *conf.Config, src *rng.Source, budget u128.U128, kern core.Kernel, opts ...core.Option) (u128.U128, int, error) {
-	var s *core.Simulator
-	var err error
-	if a != nil {
-		s, err = a.Simulator(c, src, opts...)
-		if err == nil {
-			s.SetKernel(kern)
-		}
-	} else {
-		s, err = core.New(c, src, append(append([]core.Option(nil), opts...), core.WithKernel(kern))...)
-	}
+	s, err := a.Simulator(c, src, opts...)
 	if err != nil {
 		return u128.U128{}, -1, err
 	}
+	s.SetKernel(kern)
 	res := s.Run(budget)
 	if res.Outcome != core.OutcomeConsensus {
 		return res.Interactions, -1, fmt.Errorf("experiment: no consensus within %v interactions (outcome %v)", budget, res.Outcome)

@@ -24,11 +24,18 @@ func renderRuns(runs []USDRun) []byte {
 	return b.Bytes()
 }
 
-// TestCollectByteIdenticalAcrossParallelism is the arena-safety contract:
-// with a fixed seed, Collect output must be byte-identical at parallelism
+// streamSlice runs Stream and returns the outputs in trial order.
+func streamSlice[T any](trials, par int, seed uint64, fn func(i int, src *rng.Source, a *Arena) T) []T {
+	out := make([]T, trials)
+	Stream(trials, par, seed, fn, func(i int, v T) { out[i] = v })
+	return out
+}
+
+// TestStreamByteIdenticalAcrossParallelism is the arena-safety contract:
+// with a fixed seed, Stream output must be byte-identical at parallelism
 // 1, 4, and GOMAXPROCS, for both kernels. Any state leaking between trials
 // through a reused simulator, tracker, or source would break this.
-func TestCollectByteIdenticalAcrossParallelism(t *testing.T) {
+func TestStreamByteIdenticalAcrossParallelism(t *testing.T) {
 	cfg, err := conf.Uniform(2000, 8, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +44,7 @@ func TestCollectByteIdenticalAcrossParallelism(t *testing.T) {
 	for _, kern := range []core.Kernel{core.KernelExact, core.KernelBatched(0)} {
 		var want []byte
 		for _, par := range levels {
-			runs := CollectArena(60, par, 99, func(i int, src *rng.Source, a *Arena) USDRun {
+			runs := streamSlice(60, par, 99, func(i int, src *rng.Source, a *Arena) USDRun {
 				r, err := RunTracked(a, cfg, src, core.NoBudget, 0, kern)
 				if err != nil {
 					t.Errorf("trial %d: %v", i, err)
@@ -55,7 +62,7 @@ func TestCollectByteIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestArenaReuseMatchesFreshAllocation pins Collect's arena path to the
+// TestArenaReuseMatchesFreshAllocation pins the engine's arena path to the
 // no-arena path: reusing a worker's simulator and tracker must be
 // observationally identical to allocating per trial.
 func TestArenaReuseMatchesFreshAllocation(t *testing.T) {
@@ -64,14 +71,14 @@ func TestArenaReuseMatchesFreshAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kern := range []core.Kernel{core.KernelExact, core.KernelBatched(0)} {
-		reused := CollectArena(40, 1, 7, func(i int, src *rng.Source, a *Arena) USDRun {
+		reused := streamSlice(40, 1, 7, func(i int, src *rng.Source, a *Arena) USDRun {
 			r, err := RunTracked(a, cfg, src, core.NoBudget, 0, kern)
 			if err != nil {
 				t.Errorf("trial %d: %v", i, err)
 			}
 			return r
 		})
-		fresh := Collect(40, 1, 7, func(i int, src *rng.Source) USDRun {
+		fresh := streamSlice(40, 1, 7, func(i int, src *rng.Source, _ *Arena) USDRun {
 			r, err := RunTracked(nil, cfg, src, core.NoBudget, 0, kern)
 			if err != nil {
 				t.Errorf("trial %d: %v", i, err)
@@ -189,36 +196,48 @@ func TestArenaSimulatorAcrossConfigs(t *testing.T) {
 }
 
 // TestStreamFoldAllocFree pins the steady-state allocation profile of the
-// serial Stream fold path at zero per trial: the arena body (simulator
-// reset, window loop) and the sink fold must not allocate once warm. The
-// pin compares total allocations of a short and a long stream — any
-// per-trial allocation shows up as growth in the difference, while the
-// engine's fixed per-invocation setup cancels out.
+// serial fold path at zero per trial, through each of the engine's doors:
+// the arena body (simulator reset, window loop) and the sink fold must not
+// allocate once warm. The pin compares total allocations of a short and a
+// long stream — any per-trial allocation shows up as growth in the
+// difference, while the engine's fixed per-invocation setup cancels out.
 func TestStreamFoldAllocFree(t *testing.T) {
 	cfg, err := conf.Uniform(5000, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var online stats.Online
-	run := func(trials int) func() {
-		return func() {
-			Stream(trials, 1, 3,
-				func(i int, src *rng.Source, a *Arena) float64 {
-					s, err := a.Simulator(cfg, src)
-					if err != nil {
-						panic(err)
-					}
-					s.SetKernel(core.KernelAuto(0))
-					return s.Run(u128.From64(20_000)).Interactions.Float64()
-				},
-				func(_ int, v float64) { online.Add(v) })
+	body := func(i int, src *rng.Source, a *Arena) float64 {
+		s, err := a.Simulator(cfg, src)
+		if err != nil {
+			panic(err)
 		}
+		s.SetKernel(core.KernelAuto(0))
+		return s.Run(u128.From64(20_000)).Interactions.Float64()
 	}
-	run(4)() // warm any lazy engine state
-	short := testing.AllocsPerRun(5, run(4))
-	long := testing.AllocsPerRun(5, run(104))
-	if perTrial := (long - short) / 100; perTrial > 0 {
-		t.Errorf("Stream fold allocates %.2f objects per trial in steady state, want 0 (short=%v long=%v)",
-			perTrial, short, long)
+	sink := func(_ int, v float64) { online.Add(v) }
+	never := func() bool { return false }
+	indices := make([]int, 104)
+	for j := range indices {
+		indices[j] = 3 * j
+	}
+	for _, door := range []struct {
+		name string
+		run  func(trials int)
+	}{
+		{"Stream", func(trials int) { Stream(trials, 1, 3, body, sink) }},
+		{"StreamIndices", func(trials int) { StreamIndices(indices[:trials], 1, 3, body, sink) }},
+		{"StreamAdaptive", func(trials int) {
+			StreamAdaptive(AdaptiveOptions{MaxTrials: trials, Parallelism: 1, Seed: 3}, body, sink, never)
+		}},
+	} {
+		run := func(trials int) func() { return func() { door.run(trials) } }
+		run(4)() // warm any lazy engine state
+		short := testing.AllocsPerRun(5, run(4))
+		long := testing.AllocsPerRun(5, run(104))
+		if perTrial := (long - short) / 100; perTrial > 0 {
+			t.Errorf("%s fold allocates %.2f objects per trial in steady state, want 0 (short=%v long=%v)",
+				door.name, perTrial, short, long)
+		}
 	}
 }
