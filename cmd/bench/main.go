@@ -1,10 +1,11 @@
 // Command bench measures the per-interaction cost of the three stepping
 // kernels on the uniform-start k=32 workload at n ∈ {10⁴, 10⁶, 10⁸}, the
-// small-n fleet regime, and the Monte-Carlo trial throughput of the
-// shared-arena trial engine, and writes the results to BENCH_core.json,
-// giving future changes a perf trajectory to compare against. The report
-// records the machine (CPU model, core count, GOMAXPROCS) so trajectories
-// from different hosts are interpretable.
+// small-n fleet regime, the Monte-Carlo trial throughput of the
+// shared-arena trial engine, and the distributed coordinator, and writes
+// the results to BENCH_core.json, giving future changes a perf trajectory
+// to compare against. The report records the machine (CPU model, core
+// count, GOMAXPROCS) so trajectories from different hosts are
+// interpretable.
 //
 // All kernels run the same protocol per population size: the unbiased
 // uniform configuration, an identical fixed interaction budget, and the
@@ -18,10 +19,7 @@
 // The small-n fleet section is the regime the auto kernel exists for:
 // full-consensus fleets at n ∈ {10³, 10⁴}, where windows never grow large
 // enough for the chained-binomial batch to amortize. It reports consensus
-// trials/sec per kernel and each windowed kernel's speedup over exact; a
-// full (non-quick) run fails unless the auto kernel reaches 4× over exact
-// at n = 10⁴ and at least parity with exact at n = 10³ — the regression
-// gates for the small-n hot path.
+// trials/sec per kernel and each windowed kernel's speedup over exact.
 //
 // The trial-throughput section runs the same tracked-trial fleet twice —
 // once allocating a fresh simulator and tracker per trial (the pre-engine
@@ -36,25 +34,28 @@
 // adaptive arm must meet it with strictly fewer trials (recorded as
 // trials_saved_frac in adaptive_engine).
 //
-// The shard-throughput section runs the same consensus fleet through the
-// distributed coordinator (internal/dist) at 1, 2, and 4 worker processes
-// under a fixed total core budget: GOMAXPROCS(0) cores are partitioned
-// across the workers (dist.ExecLauncher.CoreBudget plus a matching
-// worker-local trial parallelism), so every shard count competes for the
-// same hardware and the 1-shard baseline cannot win by quietly saturating
-// all cores in-process — the methodology flaw the earlier shard section
-// had. It reports trials/sec and parallel_efficiency per shard count
-// (throughput relative to the 1-shard arm at the same core budget); a full
-// run fails if 4-shard efficiency drops below 0.75. Every arm must fold a
-// result sequence identical to the in-process engine's; the benchmark
-// fails otherwise.
+// The dist-fleet section runs one consensus fleet through the distributed
+// coordinator (internal/dist) in every arm: exec workers (this binary
+// re-executed in worker mode) at 1, 2 and 4 shards, loopback members (the
+// multi-host transport over /bin/sh) at 1 and 4, and the 4-shard exec arm
+// with one worker killed mid-wave by the fault-injection harness
+// (dist.FaultLauncher). Every arm runs under the same total core budget —
+// GOMAXPROCS(0) cores partitioned across the workers — so
+// parallel_efficiency (throughput against the 1-shard arm of the same
+// launcher) prices what sharding costs rather than letting one worker
+// saturate the machine alone. Every arm must fold the in-process engine's
+// result sequence byte for byte, and the faulted arm must relaunch a
+// worker; the benchmark fails otherwise. recovery_overhead is the faulted
+// arm's wall over the undisturbed 4-shard arm's.
 //
-// The fault-recovery section prices the coordinator's fault tolerance: the
-// same sharded fleet runs undisturbed and with one worker killed mid-wave
-// by the deterministic fault-injection harness (dist.FaultLauncher). The
-// faulted arm must relaunch the worker, requeue its unfinished trials, and
-// fold the byte-identical result sequence; the recorded recovery_overhead
-// is the wall-clock ratio of the two arms.
+// Every gate is a ratio of two arms timed in the same round: auto over
+// exact fleets at n = 10³ (at least 1×) and n = 10⁴ (at least 4×), and the
+// 4-shard over the 1-shard arm for exec (at least 0.75) and loopback
+// (at least 0.70). Each compared group runs once untimed, then fleetReps
+// rounds that alternate which arm goes first, and the gate reads the
+// median of the per-round ratios, so drift in host speed cancels. A full
+// (non-quick) run fails if any gate is missed; -quick times one round and
+// reports the gates without enforcing them.
 //
 // The report is written via a temp file and an atomic rename, so a failing
 // section (or a crash mid-write) can never clobber the committed
@@ -63,7 +64,7 @@
 // Usage:
 //
 //	bench                       # full run, writes BENCH_core.json
-//	bench -quick                # single repetition per cell, no perf gates
+//	bench -quick                # one timed round per cell, no perf gates
 //	bench -out path.json
 //	bench -cpuprofile cpu.out   # pprof CPU profile of the whole run
 //	bench -memprofile mem.out   # heap profile written at exit
@@ -92,21 +93,24 @@ import (
 	"repro/internal/u128"
 )
 
+// fleetReps is the number of timed rounds behind every gated ratio in a
+// full run.
+const fleetReps = 9
+
 // Entry is one (n, kernel) measurement.
 type Entry struct {
-	N                 int64   `json:"n"`
-	K                 int     `json:"k"`
-	Kernel            string  `json:"kernel"`
-	Tolerance         float64 `json:"tolerance,omitempty"`
-	BudgetPerRun      int64   `json:"budget_interactions_per_run"`
-	Runs              int     `json:"runs"`
-	Interactions      int64   `json:"interactions_total"`
-	WallNanos         int64   `json:"wall_ns_total"`
-	NsPerInteraction  float64 `json:"ns_per_interaction"`
-	NsPerProductive   float64 `json:"ns_per_productive_event"`
-	ProductiveEvents  int64   `json:"productive_events_total"`
-	ReachedConsensus  int     `json:"runs_reaching_consensus"`
-	InteractionsPerNs float64 `json:"interactions_per_ns"`
+	N                int64   `json:"n"`
+	K                int     `json:"k"`
+	Kernel           string  `json:"kernel"`
+	Tolerance        float64 `json:"tolerance,omitempty"`
+	BudgetPerRun     int64   `json:"budget_interactions_per_run"`
+	Runs             int     `json:"runs"`
+	Interactions     int64   `json:"interactions_total"`
+	WallNanos        int64   `json:"wall_ns_total"`
+	NsPerInteraction float64 `json:"ns_per_interaction"`
+	NsPerProductive  float64 `json:"ns_per_productive_event"`
+	ProductiveEvents int64   `json:"productive_events_total"`
+	ReachedConsensus int     `json:"runs_reaching_consensus"`
 }
 
 // AdaptiveEntry compares the sequential-stopping engine against a
@@ -155,10 +159,11 @@ type TrialEntry struct {
 	Identical       bool    `json:"results_identical"`
 }
 
-// ShardEntry is one shard-throughput measurement: the same consensus fleet
-// dispatched through the distributed coordinator at a given worker-process
-// count, under a fixed total core budget.
-type ShardEntry struct {
+// DistFleetEntry is one coordinator arm of the dist-fleet section: the
+// consensus fleet dispatched through dist.Run by one launcher at one shard
+// count under a fixed total core budget, undisturbed or with an injected
+// fault.
+type DistFleetEntry struct {
 	// Workload names the fleet.
 	Workload string `json:"workload"`
 	// N is the population size per trial.
@@ -167,104 +172,35 @@ type ShardEntry struct {
 	K int `json:"k"`
 	// Kernel is the stepping kernel name.
 	Kernel string `json:"kernel"`
+	// Launcher is "exec" (worker processes) or "loopback" (the multi-host
+	// transport with /bin/sh standing in for ssh).
+	Launcher string `json:"launcher"`
+	// Shards is the worker (member) count.
+	Shards int `json:"shards"`
+	// Fault names the injected failure mode; empty for an undisturbed arm.
+	Fault string `json:"fault"`
 	// Trials is the fleet size.
 	Trials int `json:"trials"`
-	// Shards is the worker-process count.
-	Shards int `json:"shards"`
 	// CoreBudget is the total CPU-core budget partitioned across the
-	// workers (GOMAXPROCS of this shard count's whole arm).
+	// workers.
 	CoreBudget int `json:"core_budget"`
-	// WallNanos is the end-to-end coordinator wall time.
+	// WallNanos is the coordinator wall time: the median over the timed
+	// rounds for an undisturbed arm, the single timing of a faulted one.
 	WallNanos int64 `json:"wall_ns"`
-	// TrialsPerS is the folded-trial throughput.
+	// TrialsPerS is the folded-trial throughput at WallNanos.
 	TrialsPerS float64 `json:"trials_per_sec"`
-	// SpeedupVs1Shard is wall(1 shard)/wall(this), 0 for the 1-shard row.
-	SpeedupVs1Shard float64 `json:"speedup_vs_1shard"`
-	// ParallelEfficiency is this arm's throughput relative to the 1-shard
-	// arm at the same total core budget: the honest cost of process-level
-	// sharding. 0 for the 1-shard row.
+	// ParallelEfficiency is the median per-round throughput ratio of this
+	// arm over the 1-shard arm of the same launcher (1 for that arm; 0 for
+	// a faulted arm). At a fixed core budget the ideal is 1.
 	ParallelEfficiency float64 `json:"parallel_efficiency"`
-	// Identical records that the folded sequence matched the in-process
-	// engine's byte for byte.
-	Identical bool `json:"results_identical"`
-}
-
-// FaultRecoveryEntry measures what the coordinator's fault tolerance costs:
-// the same sharded consensus fleet run twice, once undisturbed and once with
-// one worker killed mid-wave by the deterministic fault-injection harness
-// (dist.FaultLauncher). The faulted arm must relaunch the worker, requeue its
-// unfinished trials, and still fold the byte-identical result sequence; the
-// benchmark errors otherwise. RecoveryOverhead is the wall-clock price of
-// the detour (faulted wall over clean wall).
-type FaultRecoveryEntry struct {
-	// Workload names the fleet.
-	Workload string `json:"workload"`
-	// N is the population size per trial.
-	N int64 `json:"n"`
-	// K is the opinion count.
-	K int `json:"k"`
-	// Kernel is the stepping kernel name.
-	Kernel string `json:"kernel"`
-	// Trials is the fleet size.
-	Trials int `json:"trials"`
-	// Shards is the worker-process count of both arms.
-	Shards int `json:"shards"`
-	// FaultKind names the injected failure mode.
-	FaultKind string `json:"fault_kind"`
-	// FaultShard is the shard whose first worker incarnation is killed.
-	FaultShard int `json:"fault_shard"`
-	// CleanWallNanos is the undisturbed arm's coordinator wall time.
-	CleanWallNanos int64 `json:"clean_wall_ns"`
-	// FaultWallNanos is the faulted arm's coordinator wall time.
-	FaultWallNanos int64 `json:"fault_wall_ns"`
-	// CleanTrialsPerS is the undisturbed arm's folded-trial throughput.
-	CleanTrialsPerS float64 `json:"clean_trials_per_sec"`
-	// FaultTrialsPerS is the faulted arm's folded-trial throughput.
-	FaultTrialsPerS float64 `json:"fault_trials_per_sec"`
-	// RecoveryOverhead is fault wall over clean wall: 1.0 means free
-	// recovery, 2.0 means the fault doubled the run.
+	// RecoveryOverhead is a faulted arm's wall over the undisturbed arm's
+	// at the same shard count: 1.0 means free recovery. 0 when undisturbed.
 	RecoveryOverhead float64 `json:"recovery_overhead"`
-	// Relaunches counts worker relaunches in the faulted arm (at least 1, or
+	// Relaunches counts worker relaunches (at least 1 on a faulted arm, or
 	// the fault never fired).
 	Relaunches int `json:"relaunches"`
 	// Requeued counts trial indices re-dispatched after worker failure.
 	Requeued int `json:"requeued"`
-	// Identical records that both arms folded the in-process engine's exact
-	// result sequence.
-	Identical bool `json:"results_identical"`
-}
-
-// RemoteFleetEntry is one cross-host fleet measurement: the same consensus
-// fleet dispatched through the full multi-host transport path — template
-// expansion, a transport process per member, frame/write deadline guards —
-// with /bin/sh as the loopback stand-in for ssh, so the section runs on any
-// machine. An sshd-backed fleet differs only in the command template.
-type RemoteFleetEntry struct {
-	// Workload names the fleet.
-	Workload string `json:"workload"`
-	// N is the population size per trial.
-	N int64 `json:"n"`
-	// K is the opinion count.
-	K int `json:"k"`
-	// Kernel is the stepping kernel name.
-	Kernel string `json:"kernel"`
-	// Trials is the fleet size.
-	Trials int `json:"trials"`
-	// Members is the fleet's member (worker transport) count.
-	Members int `json:"members"`
-	// CoreBudget is the total core budget the {cores} template placeholder
-	// partitions across members.
-	CoreBudget int `json:"core_budget"`
-	// WallNanos is the end-to-end coordinator wall time.
-	WallNanos int64 `json:"wall_ns"`
-	// TrialsPerS is the folded-trial throughput.
-	TrialsPerS float64 `json:"trials_per_sec"`
-	// SpeedupVs1Member is wall(1 member)/wall(this), 0 for the 1-member row.
-	SpeedupVs1Member float64 `json:"speedup_vs_1member"`
-	// ParallelEfficiency is this arm's throughput relative to the 1-member
-	// arm at the same total core budget: what the cross-host transport and
-	// spreading the fleet over members cost. 0 for the 1-member row.
-	ParallelEfficiency float64 `json:"parallel_efficiency"`
 	// Identical records that the folded sequence matched the in-process
 	// engine's byte for byte.
 	Identical bool `json:"results_identical"`
@@ -283,12 +219,13 @@ type FleetEntry struct {
 	Kernel string `json:"kernel"`
 	// Trials is the fleet size.
 	Trials int `json:"trials"`
-	// WallNanos is the fleet wall time.
+	// WallNanos is the median fleet wall time over the timed rounds.
 	WallNanos int64 `json:"wall_ns"`
-	// TrialsPerS is the consensus-trial throughput.
+	// TrialsPerS is the consensus-trial throughput at WallNanos.
 	TrialsPerS float64 `json:"trials_per_sec"`
-	// SpeedupVsExact is trials/sec over the exact kernel's at the same n;
-	// 0 for the exact row itself.
+	// SpeedupVsExact is the median per-round wall ratio of the exact
+	// kernel's fleet over this one at the same n; 0 for the exact row
+	// itself.
 	SpeedupVsExact float64 `json:"speedup_vs_exact"`
 }
 
@@ -339,19 +276,23 @@ type EnvInfo struct {
 
 // Report is the BENCH_core.json schema.
 type Report struct {
-	Workload        string               `json:"workload"`
-	GoVersion       string               `json:"go_version"`
-	Env             EnvInfo              `json:"env"`
-	Entries         []Entry              `json:"entries"`
-	Speedups        map[string]float64   `json:"batched_speedup_by_n"`
-	AutoSpeedups    map[string]float64   `json:"auto_speedup_by_n"`
-	FleetEntries    []FleetEntry         `json:"small_n_fleet"`
-	TrialEntries    []TrialEntry         `json:"trial_throughput"`
-	AdaptiveEntries []AdaptiveEntry      `json:"adaptive_engine"`
-	ShardEntries    []ShardEntry         `json:"shard_throughput"`
-	FaultRecovery   []FaultRecoveryEntry `json:"fault_recovery"`
-	RemoteFleet     []RemoteFleetEntry   `json:"remote_fleet"`
-	LargeN          []LargeNEntry        `json:"large_n"`
+	Workload        string             `json:"workload"`
+	Env             EnvInfo            `json:"env"`
+	Entries         []Entry            `json:"entries"`
+	Speedups        map[string]float64 `json:"batched_speedup_by_n"`
+	AutoSpeedups    map[string]float64 `json:"auto_speedup_by_n"`
+	FleetEntries    []FleetEntry       `json:"small_n_fleet"`
+	TrialEntries    []TrialEntry       `json:"trial_throughput"`
+	AdaptiveEntries []AdaptiveEntry    `json:"adaptive_engine"`
+	DistFleet       []DistFleetEntry   `json:"dist_fleet"`
+	LargeN          []LargeNEntry      `json:"large_n"`
+}
+
+// gate is one full-run regression bound on the median ratio of two
+// interleaved arms.
+type gate struct {
+	name     string
+	got, min float64
 }
 
 // cpuModel returns the processor model string on platforms that expose it
@@ -382,11 +323,11 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	var (
 		out        = fs.String("out", "BENCH_core.json", "output path for the JSON report")
-		quick      = fs.Bool("quick", false, "single repetition per cell; perf gates report instead of failing")
+		quick      = fs.Bool("quick", false, "one timed round per cell; perf gates report instead of failing")
 		seed       = fs.Uint64("seed", 1, "base random seed")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile at exit to this path")
-		worker     = fs.String("shard-worker", "", "internal: serve as shard worker \"i/of\" over stdin/stdout (spawned by the shard-throughput section)")
+		worker     = fs.String("shard-worker", "", "internal: serve as shard worker \"i/of\" over stdin/stdout (spawned by the dist-fleet and large-n sections)")
 		workerPar  = fs.Int("shard-par", 1, "internal: worker-local trial parallelism of the -shard-worker mode")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -398,8 +339,8 @@ func run(args []string) error {
 			return err
 		}
 		// The worker-local pool is the coordinator's per-shard core share,
-		// so the shard-throughput section holds total parallelism at the
-		// fixed core budget regardless of the shard count.
+		// so the dist-fleet section holds total parallelism at the fixed
+		// core budget regardless of the shard count.
 		return experiment.ServeShard(os.Stdin, os.Stdout, shard, of, *workerPar)
 	}
 	if *cpuprofile != "" {
@@ -427,9 +368,9 @@ func run(args []string) error {
 			}
 		}()
 	}
-	runs := 3
+	runs, reps := 3, fleetReps
 	if *quick {
-		runs = 1
+		runs, reps = 1, 1
 	}
 
 	const k = 32
@@ -437,8 +378,7 @@ func run(args []string) error {
 	kernels := []core.Kernel{core.KernelExact, core.KernelBatched(0), core.KernelAuto(0)}
 
 	rep := Report{
-		Workload:  fmt.Sprintf("uniform start, k=%d, fixed interaction budget per n", k),
-		GoVersion: runtime.Version(),
+		Workload: fmt.Sprintf("uniform start, k=%d, fixed interaction budget per n", k),
 		Env: EnvInfo{
 			GoVersion:  runtime.Version(),
 			GOOS:       runtime.GOOS,
@@ -488,28 +428,14 @@ func run(args []string) error {
 			nKey, rep.Speedups[nKey], rep.AutoSpeedups[nKey])
 	}
 
-	fleet, err := measureSmallNFleet(k, *quick, *seed)
+	fleet, err := measureSmallNFleet(k, *quick, reps, *seed)
 	if err != nil {
 		return err
 	}
 	rep.FleetEntries = fleet
 	for _, fe := range fleet {
-		fmt.Printf("%-16s n=%-9d kernel=%-14s trials=%-4d %8.1f trials/s  speedup vs exact %.1fx\n",
+		fmt.Printf("%-16s n=%-9d kernel=%-14s trials=%-4d %8.1f trials/s  speedup vs exact %.2fx\n",
 			fe.Workload, fe.N, fe.Kernel, fe.Trials, fe.TrialsPerS, fe.SpeedupVsExact)
-	}
-	if !*quick {
-		// The small-n regression gates of the auto kernel: the fleet regime
-		// must hold at least 4x over exact at n = 1e4, and auto must not
-		// fall behind exact at n = 1e3, where windows stay near a dozen
-		// events and per-window setup decides the race.
-		gates := map[int64]float64{1_000: 1.0, 10_000: 4.0}
-		for _, fe := range fleet {
-			gate, ok := gates[fe.N]
-			if ok && fe.Kernel == core.KernelAuto(0).String() && fe.SpeedupVsExact < gate {
-				return fmt.Errorf("bench: auto kernel reaches only %.2fx over exact at n=%d (gate %.1fx)",
-					fe.SpeedupVsExact, fe.N, gate)
-			}
-		}
 	}
 
 	trialCells := []struct {
@@ -547,63 +473,23 @@ func run(args []string) error {
 		ae.Workload, ae.N, 100*ae.RelTarget, ae.FixedTrials, 100*ae.FixedRelWidth,
 		ae.AdaptiveTrials, 100*ae.AdaptiveRelWidth, 100*ae.TrialsSavedFrac)
 
-	shardTrials := 96
+	distTrials := 96
 	if *quick {
-		shardTrials = 16
+		distTrials = 16
 	}
-	ses, err := measureShards("shard-consensus", 10_000, k, core.KernelAuto(0), shardTrials, *seed)
+	df, err := newFleet(10_000, k, core.KernelAuto(0), distTrials, *seed)
 	if err != nil {
 		return err
 	}
-	rep.ShardEntries = ses
-	for _, se := range ses {
-		fmt.Printf("%-16s n=%-9d trials=%-5d shards=%d cores=%d  %8.0f trials/s  speedup vs 1 shard %.2fx  efficiency %.2f  identical=%v\n",
-			se.Workload, se.N, se.Trials, se.Shards, se.CoreBudget, se.TrialsPerS, se.SpeedupVs1Shard, se.ParallelEfficiency, se.Identical)
-	}
-	if !*quick {
-		// The sharding regression gate (ISSUE 5): at a fixed total core
-		// budget, 4-shard efficiency at or above 0.75 — process sharding
-		// must cost at most a quarter of the hardware.
-		const gate = 0.75
-		for _, se := range ses {
-			if se.Shards == 4 && se.ParallelEfficiency < gate {
-				return fmt.Errorf("bench: 4-shard parallel efficiency %.2f under the fixed core budget (gate %.2f)",
-					se.ParallelEfficiency, gate)
-			}
-		}
-	}
-
-	rfe, err := measureRemoteFleet("remote-fleet", 10_000, k, core.KernelAuto(0), shardTrials, *seed)
+	rep.DistFleet, err = measureDistFleet(df, reps)
 	if err != nil {
 		return err
 	}
-	rep.RemoteFleet = rfe
-	for _, fe := range rfe {
-		fmt.Printf("%-16s n=%-9d trials=%-5d members=%d cores=%d  %8.0f trials/s  speedup vs 1 member %.2fx  efficiency %.2f  identical=%v\n",
-			fe.Workload, fe.N, fe.Trials, fe.Members, fe.CoreBudget, fe.TrialsPerS, fe.SpeedupVs1Member, fe.ParallelEfficiency, fe.Identical)
+	for _, de := range rep.DistFleet {
+		fmt.Printf("%-16s n=%-9d trials=%-5d %-8s shards=%d cores=%d fault=%-14q %8.0f trials/s  efficiency %.2f  overhead %.2fx  relaunches=%d requeued=%d  identical=%v\n",
+			de.Workload, de.N, de.Trials, de.Launcher, de.Shards, de.CoreBudget, de.Fault, de.TrialsPerS,
+			de.ParallelEfficiency, de.RecoveryOverhead, de.Relaunches, de.Requeued, de.Identical)
 	}
-	if !*quick {
-		// The cross-host transport gate (ISSUE 10): the loopback fleet at 4
-		// members must keep at least 0.70 of the 1-member throughput under
-		// the fixed core budget — the transport layer may cost at most a
-		// few points over plain process sharding.
-		const fleetGate = 0.70
-		for _, fe := range rfe {
-			if fe.Members == 4 && fe.ParallelEfficiency < fleetGate {
-				return fmt.Errorf("bench: 4-member loopback-fleet parallel efficiency %.2f under the fixed core budget (gate %.2f)",
-					fe.ParallelEfficiency, fleetGate)
-			}
-		}
-	}
-
-	fre, err := measureFaultRecovery("fault-recovery", 10_000, k, core.KernelAuto(0), shardTrials, *seed)
-	if err != nil {
-		return err
-	}
-	rep.FaultRecovery = append(rep.FaultRecovery, fre)
-	fmt.Printf("%-16s n=%-9d trials=%-5d shards=%d fault=%s@shard%d  clean %8.0f trials/s, faulted %8.0f trials/s, overhead %.2fx, relaunches=%d, requeued=%d, identical=%v\n",
-		fre.Workload, fre.N, fre.Trials, fre.Shards, fre.FaultKind, fre.FaultShard,
-		fre.CleanTrialsPerS, fre.FaultTrialsPerS, fre.RecoveryOverhead, fre.Relaunches, fre.Requeued, fre.Identical)
 
 	// The beyond-int64-clock row (128-bit interaction clocks): n = 10^10
 	// consensus under the auto kernel, byte-identical across 1, 2, and 4
@@ -616,6 +502,38 @@ func run(args []string) error {
 	fmt.Printf("%-16s n=%-11d trials=%-3d kernel=%-14s wall %6.2fs  %.3f ns/interaction  total=%s  identical=%v\n",
 		lne.Workload, lne.N, lne.Trials, lne.Kernel, float64(lne.WallNanos)/1e9,
 		lne.NsPerInteraction, lne.Interactions, lne.Identical)
+
+	// The regression gates, each on a median ratio of interleaved arms.
+	// Small n: auto must hold 4x over exact at n = 1e4 and must not fall
+	// behind exact at n = 1e3, where windows stay near a dozen events and
+	// per-window setup decides the race. Sharding: at a fixed total core
+	// budget, 4 exec shards keep at least 0.75 of the 1-shard throughput,
+	// and 4 loopback members at least 0.70 — the transport may cost a few
+	// points over plain process sharding.
+	var gates []gate
+	autoGate := map[int64]float64{1_000: 1.0, 10_000: 4.0}
+	for _, fe := range rep.FleetEntries {
+		if fe.Kernel == core.KernelAuto(0).String() {
+			gates = append(gates, gate{fmt.Sprintf("auto/exact fleet n=%d", fe.N), fe.SpeedupVsExact, autoGate[fe.N]})
+		}
+	}
+	shardGate := map[string]float64{"exec": 0.75, "loopback": 0.70}
+	for _, de := range rep.DistFleet {
+		if de.Shards == 4 && de.Fault == "" {
+			gates = append(gates, gate{de.Launcher + " 4/1-shard efficiency", de.ParallelEfficiency, shardGate[de.Launcher]})
+		}
+	}
+	missed := 0
+	for _, g := range gates {
+		verdict := "ok"
+		if g.got < g.min {
+			verdict, missed = "MISSED", missed+1
+		}
+		fmt.Printf("gate %-30s median %.2f over %d rounds (min %.2f) %s\n", g.name, g.got, reps, g.min, verdict)
+	}
+	if missed > 0 && !*quick {
+		return fmt.Errorf("bench: %d of %d gates missed", missed, len(gates))
+	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -631,54 +549,90 @@ func run(args []string) error {
 	return nil
 }
 
+// interleave times a group of arms that gates compare: every arm once
+// untimed to warm up, then reps rounds that run every arm, in forward
+// order on even rounds and reverse order on odd ones, so no arm always
+// goes first. It returns each arm's median wall time and, per arm, the
+// median over rounds of arm 0's wall divided by that arm's — a speedup or
+// efficiency whose two sides ran in the same round, so drift in host
+// speed between rounds cancels.
+func interleave(reps int, arms []func() (time.Duration, error)) ([]time.Duration, []float64, error) {
+	for _, arm := range arms {
+		if _, err := arm(); err != nil {
+			return nil, nil, err
+		}
+	}
+	walls := make([][]float64, len(arms)) // walls[arm][round]
+	for r := 0; r < reps; r++ {
+		for j := range arms {
+			i := j
+			if r%2 == 1 {
+				i = len(arms) - 1 - j
+			}
+			w, err := arms[i]()
+			if err != nil {
+				return nil, nil, err
+			}
+			walls[i] = append(walls[i], float64(w))
+		}
+	}
+	median := func(xs []float64) float64 {
+		m, _ := stats.Quantile(xs, 0.5) // errors only on an empty slice; reps >= 1
+		return m
+	}
+	wall := make([]time.Duration, len(arms))
+	ratio := make([]float64, len(arms))
+	for i := range arms {
+		wall[i] = time.Duration(median(walls[i]))
+		rs := make([]float64, reps)
+		for r := range rs {
+			rs[r] = walls[0][r] / walls[i][r]
+		}
+		ratio[i] = median(rs)
+	}
+	return wall, ratio, nil
+}
+
 // measureSmallNFleet times full-consensus fleets at small n under every
 // kernel — the regime where per-trial and per-window overhead, not
-// per-interaction asymptotics, bound fleet throughput — and reports each
-// windowed kernel's speedup over exact. Full runs gate the auto kernel's
-// speedup at >= 4x at n = 10⁴ and >= 1x at n = 10³.
-func measureSmallNFleet(k int, quick bool, seed uint64) ([]FleetEntry, error) {
-	trials := 24
-	if quick {
-		trials = 6
-	}
+// per-interaction asymptotics, bound fleet throughput — interleaved per n,
+// and reports each windowed kernel's median speedup over exact.
+func measureSmallNFleet(k int, quick bool, reps int, seed uint64) ([]FleetEntry, error) {
 	kernels := []core.Kernel{core.KernelExact, core.KernelBatched(0), core.KernelAuto(0)}
 	var entries []FleetEntry
-	for _, n := range []int64{1_000, 10_000} {
-		cfg, err := conf.Uniform(n, k, 0)
+	for _, c := range []struct {
+		n      int64
+		trials int
+	}{{1_000, 200}, {10_000, 48}} {
+		if quick {
+			c.trials = 6
+		}
+		arms := make([]func() (time.Duration, error), len(kernels))
+		for i, kern := range kernels {
+			arms[i] = func() (time.Duration, error) {
+				f, err := newFleet(c.n, k, kern, c.trials, seed)
+				if err != nil {
+					return 0, err
+				}
+				return f.wall, nil
+			}
+		}
+		walls, ratios, err := interleave(reps, arms)
 		if err != nil {
 			return nil, err
 		}
-		var exactTps float64
-		for _, kern := range kernels {
-			start := time.Now()
-			ran := 0
-			experiment.Stream(trials, 1, seed, func(i int, src *rng.Source, a *experiment.Arena) u128.U128 {
-				s, err := a.Simulator(cfg, src)
-				if err != nil {
-					panic(err) // configuration validated above
-				}
-				s.SetKernel(kern)
-				return s.Run(core.NoBudget).Interactions
-			}, func(int, u128.U128) { ran++ })
-			wall := time.Since(start).Nanoseconds()
-			if ran != trials {
-				return nil, fmt.Errorf("bench: fleet ran %d/%d trials", ran, trials)
-			}
+		for i, kern := range kernels {
 			fe := FleetEntry{
-				Workload:  "small-n-consensus",
-				N:         n,
-				K:         k,
-				Kernel:    kern.String(),
-				Trials:    trials,
-				WallNanos: wall,
+				Workload:   "small-n-consensus",
+				N:          c.n,
+				K:          k,
+				Kernel:     kern.String(),
+				Trials:     c.trials,
+				WallNanos:  walls[i].Nanoseconds(),
+				TrialsPerS: float64(c.trials) / walls[i].Seconds(),
 			}
-			if wall > 0 {
-				fe.TrialsPerS = float64(trials) / (float64(wall) / 1e9)
-			}
-			if kern == core.KernelExact {
-				exactTps = fe.TrialsPerS
-			} else if exactTps > 0 {
-				fe.SpeedupVsExact = fe.TrialsPerS / exactTps
+			if i > 0 {
+				fe.SpeedupVsExact = ratios[i]
 			}
 			entries = append(entries, fe)
 		}
@@ -686,10 +640,53 @@ func measureSmallNFleet(k int, quick bool, seed uint64) ([]FleetEntry, error) {
 	return entries, nil
 }
 
-// refOut is one in-process reference trial outcome fed to the fingerprint.
-type refOut struct {
-	t      u128.U128
-	winner int
+// fleet is one consensus fleet, run once in-process at construction: want
+// is the fingerprint of that run's folded result sequence, which every
+// coordinator arm must reproduce, and wall, total and consensus describe
+// the run.
+type fleet struct {
+	cfg    *conf.Config
+	kern   core.Kernel
+	trials int
+	seed   uint64
+	spec   []byte
+	want   string
+
+	wall      time.Duration
+	total     u128.U128
+	consensus int
+}
+
+// newFleet builds the fleet's shard spec and runs its in-process
+// reference at parallelism 1.
+func newFleet(n int64, k int, kern core.Kernel, trials int, seed uint64) (*fleet, error) {
+	cfg, err := conf.Uniform(n, k, 0)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := experiment.NewShardSpec(cfg, core.Variant{}, kern, core.NoBudget, 0, false).Encode()
+	if err != nil {
+		return nil, err
+	}
+	f := &fleet{cfg: cfg, kern: kern, trials: trials, seed: seed, spec: spec}
+	h := sha256.New()
+	start := time.Now()
+	experiment.Stream(trials, 1, seed, func(i int, src *rng.Source, a *experiment.Arena) core.Result {
+		s, err := a.Simulator(cfg, src, core.WithKernel(kern))
+		if err != nil {
+			panic(err) // configuration validated above
+		}
+		return s.Run(core.NoBudget)
+	}, func(i int, r core.Result) {
+		shardFingerprint(h, i, r.Interactions, r.Winner)
+		f.total = f.total.Add(r.Interactions)
+		if r.Outcome == core.OutcomeConsensus {
+			f.consensus++
+		}
+	})
+	f.wall = time.Since(start)
+	f.want = fmt.Sprintf("%x", h.Sum(nil))
+	return f, nil
 }
 
 // shardFingerprint folds one trial outcome into an order-sensitive
@@ -699,306 +696,131 @@ func shardFingerprint(h io.Writer, i int, interactions u128.U128, winner int) {
 	fmt.Fprintf(h, "%d:%d.%d:%d;", i, interactions.Hi, interactions.Lo, winner)
 }
 
-// measureShards runs the same consensus fleet through the distributed
-// coordinator at 1, 2, and 4 worker processes (this binary re-executed in
-// worker mode) and compares every folded sequence against the in-process
-// engine's. Every arm runs under the same total core budget —
-// GOMAXPROCS(0), partitioned across the workers via both the GOMAXPROCS
-// environment (dist.ExecLauncher.CoreBudget) and a matching worker-local
-// trial parallelism — so parallel_efficiency isolates what process-level
-// sharding costs rather than letting the 1-shard baseline saturate the
-// machine alone; it errors if any arm folds a different sequence.
-func measureShards(workload string, n int64, k int, kern core.Kernel, trials int, seed uint64) ([]ShardEntry, error) {
-	cfg, err := conf.Uniform(n, k, 0)
+// arm runs the fleet through the distributed coordinator with the given
+// launcher and shard count and returns the coordinator's wall time. It
+// errors if the run fails or its fold diverges from the in-process
+// reference.
+func (f *fleet) arm(launcher dist.Launcher, shards int) (time.Duration, dist.Result, error) {
+	h := sha256.New()
+	start := time.Now()
+	res, err := dist.Run(dist.Options{
+		Shards:          shards,
+		MaxTrials:       f.trials,
+		Seed:            f.seed,
+		Spec:            f.spec,
+		Launcher:        launcher,
+		WorkerTimeout:   time.Minute,
+		RelaunchBackoff: time.Millisecond,
+		Log:             io.Discard,
+	}, func(i int, data []byte) error {
+		var r experiment.ShardResult
+		if err := json.Unmarshal(data, &r); err != nil {
+			return err
+		}
+		shardFingerprint(h, i, r.Interactions(), r.Winner)
+		return nil
+	}, nil, nil)
+	wall := time.Since(start)
 	if err != nil {
-		return nil, err
+		return wall, res, fmt.Errorf("%d-shard arm: %w", shards, err)
 	}
-	// The in-process reference fingerprint, same fleet and seeds.
-	ref := sha256.New()
-	experiment.Stream(trials, 1, seed, func(i int, src *rng.Source, a *experiment.Arena) refOut {
-		s, err := a.Simulator(cfg, src, core.WithKernel(kern))
-		if err != nil {
-			panic(err) // configuration validated above
-		}
-		res := s.Run(core.NoBudget)
-		return refOut{t: res.Interactions, winner: res.Winner}
-	}, func(i int, v refOut) {
-		shardFingerprint(ref, i, v.t, v.winner)
-	})
-	want := fmt.Sprintf("%x", ref.Sum(nil))
-
-	spec, err := experiment.NewShardSpec(cfg, core.Variant{}, kern, core.NoBudget, 0, false).Encode()
-	if err != nil {
-		return nil, err
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != f.want {
+		return wall, res, fmt.Errorf("%d-shard arm folded fingerprint %s, want in-process %s", shards, got, f.want)
 	}
-	// The fixed total core budget every arm competes under.
-	budget := runtime.GOMAXPROCS(0)
-	var entries []ShardEntry
-	var oneShardNanos int64
-	for _, shards := range []int{1, 2, 4} {
-		launcher := &dist.ExecLauncher{
-			Args: func(shard, shards int) []string {
-				return []string{
-					"-shard-worker", dist.ShardArg(shard, shards),
-					"-shard-par", strconv.Itoa(dist.CoreShare(budget, shard, shards)),
-				}
-			},
-			CoreBudget: budget,
-		}
-		h := sha256.New()
-		start := time.Now()
-		res, err := dist.Run(dist.Options{
-			Shards:    shards,
-			MaxTrials: trials,
-			Seed:      seed,
-			Spec:      spec,
-			Launcher:  launcher,
-		}, func(i int, data []byte) error {
-			var r experiment.ShardResult
-			if err := json.Unmarshal(data, &r); err != nil {
-				return err
-			}
-			shardFingerprint(h, i, r.Interactions(), r.Winner)
-			return nil
-		}, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %d-shard run: %w", shards, err)
-		}
-		wall := time.Since(start).Nanoseconds()
-		se := ShardEntry{
-			Workload:   workload,
-			N:          n,
-			K:          k,
-			Kernel:     kern.String(),
-			Trials:     res.Trials,
-			Shards:     shards,
-			CoreBudget: budget,
-			WallNanos:  wall,
-		}
-		if wall > 0 {
-			se.TrialsPerS = float64(res.Trials) / (float64(wall) / 1e9)
-		}
-		if shards == 1 {
-			oneShardNanos = wall
-		} else if wall > 0 {
-			se.SpeedupVs1Shard = float64(oneShardNanos) / float64(wall)
-			// At a fixed total core budget the ideal multi-shard arm matches
-			// the 1-shard arm's throughput, so efficiency is the plain
-			// throughput ratio.
-			se.ParallelEfficiency = float64(oneShardNanos) / float64(wall)
-		}
-		se.Identical = fmt.Sprintf("%x", h.Sum(nil)) == want
-		entries = append(entries, se)
-		if !se.Identical {
-			return entries, fmt.Errorf("bench: %d-shard fold diverged from the in-process engine", shards)
-		}
-	}
-	return entries, nil
+	return wall, res, nil
 }
 
-// measureRemoteFleet runs the same consensus fleet through the multi-host
-// transport at 1 and 4 members — workers started by RemoteLauncher through
-// the /bin/sh loopback template (this binary re-executed in worker mode,
-// with {cores} partitioning the fixed total core budget) — and compares
-// every folded sequence against the in-process engine's.
-// parallel_efficiency prices the whole cross-host path against the 1-member
-// baseline at the same core budget; it errors if any arm folds a different
-// sequence.
-func measureRemoteFleet(workload string, n int64, k int, kern core.Kernel, trials int, seed uint64) ([]RemoteFleetEntry, error) {
-	cfg, err := conf.Uniform(n, k, 0)
-	if err != nil {
-		return nil, err
+// execLauncher re-executes this binary as shard workers under a total
+// core budget: GOMAXPROCS (dist.ExecLauncher.CoreBudget) and a matching
+// worker-local trial parallelism partition it across the workers.
+func execLauncher(budget int) *dist.ExecLauncher {
+	return &dist.ExecLauncher{
+		Args: func(shard, shards int) []string {
+			return []string{
+				"-shard-worker", dist.ShardArg(shard, shards),
+				"-shard-par", strconv.Itoa(dist.CoreShare(budget, shard, shards)),
+			}
+		},
+		CoreBudget: budget,
 	}
-	// The in-process reference fingerprint, same fleet and seeds.
-	ref := sha256.New()
-	experiment.Stream(trials, 1, seed, func(i int, src *rng.Source, a *experiment.Arena) refOut {
-		s, err := a.Simulator(cfg, src, core.WithKernel(kern))
-		if err != nil {
-			panic(err) // configuration validated above
-		}
-		res := s.Run(core.NoBudget)
-		return refOut{t: res.Interactions, winner: res.Winner}
-	}, func(i int, v refOut) {
-		shardFingerprint(ref, i, v.t, v.winner)
-	})
-	want := fmt.Sprintf("%x", ref.Sum(nil))
+}
 
-	spec, err := experiment.NewShardSpec(cfg, core.Variant{}, kern, core.NoBudget, 0, false).Encode()
-	if err != nil {
-		return nil, err
-	}
+// measureDistFleet runs the fleet through the coordinator: exec workers at
+// 1, 2 and 4 shards and loopback members at 1 and 4, each launcher's arms
+// interleaved, then the 4-shard exec arm with one worker killed mid-wave,
+// which must relaunch it and still fold the reference sequence.
+func measureDistFleet(f *fleet, reps int) ([]DistFleetEntry, error) {
+	budget := runtime.GOMAXPROCS(0)
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
 	}
-	// The fixed total core budget every arm competes under, partitioned
-	// across members by the {cores} placeholder: GOMAXPROCS caps the worker
-	// runtime, -shard-par its trial pool.
-	budget := runtime.GOMAXPROCS(0)
-	var entries []RemoteFleetEntry
-	var oneMemberNanos int64
-	for _, members := range []int{1, 4} {
-		launcher := &dist.RemoteLauncher{
+	row := func(launcher string, shards int, wall time.Duration) DistFleetEntry {
+		return DistFleetEntry{
+			Workload:   "dist-fleet",
+			N:          f.cfg.N(),
+			K:          f.cfg.K(),
+			Kernel:     f.kern.String(),
+			Launcher:   launcher,
+			Shards:     shards,
+			Trials:     f.trials,
+			CoreBudget: budget,
+			WallNanos:  wall.Nanoseconds(),
+			TrialsPerS: float64(f.trials) / wall.Seconds(),
+			Identical:  true,
+		}
+	}
+	groups := []struct {
+		name     string
+		launcher dist.Launcher
+		shards   []int
+	}{
+		{"exec", execLauncher(budget), []int{1, 2, 4}},
+		// The {cores} placeholder partitions the budget across members:
+		// GOMAXPROCS caps the worker runtime, -shard-par its trial pool.
+		{"loopback", &dist.RemoteLauncher{
 			Command: dist.LoopbackCommand(
 				"GOMAXPROCS={cores} " + exe + " -shard-worker {shard}/{shards} -shard-par {cores}"),
 			CoreBudget: budget,
-		}
-		h := sha256.New()
-		start := time.Now()
-		res, err := dist.Run(dist.Options{
-			Shards:    members,
-			MaxTrials: trials,
-			Seed:      seed,
-			Spec:      spec,
-			Launcher:  launcher,
-		}, func(i int, data []byte) error {
-			var r experiment.ShardResult
-			if err := json.Unmarshal(data, &r); err != nil {
-				return err
+		}, []int{1, 4}},
+	}
+	var rows []DistFleetEntry
+	var clean time.Duration // the undisturbed 4-shard exec arm
+	for _, g := range groups {
+		arms := make([]func() (time.Duration, error), len(g.shards))
+		for i, shards := range g.shards {
+			arms[i] = func() (time.Duration, error) {
+				wall, _, err := f.arm(g.launcher, shards)
+				return wall, err
 			}
-			shardFingerprint(h, i, r.Interactions(), r.Winner)
-			return nil
-		}, nil, nil)
+		}
+		walls, ratios, err := interleave(reps, arms)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %d-member loopback fleet: %w", members, err)
+			return rows, fmt.Errorf("bench: %s fleet: %w", g.name, err)
 		}
-		wall := time.Since(start).Nanoseconds()
-		fe := RemoteFleetEntry{
-			Workload:   workload,
-			N:          n,
-			K:          k,
-			Kernel:     kern.String(),
-			Trials:     res.Trials,
-			Members:    members,
-			CoreBudget: budget,
-			WallNanos:  wall,
+		for i, shards := range g.shards {
+			r := row(g.name, shards, walls[i])
+			r.ParallelEfficiency = ratios[i]
+			rows = append(rows, r)
 		}
-		if wall > 0 {
-			fe.TrialsPerS = float64(res.Trials) / (float64(wall) / 1e9)
+		if g.name == "exec" {
+			clean = walls[len(walls)-1]
 		}
-		if members == 1 {
-			oneMemberNanos = wall
-		} else if wall > 0 {
-			fe.SpeedupVs1Member = float64(oneMemberNanos) / float64(wall)
-			// At a fixed total core budget the ideal multi-member arm
-			// matches the 1-member arm's throughput, so efficiency is the
-			// plain throughput ratio.
-			fe.ParallelEfficiency = float64(oneMemberNanos) / float64(wall)
-		}
-		fe.Identical = fmt.Sprintf("%x", h.Sum(nil)) == want
-		entries = append(entries, fe)
-		if !fe.Identical {
-			return entries, fmt.Errorf("bench: %d-member loopback fleet fold diverged from the in-process engine", members)
-		}
-	}
-	return entries, nil
-}
-
-// measureFaultRecovery runs the same sharded consensus fleet twice — once
-// undisturbed, once with one worker killed mid-wave through the
-// deterministic fault-injection harness — and prices the recovery detour.
-// Both arms (and the in-process reference) must fold identical result
-// sequences, and the faulted arm must actually have relaunched a worker; it
-// errors otherwise.
-func measureFaultRecovery(workload string, n int64, k int, kern core.Kernel, trials int, seed uint64) (FaultRecoveryEntry, error) {
-	cfg, err := conf.Uniform(n, k, 0)
-	if err != nil {
-		return FaultRecoveryEntry{}, err
-	}
-	// The in-process reference fingerprint, same fleet and seeds.
-	ref := sha256.New()
-	experiment.Stream(trials, 1, seed, func(i int, src *rng.Source, a *experiment.Arena) refOut {
-		s, err := a.Simulator(cfg, src, core.WithKernel(kern))
-		if err != nil {
-			panic(err) // configuration validated above
-		}
-		res := s.Run(core.NoBudget)
-		return refOut{t: res.Interactions, winner: res.Winner}
-	}, func(i int, v refOut) {
-		shardFingerprint(ref, i, v.t, v.winner)
-	})
-	want := fmt.Sprintf("%x", ref.Sum(nil))
-
-	spec, err := experiment.NewShardSpec(cfg, core.Variant{}, kern, core.NoBudget, 0, false).Encode()
-	if err != nil {
-		return FaultRecoveryEntry{}, err
-	}
-	const shards = 4
-	fault := dist.Fault{Shard: 1, Launch: 0, Kind: dist.FaultCrashMidWave, After: 2}
-	fe := FaultRecoveryEntry{
-		Workload:   workload,
-		N:          n,
-		K:          k,
-		Kernel:     kern.String(),
-		Trials:     trials,
-		Shards:     shards,
-		FaultKind:  fault.Kind.String(),
-		FaultShard: fault.Shard,
-	}
-	budget := runtime.GOMAXPROCS(0)
-	arm := func(faulted bool) (int64, dist.Result, error) {
-		var launcher dist.Launcher = &dist.ExecLauncher{
-			Args: func(shard, shards int) []string {
-				return []string{
-					"-shard-worker", dist.ShardArg(shard, shards),
-					"-shard-par", strconv.Itoa(dist.CoreShare(budget, shard, shards)),
-				}
-			},
-			CoreBudget: budget,
-		}
-		if faulted {
-			launcher = &dist.FaultLauncher{Inner: launcher, Schedule: []dist.Fault{fault}}
-		}
-		h := sha256.New()
-		start := time.Now()
-		res, err := dist.Run(dist.Options{
-			Shards:          shards,
-			MaxTrials:       trials,
-			Seed:            seed,
-			Spec:            spec,
-			Launcher:        launcher,
-			WorkerTimeout:   time.Minute,
-			RelaunchBackoff: time.Millisecond,
-			Log:             io.Discard,
-		}, func(i int, data []byte) error {
-			var r experiment.ShardResult
-			if err := json.Unmarshal(data, &r); err != nil {
-				return err
-			}
-			shardFingerprint(h, i, r.Interactions(), r.Winner)
-			return nil
-		}, nil, nil)
-		if err != nil {
-			return 0, res, err
-		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
-			return 0, res, fmt.Errorf("fold diverged from the in-process engine")
-		}
-		return time.Since(start).Nanoseconds(), res, nil
 	}
 
-	cleanNs, _, err := arm(false)
+	fault := dist.Fault{Shard: 1, Kind: dist.FaultCrashMidWave, After: 2}
+	wall, res, err := f.arm(&dist.FaultLauncher{Inner: execLauncher(budget), Schedule: []dist.Fault{fault}}, 4)
 	if err != nil {
-		return fe, fmt.Errorf("bench: clean fault-recovery arm: %w", err)
+		return rows, fmt.Errorf("bench: faulted fleet: %w", err)
 	}
-	faultNs, fres, err := arm(true)
-	if err != nil {
-		return fe, fmt.Errorf("bench: faulted fault-recovery arm: %w", err)
+	if res.Relaunches < 1 {
+		return rows, fmt.Errorf("bench: faulted fleet relaunched no worker; the injected fault never fired")
 	}
-	fe.CleanWallNanos, fe.FaultWallNanos = cleanNs, faultNs
-	fe.Relaunches, fe.Requeued = fres.Relaunches, fres.Requeued
-	fe.Identical = true
-	if cleanNs > 0 {
-		fe.CleanTrialsPerS = float64(trials) / (float64(cleanNs) / 1e9)
-		fe.RecoveryOverhead = float64(faultNs) / float64(cleanNs)
-	}
-	if faultNs > 0 {
-		fe.FaultTrialsPerS = float64(trials) / (float64(faultNs) / 1e9)
-	}
-	if fres.Relaunches < 1 {
-		return fe, fmt.Errorf("bench: fault-recovery arm relaunched no worker; the injected fault never fired")
-	}
-	return fe, nil
+	r := row("exec", 4, wall)
+	r.Fault = fault.Kind.String()
+	r.RecoveryOverhead = float64(wall) / float64(clean)
+	r.Relaunches, r.Requeued = res.Relaunches, res.Requeued
+	return append(rows, r), nil
 }
 
 // measureLargeN prices the beyond-int64-clock regime: a small fleet of
@@ -1009,84 +831,28 @@ func measureFaultRecovery(workload string, n int64, k int, kern core.Kernel, tri
 // field bench-smoke greps) — the determinism gate for populations whose
 // interaction clock no longer fits int64.
 func measureLargeN(workload string, n int64, k int, kern core.Kernel, trials int, seed uint64) (LargeNEntry, error) {
-	cfg, err := conf.Uniform(n, k, 0)
+	f, err := newFleet(n, k, kern, trials, seed)
 	if err != nil {
 		return LargeNEntry{}, err
 	}
 	le := LargeNEntry{
-		Workload: workload,
-		N:        n,
-		K:        k,
-		Kernel:   kern.String(),
-		Trials:   trials,
+		Workload:     workload,
+		N:            n,
+		K:            k,
+		Kernel:       kern.String(),
+		Trials:       trials,
+		Interactions: f.total.String(),
+		WallNanos:    f.wall.Nanoseconds(),
 	}
-	type out struct {
-		t      u128.U128
-		winner int
-		ok     bool
+	if f.consensus != trials {
+		return le, fmt.Errorf("bench: only %d/%d large-n trials reached consensus", f.consensus, trials)
 	}
-	ref := sha256.New()
-	var total u128.U128
-	consensus := 0
-	start := time.Now()
-	experiment.Stream(trials, 1, seed, func(i int, src *rng.Source, a *experiment.Arena) out {
-		s, err := a.Simulator(cfg, src, core.WithKernel(kern))
-		if err != nil {
-			panic(err) // configuration validated above
-		}
-		res := s.Run(core.NoBudget)
-		return out{t: res.Interactions, winner: res.Winner, ok: res.Outcome == core.OutcomeConsensus}
-	}, func(i int, v out) {
-		shardFingerprint(ref, i, v.t, v.winner)
-		total = total.Add(v.t)
-		if v.ok {
-			consensus++
-		}
-	})
-	le.WallNanos = time.Since(start).Nanoseconds()
-	if consensus != trials {
-		return le, fmt.Errorf("bench: only %d/%d large-n trials reached consensus", consensus, trials)
+	if t := f.total.Float64(); t > 0 {
+		le.NsPerInteraction = float64(le.WallNanos) / t
 	}
-	le.Interactions = total.String()
-	if f := total.Float64(); f > 0 {
-		le.NsPerInteraction = float64(le.WallNanos) / f
-	}
-	want := fmt.Sprintf("%x", ref.Sum(nil))
-
-	spec, err := experiment.NewShardSpec(cfg, core.Variant{}, kern, core.NoBudget, 0, false).Encode()
-	if err != nil {
-		return le, err
-	}
-	budget := runtime.GOMAXPROCS(0)
 	for _, shards := range []int{1, 2, 4} {
-		launcher := &dist.ExecLauncher{
-			Args: func(shard, shards int) []string {
-				return []string{
-					"-shard-worker", dist.ShardArg(shard, shards),
-					"-shard-par", strconv.Itoa(dist.CoreShare(budget, shard, shards)),
-				}
-			},
-			CoreBudget: budget,
-		}
-		h := sha256.New()
-		if _, err := dist.Run(dist.Options{
-			Shards:    shards,
-			MaxTrials: trials,
-			Seed:      seed,
-			Spec:      spec,
-			Launcher:  launcher,
-		}, func(i int, data []byte) error {
-			var r experiment.ShardResult
-			if err := json.Unmarshal(data, &r); err != nil {
-				return err
-			}
-			shardFingerprint(h, i, r.Interactions(), r.Winner)
-			return nil
-		}, nil, nil); err != nil {
-			return le, fmt.Errorf("bench: large-n %d-shard run: %w", shards, err)
-		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
-			return le, fmt.Errorf("bench: large-n %d-shard arm folded fingerprint %s, want in-process %s", shards, got, want)
+		if _, _, err := f.arm(execLauncher(runtime.GOMAXPROCS(0)), shards); err != nil {
+			return le, fmt.Errorf("bench: large-n %w", err)
 		}
 	}
 	le.Identical = true
@@ -1254,7 +1020,6 @@ func measure(n int64, k int, kern core.Kernel, budget int64, runs int, seed uint
 	}
 	if e.Interactions > 0 {
 		e.NsPerInteraction = float64(e.WallNanos) / float64(e.Interactions)
-		e.InteractionsPerNs = float64(e.Interactions) / float64(e.WallNanos)
 	}
 	if e.ProductiveEvents > 0 {
 		e.NsPerProductive = float64(e.WallNanos) / float64(e.ProductiveEvents)

@@ -112,8 +112,8 @@ type ExecLauncher struct {
 	// CoreBudget mod shards workers one extra, and every worker at least
 	// one. Without it each worker inherits the machine-wide default, so S
 	// shards oversubscribe the cores S-fold and multi-shard throughput
-	// reads as a regression on a saturated host (the shard_throughput
-	// methodology fix).
+	// reads as a regression on a saturated host (the cmd/bench dist_fleet
+	// methodology).
 	CoreBudget int
 	// Stderr receives the workers' stderr; nil means this process's stderr,
 	// so worker diagnostics stay visible. Every line is prefixed with the

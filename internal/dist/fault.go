@@ -12,8 +12,8 @@ import (
 
 // This file is the fault-injection harness: a Launcher wrapper that makes
 // workers fail on a deterministic schedule, so the chaos tests (and the
-// cmd/bench fault_recovery section) can exercise every branch of the
-// coordinator's recovery machinery — crash detection on both stream
+// faulted arm of cmd/bench's dist_fleet section) can exercise every branch
+// of the coordinator's recovery machinery — crash detection on both stream
 // directions, hang detection via the liveness deadline, garbage frames,
 // relaunch, and redistribution — without ever touching the workers' trial
 // code. Faults sit between the coordinator and the real connection, which

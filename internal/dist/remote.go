@@ -304,8 +304,8 @@ func SSHCommand(workerCmd string, sshArgs ...string) []string {
 // LoopbackCommand returns a RemoteLauncher command template that runs
 // workerCmd through /bin/sh on this machine: the whole remote transport
 // path — template expansion, process transport, deadlines, frame guard —
-// without needing an sshd. Tests and the cmd/bench remote_fleet section use
-// it as the SSH stand-in.
+// without needing an sshd. Tests and the loopback arms of cmd/bench's
+// dist_fleet section use it as the SSH stand-in.
 func LoopbackCommand(workerCmd string) []string {
 	return []string{"/bin/sh", "-c", workerCmd}
 }
