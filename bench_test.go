@@ -30,7 +30,7 @@ func runExperiment(b *testing.B, id string) {
 	}
 }
 
-// One benchmark per paper artifact (see the experiment index in DESIGN.md).
+// One benchmark per paper artifact (see the experiment index in docs/EXPERIMENTS.md).
 
 func BenchmarkT1Phases(b *testing.B)         { runExperiment(b, "T1-phases") }
 func BenchmarkT2Multiplicative(b *testing.B) { runExperiment(b, "T2-multiplicative") }

@@ -9,8 +9,8 @@
 //	experiments -run K3-many-opinions -adaptive
 //	experiments -run K4-lower-bound -shards 4 -checkpoint k4-ckpt
 //
-// Every experiment is deterministic given -seed; see DESIGN.md for the
-// experiment index mapping IDs to paper artifacts. -adaptive switches
+// Every experiment is deterministic given -seed; see docs/EXPERIMENTS.md for
+// the experiment index mapping IDs to paper artifacts. -adaptive switches
 // experiments that support it (K3) to sequential stopping: each cell keeps
 // sampling until the consensus-time confidence interval closes below -rel,
 // up to -maxtrials. K4-lower-bound is adaptive by construction and reads

@@ -87,6 +87,15 @@ func TestSweepBadValues(t *testing.T) {
 	}
 }
 
+func TestSweepRejectsNaNTolerance(t *testing.T) {
+	err := silence(t, func() error {
+		return run([]string{"-param", "n", "-values", "20000", "-k", "4", "-trials", "2", "-kernel", "auto", "-tol", "NaN", "-shards", "1"})
+	})
+	if err == nil || !strings.Contains(err.Error(), "tolerance") {
+		t.Fatalf("err = %v, want a NaN tolerance error", err)
+	}
+}
+
 func TestScaleU(t *testing.T) {
 	if got := scaleU(0, 100, 200); got != 0 {
 		t.Fatalf("scaleU(0) = %d", got)

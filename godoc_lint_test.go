@@ -11,17 +11,17 @@ import (
 )
 
 // godocAuditPackages are the packages whose exported API must be fully
-// documented (the ISSUE 4 godoc audit, extended to the hot-path substrate
-// in ISSUE 5): the trial engine, the statistical substrate, the
-// distributed coordinator, the random-number layer, and the Fenwick trees.
-// CI runs this test as its missing-doc lint step, so the audit stays true
-// as the packages grow.
+// documented: the trial engine, the statistical substrate, the distributed
+// coordinator, the random-number layer, the Fenwick trees, and the
+// simulator core. CI runs this test as its missing-doc lint step, so the
+// audit stays true as the packages grow.
 var godocAuditPackages = []string{
 	"internal/experiment",
 	"internal/stats",
 	"internal/dist",
 	"internal/rng",
 	"internal/fenwick",
+	"internal/core",
 }
 
 // TestGodocCoverage fails for every exported identifier in the audited

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/conf"
@@ -47,6 +48,21 @@ func TestParseKernelAuto(t *testing.T) {
 	}
 	if _, err := ParseKernel("warp", 0); err == nil {
 		t.Fatal("ParseKernel accepted an unknown kernel")
+	}
+}
+
+func TestParseKernelRejectsNaNTolerance(t *testing.T) {
+	// A NaN tolerance once parsed as auto(NaN), stepped exactly in process
+	// and failed to encode into a shard spec; it must fail at parse time.
+	for _, name := range KernelNames() {
+		if _, err := ParseKernel(name, math.NaN()); err == nil || !strings.Contains(err.Error(), "tolerance") {
+			t.Fatalf("ParseKernel(%q, NaN) error = %v, want one naming the tolerance", name, err)
+		}
+	}
+	// +Inf keeps the documented clamp.
+	k, err := ParseKernel("auto", math.Inf(1))
+	if err != nil || k.Tolerance() != maxTolerance {
+		t.Fatalf("ParseKernel(auto, +Inf) = %v, %v; want tolerance %v", k, err, maxTolerance)
 	}
 }
 
@@ -263,24 +279,39 @@ func TestCategoricalMatchesChainedLaw(t *testing.T) {
 }
 
 func TestAutoWindowLoopAllocFree(t *testing.T) {
-	// The whole window loop — scratch, samplers, span draws, Fenwick apply —
-	// must run allocation-free in steady state for both windowed kernels, or
-	// fleet throughput silently decays with GC pressure.
-	cfg := mustConfig(t, []int64{40000, 30000, 20000, 10000}, 0)
-	for _, kern := range []Kernel{KernelBatched(0), KernelAuto(0)} {
-		src := rng.New(5)
-		s := newSim(t, cfg, 5, WithKernel(kern))
-		s.Run(u128.From64(200_000)) // warm up scratch
-		avg := testing.AllocsPerRun(10, func() {
-			src.Reseed(9)
-			if err := s.Reset(cfg, src); err != nil {
-				t.Fatal(err)
+	// Every row of the run loop — exact skip steps, single interactions,
+	// and the windowed kernels' scratch, samplers, span draws and Fenwick
+	// apply — must run allocation-free in steady state, or fleet throughput
+	// silently decays with GC pressure.
+	classic := mustConfig(t, []int64{40000, 30000, 20000, 10000}, 0)
+	stubborn := mustConfig(t, []int64{40000, 30000, 20000, 10000}, 0)
+	stubborn.Stubborn = []int64{100, 0, 0, 0}
+	for _, tc := range []struct {
+		name string
+		cfg  *conf.Config
+		opts []Option
+	}{
+		{"exact", classic, []Option{WithKernel(KernelExact)}},
+		{"exact-no-skip", classic, []Option{WithKernel(KernelExact), WithSkipping(false)}},
+		{"batched", classic, []Option{WithKernel(KernelBatched(0))}},
+		{"auto", classic, []Option{WithKernel(KernelAuto(0))}},
+		{"auto-stubborn", stubborn, []Option{WithKernel(KernelAuto(0)), WithDynamics(StubbornAgents)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := rng.New(5)
+			s := newSim(t, tc.cfg, 5, tc.opts...)
+			s.Run(u128.From64(200_000)) // warm up scratch
+			avg := testing.AllocsPerRun(10, func() {
+				src.Reseed(9)
+				if err := s.Reset(tc.cfg, src); err != nil {
+					t.Fatal(err)
+				}
+				s.Run(u128.From64(200_000))
+			})
+			if avg != 0 {
+				t.Errorf("%.1f allocs per reset+run, want 0", avg)
 			}
-			s.Run(u128.From64(200_000))
 		})
-		if avg != 0 {
-			t.Errorf("kernel %v: %.1f allocs per reset+run, want 0", kern, avg)
-		}
 	}
 }
 

@@ -13,9 +13,51 @@ import (
 // is KernelExact. Construct batched kernels with KernelBatched and hybrid
 // auto kernels with KernelAuto.
 type Kernel struct {
-	batched bool
-	auto    bool
-	tol     float64
+	row uint8 // index into kernelRows
+	tol float64
+}
+
+// kernelRow is one stepping kernel as data: the run loop, Reset and
+// batchStep read a kernel's behaviour from its row instead of branching on
+// which kernel is running.
+type kernelRow struct {
+	// name is the kernel's family name, as KernelNames lists it.
+	name string
+	// floor is the exact-stepping floor: windows of fewer events step
+	// exactly, and feasibility halving below it falls back to one exact
+	// step. Zero marks the exact kernel, which never samples a window.
+	floor int64
+	// categorical is the strategy boundary in units of the opinion count:
+	// windows of fewer than categorical·k events are sampled by per-event
+	// categorical draws, larger ones by binomial chaining. Zero means
+	// always chained.
+	categorical int64
+}
+
+// kernelRows holds every kernel in parse order; Kernel.row indexes it.
+var kernelRows = [...]kernelRow{
+	exactRow:   {name: "exact"},
+	batchedRow: {name: "batched", floor: minBatchWindow},
+	autoRow:    {name: "auto", floor: minAutoWindow, categorical: autoCategoricalFactor},
+}
+
+const (
+	exactRow uint8 = iota
+	batchedRow
+	autoRow
+)
+
+// kernelAt returns the kernel of row i with drift tolerance tol (tol <= 0
+// selects DefaultTolerance; values above maxTolerance are clamped). The
+// exact row carries no tolerance.
+func kernelAt(i uint8, tol float64) Kernel {
+	if kernelRows[i].floor == 0 {
+		return Kernel{row: i}
+	}
+	if tol <= 0 {
+		tol = DefaultTolerance
+	}
+	return Kernel{row: i, tol: min(tol, maxTolerance)}
 }
 
 // KernelExact samples every productive interaction individually from the
@@ -49,15 +91,7 @@ const maxTolerance = 0.25
 // endgame — where individual events decide the winner — is simulated
 // exactly. Sampled windows that would drive a support negative are
 // resampled at half the window size, down to the exact law.
-func KernelBatched(tol float64) Kernel {
-	if tol <= 0 {
-		tol = DefaultTolerance
-	}
-	if tol > maxTolerance {
-		tol = maxTolerance
-	}
-	return Kernel{batched: true, tol: tol}
-}
+func KernelBatched(tol float64) Kernel { return kernelAt(batchedRow, tol) }
 
 // KernelAuto returns the hybrid stepping kernel with the given drift
 // tolerance (tol <= 0 selects DefaultTolerance; values above 0.25 are
@@ -84,40 +118,44 @@ func KernelBatched(tol float64) Kernel {
 // parity with exact stepping — are the regime this kernel exists for; the
 // K1 agreement experiment validates its accuracy contract alongside the
 // batched kernel's.
-func KernelAuto(tol float64) Kernel {
-	k := KernelBatched(tol)
-	k.auto = true
-	return k
-}
+func KernelAuto(tol float64) Kernel { return kernelAt(autoRow, tol) }
 
 // KernelNames returns the registered kernel names in parse order; unknown-
 // kernel errors enumerate it.
-func KernelNames() []string { return []string{"exact", "batched", "auto"} }
+func KernelNames() []string {
+	names := make([]string, len(kernelRows))
+	for i, r := range kernelRows {
+		names[i] = r.name
+	}
+	return names
+}
 
 // ParseKernel returns the kernel named by s: "exact", "batched", or "auto",
 // the latter two with drift tolerance tol (tol <= 0 selects
-// DefaultTolerance). The empty string is the exact kernel. CLI -kernel
-// flags share this parser; unknown names are rejected with an error
-// enumerating the valid ones.
+// DefaultTolerance; values above 0.25, +Inf included, are clamped). The
+// empty string is the exact kernel. CLI -kernel flags share this parser;
+// unknown names, and a NaN tolerance, are rejected with an error.
 func ParseKernel(s string, tol float64) (Kernel, error) {
-	switch s {
-	case "", "exact":
-		return KernelExact, nil
-	case "batched":
-		return KernelBatched(tol), nil
-	case "auto":
-		return KernelAuto(tol), nil
-	default:
-		return Kernel{}, fmt.Errorf("core: unknown kernel %q (want %s)", s, strings.Join(KernelNames(), ", "))
+	if math.IsNaN(tol) {
+		return Kernel{}, fmt.Errorf("core: kernel tolerance %v is not a number", tol)
 	}
+	if s == "" {
+		return KernelExact, nil
+	}
+	for i, r := range kernelRows {
+		if r.name == s {
+			return kernelAt(uint8(i), tol), nil
+		}
+	}
+	return Kernel{}, fmt.Errorf("core: unknown kernel %q (want %s)", s, strings.Join(KernelNames(), ", "))
 }
 
 // Batched reports whether the kernel steps in tau-leaping windows (the
 // batched and auto kernels) rather than single events.
-func (k Kernel) Batched() bool { return k.batched }
+func (k Kernel) Batched() bool { return kernelRows[k.row].floor > 0 }
 
 // Auto reports whether the kernel is the hybrid auto kernel.
-func (k Kernel) Auto() bool { return k.auto }
+func (k Kernel) Auto() bool { return k.row == autoRow }
 
 // Tolerance returns the drift tolerance of a batched or auto kernel and 0
 // for the exact kernel.
@@ -126,30 +164,21 @@ func (k Kernel) Tolerance() float64 { return k.tol }
 // Name returns the kernel's bare family name — "exact", "batched", or
 // "auto" — without the tolerance; it is the identity CLI flags and shard
 // job specs use.
-func (k Kernel) Name() string {
-	switch {
-	case !k.batched:
-		return "exact"
-	case k.auto:
-		return "auto"
-	default:
-		return "batched"
-	}
-}
+func (k Kernel) Name() string { return kernelRows[k.row].name }
 
 // String returns a short name for the kernel.
 func (k Kernel) String() string {
-	if !k.batched {
+	if !k.Batched() {
 		return "exact"
 	}
 	return fmt.Sprintf("%s(%g)", k.Name(), k.tol)
 }
 
-// WithKernel selects the stepping kernel used by Run, RunObserved, and
-// RunUntil. The default is KernelExact. The single-step methods Step and
-// StepProductive always follow the exact law regardless of the kernel. The
-// batched kernel always skips unproductive interactions; WithSkipping only
-// affects the exact kernel.
+// WithKernel selects the stepping kernel used by Run, RunObserved,
+// RunWatched, and RunUntil. The default is KernelExact. The single-step
+// methods Step and StepProductive always follow the exact law regardless
+// of the kernel. The windowed kernels always skip unproductive
+// interactions; WithSkipping only affects the exact kernel.
 func WithKernel(k Kernel) Option {
 	return func(s *Simulator) { s.kernel = k }
 }
@@ -196,21 +225,39 @@ const autoCategoricalFactor = 16
 // permitted.
 const wDriftDivisor = 2
 
-// batchWindow returns the largest window (in productive events) for which
-// the frozen transition law stays within the kernel's drift tolerance,
-// following the tau-leaping leap condition: every event changes u by ±1 and
-// one support by ±1, so m <= tol·u bounds the relative drift of u, and
-// m <= tol·W/(2n) bounds both the relative drift of W (|ΔW| <= n+1 per
-// event, see wDriftDivisor) and — because
+// window returns the number of productive events the run loop samples as
+// its next window, or 0 when the next event steps exactly: always under a
+// zero floor (the exact kernel, or a variant without a window law), and
+// whenever the window would fall under the floor.
+//
+// The size is the largest window for which the frozen transition law stays
+// within the kernel's drift tolerance, following the tau-leaping leap
+// condition: every event changes u by ±1 and one support by ±1, so
+// m <= tol·u bounds the relative drift of u, and m <= tol·W/(2n) bounds
+// both the relative drift of W (|ΔW| <= n+1 per event, see wDriftDivisor;
+// variants supply their own divisor) and — because
 // max(tol·xⱼ, 1)·W/(xⱼ·(u+D−xⱼ)) >= tol·W/n >= 2·(tol·W/(2n)) for every
 // opinion — the relative drift of each per-opinion rate with support at
 // least 1/tol (smaller supports are allowed one whole unit of change, the
-// tau-leaping granularity floor).
-func (s *Simulator) batchWindow(w u128.U128) int64 {
+// tau-leaping granularity floor). Under a budget the window is further
+// capped at a quarter of the productive events the remaining budget is
+// expected to hold: batching continues up to the budget with geometrically
+// smaller windows, the overshoot-discard tail stays negligible, and the
+// final handful of events step exactly, preserving single-event truncation
+// resolution.
+func (s *Simulator) window(w, budget u128.U128, floor int64) int64 {
+	if floor == 0 {
+		return 0
+	}
 	tol := s.kernel.tol
 	m := math.Min(tol*float64(s.u), tol*w.Float64()/(s.dyn.driftDivisor()*float64(s.n)))
-	if m < 1 {
-		return 1
+	if !budget.IsZero() {
+		// float64 throughout: the remaining interaction count can exceed
+		// int64, but m is bounded by tol·n.
+		m = math.Min(m, budget.Sub(s.steps).Float64()*w.Float64()*s.invNSq/4)
+	}
+	if !(m >= float64(floor)) { // a NaN window steps exactly too
+		return 0
 	}
 	return int64(m)
 }
@@ -366,26 +413,24 @@ func (s *Simulator) sampleWindowCategorical(vals []int64, w u128.U128, m, d int6
 }
 
 // batchStep samples one window of m productive events under the law frozen
-// at the current configuration and applies it in bulk. categorical selects
-// the auto kernel's per-event sampling strategy over binomial chaining; both
-// draw from the identical window distribution. The returned bool is false
-// when the window's interaction span crossed the budget; the clock is then
-// clamped to the budget and the window is discarded, mirroring the exact
-// kernel's mid-jump budget semantics.
+// at the current configuration and applies it in bulk. The kernel's row
+// picks the sampling strategy — per-event categorical draws for windows
+// under row.categorical·k events, binomial chaining otherwise; both draw
+// from the identical window distribution — and the exact-stepping floor.
+// The returned bool is false when the window's interaction span crossed the
+// budget; the clock is then clamped to the budget and the window is
+// discarded, mirroring the exact kernel's mid-jump budget semantics.
 //
 // A window whose net deltas would drive a support negative is discarded and
-// resampled at half the size (falling back to the exact law below the
-// kernel's exact-stepping floor), which conditions away a large-deviation
-// event of probability o(1) in the window size.
-func (s *Simulator) batchStep(w u128.U128, m int64, budget u128.U128, categorical bool) (Event, bool) {
+// resampled at half the size (falling back to one exact step below the
+// floor), which conditions away a large-deviation event of probability o(1)
+// in the window size.
+func (s *Simulator) batchStep(w u128.U128, m int64, budget u128.U128, row kernelRow) (Event, bool) {
 	d := s.n - s.u
 	k := s.tree.Len()
 	s.ensureBatchScratch(k)
 	pAdopt := u128.Mul64(uint64(s.u), uint64(d)).Float64() / w.Float64()
-	floor := int64(minBatchWindow)
-	if s.kernel.auto {
-		floor = minAutoWindow
-	}
+	categorical := m < row.categorical*int64(k)
 	// The pre-window supports are read through the tree's live view — no
 	// per-window copy — and stay untouched until applyWindow, including
 	// across feasibility resamples.
@@ -421,7 +466,7 @@ func (s *Simulator) batchStep(w u128.U128, m int64, budget u128.U128, categorica
 		}
 		if !feasible {
 			m /= 2
-			if m < floor {
+			if m < row.floor {
 				return s.stepSkip(w, budget)
 			}
 			continue
@@ -468,72 +513,4 @@ func (s *Simulator) applyWindow(touched, k int) {
 		return
 	}
 	s.tree.SetAll(s.batchVals)
-}
-
-// runLoopBatched is the run loop of the batched and auto kernels: windows
-// of productive events are applied in bulk while the leap condition allows,
-// and the loop degrades to exact skipping steps near absorption, for small
-// windows, and when the remaining budget could not fit two expected windows
-// (so budget truncation keeps single-event resolution). The auto kernel
-// additionally picks the per-window sampling strategy — categorical draws
-// under roughly autoCategoricalFactor·k events, binomial chaining above —
-// and batches down to minAutoWindow instead of minBatchWindow.
-func (s *Simulator) runLoopBatched(budget u128.U128, obs Watcher, stop func(*Simulator) bool) Result {
-	for {
-		if outcome, winner, done := s.dyn.terminal(s); done {
-			return s.result(outcome, winner)
-		}
-		w := s.productiveWeight()
-		if w.IsZero() {
-			outcome, winner := s.dyn.absorbed(s)
-			return s.result(outcome, winner)
-		}
-		if !budget.IsZero() && budget.Leq(s.steps) {
-			return s.result(OutcomeBudget, -1)
-		}
-		m := s.batchWindow(w)
-		if !budget.IsZero() {
-			// Shrink windows to at most a quarter of the expected number of
-			// productive events left in the budget: batching continues all
-			// the way to the budget with geometrically smaller windows, the
-			// overshoot-discard tail stays negligible, and the final handful
-			// of events run exact, preserving single-event truncation
-			// resolution. The arithmetic stays in float64 — the remaining
-			// interaction count can exceed int64 but m is bounded by tol·n.
-			remaining := budget.Sub(s.steps).Float64() * w.Float64() * s.invNSq
-			if q := remaining / 4; q < float64(m) {
-				m = int64(q)
-				if m < 1 {
-					m = 1
-				}
-			}
-		}
-		var ev Event
-		var ok bool
-		switch {
-		case s.kernel.auto:
-			if m < minAutoWindow {
-				ev, ok = s.stepSkip(w, budget)
-			} else {
-				categorical := m < autoCategoricalFactor*int64(s.tree.Len())
-				ev, ok = s.batchStep(w, m, budget, categorical)
-			}
-		case m < minBatchWindow:
-			ev, ok = s.stepSkip(w, budget)
-		default:
-			ev, ok = s.batchStep(w, m, budget, false)
-		}
-		if !ok {
-			return s.result(OutcomeBudget, -1)
-		}
-		if obs != nil {
-			obs.Watch(s, ev)
-		}
-		if stop != nil && stop(s) {
-			if outcome, winner, done := s.dyn.terminal(s); done {
-				return s.result(outcome, winner)
-			}
-			return s.result(OutcomeBudget, -1)
-		}
-	}
 }

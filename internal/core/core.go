@@ -27,45 +27,54 @@
 //
 // # Stepping kernels
 //
-// Three stepping kernels are available (see WithKernel):
+// Three stepping kernels are available (see WithKernel). They share one
+// run loop and differ only in data: each kernel is a row of kernelRows
+// holding its name, its exact-stepping floor and its categorical boundary.
+// For each event the loop samples a window of productive events if the
+// kernel's floor admits one, else takes a geometric skip step to the next
+// productive interaction, or — only for the exact kernel under
+// WithSkipping(false) — steps a single interaction.
 //
-//   - KernelExact (the default) samples every productive interaction
-//     individually from the law above, in O(log k) per event. It is used
-//     whenever single-event resolution matters and by all correctness
-//     baselines.
+//   - KernelExact (the default; floor 0, so it never samples a window)
+//     samples every productive interaction individually from the law
+//     above, in O(log k) per event. It is used whenever single-event
+//     resolution matters and by all correctness baselines.
 //
-//   - KernelBatched(tol) freezes the transition law at the start of an
-//     adaptively-sized window of m productive events, samples the whole
-//     window's per-opinion adopt/undecide counts at once (a multinomial
-//     over the 2k event categories, drawn by conditional binomial
-//     chaining), advances the clock by a NegativeBinomial(m, W/n²) span —
-//     the law of m consecutive geometric skips — and applies the window
-//     with one O(k) bulk Fenwick update. Amortized cost is O(k/m + 1) per
-//     productive event, independent of k for large windows.
+//   - KernelBatched(tol) (floor minBatchWindow, no categorical boundary)
+//     freezes the transition law at the start of an adaptively-sized
+//     window of m productive events, samples the whole window's
+//     per-opinion adopt/undecide counts at once (a multinomial over the 2k
+//     event categories, drawn by conditional binomial chaining), advances
+//     the clock by a NegativeBinomial(m, W/n²) span — the law of m
+//     consecutive geometric skips — and applies the window with one O(k)
+//     bulk Fenwick update. Amortized cost is O(k/m + 1) per productive
+//     event, independent of k for large windows.
 //
-//   - KernelAuto(tol) follows the batched kernel's window law but chooses
-//     the cheapest sampling strategy per window from a deterministic cost
-//     model over (m, k): exact stepping for tiny windows, per-event
-//     categorical draws against the frozen cumulative weights for windows
-//     up to a few multiples of k, and binomial chaining beyond. It closes
-//     the small-n regime where windows never grow large enough for the
-//     chained sampler's O(k) setup to amortize (see docs/ARCHITECTURE.md,
-//     "Performance model").
+//   - KernelAuto(tol) (floor minAutoWindow, categorical boundary
+//     autoCategoricalFactor·k) follows the same window law but samples
+//     windows under the boundary by per-event categorical draws against
+//     the frozen cumulative weights, and larger ones by binomial chaining.
+//     It closes the small-n regime where windows never grow large enough
+//     for the chained sampler's O(k) setup to amortize (see
+//     docs/ARCHITECTURE.md, "Performance model").
 //
-// The batched kernel's accuracy contract is the tau-leaping leap condition
-// (Cao–Gillespie–Petzold): the window m is capped at tol·u and at
-// tol·W/(5n), which bounds the relative drift of the undecided count, of
-// the productive weight W, and of every per-opinion rate with support at
-// least 1/tol by ~tol across the window (smaller supports are granted the
-// one-unit granularity floor). Windows therefore shrink automatically as u,
-// W, or the minority supports shrink; below minBatchWindow the kernel
-// degenerates to the exact law, so the endgame — where individual events
-// decide the winner — and small-support dynamics are simulated exactly.
-// Windows whose sampled net deltas would drive a support negative are
-// resampled at half the size, down to the exact law. The K1-kernel-
-// agreement experiment validates the contract empirically: winner
-// frequencies, consensus-time distributions (two-sample KS), and per-phase
-// median end times match the exact kernel at the default tolerance.
+// The windowed kernels' accuracy contract is the tau-leaping leap
+// condition (Cao–Gillespie–Petzold): the window m is capped at tol·u and at
+// tol·W/(c·n), where c bounds |ΔW| per event in units of n (2 for the
+// classic dynamics, 3 for the stubborn one). This bounds the relative drift
+// of the undecided count, of the productive weight W, and of every
+// per-opinion rate with support at least 1/tol by ~tol across the window
+// (smaller supports are granted the one-unit granularity floor). Windows
+// therefore shrink automatically as u, W, or the minority supports shrink;
+// below the kernel's floor the loop steps exactly, so the endgame — where
+// individual events decide the winner — and small-support dynamics are
+// simulated exactly. Windows whose sampled net deltas would drive a
+// support negative are resampled at half the size, down to one exact step
+// below the floor. Variants without a derived window law step exactly
+// under every kernel. The K1-kernel-agreement experiment validates the
+// contract empirically: winner frequencies, consensus-time distributions
+// (two-sample KS), and per-phase median end times match the exact kernel
+// at the default tolerance.
 package core
 
 import (
@@ -341,7 +350,7 @@ func (s *Simulator) Reset(c *conf.Config, src *rng.Source, opts ...Option) error
 	if s.dyn == nil {
 		s.dyn = Classic
 	}
-	if s.kernel.batched && !s.dyn.Batchable() {
+	if s.kernel.Batched() && !s.dyn.Batchable() {
 		return fmt.Errorf("core: dynamics %q is exact-only (no derived window law): kernel %q unavailable, want exact",
 			s.dyn.Name(), s.kernel.Name())
 	}
@@ -484,10 +493,7 @@ func (s *Simulator) StepProductive() Event {
 	if w.IsZero() {
 		return Event{Kind: EventAbsorbed, Opinion: -1, Interactions: s.steps}
 	}
-	p := w.Float64() * s.invNSq
-	s.steps = satAdd(s.steps, s.src.GeometricU128(p))
-	ev := s.applyProductive(s.src.Uint128n(w))
-	ev.Interactions = s.steps
+	ev, _ := s.stepSkip(w, NoBudget)
 	return ev
 }
 
@@ -523,13 +529,20 @@ func (s *Simulator) RunUntil(budget u128.U128, stop func(*Simulator) bool) Resul
 	return s.runLoop(budget, nil, stop)
 }
 
+// runLoop is the one run loop of every kernel. Each event it samples a
+// window (batchStep, when the kernel's row admits one), takes a geometric
+// skip step (stepSkip), or — for the exact kernel under WithSkipping(false)
+// — steps a single interaction (Step).
 func (s *Simulator) runLoop(budget u128.U128, obs Watcher, stop func(*Simulator) bool) Result {
-	// Exact-only dynamics fall through to the exact loop even if a batched
-	// kernel slipped past Reset's validation (e.g. via SetKernel): stepping
-	// exactly is always a correct refinement of the window law.
-	if s.kernel.batched && s.dyn.Batchable() {
-		return s.runLoopBatched(budget, obs, stop)
+	row := kernelRows[s.kernel.row]
+	// An exact-only dynamics steps exactly even if a windowed kernel slipped
+	// past Reset's validation (e.g. via SetKernel): stepping exactly is
+	// always a correct refinement of the window law.
+	if !s.dyn.Batchable() {
+		row.floor = 0
 	}
+	// Windowed kernels always skip unproductive interactions.
+	skip := s.skip || row.floor > 0
 	for {
 		if outcome, winner, done := s.dyn.terminal(s); done {
 			return s.result(outcome, winner)
@@ -542,17 +555,20 @@ func (s *Simulator) runLoop(budget u128.U128, obs Watcher, stop func(*Simulator)
 		if !budget.IsZero() && budget.Leq(s.steps) {
 			return s.result(OutcomeBudget, -1)
 		}
+		// A window or geometric jump that lands past the budget stops the
+		// run at the budget without applying its events.
 		var ev Event
-		if s.skip {
-			var ok bool
-			// A geometric jump that lands past the budget stops the run
-			// at the budget without applying the productive event.
+		ok := true
+		switch m := s.window(w, budget, row.floor); {
+		case m > 0:
+			ev, ok = s.batchStep(w, m, budget, row)
+		case skip:
 			ev, ok = s.stepSkip(w, budget)
-			if !ok {
-				return s.result(OutcomeBudget, -1)
-			}
-		} else {
+		default:
 			ev = s.Step()
+		}
+		if !ok {
+			return s.result(OutcomeBudget, -1)
 		}
 		if obs != nil {
 			obs.Watch(s, ev)

@@ -605,7 +605,7 @@ func TestResetPreservesOptions(t *testing.T) {
 	if err := s.Reset(cfg, rng.New(2)); err != nil {
 		t.Fatal(err)
 	}
-	if !s.kernel.batched || s.kernel.tol != 0.1 || s.skip {
+	if !s.kernel.Batched() || s.kernel.tol != 0.1 || s.skip {
 		t.Fatalf("Reset dropped options: kernel=%v skip=%v", s.kernel, s.skip)
 	}
 }

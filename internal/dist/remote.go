@@ -24,7 +24,9 @@ import (
 // by the same relaunch/requeue machinery as a local crash, with the same
 // byte-identical fold.
 
-// Default deadlines and caps for RemoteLauncher fields left zero.
+// Connection guard defaults. The handshake deadline and the frame cap apply
+// to RemoteLauncher fields left zero; the frame and write deadlines always
+// apply.
 const (
 	// DefaultHandshakeTimeout bounds launch-to-first-byte: a worker (or the
 	// transport under it) that produces nothing for this long is declared
@@ -74,12 +76,6 @@ type RemoteLauncher struct {
 	// HandshakeTimeout bounds launch-to-first-byte. Zero means
 	// DefaultHandshakeTimeout; negative disables the deadline.
 	HandshakeTimeout time.Duration
-	// FrameTimeout bounds a started (partially received) protocol frame.
-	// Zero means DefaultFrameTimeout; negative disables the deadline.
-	FrameTimeout time.Duration
-	// WriteTimeout bounds each command write. Zero means
-	// DefaultWriteTimeout; negative disables the deadline.
-	WriteTimeout time.Duration
 	// MaxFrame caps one received frame's bytes. Zero means DefaultMaxFrame;
 	// negative disables the cap.
 	MaxFrame int
@@ -112,18 +108,6 @@ func (l *RemoteLauncher) expand(shard, shards int) []string {
 	return out
 }
 
-// effective applies a field's zero-means-default, negative-means-disabled
-// convention.
-func effective(d, def time.Duration) time.Duration {
-	if d == 0 {
-		return def
-	}
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
 // Launch implements Launcher by starting one transport process from the
 // expanded template and arming the connection guards.
 func (l *RemoteLauncher) Launch(shard, shards int) (*Conn, error) {
@@ -150,6 +134,10 @@ func (l *RemoteLauncher) Launch(shard, shards int) (*Conn, error) {
 		return nil, fmt.Errorf("dist: start shard %d transport %q: %w", shard, argv[0], err)
 	}
 	kill := func() { killWorker(cmd) }
+	handshake := l.HandshakeTimeout
+	if handshake == 0 {
+		handshake = DefaultHandshakeTimeout
+	}
 	maxFrame := l.MaxFrame
 	if maxFrame == 0 {
 		maxFrame = DefaultMaxFrame
@@ -157,15 +145,15 @@ func (l *RemoteLauncher) Launch(shard, shards int) (*Conn, error) {
 	g := &frameGuard{
 		src:       stdout,
 		kill:      kill,
-		handshake: effective(l.HandshakeTimeout, DefaultHandshakeTimeout),
-		frame:     effective(l.FrameTimeout, DefaultFrameTimeout),
+		handshake: handshake,
+		frame:     DefaultFrameTimeout,
 		maxFrame:  maxFrame,
 	}
 	pr, pw := io.Pipe()
 	g.pw = pw
 	go g.run()
 	return &Conn{
-		W:    &deadlineWriter{w: stdin, d: effective(l.WriteTimeout, DefaultWriteTimeout), kill: kill},
+		W:    &deadlineWriter{w: stdin, d: DefaultWriteTimeout, kill: kill},
 		R:    pr,
 		Wait: cmd.Wait,
 		Kill: kill,
@@ -187,9 +175,6 @@ type deadlineWriter struct {
 // Write implements io.Writer with the deadline armed around the underlying
 // write.
 func (dw *deadlineWriter) Write(p []byte) (int, error) {
-	if dw.d <= 0 {
-		return dw.w.Write(p)
-	}
 	t := time.AfterFunc(dw.d, func() {
 		dw.expired.Store(true)
 		dw.kill()

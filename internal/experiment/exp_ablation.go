@@ -20,7 +20,7 @@ func a1Skip() Experiment {
 	return Experiment{
 		ID:       "A1-skip",
 		Title:    "Geometric skipping vs per-interaction kernel",
-		Artifact: "DESIGN.md ablation (simulator design)",
+		Artifact: "docs/EXPERIMENTS.md ablation (simulator design)",
 		Run: func(p Params, w io.Writer) error {
 			n := pick(p, int64(1<<12), int64(1<<13))
 			trials := p.trials(20)
@@ -104,7 +104,7 @@ func a2Engine() Experiment {
 	return Experiment{
 		ID:       "A2-agent-vs-aggregate",
 		Title:    "Aggregate kernel vs agent-level engine",
-		Artifact: "DESIGN.md ablation (simulator correctness)",
+		Artifact: "docs/EXPERIMENTS.md ablation (simulator correctness)",
 		Run: func(p Params, w io.Writer) error {
 			n := pick(p, int64(1<<10), int64(1<<11))
 			k := 4
@@ -164,7 +164,7 @@ func a3SelfInteraction() Experiment {
 	return Experiment{
 		ID:       "A3-self-interaction",
 		Title:    "Scheduler with vs without self-interactions",
-		Artifact: "DESIGN.md ablation (model convention)",
+		Artifact: "docs/EXPERIMENTS.md ablation (model convention)",
 		Run: func(p Params, w io.Writer) error {
 			n := pick(p, int64(1<<10), int64(1<<11))
 			k := 4

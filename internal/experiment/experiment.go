@@ -1,6 +1,6 @@
 // Package experiment defines the named, reproducible experiments that
 // regenerate every table and figure of the paper's evaluation, as indexed
-// in DESIGN.md. Each experiment prints one or more formatted tables (and
+// in docs/EXPERIMENTS.md. Each experiment prints one or more formatted tables (and
 // ASCII figures for trajectory artifacts) to a writer; cmd/experiments and
 // the root-level benchmarks are thin wrappers around this package.
 package experiment
@@ -166,7 +166,7 @@ func pick[T any](p Params, quick, full T) T {
 
 // Experiment is one named reproduction artifact.
 type Experiment struct {
-	// ID is the DESIGN.md identifier, e.g. "T1-phases".
+	// ID is the docs/EXPERIMENTS.md identifier, e.g. "T1-phases".
 	ID string
 	// Title is a one-line description.
 	Title string
