@@ -62,7 +62,7 @@ func kernelAt(i uint8, tol float64) Kernel {
 
 // KernelExact samples every productive interaction individually from the
 // exact transition law in O(log k). It is the default.
-var KernelExact = Kernel{}
+var KernelExact = Kernel{row: exactRow}
 
 // DefaultTolerance is the drift tolerance KernelBatched uses when the caller
 // passes tol <= 0. At 0.05 the batched and exact kernels are statistically
