@@ -52,8 +52,9 @@ func TestParseKernelAuto(t *testing.T) {
 }
 
 func TestParseKernelRejectsNaNTolerance(t *testing.T) {
-	// A NaN tolerance once parsed as auto(NaN), stepped exactly in process
-	// and failed to encode into a shard spec; it must fail at parse time.
+	// A NaN tolerance must fail at parse time: accepted, it labels a run
+	// auto(NaN) that steps exactly in process, and the shard-spec encoder
+	// cannot encode it.
 	for _, name := range KernelNames() {
 		if _, err := ParseKernel(name, math.NaN()); err == nil || !strings.Contains(err.Error(), "tolerance") {
 			t.Fatalf("ParseKernel(%q, NaN) error = %v, want one naming the tolerance", name, err)
