@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -106,6 +108,11 @@ func TestRunRefusesCorruptCheckpoint(t *testing.T) {
 // garbage. It must never panic, every accepted frame must carry the current
 // protocol version and a known message type, and a version mismatch must
 // keep the rebuild guidance the cmds' error paths point users at.
+//
+// It also pins the hand-written result codec to encoding/json: every line
+// the canonical result parser accepts must unmarshal to a DeepEqual Msg,
+// and a result frame for the fuzzed trial number and the compacted input
+// (when the input is one JSON value) must equal json.Marshal's bytes.
 func FuzzFrame(f *testing.F) {
 	marshal := func(m Msg) []byte {
 		data, err := json.Marshal(m)
@@ -114,19 +121,39 @@ func FuzzFrame(f *testing.F) {
 		}
 		return append(data, '\n')
 	}
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeJob, Shard: 0, Shards: 2, Seed: 7, Hash: "h", Spec: []byte(`{}`)}))
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWave, Lo: 0, Hi: 4, Indices: []int{0, 2}}))
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeResult, Trial: 3, Data: []byte(`{"x":1}`)}))
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWaveDone, Lo: 0, Hi: 4, Indices: []int{0, 2}}))
-	f.Add(marshal(Msg{V: 1, Type: TypeResult, Trial: 3}))
-	f.Add(marshal(Msg{V: 2, Type: TypeWaveDone, Lo: 0, Hi: 4}))
-	f.Add([]byte("{\"v\":3}\n{\"v\":3}\n"))
-	f.Add([]byte("not json\n"))
-	f.Add([]byte("{\"v\":1e999}\n"))
-	f.Add([]byte("{}"))
-	f.Add([]byte("\n"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeJob, Shard: 0, Shards: 2, Seed: 7, Hash: "h", Spec: []byte(`{}`)}), 0)
+	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWave, Lo: 0, Hi: 4, Indices: []int{0, 2}}), 0)
+	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeResult, Trial: 3, Data: []byte(`{"x":1}`)}), 3)
+	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeResult, Trial: 0, Data: []byte(`null`)}), 0)
+	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWaveDone, Lo: 0, Hi: 4, Indices: []int{0, 2}}), 0)
+	f.Add(marshal(Msg{V: 1, Type: TypeResult, Trial: 3}), 3)
+	f.Add(marshal(Msg{V: 2, Type: TypeWaveDone, Lo: 0, Hi: 4}), 0)
+	f.Add([]byte("{\"v\":3}\n{\"v\":3}\n"), 0)
+	f.Add([]byte("not json\n"), 0)
+	f.Add([]byte("{\"v\":1e999}\n"), 0)
+	f.Add([]byte("{}"), 0)
+	f.Add([]byte("\n"), 0)
+	f.Add([]byte{}, 0)
+	// Near misses of the canonical result form, which must fall through to
+	// encoding/json: leading zeros, a 19-digit trial that fits an int and
+	// one that does not, a negative trial, fields after the payload, a
+	// missing newline, whitespace inside the frame, and payloads that
+	// json.Marshal would rewrite.
+	f.Add([]byte(`{"v":4,"type":"result","trial":007,"data":{}}`+"\n"), 7)
+	f.Add([]byte(`{"v":4,"type":"result","trial":00,"data":{}}`+"\n"), 0)
+	f.Add([]byte(`{"v":4,"type":"result","trial":9223372036854775807,"data":{}}`+"\n"), math.MaxInt)
+	f.Add([]byte(`{"v":4,"type":"result","trial":9223372036854775808,"data":{}}`+"\n"), math.MinInt)
+	f.Add([]byte(`{"v":4,"type":"result","trial":-3,"data":{}}`+"\n"), -3)
+	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{},"err":"boom"}`+"\n"), 3)
+	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{},"v":5}`+"\n"), 3)
+	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":1},"v":5}`+"\n"), 3)
+	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{}}`), 3)
+	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{}}`+"\r\n"), 3)
+	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data": {"a" : 1} }`+"\n"), 3)
+	f.Add([]byte(`{"v": 4, "type": "result", "trial": 3, "data": {}}`+"\n"), 3)
+	f.Add([]byte("{\"v\":4,\"type\":\"result\",\"trial\":3,\"data\":\"<a\u2028&>\"}\n"), 3)
+	f.Add([]byte("{\"v\":4,\"type\":\"result\",\"trial\":3,\"data\":\"\xff\u00e9\"}\n"), 3)
+	f.Fuzz(func(t *testing.T, data []byte, trial int) {
 		dec := newMsgReader(bytes.NewReader(data))
 		for {
 			m, err := dec.next()
@@ -134,7 +161,7 @@ func FuzzFrame(f *testing.F) {
 				if errors.Is(err, errProtocolVersion) && !strings.Contains(err.Error(), "rebuild") {
 					t.Fatalf("version mismatch error %q lost the rebuild guidance", err)
 				}
-				return // any error ends the stream, matching the reader pump
+				break // any error ends the stream, matching the reader pump
 			}
 			if m.V != ProtocolVersion {
 				t.Fatalf("decoder accepted frame with version %d", m.V)
@@ -144,6 +171,38 @@ func FuzzFrame(f *testing.F) {
 			default:
 				t.Fatalf("decoder accepted frame with unknown type %q", m.Type)
 			}
+		}
+
+		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+			m, ok := parseResultFrame(line)
+			if !ok {
+				continue
+			}
+			var want Msg
+			if err := json.Unmarshal(line, &want); err != nil {
+				t.Fatalf("result parser accepted %q, which encoding/json rejects: %v", line, err)
+			}
+			if !reflect.DeepEqual(m, want) {
+				t.Fatalf("result parser decoded %q to %+v, encoding/json to %+v", line, m, want)
+			}
+		}
+
+		var payload bytes.Buffer
+		if json.Compact(&payload, data) != nil {
+			return
+		}
+		m := Msg{Type: TypeResult, Trial: trial, Data: payload.Bytes()}
+		got, err := appendMsg(nil, m)
+		if err != nil {
+			t.Fatalf("encode result frame of %q: %v", payload.Bytes(), err)
+		}
+		m.V = ProtocolVersion
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("result frame\n got %q\nwant %q", got, want)
 		}
 	})
 }

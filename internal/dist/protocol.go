@@ -16,7 +16,10 @@
 // coordinator sends a job header (spec, seed, shard identity, spec hash),
 // the worker answers with a hello echoing the verified hash, and then
 // explicit trial-index lists flow down and per-trial result payloads flow
-// back, each wave closed by a wavedone barrier message. The wave barrier is
+// back, each wave closed by a wavedone barrier message. The per-trial
+// result frame is the protocol's hot line, so it is encoded and parsed by
+// hand rather than by reflection, into the same bytes encoding/json writes;
+// every other message goes through encoding/json. The wave barrier is
 // the cross-process analogue of StreamAdaptive's dispatch window: after
 // folding a wave the coordinator evaluates the stopping predicate, writes a
 // checkpoint (caller aggregate state + next trial index + spec hash), and
@@ -27,12 +30,15 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 )
 
 // ProtocolVersion is the version tag every protocol line carries. Workers
@@ -118,21 +124,80 @@ type Msg struct {
 	Err string `json:"err,omitempty"`
 }
 
+// resultHead is the opening of a result frame up to its trial number:
+// the bytes json.Marshal writes for a Msg whose only non-zero fields are
+// V, Type, Trial and Data.
+var resultHead = []byte(`{"v":` + strconv.Itoa(ProtocolVersion) + `,"type":"` + TypeResult + `","trial":`)
+
+// resultDataKey separates a result frame's trial number from its payload.
+const resultDataKey = `,"data":`
+
+// resultTail closes a result frame and its line.
+const resultTail = "}\n"
+
 // writeMsg emits one protocol line. The marshaled message and its newline
 // go out in a single Write call, so concurrent pipes never interleave
 // partial lines.
 func writeMsg(w io.Writer, m Msg) error {
+	_, err := writeFrame(w, nil, m)
+	return err
+}
+
+// writeFrame is writeMsg building the line in buf, reused across calls: it
+// returns the grown buffer for the next frame. A worker emitting one result
+// per trial through it allocates nothing in steady state.
+func writeFrame(w io.Writer, buf []byte, m Msg) ([]byte, error) {
+	buf, err := appendMsg(buf[:0], m)
+	if err != nil {
+		return buf, err
+	}
+	if _, err := w.Write(buf); err != nil {
+		return buf, fmt.Errorf("dist: write %s message: %w", m.Type, err)
+	}
+	return buf, nil
+}
+
+// appendMsg appends m's protocol line, newline included, to dst. The one
+// frame sent per trial — a result carrying only its trial number and
+// payload — is assembled by hand; every other message goes through
+// encoding/json. Both give the same bytes: the hand path is taken only
+// when json.Marshal would copy the payload verbatim.
+func appendMsg(dst []byte, m Msg) ([]byte, error) {
 	m.V = ProtocolVersion
+	if m.Type == TypeResult && m.Shard == 0 && m.Shards == 0 && m.Seed == 0 && m.Hash == "" &&
+		len(m.Spec) == 0 && m.Lo == 0 && m.Hi == 0 && len(m.Indices) == 0 && m.Err == "" &&
+		verbatimJSON(m.Data) {
+		dst = append(dst, resultHead...)
+		dst = strconv.AppendInt(dst, int64(m.Trial), 10)
+		dst = append(dst, resultDataKey...)
+		dst = append(dst, m.Data...)
+		return append(dst, resultTail...), nil
+	}
 	b, err := json.Marshal(m)
 	if err != nil {
-		return fmt.Errorf("dist: marshal %s message: %w", m.Type, err)
+		return dst, fmt.Errorf("dist: marshal %s message: %w", m.Type, err)
 	}
-	b = append(b, '\n')
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("dist: write %s message: %w", m.Type, err)
-	}
-	return nil
+	dst = append(dst, b...)
+	return append(dst, '\n'), nil
 }
+
+// verbatimJSON reports whether json.Marshal copies a json.RawMessage
+// unchanged: a valid JSON value with no whitespace for it to compact away
+// and none of the characters (<, >, &, U+2028, U+2029) its HTML-safe
+// encoder rewrites.
+func verbatimJSON(data []byte) bool {
+	for i, c := range data {
+		if rewritten[c] && (c != 0xE2 || i+2 < len(data) && data[i+1] == 0x80 && data[i+2]&^1 == 0xA8) {
+			return false
+		}
+	}
+	return json.Valid(data)
+}
+
+// rewritten marks the bytes that can make json.Marshal rewrite a raw
+// payload: whitespace, <, > and &, and 0xE2, which opens U+2028 and
+// U+2029 (E2 80 A8 and E2 80 A9).
+var rewritten = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, '<': true, '>': true, '&': true, 0xE2: true}
 
 // msgReader decodes protocol lines from a stream, with no fixed line-length
 // limit (result payloads can be large).
@@ -155,6 +220,9 @@ func (d *msgReader) next() (Msg, error) {
 		}
 		return Msg{}, fmt.Errorf("dist: read protocol line: %w", err)
 	}
+	if m, ok := parseResultFrame(line); ok {
+		return m, nil
+	}
 	var m Msg
 	if err := json.Unmarshal(line, &m); err != nil {
 		return Msg{}, fmt.Errorf("dist: bad protocol line %.80q: %w", line, err)
@@ -173,6 +241,46 @@ func (d *msgReader) next() (Msg, error) {
 		return Msg{}, fmt.Errorf("dist: unknown protocol message type %q", m.Type)
 	}
 	return m, nil
+}
+
+// parseResultFrame decodes, in one pass, a line in the canonical form
+// appendMsg writes for a result: {"v":V,"type":"result","trial":N,"data":P}
+// and a newline, with V = ProtocolVersion, N a decimal without sign or
+// leading zero that fits an int, and P a valid JSON value with no
+// whitespace around it. Data aliases line, which ReadBytes allocated for
+// this call alone. Any other line reports false and goes to encoding/json,
+// which decodes a canonical line to the same Msg, so the fast path changes
+// neither the accepted language nor the decoded messages.
+func parseResultFrame(line []byte) (Msg, bool) {
+	rest, ok := bytes.CutPrefix(line, resultHead)
+	if !ok {
+		return Msg{}, false
+	}
+	trial, i := 0, 0
+	for ; i < len(rest) && '0' <= rest[i] && rest[i] <= '9'; i++ {
+		d := int(rest[i] - '0')
+		if trial > (math.MaxInt-d)/10 {
+			return Msg{}, false
+		}
+		trial = trial*10 + d
+	}
+	if i == 0 || (rest[0] == '0' && i > 1) {
+		return Msg{}, false
+	}
+	rest, ok = bytes.CutPrefix(rest[i:], []byte(resultDataKey))
+	if !ok {
+		return Msg{}, false
+	}
+	data, ok := bytes.CutSuffix(rest, []byte(resultTail))
+	if !ok || len(data) == 0 || isSpace(data[0]) || isSpace(data[len(data)-1]) || !json.Valid(data) {
+		return Msg{}, false
+	}
+	return Msg{V: ProtocolVersion, Type: TypeResult, Trial: trial, Data: data}, true
+}
+
+// isSpace reports whether c is JSON insignificant whitespace.
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
 // HashSpec returns the hex SHA-256 of a job spec's wire bytes. Workers

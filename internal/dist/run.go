@@ -124,7 +124,8 @@ type coordinator struct {
 	done    int            // fold position
 
 	interrupted bool
-	fatal       error // unrecoverable failure; fold completable waves first
+	fatal       error       // unrecoverable failure; fold completable waves first
+	timer       *time.Timer // the event loop's deadline timer, reset per event
 
 	log   io.Writer
 	logMu sync.Mutex
@@ -406,9 +407,15 @@ func (co *coordinator) reader(shard, gen int, r io.ReadCloser) {
 func (co *coordinator) awaitEvent() {
 	var timerC <-chan time.Time
 	if dl, ok := co.nextDeadline(); ok {
-		t := time.NewTimer(time.Until(dl))
-		defer t.Stop()
-		timerC = t.C
+		// One timer serves the whole run. Since Go 1.23 a timer's channel
+		// is unbuffered and Reset discards any tick of the previous
+		// setting, so a stale deadline cannot fire into this select.
+		if co.timer == nil {
+			co.timer = time.NewTimer(time.Until(dl))
+		} else {
+			co.timer.Reset(time.Until(dl))
+		}
+		timerC = co.timer.C
 	}
 	select {
 	case sm := <-co.msgs:
@@ -886,6 +893,9 @@ func (co *coordinator) logf(format string, args ...any) {
 // period — hung mid-protocol, holding their streams open — are
 // force-killed, so cleanup cannot deadlock.
 func (co *coordinator) cleanup() {
+	if co.timer != nil {
+		co.timer.Stop()
+	}
 	var live []*Conn
 	for _, s := range co.slots {
 		if s.conn == nil {

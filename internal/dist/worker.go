@@ -9,8 +9,9 @@ import (
 // calling emit exactly once per index with the trial's encoded payload.
 // Implementations must be index-deterministic — the payload for index i may
 // depend only on the job spec, the seed, and i — and may emit in any order;
-// the coordinator reorders by global index before folding. A returned error
-// aborts the whole distributed run.
+// the coordinator reorders by global index before folding. emit has written
+// the payload by the time it returns, so a runner may reuse one encode
+// buffer for every trial. A returned error aborts the whole distributed run.
 type TrialRunner func(indices []int, emit func(trial int, data []byte)) error
 
 // BuildRunner constructs a TrialRunner from a job spec and the trial-stream
@@ -62,6 +63,7 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 		return err
 	}
 
+	var frame []byte // result-frame buffer, reused for every trial
 	for {
 		m, err := dec.next()
 		if err != nil {
@@ -78,7 +80,7 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 			emitted := make([]int, 0, len(m.Indices))
 			err := runner(m.Indices, func(trial int, data []byte) {
 				if emitErr == nil {
-					emitErr = writeMsg(w, Msg{Type: TypeResult, Trial: trial, Data: data})
+					frame, emitErr = writeFrame(w, frame, Msg{Type: TypeResult, Trial: trial, Data: data})
 				}
 				emitted = append(emitted, trial)
 			})

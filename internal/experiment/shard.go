@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 
@@ -208,21 +209,71 @@ func (r ShardResult) Interactions() u128.U128 {
 	return u128.U128{Hi: r.InteractionsHi, Lo: r.InteractionsLo}
 }
 
-// PhaseTimes reassembles the tracked run's phase end times from the wire
-// fields; the zero Times is returned for untracked results.
-func (r ShardResult) PhaseTimes() phase.Times {
-	t := phase.NewTimes()
-	t.LeaderAtT2 = r.LeaderAtT2
-	for i := 0; i < phase.Count && i < len(r.PhaseEnded); i++ {
-		if !r.PhaseEnded[i] {
-			continue
+// AppendJSON appends r's wire encoding to dst and returns the extended
+// slice. The bytes equal json.Marshal(r)'s for every value; the encoding is
+// assembled field by field without reflection, and only an Outcome string
+// that needs escaping takes encoding/json's path (and allocates), so a
+// worker encoding into a reused buffer emits each trial allocation-free.
+func (r ShardResult) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"interactions_hi":`...)
+	dst = strconv.AppendUint(dst, r.InteractionsHi, 10)
+	dst = append(dst, `,"interactions_lo":`...)
+	dst = strconv.AppendUint(dst, r.InteractionsLo, 10)
+	dst = append(dst, `,"winner":`...)
+	dst = strconv.AppendInt(dst, int64(r.Winner), 10)
+	dst = append(dst, `,"initial_leader":`...)
+	dst = strconv.AppendInt(dst, int64(r.InitialLeader), 10)
+	dst = append(dst, `,"outcome":`...)
+	dst = appendJSONString(dst, r.Outcome)
+	if len(r.PhaseEndsHi) > 0 {
+		dst = appendUints(append(dst, `,"phase_ends_hi":`...), r.PhaseEndsHi)
+	}
+	if len(r.PhaseEndsLo) > 0 {
+		dst = appendUints(append(dst, `,"phase_ends_lo":`...), r.PhaseEndsLo)
+	}
+	if len(r.PhaseEnded) > 0 {
+		dst = append(dst, `,"phase_ended":[`...)
+		for i, e := range r.PhaseEnded {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendBool(dst, e)
 		}
-		t.Ended[i] = true
-		if i < len(r.PhaseEndsHi) && i < len(r.PhaseEndsLo) {
-			t.End[i] = u128.U128{Hi: r.PhaseEndsHi[i], Lo: r.PhaseEndsLo[i]}
+		dst = append(dst, ']')
+	}
+	if r.LeaderAtT2 != 0 {
+		dst = append(dst, `,"leader_at_t2":`...)
+		dst = strconv.AppendInt(dst, int64(r.LeaderAtT2), 10)
+	}
+	return append(dst, '}')
+}
+
+// appendUints appends a JSON array of unsigned integers.
+func appendUints(dst []byte, vs []uint64) []byte {
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, v, 10)
+	}
+	return append(dst, ']')
+}
+
+// appendJSONString appends s as a JSON string, byte-identical to
+// json.Marshal(s): printable ASCII that encoding/json leaves alone is copied
+// between quotes, and anything it would escape (quotes, backslashes,
+// control bytes, the HTML-sensitive <>&, non-ASCII) is handed to it.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
 		}
 	}
-	return t
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // ShardBuilder returns the dist.BuildRunner that turns a USD job spec into
@@ -245,8 +296,8 @@ func ShardBuilder(parallelism int) dist.BuildRunner {
 		}
 		return func(indices []int, emit func(trial int, data []byte)) error {
 			// The trial closure runs on the worker pool's goroutines, so
-			// the first-error latch needs a lock (unlike emitErr below,
-			// which only the single in-order fold goroutine touches).
+			// the first-error latch needs a lock (unlike buf below, which
+			// only the single in-order fold goroutine touches).
 			var mu sync.Mutex
 			var firstErr error
 			trial := func(i int, src *rng.Source, a *Arena) ShardResult {
@@ -260,22 +311,14 @@ func ShardBuilder(parallelism int) dist.BuildRunner {
 				}
 				return r
 			}
-			var emitErr error
+			// One encode buffer for the wave: emit consumes each payload
+			// before returning, so the fold reuses it trial after trial.
+			var buf []byte
 			StreamIndices(indices, parallelism, seed, trial, func(i int, r ShardResult) {
-				if emitErr != nil {
-					return
-				}
-				data, err := json.Marshal(r)
-				if err != nil {
-					emitErr = err
-					return
-				}
-				emit(i, data)
+				buf = r.AppendJSON(buf[:0])
+				emit(i, buf)
 			})
-			if firstErr != nil {
-				return firstErr
-			}
-			return emitErr
+			return firstErr
 		}, nil
 	}
 }
