@@ -16,9 +16,9 @@
 // up to -maxtrials. K4-lower-bound is adaptive by construction and reads
 // -rel/-maxtrials directly.
 //
-// -shards N distributes supporting experiments' per-cell trials (currently
-// K4-lower-bound, whose billion-agent cells cost tens of seconds per
-// trial) across N worker processes: the binary re-executes itself in a
+// -shards N distributes supporting experiments' per-cell trials
+// (K3-many-opinions, and K4-lower-bound, whose billion-agent cells cost
+// tens of seconds per trial) across N worker processes: the binary re-executes itself in a
 // hidden worker mode and the internal/dist coordinator folds shard results
 // in global trial order, so the output tables are byte-identical to the
 // in-process run. -checkpoint DIR additionally persists each cell's fold
@@ -83,7 +83,7 @@ func run(args []string) error {
 		adaptive = fs.Bool("adaptive", false, "adaptive trial counts where supported (K3): stop each cell once its CI closes")
 		rel      = fs.Float64("rel", 0, "adaptive stopping target: relative CI half-width (0 = default 0.05)")
 		maxTri   = fs.Int("maxtrials", 0, "adaptive per-cell trial cap (0 = experiment default)")
-		shards   = fs.Int("shards", 0, "distribute supporting experiments' trials (K4) across N worker processes (0 = in-process; 1 = distributed engine with a single worker)")
+		shards   = fs.Int("shards", 0, "distribute supporting experiments' trials (K3, K4) across N worker processes (0 = in-process; 1 = distributed engine with a single worker)")
 		ckpt     = fs.String("checkpoint", "", "with -shards: directory for per-cell checkpoints, written after every wave and resumed from")
 		timeout  = fs.Duration("worker-timeout", 5*time.Minute, "with -shards: per-shard liveness deadline; a worker silent this long is declared hung and relaunched (0 = never)")
 		relaunch = fs.Int("max-relaunches", 0, "with -shards: per-shard worker relaunch budget (0 = default 3; -1 = fail fast on the first worker death)")
@@ -124,6 +124,9 @@ func run(args []string) error {
 	}
 	if *rel < 0 || *rel >= 1 {
 		return fmt.Errorf("-rel %v out of range [0, 1)", *rel)
+	}
+	if *trials < 0 {
+		return fmt.Errorf("-trials %d must be non-negative", *trials)
 	}
 	if *maxTri < 0 {
 		return fmt.Errorf("-maxtrials %d must be non-negative", *maxTri)

@@ -69,6 +69,11 @@ func TestAdaptiveFlagValidation(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "-maxtrials") {
 		t.Fatalf("negative -maxtrials accepted: %v", err)
 	}
+	if err := silence(t, func() error {
+		return run([]string{"-run", "K3-many-opinions", "-trials", "-4"})
+	}); err == nil || !strings.Contains(err.Error(), "-trials") {
+		t.Fatalf("negative -trials accepted: %v", err)
+	}
 }
 
 // TestRunK4Adaptive exercises the lower-bound experiment end to end through

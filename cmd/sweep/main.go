@@ -49,7 +49,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -64,7 +63,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/experiment"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -128,6 +126,9 @@ func run(args []string) error {
 	if *shards < 0 {
 		return fmt.Errorf("-shards %d must be non-negative", *shards)
 	}
+	if *trials < 0 || (*trials == 0 && !*adaptive) {
+		return fmt.Errorf("-trials %d must be positive", *trials)
+	}
 	if *timeout < 0 {
 		return fmt.Errorf("-worker-timeout %v must be non-negative", *timeout)
 	}
@@ -141,6 +142,11 @@ func run(args []string) error {
 		return fmt.Errorf("-hosts requires -shards")
 	}
 	if *ckpt != "" {
+		// Checkpointing rides on the sharded coordinator; a single worker
+		// process still checkpoints.
+		if *shards == 0 {
+			*shards = 1
+		}
 		// Create the prefix's directory up front: discovering it is
 		// missing only at the first post-wave write would discard exactly
 		// the work checkpointing exists to protect.
@@ -169,6 +175,9 @@ func run(args []string) error {
 	if adaptiveCap == 0 {
 		adaptiveCap = 4 * *trials
 	}
+	if *adaptive && adaptiveCap == 0 {
+		return fmt.Errorf("-adaptive with -trials 0 needs a positive -maxtrials")
+	}
 	n, err := parseCount(*nFlag)
 	if err != nil {
 		return fmt.Errorf("bad -n value %q: %w", *nFlag, err)
@@ -184,22 +193,31 @@ func run(args []string) error {
 	}
 	raw := strings.Split(*values, ",")
 
-	sc := shardedPointConfig{
-		shards:      *shards,
-		workers:     *workers,
-		trials:      *trials,
-		adaptiveCap: adaptiveCap,
-		rel:         *rel,
-		ckpt:        *ckpt,
-		timeout:     *timeout,
-		relaunches:  *relaunch,
-		hosts:       *hosts,
-		remoteCmd:   *remote,
+	// Every point runs through one cell runner (experiment.RunCell); the
+	// launcher, interrupt and fault-tolerance options only matter with
+	// -shards.
+	base := experiment.ShardRunOptions{
+		Shards:        *shards,
+		MaxTrials:     *trials,
+		Policy:        "fixed",
+		WorkerTimeout: *timeout,
+		MaxRelaunches: *relaunch,
 	}
-	if *shards >= 1 || *ckpt != "" {
+	if *adaptive {
+		base.MaxTrials, base.Policy = adaptiveCap, experiment.ConsensusPolicy(*rel)
+	}
+	if *shards >= 1 {
+		if *hosts != "" {
+			base.Launcher, err = dist.SSHFleetLauncher(dist.SplitHostList(*hosts), *remote, workerArgs(*workers)...)
+			if err != nil {
+				return err
+			}
+		} else {
+			base.Launcher = dist.SelfExecLauncher(workerArgs(*workers)...)
+		}
 		// Graceful interrupt: on SIGINT/SIGTERM the coordinator finishes the
 		// wave in flight and checkpoints, and the run exits resumable.
-		sc.interrupt = dist.InterruptOnSignal(os.Stderr)
+		base.Interrupt = dist.InterruptOnSignal(os.Stderr)
 	}
 
 	type row struct {
@@ -222,7 +240,6 @@ func run(args []string) error {
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("value %s with -variant %s: %w", vs, variant, err)
 		}
-		seed := *seed + uint64(vi)*1_000_003
 		st := &pointState{value: vs}
 		if *adaptive {
 			// Sequential stopping: keep sampling this point until the
@@ -231,18 +248,13 @@ func run(args []string) error {
 			st.Metric = experiment.NewAdaptiveMetric("consensus T",
 				experiment.ConsensusRule(*rel, adaptiveCap))
 		}
-		// The sharded engine (worker processes, wave barrier, optional
-		// checkpointing) and the in-process engine fold the same per-trial
-		// results in the same order, so the table below is byte-identical
-		// between them — the shard-determinism CI job relies on it.
-		// -shards 1 runs the distributed engine with a single worker, same
-		// as cmd/experiments; -checkpoint alone implies it.
-		if *shards >= 1 || *ckpt != "" {
-			if err := runPointSharded(st, cfg, variant, kern, seed, vi, sc); err != nil {
-				return err
-			}
-		} else {
-			runPointInProcess(st, cfg, variant, kern, seed, *workers, *trials, adaptiveCap)
+		opts := base
+		opts.Seed = *seed + uint64(vi)*1_000_003
+		if *ckpt != "" {
+			opts.Checkpoint = fmt.Sprintf("%s.point%d", *ckpt, vi)
+		}
+		if err := runPoint(st, experiment.NewShardSpec(cfg, variant, kern, core.NoBudget, 0, true), *workers, opts); err != nil {
+			return err
 		}
 		if st.FirstFail != "" {
 			return fmt.Errorf("%s", st.FirstFail)
@@ -301,8 +313,7 @@ type pointState struct {
 	Metric *experiment.AdaptiveMetric `json:"metric,omitempty"`
 }
 
-// fold accumulates one trial outcome; the fold sequence is identical
-// between the in-process and sharded paths.
+// fold accumulates one trial outcome.
 func (st *pointState) fold(i int, t float64, won bool, fail string) {
 	if fail != "" {
 		if st.FirstFail == "" {
@@ -319,114 +330,21 @@ func (st *pointState) fold(i int, t float64, won bool, fail string) {
 	}
 }
 
-// runPointInProcess folds one sweep point on the shared-arena engine.
-func runPointInProcess(st *pointState, cfg *usd.Config, variant core.Variant, kern core.Kernel, seed uint64, workers, trials, adaptiveCap int) {
-	// Hoisted so classic points keep the option-free (allocation-free)
-	// per-trial path and non-classic points allocate the option once.
-	var opts []core.Option
-	if !variant.Classic() {
-		dyn, err := variant.Dynamics()
-		if err != nil {
-			st.fold(0, 0, false, err.Error())
-			return
-		}
-		opts = []core.Option{core.WithDynamics(dyn)}
-	}
-	trial := func(i int, src *rng.Source, a *experiment.Arena) experiment.ShardResult {
-		report, err := experiment.RunTracked(a, cfg, src, core.NoBudget, 0, kern, opts...)
-		if err != nil {
-			return experiment.ShardResult{Outcome: err.Error()}
-		}
-		return experiment.ShardResult{
-			InteractionsHi: report.Result.Interactions.Hi,
-			InteractionsLo: report.Result.Interactions.Lo,
-			Winner:         report.Result.Winner,
-			InitialLeader:  report.InitialLeader,
-			Outcome:        report.Result.Outcome.String(),
-		}
-	}
-	sink := func(i int, r experiment.ShardResult) { foldShardResult(st, i, r) }
-	if st.Metric != nil {
-		experiment.StreamAdaptive(
-			experiment.AdaptiveOptions{MaxTrials: adaptiveCap, Parallelism: workers, Seed: seed},
-			trial, sink, experiment.StopWhenAll(st.Metric))
-		return
-	}
-	experiment.Stream(trials, workers, seed, trial, sink)
-}
-
-// shardedPointConfig carries the distributed-engine knobs shared by every
-// sweep point: the flag values plus the process-wide interrupt channel.
-type shardedPointConfig struct {
-	shards, workers     int
-	trials, adaptiveCap int
-	rel                 float64
-	ckpt                string
-	timeout             time.Duration
-	relaunches          int
-	hosts, remoteCmd    string
-	interrupt           <-chan struct{}
-}
-
-// launcher builds the point's worker launcher: an ssh fleet when -hosts was
-// given, this binary re-executed locally otherwise.
-func (sc shardedPointConfig) launcher() (dist.Launcher, error) {
-	if sc.hosts != "" {
-		return dist.SSHFleetLauncher(dist.SplitHostList(sc.hosts), sc.remoteCmd, workerArgs(sc.workers)...)
-	}
-	return dist.SelfExecLauncher(workerArgs(sc.workers)...), nil
-}
-
-// runPointSharded folds one sweep point through the distributed
-// coordinator: shard worker processes compute the trials, the coordinator
-// folds them in global trial order and (with a checkpoint prefix) persists
-// the fold after every wave. A run the user interrupted returns
+// runPoint folds one sweep point through the cell runner: in process, or
+// with -shards through worker processes whose results the coordinator folds
+// in global trial order, persisting the fold after every wave when the
+// point has a checkpoint. Both fold the same per-trial results in the same
+// order, so the table is byte-identical between them — the
+// shard-determinism CI job relies on it. A run the user interrupted returns
 // experiment.ErrInterrupted instead of printing a table built on a partial
 // fold.
-func runPointSharded(st *pointState, cfg *usd.Config, variant core.Variant, kern core.Kernel, seed uint64, point int, sc shardedPointConfig) error {
-	shards := sc.shards
-	if shards < 1 {
-		shards = 1
-	}
-	spec, err := experiment.NewShardSpec(cfg, variant, kern, core.NoBudget, 0, true).Encode()
-	if err != nil {
-		return err
-	}
-	maxTrials := sc.trials
-	policy := "fixed"
+func runPoint(st *pointState, spec experiment.ShardSpec, workers int, opts experiment.ShardRunOptions) error {
 	var stop func() bool
 	if st.Metric != nil {
-		maxTrials = sc.adaptiveCap
-		policy = experiment.ConsensusPolicy(sc.rel)
 		stop = experiment.StopWhenAll(st.Metric)
 	}
-	path := ""
-	if sc.ckpt != "" {
-		path = fmt.Sprintf("%s.point%d", sc.ckpt, point)
-	}
-	launcher, err := sc.launcher()
-	if err != nil {
-		return err
-	}
-	res, err := dist.Run(dist.Options{
-		Shards:         shards,
-		MaxTrials:      maxTrials,
-		Seed:           seed,
-		Spec:           spec,
-		Launcher:       launcher,
-		CheckpointPath: path,
-		Policy:         policy,
-		WorkerTimeout:  sc.timeout,
-		MaxRelaunches:  sc.relaunches,
-		Interrupt:      sc.interrupt,
-	}, func(i int, data []byte) error {
-		var r experiment.ShardResult
-		if err := json.Unmarshal(data, &r); err != nil {
-			return err
-		}
-		foldShardResult(st, i, r)
-		return nil
-	}, stop, dist.JSONState{V: st})
+	res, err := experiment.RunCell(spec, workers, opts,
+		func(i int, r experiment.ShardResult) { foldShardResult(st, i, r) }, stop, dist.JSONState{V: st})
 	if err != nil {
 		return err
 	}

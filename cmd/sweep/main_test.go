@@ -185,3 +185,31 @@ func TestSweepParallelismFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSweepTrialCountValidation pins that a non-positive trial budget fails
+// at flag parsing, naming the flag, on both engines.
+func TestSweepTrialCountValidation(t *testing.T) {
+	base := []string{"-param", "k", "-values", "2", "-n", "512"}
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-trials", "0"}, "-trials"},
+		{[]string{"-trials", "-3"}, "-trials"},
+		{[]string{"-trials", "0", "-shards", "2"}, "-trials"},
+		{[]string{"-trials", "-3", "-shards", "2"}, "-trials"},
+		{[]string{"-trials", "-3", "-adaptive", "-maxtrials", "5"}, "-trials"},
+		{[]string{"-trials", "0", "-adaptive"}, "-maxtrials"},
+		{[]string{"-trials", "0", "-adaptive", "-shards", "2"}, "-maxtrials"},
+	} {
+		err := silence(t, func() error { return run(append(append([]string(nil), base...), tc.args...)) })
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want a %s error", tc.args, err, tc.flag)
+		}
+	}
+	if err := silence(t, func() error {
+		return run(append(base, "-trials", "0", "-adaptive", "-maxtrials", "5"))
+	}); err != nil {
+		t.Fatalf("-trials 0 -adaptive -maxtrials 5: %v", err)
+	}
+}

@@ -42,15 +42,15 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("usdsim", flag.ContinueOnError)
 	var (
-		n      = fs.Int64("n", 1<<14, "population size")
-		k      = fs.Int("k", 8, "number of opinions")
-		u0     = fs.Int64("u0", 0, "initially undecided agents")
-		bias   = fs.Int64("bias", 0, "additive bias of Opinion 0 over the rest")
-		mult   = fs.Float64("mult", 0, "multiplicative bias of Opinion 0 (ratio > 1)")
-		zipf   = fs.Float64("zipf", 0, "Zipf exponent for power-law supports")
-		seed   = fs.Uint64("seed", 1, "random seed")
-		budget = fs.Float64("budget", 0, "interaction budget, accepts 1e20-style values (0 = run to consensus)")
-		plot   = fs.Bool("plot", false, "render an ASCII trajectory")
+		n       = fs.Int64("n", 1<<14, "population size")
+		k       = fs.Int("k", 8, "number of opinions")
+		u0      = fs.Int64("u0", 0, "initially undecided agents")
+		bias    = fs.Int64("bias", 0, "additive bias of Opinion 0 over the rest")
+		mult    = fs.Float64("mult", 0, "multiplicative bias of Opinion 0 (ratio > 1)")
+		zipf    = fs.Float64("zipf", 0, "Zipf exponent for power-law supports")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		budget  = fs.Float64("budget", 0, "interaction budget, accepts 1e20-style values (0 = run to consensus)")
+		plot    = fs.Bool("plot", false, "render an ASCII trajectory")
 		kernel  = fs.String("kernel", "exact", "stepping kernel: exact, batched, or auto")
 		tol     = fs.Float64("tol", 0, "batched/auto-kernel drift tolerance (0 = default)")
 		varSpec = fs.String("variant", "", "dynamics variant spec: classic, stubborn:b0,b1,..., or unconstrained (empty = classic)")

@@ -3,24 +3,12 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"math"
-	"path/filepath"
 
 	"repro/internal/bounds"
 	"repro/internal/conf"
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
-
-// k4CheckpointPath returns the per-cell checkpoint path of a sharded K4
-// cell, or "" when checkpointing is off.
-func k4CheckpointPath(dir string, n int64, k int) string {
-	if dir == "" {
-		return ""
-	}
-	return filepath.Join(dir, fmt.Sprintf("K4-lower-bound.n%d.k%d.ckpt", n, k))
-}
 
 // k4LowerBound exploits the regime the raised conf.MaxN unlocked: population
 // sizes n ∈ (2·10⁹, 3·10⁹], where the almost-tight lower bound of El-Hayek,
@@ -31,8 +19,9 @@ func k4CheckpointPath(dir string, n int64, k int) string {
 // constant inside the (UpperConst/LowerConst)·ln ln n envelope.
 //
 // Trials at these sizes cost seconds to tens of seconds each, so the cell
-// budget is adaptive by construction: trials stream through StreamAdaptive
-// and halt as soon as the consensus-time CI closes below the relative
+// budget is adaptive by construction: each cell folds its trials through
+// the cell runner (RunCell, in process or sharded per Params.Shards) and
+// halts as soon as the consensus-time CI closes below the relative
 // half-width target (Params.RelWidth, default ±5% at 95%), with
 // Params.MaxTrials as the hard cap — the self-budgeting machinery this
 // experiment exists to exercise.
@@ -74,61 +63,12 @@ func k4LowerBound() Experiment {
 						return err
 					}
 					metric := NewAdaptiveMetric("consensus T", p.consensusRule(maxTrials))
-					failed := 0
-					cellSeed := p.Seed + uint64(n)*31 + uint64(k)*1_000_003
-					var res AdaptiveResult
-					if p.Shards >= 1 {
-						// Distributed cell: the coordinator folds shard
-						// results in global trial order and evaluates the
-						// same stopping rule after every fold, so the table
-						// below is byte-identical to the in-process branch.
-						dres, dfailed, err := RunShardedConsensus(
-							NewShardSpec(cfg, core.Variant{}, core.KernelBatched(0), core.NoBudget, 0, false),
-							metric,
-							ShardRunOptions{
-								Shards:        p.Shards,
-								MaxTrials:     maxTrials,
-								Seed:          cellSeed,
-								Launcher:      p.ShardLauncher,
-								Checkpoint:    k4CheckpointPath(p.CheckpointDir, n, k),
-								Policy:        ConsensusPolicy(rel),
-								WorkerTimeout: p.WorkerTimeout,
-								MaxRelaunches: p.MaxRelaunches,
-								Interrupt:     p.Interrupt,
-							})
-						if err != nil {
-							return fmt.Errorf("n=%d k=%d sharded cell: %w", n, k, err)
-						}
-						if dres.Interrupted {
-							// Stop at the cell boundary instead of printing a
-							// table built on a partial fold; the cell's
-							// checkpoint carries the progress.
-							return fmt.Errorf("n=%d k=%d: %w", n, k, ErrInterrupted)
-						}
-						res = AdaptiveResult{Trials: dres.Trials, Stopped: dres.Stopped}
-						failed = dfailed
-					} else {
-						res = StreamAdaptive(
-							AdaptiveOptions{
-								MaxTrials:   maxTrials,
-								Parallelism: p.Parallelism,
-								Seed:        cellSeed,
-							},
-							func(i int, src *rng.Source, a *Arena) float64 {
-								t, _, err := consensusTime(a, cfg, src, core.NoBudget, core.KernelBatched(0))
-								if err != nil {
-									return math.NaN()
-								}
-								return t.Float64()
-							},
-							func(_ int, t float64) {
-								if math.IsNaN(t) {
-									failed++
-									return
-								}
-								metric.Add(t)
-							},
-							StopWhenAll(metric))
+					res, failed, err := p.consensusCell(
+						NewShardSpec(cfg, core.Variant{}, core.KernelBatched(0), core.NoBudget, 0, false),
+						metric, maxTrials, p.Seed+uint64(n)*31+uint64(k)*1_000_003,
+						fmt.Sprintf("K4-lower-bound.n%d.k%d", n, k), ConsensusPolicy(rel))
+					if err != nil {
+						return fmt.Errorf("n=%d k=%d: %w", n, k, err)
 					}
 					if metric.Online.N() == 0 {
 						return fmt.Errorf("n=%d k=%d: all %d trials failed", n, k, res.Trials)

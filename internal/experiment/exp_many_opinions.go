@@ -59,16 +59,20 @@ func k3ManyOpinions() Experiment {
 					{0.25, []int64{1_000_000, 10_000_000, 100_000_000, 1_000_000_000}},
 					{0.5, []int64{10_000, 100_000, 1_000_000}},
 				})
-			trials := p.trials(5)
-			// Adaptive mode (Params.Adaptive) replaces the fixed per-cell
-			// count with sequential stopping: a higher cap, spent only where
-			// the consensus-time CI stays wide — the cheap way to tighten
-			// the per-ε exponent fits below.
-			adaptiveCap := p.maxTrials(20)
-			trialDesc := fmt.Sprintf("%d trials per cell", trials)
+			// A fixed cell's metric has no rule, so it never stops before
+			// the count. Adaptive mode (Params.Adaptive) replaces the count
+			// with sequential stopping: a higher cap, spent only where the
+			// consensus-time CI stays wide — the cheap way to tighten the
+			// per-ε exponent fits below.
+			trials, policy := p.trials(5), "fixed"
+			var rule stats.StoppingRule
+			trialDesc, capSuffix := fmt.Sprintf("%d trials per cell", trials), ""
 			if p.Adaptive {
+				trials = p.maxTrials(20)
+				rule, policy = p.consensusRule(trials), ConsensusPolicy(p.relWidth())
 				trialDesc = fmt.Sprintf("adaptive trials (±%.0f%% CI, cap %d) per cell",
-					100*p.relWidth(), adaptiveCap)
+					100*p.relWidth(), trials)
+				capSuffix = fmt.Sprintf("/%d", trials)
 			}
 			tbl := NewTable(
 				fmt.Sprintf("Many-opinions regime, uniform start, batched kernel (tol %g), %s:",
@@ -90,44 +94,15 @@ func k3ManyOpinions() Experiment {
 					}
 					// Stream the cell: only the online aggregates are held,
 					// never the per-trial results.
-					var agg stats.Online
-					med := stats.NewP2(0.5)
-					failed := 0
-					seed := p.Seed + uint64(n)*13 + uint64(g.eps*1000)
-					trial := func(i int, src *rng.Source, a *Arena) float64 {
-						t, _, err := consensusTime(a, cfg, src, core.NoBudget, core.KernelBatched(0))
-						if err != nil {
-							return math.NaN()
-						}
-						return t.Float64()
+					metric := NewAdaptiveMetric("consensus T", rule)
+					res, failed, err := p.consensusCell(
+						NewShardSpec(cfg, core.Variant{}, core.KernelBatched(0), core.NoBudget, 0, false),
+						metric, trials, p.Seed+uint64(n)*13+uint64(g.eps*1000),
+						fmt.Sprintf("K3-many-opinions.eps%g.n%d", g.eps, n), policy)
+					if err != nil {
+						return fmt.Errorf("eps=%g n=%d: %w", g.eps, n, err)
 					}
-					trialCell := fmt.Sprintf("%d", trials)
-					if p.Adaptive {
-						metric := NewAdaptiveMetric("consensus T", p.consensusRule(adaptiveCap))
-						res := StreamAdaptive(
-							AdaptiveOptions{MaxTrials: adaptiveCap, Parallelism: p.Parallelism, Seed: seed},
-							trial,
-							func(_ int, t float64) {
-								if math.IsNaN(t) {
-									failed++
-									return
-								}
-								metric.Add(t)
-							},
-							StopWhenAll(metric))
-						agg, med = metric.Online, metric.Median
-						trialCell = fmt.Sprintf("%d/%d", res.Trials, adaptiveCap)
-					} else {
-						Stream(trials, p.Parallelism, seed, trial,
-							func(_ int, t float64) {
-								if math.IsNaN(t) {
-									failed++
-									return
-								}
-								agg.Add(t)
-								med.Add(t)
-							})
-					}
+					agg, med := &metric.Online, metric.Median
 					if agg.N() == 0 {
 						return fmt.Errorf("eps=%g n=%d: all trials failed", g.eps, n)
 					}
@@ -136,8 +111,8 @@ func k3ManyOpinions() Experiment {
 							g.eps, n, failed)
 					}
 					norm := agg.Mean() / (float64(k) * float64(n) * math.Log(float64(n)))
-					tbl.AddRowf(g.eps, n, k, trialCell, agg.Mean(), agg.Std(), med.Value(),
-						agg.Mean()/float64(n), norm)
+					tbl.AddRowf(g.eps, n, k, fmt.Sprintf("%d%s", res.Trials, capSuffix),
+						agg.Mean(), agg.Std(), med.Value(), agg.Mean()/float64(n), norm)
 					fd.xs = append(fd.xs, float64(n))
 					fd.ys = append(fd.ys, agg.Mean())
 				}

@@ -8,6 +8,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -55,13 +56,12 @@ type Params struct {
 	// default. A positive Trials overrides both (fixed and adaptive runs
 	// then use the same count ceiling, which keeps -quick smoke runs cheap).
 	MaxTrials int
-	// Shards distributes supporting experiments' per-cell trials across
-	// this many worker processes through the internal/dist coordinator
-	// (currently K4-lower-bound, the billion-agent workload sharding was
-	// built for). 0 keeps cells in-process; 1 runs the distributed engine
-	// with a single worker (still useful for checkpointing). Sharded and
-	// in-process runs of the same cell are byte-identical at every shard
-	// count.
+	// Shards distributes supporting experiments' per-cell trials (K3 and
+	// K4) across this many worker processes through the internal/dist
+	// coordinator. 0 keeps cells in-process; 1 runs the distributed engine
+	// with a single worker (still useful for checkpointing). Every cell
+	// runs one trial function through RunCell whatever the shard count, so
+	// sharded and in-process runs of the same cell are byte-identical.
 	Shards int
 	// ShardLauncher starts shard workers; required when Shards >= 1.
 	// cmd/experiments wires a dist.ExecLauncher that re-executes the
@@ -143,6 +143,37 @@ func (p Params) consensusRule(cap int) stats.StoppingRule {
 // is bound separately, via the coordinator's MaxTrials check).
 func ConsensusPolicy(rel float64) string {
 	return fmt.Sprintf("consensus-rule rel=%g level=%g min=%d", rel, DefaultCILevel, MinAdaptiveTrials)
+}
+
+// consensusCell runs one consensus-time cell of an experiment on p's engine
+// (see RunCell): in process at p.Parallelism when p.Shards is 0, across
+// p.Shards workers otherwise, with a per-cell checkpoint named cell under
+// p.CheckpointDir when that is set. Trials fold into metric; the cell stops
+// when the metric's rule fires (never, for a nil rule) or after maxTrials.
+// It returns the run result and the count of trials that did not reach
+// consensus, and ErrInterrupted when p.Interrupt stopped the cell.
+func (p Params) consensusCell(spec ShardSpec, metric *AdaptiveMetric, maxTrials int, seed uint64, cell, policy string) (dist.Result, int, error) {
+	ckpt := ""
+	if p.CheckpointDir != "" {
+		ckpt = filepath.Join(p.CheckpointDir, cell+".ckpt")
+	}
+	res, failed, err := runConsensusCell(spec, p.Parallelism, metric, ShardRunOptions{
+		Shards:        p.Shards,
+		MaxTrials:     maxTrials,
+		Seed:          seed,
+		Launcher:      p.ShardLauncher,
+		Checkpoint:    ckpt,
+		Policy:        policy,
+		WorkerTimeout: p.WorkerTimeout,
+		MaxRelaunches: p.MaxRelaunches,
+		Interrupt:     p.Interrupt,
+	})
+	if err == nil && res.Interrupted {
+		// Stop at the cell boundary instead of printing a table built on a
+		// partial fold; the cell's checkpoint carries the progress.
+		err = ErrInterrupted
+	}
+	return res, failed, err
 }
 
 // trials returns the effective trial count given a default.

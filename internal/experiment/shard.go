@@ -28,8 +28,8 @@ var ErrInterrupted = errors.New("interrupted: checkpoint written, rerun the same
 // (internal/dist): the versioned job specification a coordinator broadcasts
 // to shard workers, the exact integer wire form of a trial result, the
 // worker entry point the cmds' hidden -shard-worker mode routes into, and
-// the coordinator-side helper that runs a sharded adaptive consensus cell
-// byte-identically to the in-process StreamAdaptive path.
+// the cell runner (RunCell) through which every cell runs that same trial
+// function, in process or sharded.
 
 // ShardSpecKind is the job-spec discriminator of the USD trial family.
 // v3 added the dynamics variant selection (Variant, Stubborn) introduced by
@@ -283,44 +283,72 @@ func appendJSONString(dst []byte, s string) []byte {
 // wall-clock only.
 func ShardBuilder(parallelism int) dist.BuildRunner {
 	return func(spec []byte, seed uint64) (dist.TrialRunner, error) {
-		s, cfg, kern, dyn, err := decodeShardSpec(spec)
+		c, err := newCellTrials(spec)
 		if err != nil {
 			return nil, err
 		}
-		// One option slice per runner, nil for classic: the classic fleet
-		// path stays exactly the option-free arena reset it was before the
-		// variant engine (and allocation-free per trial).
-		var opts []core.Option
-		if dyn != core.Classic {
-			opts = []core.Option{core.WithDynamics(dyn)}
-		}
 		return func(indices []int, emit func(trial int, data []byte)) error {
-			// The trial closure runs on the worker pool's goroutines, so
-			// the first-error latch needs a lock (unlike buf below, which
-			// only the single in-order fold goroutine touches).
-			var mu sync.Mutex
-			var firstErr error
-			trial := func(i int, src *rng.Source, a *Arena) ShardResult {
-				r, err := runShardTrial(s, cfg, kern, src, a, opts...)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("trial %d: %w", i, err)
-					}
-					mu.Unlock()
-				}
-				return r
-			}
 			// One encode buffer for the wave: emit consumes each payload
 			// before returning, so the fold reuses it trial after trial.
 			var buf []byte
-			StreamIndices(indices, parallelism, seed, trial, func(i int, r ShardResult) {
+			w := &cellWave{cellTrials: c}
+			StreamIndices(indices, parallelism, seed, w.trial, func(i int, r ShardResult) {
 				buf = r.AppendJSON(buf[:0])
 				emit(i, buf)
 			})
-			return firstErr
+			return w.err
 		}, nil
 	}
+}
+
+// cellTrials is a decoded job spec: the one trial function (cellWave.trial)
+// every cell runs, on a shard worker (ShardBuilder) or in process (RunCell
+// with Shards 0).
+type cellTrials struct {
+	spec ShardSpec
+	cfg  *conf.Config
+	kern core.Kernel
+	// opts is nil for classic: the classic fleet path stays the option-free
+	// (allocation-free) arena reset.
+	opts []core.Option
+}
+
+// newCellTrials decodes wire spec bytes into the cell's trial function.
+func newCellTrials(spec []byte) (*cellTrials, error) {
+	s, cfg, kern, dyn, err := decodeShardSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	c := &cellTrials{spec: s, cfg: cfg, kern: kern}
+	if dyn != core.Classic {
+		c.opts = []core.Option{core.WithDynamics(dyn)}
+	}
+	return c, nil
+}
+
+// cellWave is one run of a cell's trials on the trial engine — a worker
+// wave, or a whole in-process cell — with its first-error latch.
+type cellWave struct {
+	*cellTrials
+	// The trial method runs on the worker pool's goroutines, so the latch
+	// needs a lock; the engine returns only after every trial has, so the
+	// caller then reads err without one.
+	mu  sync.Mutex
+	err error
+}
+
+// trial runs trial i of the spec on the worker's arena, latching the first
+// error.
+func (w *cellWave) trial(i int, src *rng.Source, a *Arena) ShardResult {
+	r, err := runShardTrial(w.spec, w.cfg, w.kern, src, a, w.opts...)
+	if err != nil {
+		w.mu.Lock()
+		if w.err == nil {
+			w.err = fmt.Errorf("trial %d: %w", i, err)
+		}
+		w.mu.Unlock()
+	}
+	return r
 }
 
 // runShardTrial executes one trial of the spec on the worker's arena.
@@ -385,11 +413,15 @@ type ConsensusCellState struct {
 	Failed int `json:"failed"`
 }
 
-// ShardRunOptions configure one sharded cell run.
+// ShardRunOptions configure one cell run (RunCell, RunShardedConsensus).
+// Every option past MaxTrials and Seed configures the distributed engine
+// and is ignored in process, where a cell runs the same trial function on
+// the calling process's worker pool.
 type ShardRunOptions struct {
-	// Shards is the worker-process count.
+	// Shards is the worker-process count; 0 runs the cell in process.
 	Shards int
-	// MaxTrials is the adaptive trial cap.
+	// MaxTrials is the trial budget: the fixed count without a stopping
+	// predicate, the cap with one. It must be positive.
 	MaxTrials int
 	// Wave is the dispatch wave size (0 = dist.DefaultWave): the stop-check
 	// barrier and checkpoint granularity.
@@ -398,7 +430,8 @@ type ShardRunOptions struct {
 	Seed uint64
 	// Launcher starts the workers (see Params.ShardLauncher).
 	Launcher dist.Launcher
-	// Checkpoint, when non-empty, is the cell's checkpoint path.
+	// Checkpoint, when non-empty, is the cell's checkpoint path; it needs
+	// Shards >= 1.
 	Checkpoint string
 	// Policy is the stopping-policy identity recorded in checkpoints
 	// (see dist.Options.Policy); typically ConsensusPolicy(rel).
@@ -422,32 +455,37 @@ type ShardRunOptions struct {
 	Log io.Writer
 }
 
-// RunShardedConsensus distributes an adaptive consensus-time cell across
-// worker processes: trials of spec fold into metric in global trial-index
-// order until the metric's stopping rule fires or opts.MaxTrials is
-// reached. It is the distributed equivalent of the StreamAdaptive loop the
-// experiments run in process, and produces byte-identical aggregates and
-// trial counts at every shard count. It returns the run result and the
-// number of folded trials that did not reach consensus.
-func RunShardedConsensus(spec ShardSpec, metric *AdaptiveMetric, opts ShardRunOptions) (dist.Result, int, error) {
+// RunCell runs one cell of spec: trials 0, 1, 2, … fold into fold in trial
+// order until stop (nil = never) fires or opts.MaxTrials trials have been
+// folded. Every cell runs the one trial function ShardBuilder serves to
+// workers: with opts.Shards 0 on this process's trial engine at the given
+// parallelism (0 = GOMAXPROCS), otherwise across opts.Shards worker
+// processes through dist.Run, whose payloads decode into the same
+// ShardResults — so a cell folds the same sequence at every shard count.
+// state is the fold state checkpointed by a sharded cell (see dist.Run);
+// a checkpoint with Shards 0 is an error.
+func RunCell(spec ShardSpec, parallelism int, opts ShardRunOptions, fold func(i int, r ShardResult), stop func() bool, state dist.State) (dist.Result, error) {
 	specBytes, err := spec.Encode()
 	if err != nil {
-		return dist.Result{}, 0, err
+		return dist.Result{}, err
 	}
-	state := &ConsensusCellState{Metric: metric}
-	sink := func(_ int, data []byte) error {
-		var r ShardResult
-		if err := json.Unmarshal(data, &r); err != nil {
-			return err
+	if opts.Shards == 0 {
+		if opts.Checkpoint != "" {
+			return dist.Result{}, fmt.Errorf("experiment: checkpoint %q needs the sharded engine (Shards >= 1)", opts.Checkpoint)
 		}
-		if !r.Consensus() {
-			state.Failed++
-			return nil
+		if opts.MaxTrials < 1 {
+			return dist.Result{}, fmt.Errorf("experiment: MaxTrials = %d, want >= 1", opts.MaxTrials)
 		}
-		state.Metric.Add(r.Interactions().Float64())
-		return nil
+		c, err := newCellTrials(specBytes)
+		if err != nil {
+			return dist.Result{}, err
+		}
+		w := &cellWave{cellTrials: c}
+		res := StreamAdaptive(AdaptiveOptions{MaxTrials: opts.MaxTrials, Parallelism: parallelism, Seed: opts.Seed},
+			w.trial, fold, stop)
+		return dist.Result{Trials: res.Trials, Stopped: res.Stopped}, w.err
 	}
-	res, err := dist.Run(dist.Options{
+	return dist.Run(dist.Options{
 		Shards:         opts.Shards,
 		MaxTrials:      opts.MaxTrials,
 		Wave:           opts.Wave,
@@ -461,6 +499,37 @@ func RunShardedConsensus(spec ShardSpec, metric *AdaptiveMetric, opts ShardRunOp
 		Join:           opts.Join,
 		Interrupt:      opts.Interrupt,
 		Log:            opts.Log,
-	}, sink, StopWhenAll(state.Metric), dist.JSONState{V: state})
+	}, func(i int, data []byte) error {
+		var r ShardResult
+		if err := json.Unmarshal(data, &r); err != nil {
+			return err
+		}
+		fold(i, r)
+		return nil
+	}, stop, state)
+}
+
+// RunShardedConsensus runs an adaptive consensus-time cell: trials of spec
+// fold into metric in global trial-index order until the metric's stopping
+// rule fires or opts.MaxTrials is reached (a metric with a nil rule never
+// stops, giving the fixed-count run). It is RunCell's consensus fold at
+// parallelism GOMAXPROCS, so its aggregates and trial counts are
+// byte-identical at every shard count. It returns the run result and the
+// number of folded trials that did not reach consensus.
+func RunShardedConsensus(spec ShardSpec, metric *AdaptiveMetric, opts ShardRunOptions) (dist.Result, int, error) {
+	return runConsensusCell(spec, 0, metric, opts)
+}
+
+// runConsensusCell is RunShardedConsensus at a chosen in-process
+// parallelism; the experiments pass Params.Parallelism.
+func runConsensusCell(spec ShardSpec, parallelism int, metric *AdaptiveMetric, opts ShardRunOptions) (dist.Result, int, error) {
+	state := &ConsensusCellState{Metric: metric}
+	res, err := RunCell(spec, parallelism, opts, func(_ int, r ShardResult) {
+		if !r.Consensus() {
+			state.Failed++
+			return
+		}
+		state.Metric.Add(r.Interactions().Float64())
+	}, StopWhenAll(state.Metric), dist.JSONState{V: state})
 	return res, state.Failed, err
 }

@@ -664,3 +664,108 @@ func TestElasticFleetByteIdenticalToStreamAdaptive(t *testing.T) {
 		t.Fatalf("elastic fleet aggregates diverged:\n%s\nwant\n%s", got, want)
 	}
 }
+
+// TestRunCellFoldsIdenticallyAtEveryShardCount pins the one-cell-runner
+// property for every dynamics variant: RunCell in process (Shards 0) and
+// through 1 and 3 pipe workers folds the same ShardResult sequence, trial
+// count and stop flag, for fixed and adaptive cells alike.
+func TestRunCellFoldsIdenticallyAtEveryShardCount(t *testing.T) {
+	type cellCase struct {
+		name    string
+		n       int64
+		k       int
+		u0      int64
+		variant string
+		kern    core.Kernel
+		tracked bool
+	}
+	cases := []cellCase{
+		{"classic-tracked", 2000, 8, 0, "", core.KernelBatched(0), true},
+		{"stubborn", 4000, 2, 0, "stubborn:200,0", core.KernelExact, true},
+		{"unconstrained", 4000, 4, 1000, "unconstrained", core.KernelExact, true},
+	}
+	const cap = 16
+	for _, tc := range cases {
+		cfg, err := conf.Uniform(tc.n, tc.k, tc.u0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := core.ParseVariantSpec(tc.variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Configure(cfg)
+		spec := NewShardSpec(cfg, v, tc.kern, core.NoBudget, 0, tc.tracked)
+		for _, adaptive := range []bool{false, true} {
+			type outcome struct {
+				results []ShardResult
+				res     dist.Result
+			}
+			var want *outcome
+			for _, shards := range []int{0, 1, 3} {
+				var got outcome
+				var stop func() bool
+				var metric *AdaptiveMetric
+				if adaptive {
+					metric = NewAdaptiveMetric("decision T", ConsensusRule(0.1, cap))
+					stop = StopWhenAll(metric)
+				}
+				res, err := RunCell(spec, 2, ShardRunOptions{
+					Shards:    shards,
+					MaxTrials: cap,
+					Wave:      5,
+					Seed:      77,
+					Launcher:  &dist.PipeLauncher{Build: ShardBuilder(2)},
+				}, func(i int, r ShardResult) {
+					if i != len(got.results) {
+						t.Errorf("%s shards=%d: trial %d folded at position %d", tc.name, shards, i, len(got.results))
+					}
+					got.results = append(got.results, r)
+					if metric != nil && r.Decided() {
+						metric.Add(r.Interactions().Float64())
+					}
+				}, stop, nil)
+				if err != nil {
+					t.Fatalf("%s adaptive=%v shards=%d: %v", tc.name, adaptive, shards, err)
+				}
+				got.res = dist.Result{Trials: res.Trials, Stopped: res.Stopped}
+				if got.res.Trials != len(got.results) {
+					t.Fatalf("%s adaptive=%v shards=%d: reported %d trials, folded %d",
+						tc.name, adaptive, shards, got.res.Trials, len(got.results))
+				}
+				if !adaptive && got.res.Trials != cap {
+					t.Fatalf("%s fixed shards=%d: folded %d trials, want %d", tc.name, shards, got.res.Trials, cap)
+				}
+				if want == nil {
+					want = &got
+					continue
+				}
+				if !reflect.DeepEqual(got, *want) {
+					t.Fatalf("%s adaptive=%v: shards=%d folded %+v\nwant (shards=0) %+v",
+						tc.name, adaptive, shards, got, *want)
+				}
+			}
+			if adaptive && !want.res.Stopped {
+				t.Errorf("%s: the adaptive cell ran to its cap; widen the rule so the test exercises a stop", tc.name)
+			}
+		}
+	}
+}
+
+// TestRunCellInProcessRejectsCheckpoint pins that a checkpoint needs the
+// sharded engine: an in-process cell has no waves to persist.
+func TestRunCellInProcessRejectsCheckpoint(t *testing.T) {
+	cfg, err := conf.Uniform(1000, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := NewShardSpec(cfg, core.Variant{}, core.KernelExact, core.NoBudget, 0, false)
+	path := filepath.Join(t.TempDir(), "cell.ckpt")
+	var st foldCount
+	_, err = RunCell(spec, 1, ShardRunOptions{MaxTrials: 4, Checkpoint: path},
+		func(int, ShardResult) { t.Error("an in-process cell with a checkpoint folded a trial") },
+		nil, &st)
+	if err == nil || !strings.Contains(err.Error(), "Shards") {
+		t.Fatalf("err = %v, want a checkpoint-needs-shards error", err)
+	}
+}

@@ -108,12 +108,6 @@ func CheckIntervalFor(n int64, kern core.Kernel) int {
 // Option configures a Tracker.
 type Option func(*Tracker)
 
-// WithAlpha sets the significance constant α in the phase-2 threshold
-// α√(n ln n). The default is 1.
-func WithAlpha(alpha float64) Option {
-	return func(tr *Tracker) { tr.alpha = alpha }
-}
-
 // WithCheckInterval makes the tracker evaluate the (O(k)) end conditions
 // only every c observations, trading timing resolution for speed on large
 // runs. The default is 1 (every observation).
@@ -129,6 +123,8 @@ func WithCheckInterval(c int) Option {
 // productive event (and once before the run to classify the initial
 // configuration). The zero value is not usable; construct with NewTracker.
 type Tracker struct {
+	// alpha is the significance constant α in the phase-2 threshold
+	// α√(n ln n): 1, as in the paper; tests vary it.
 	alpha float64
 	every int
 	seen  int

@@ -140,7 +140,9 @@ func TestWithAlpha(t *testing.T) {
 	n := int64(1000)
 	gap := int64(100) // between alpha=1 (83.1) and alpha=2 (166.2) thresholds
 	mk := func(alpha float64) *Tracker {
-		return NewTracker(WithAlpha(alpha))
+		tr := NewTracker()
+		tr.alpha = alpha
+		return tr
 	}
 	// Phase 1 holds: 2u = 600 >= 1000 - 450 = 550. Top-two gap is exactly
 	// `gap`, between the alpha=1 and alpha=2 thresholds.
@@ -276,8 +278,9 @@ func TestCheckIntervalFor(t *testing.T) {
 
 func TestTrackerReset(t *testing.T) {
 	v := &fakeView{n: 100, u: 60, xs: []int64{30, 10}, t: 0}
-	tr := NewTracker(WithAlpha(2), WithCheckInterval(3))
-	fresh := NewTracker(WithAlpha(2), WithCheckInterval(3))
+	tr := NewTracker(WithCheckInterval(3))
+	fresh := NewTracker(WithCheckInterval(3))
+	tr.alpha, fresh.alpha = 2, 2
 
 	// Dirty the tracker: walk it to full consensus so every phase ends.
 	tr.ObserveNow(v)

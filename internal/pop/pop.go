@@ -223,9 +223,6 @@ func (e *Engine) Config() *conf.Config {
 	}
 }
 
-// Agent returns the state of agent i. Intended for tests and debugging.
-func (e *Engine) Agent(i int) State { return e.agents[i] }
-
 // IsConsensus reports whether all agents hold the same opinion.
 func (e *Engine) IsConsensus() bool {
 	if e.u != 0 {

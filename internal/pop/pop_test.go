@@ -105,7 +105,7 @@ func TestEngineInitialState(t *testing.T) {
 	// Agent vector layout: opinion 0 ×3, opinion 1 ×2, undecided ×1.
 	wantAgents := []State{1, 1, 1, 2, 2, Undecided}
 	for i, w := range wantAgents {
-		if got := e.Agent(i); got != w {
+		if got := e.agents[i]; got != w {
 			t.Fatalf("agent %d = %d, want %d", i, got, w)
 		}
 	}
@@ -131,7 +131,7 @@ func TestEngineCountsStayConsistent(t *testing.T) {
 			var u int64
 			counts := make([]int64, 3)
 			for i := int64(0); i < e.N(); i++ {
-				st := e.Agent(int(i))
+				st := e.agents[int(i)]
 				if st == Undecided {
 					u++
 				} else {
@@ -286,7 +286,7 @@ func TestRecordReplayIdentical(t *testing.T) {
 		e2.Step()
 	}
 	for i := int64(0); i < e1.N(); i++ {
-		if e1.Agent(int(i)) != e2.Agent(int(i)) {
+		if e1.agents[int(i)] != e2.agents[int(i)] {
 			t.Fatalf("replay diverged at agent %d", i)
 		}
 	}

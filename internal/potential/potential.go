@@ -59,19 +59,6 @@ func Significant(x, xmax, n int64, alpha float64) bool {
 	return float64(x) > float64(xmax)-SignificanceThreshold(n, alpha)
 }
 
-// SignificantCount returns the number of significant opinions in c.
-func SignificantCount(c *conf.Config, alpha float64) int {
-	_, xmax := c.Max()
-	n := c.N()
-	count := 0
-	for _, x := range c.Support {
-		if Significant(x, xmax, n, alpha) {
-			count++
-		}
-	}
-	return count
-}
-
 // UndecidedLowerBound returns the Lemma 4 floor that holds w.h.p. for all
 // t ∈ [T₁, n³]: u(t) ≥ n/2 − xmax(t)/2 − 8√(n ln n).
 func UndecidedLowerBound(n, xmax int64) float64 {
@@ -145,62 +132,4 @@ func OpinionProbs(c *conf.Config, i int) (up, down float64) {
 	u := float64(c.Undecided)
 	xi := float64(c.Support[i])
 	return u * xi / (n * n), xi * (n - u - xi) / (n * n)
-}
-
-// GapProbs returns the Observation 9 probabilities for the signed gap
-// Δ = xᵢ − xⱼ: the probability the gap increases by one and the probability
-// it decreases by one in a single interaction.
-func GapProbs(c *conf.Config, i, j int) (up, down float64) {
-	iUp, iDown := OpinionProbs(c, i)
-	jUp, jDown := OpinionProbs(c, j)
-	return iUp + jDown, iDown + jUp
-}
-
-// ConditionalUp returns ˜p₊ = p₊/(p₊+p₋), the probability that a productive
-// interaction increases the undecided count (Observation 7's subject).
-// It returns 0 when no interaction is productive.
-func ConditionalUp(c *conf.Config) float64 {
-	p := UndecidedProbs(c)
-	if p.Productive() == 0 {
-		return 0
-	}
-	return p.Up / p.Productive()
-}
-
-// DriftZ returns the exact expected one-step decrease E[Z(t) − Z(t+1)] of
-// the phase-1 potential, conditioning on which opinion gains or loses an
-// agent (the displayed computation in the proof of Lemma 1). Unlike the
-// paper's display, ties in the maximum are handled exactly: losing an agent
-// from a tied maximum does not change xmax, so the exact drift is at least
-// the paper's lower bound Z(t)/(2n).
-func DriftZ(c *conf.Config) float64 {
-	n := float64(c.N())
-	u := float64(c.Undecided)
-	_, xmaxInt := c.Max()
-	maxCount := 0
-	for _, xi := range c.Support {
-		if xi == xmaxInt {
-			maxCount++
-		}
-	}
-	var drift float64
-	for _, xi := range c.Support {
-		x := float64(xi)
-		// u decreases by one (an undecided responder adopts opinion i):
-		// Z increases by 2, minus 1 more if xmax also grows.
-		gain := 2.0
-		if xi == xmaxInt {
-			gain = 1.0
-		}
-		drift -= gain * x * u / (n * n)
-		// u increases by one (an i-responder becomes undecided):
-		// Z decreases by 2, unless xmax shrinks too, which requires i to
-		// be the unique maximum.
-		loss := 2.0
-		if xi == xmaxInt && maxCount == 1 {
-			loss = 1.0
-		}
-		drift += loss * x * (n - u - x) / (n * n)
-	}
-	return drift
 }

@@ -95,8 +95,15 @@ func TestSignificant(t *testing.T) {
 
 func TestSignificantCount(t *testing.T) {
 	c := mustConfig(t, []int64{5000, 4990, 1000}, 0)
-	if got := SignificantCount(c, 1); got != 2 {
-		t.Fatalf("SignificantCount = %d, want 2", got)
+	_, xmax := c.Max()
+	count := 0
+	for _, x := range c.Support {
+		if Significant(x, xmax, c.N(), 1) {
+			count++
+		}
+	}
+	if count != 2 {
+		t.Fatalf("%d significant opinions, want 2", count)
 	}
 }
 
@@ -232,7 +239,10 @@ func TestOpinionProbs(t *testing.T) {
 
 func TestGapProbs(t *testing.T) {
 	c := mustConfig(t, []int64{6, 3}, 1)
-	up, down := GapProbs(c, 0, 1)
+	// Observation 9: the gap x0 − x1 grows when 0 gains or 1 loses.
+	up0, down0 := OpinionProbs(c, 0)
+	up1, down1 := OpinionProbs(c, 1)
+	up, down := up0+down1, down0+up1
 	// up = u*x0/n² + x1*(n-u-x1)/n² = 6/100 + 18/100
 	if math.Abs(up-24.0/100) > 1e-12 {
 		t.Fatalf("gap up = %v", up)
@@ -255,18 +265,57 @@ func TestConditionalUpObservation7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ConditionalUp(c)
-	if got > 0.5-eps/2+1e-9 {
-		t.Fatalf("ConditionalUp = %v exceeds Observation 7 bound %v", got, 0.5-eps/2)
+	p := UndecidedProbs(c)
+	if got := p.Up / p.Productive(); got > 0.5-eps/2+1e-9 {
+		t.Fatalf("conditional up-probability %v exceeds Observation 7 bound %v", got, 0.5-eps/2)
 	}
 }
 
 func TestConditionalUpAbsorbing(t *testing.T) {
 	// Consensus: no productive interactions.
 	c := mustConfig(t, []int64{10}, 0)
-	if got := ConditionalUp(c); got != 0 {
-		t.Fatalf("ConditionalUp(consensus) = %v", got)
+	if got := UndecidedProbs(c).Productive(); got != 0 {
+		t.Fatalf("productive probability at consensus = %v", got)
 	}
+}
+
+// driftZ returns the exact expected one-step decrease E[Z(t) − Z(t+1)] of
+// the phase-1 potential, conditioning on which opinion gains or loses an
+// agent (the displayed computation in the proof of Lemma 1): the closed
+// form the brute-force and Lemma 1 tests below check. Unlike the
+// paper's display, ties in the maximum are handled exactly: losing an agent
+// from a tied maximum does not change xmax, so the exact drift is at least
+// the paper's lower bound Z(t)/(2n).
+func driftZ(c *conf.Config) float64 {
+	n := float64(c.N())
+	u := float64(c.Undecided)
+	_, xmaxInt := c.Max()
+	maxCount := 0
+	for _, xi := range c.Support {
+		if xi == xmaxInt {
+			maxCount++
+		}
+	}
+	var drift float64
+	for _, xi := range c.Support {
+		x := float64(xi)
+		// u decreases by one (an undecided responder adopts opinion i):
+		// Z increases by 2, minus 1 more if xmax also grows.
+		gain := 2.0
+		if xi == xmaxInt {
+			gain = 1.0
+		}
+		drift -= gain * x * u / (n * n)
+		// u increases by one (an i-responder becomes undecided):
+		// Z decreases by 2, unless xmax shrinks too, which requires i to
+		// be the unique maximum.
+		loss := 2.0
+		if xi == xmaxInt && maxCount == 1 {
+			loss = 1.0
+		}
+		drift += loss * x * (n - u - x) / (n * n)
+	}
+	return drift
 }
 
 // bruteDriftZ computes E[Z(t) − Z(t+1)] by full enumeration of all n²
@@ -313,7 +362,7 @@ func TestDriftZMatchesBruteForce(t *testing.T) {
 		mustConfig(t, []int64{2, 2, 2}, 3), // all tied
 	}
 	for _, c := range cases {
-		got := DriftZ(c)
+		got := driftZ(c)
 		want := bruteDriftZ(c)
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("config %v: DriftZ = %v, brute force %v", c, got, want)
@@ -335,7 +384,7 @@ func TestDriftZLowerBoundLemma1(t *testing.T) {
 		if z < 0 || c.Undecided >= n/2 {
 			t.Fatalf("test case out of Lemma 1 preconditions: %v", c)
 		}
-		if got := DriftZ(c); got < float64(z)/(2*float64(n))-1e-12 {
+		if got := driftZ(c); got < float64(z)/(2*float64(n))-1e-12 {
 			t.Fatalf("config %v: drift %v below Lemma 1 bound %v", c, got, float64(z)/(2*float64(n)))
 		}
 	}

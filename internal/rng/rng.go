@@ -78,16 +78,6 @@ func (r *Source) Reseed(seed uint64) {
 	r.pos = bufLen
 }
 
-// NewFromState returns a Source with exactly the given xoshiro256** state.
-// At least one word must be nonzero; an all-zero state is replaced by the
-// state derived from seed 0 to keep the generator non-degenerate.
-func NewFromState(state [4]uint64) *Source {
-	if state[0] == 0 && state[1] == 0 && state[2] == 0 && state[3] == 0 {
-		return New(0)
-	}
-	return &Source{s: state, pos: bufLen}
-}
-
 // Split returns a new Source whose stream is statistically independent of
 // the receiver's continuation. It consumes two outputs from the receiver.
 func (r *Source) Split() *Source {
@@ -545,14 +535,4 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSplitMix64KnownVector(t *testing.T) {
@@ -26,22 +25,12 @@ func TestXoshiroKnownState(t *testing.T) {
 	// xoshiro256** with state {1,2,3,4}: first output is
 	// rotl(2*5, 7)*9 = 11520; after the update s[1] becomes 0, so the
 	// second output is 0.
-	src := NewFromState([4]uint64{1, 2, 3, 4})
+	src := &Source{s: [4]uint64{1, 2, 3, 4}, pos: bufLen}
 	if got := src.Uint64(); got != 11520 {
 		t.Fatalf("first output = %d, want 11520", got)
 	}
 	if got := src.Uint64(); got != 0 {
 		t.Fatalf("second output = %d, want 0", got)
-	}
-}
-
-func TestNewFromStateAllZero(t *testing.T) {
-	src := NewFromState([4]uint64{})
-	ref := New(0)
-	for i := 0; i < 8; i++ {
-		if g, w := src.Uint64(), ref.Uint64(); g != w {
-			t.Fatalf("output %d: got %d, want %d (seed-0 fallback)", i, g, w)
-		}
 	}
 }
 
@@ -595,25 +584,6 @@ func TestMultinomialPanics(t *testing.T) {
 			}()
 			tc.fn()
 		})
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	src := New(13)
-	check := func(n uint8) bool {
-		m := int(n%50) + 1
-		p := src.Perm(m)
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

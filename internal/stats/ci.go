@@ -52,37 +52,6 @@ func StudentTCI(o *Online, level float64) CI {
 	return ci
 }
 
-// BernsteinCI returns the empirical-Bernstein confidence interval for the
-// mean of the samples folded into o (Audibert, Munos & Szepesvári 2009;
-// Maurer & Pontil 2009):
-//
-//	mean ± ( √(2·V·ln(3/α)/n) + 3·R·ln(3/α)/n ),   α = 1 − level,
-//
-// where V is the sample variance and R bounds the support range. Unlike the
-// Student-t interval it is non-asymptotic — valid at every n for bounded
-// samples — and its variance term makes it far tighter than Hoeffding on
-// low-variance streams. rang is the a-priori range bound R; pass rang <= 0
-// to fall back on the observed max − min, a heuristic that voids the formal
-// coverage guarantee but tracks it closely for concentrated distributions
-// (documented trade-off: consensus times have no hard upper bound, so the
-// observed range is the only range available). With fewer than two samples
-// the half-width is +Inf.
-func BernsteinCI(o *Online, level, rang float64) CI {
-	checkLevel(level)
-	ci := CI{Level: level, Mean: o.Mean(), Half: math.Inf(1)}
-	n := o.N()
-	if n < 2 {
-		return ci
-	}
-	if rang <= 0 {
-		rang = o.Max() - o.Min()
-	}
-	logTerm := math.Log(3 / (1 - level))
-	nf := float64(n)
-	ci.Half = math.Sqrt(2*o.Var()*logTerm/nf) + 3*rang*logTerm/nf
-	return ci
-}
-
 func checkLevel(level float64) {
 	if !(level > 0 && level < 1) {
 		panic("stats: confidence level outside (0, 1)")
@@ -333,15 +302,6 @@ func RelWidth(rel, level float64) StoppingRule {
 	checkLevel(level)
 	return StopFunc(func(o *Online) bool {
 		return StudentTCI(o, level).Rel() <= rel
-	})
-}
-
-// RelWidthBernstein is RelWidth with the empirical-Bernstein interval (range
-// bound rang; <= 0 uses the observed range, see BernsteinCI).
-func RelWidthBernstein(rel, level, rang float64) StoppingRule {
-	checkLevel(level)
-	return StopFunc(func(o *Online) bool {
-		return BernsteinCI(o, level, rang).Rel() <= rel
 	})
 }
 

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // ErrEmpty is returned when a computation needs at least one sample.
@@ -279,56 +278,4 @@ func ChiSquareUniform(observed []int64) (stat float64, dof int, err error) {
 		p[i] = 1 / float64(len(observed))
 	}
 	return ChiSquare(observed, p)
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	// Lo and Hi delimit the covered range.
-	Lo, Hi float64
-	// Counts holds one counter per bin; out-of-range samples land in the
-	// first or last bin.
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram returns a histogram with the given number of bins. bins must
-// be positive and lo < hi.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 || !(lo < hi) {
-		return nil, fmt.Errorf("stats: invalid histogram [%v, %v) with %d bins", lo, hi, bins)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}, nil
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	bin := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if bin < 0 {
-		bin = 0
-	}
-	if bin >= len(h.Counts) {
-		bin = len(h.Counts) - 1
-	}
-	h.Counts[bin]++
-	h.total++
-}
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() int64 { return h.total }
-
-// String renders the histogram as ASCII bars.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	var maxCount int64 = 1
-	for _, c := range h.Counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	width := float64(h.Hi-h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := strings.Repeat("#", int(40*float64(c)/float64(maxCount)))
-		fmt.Fprintf(&b, "[%10.3g, %10.3g) %8d %s\n", h.Lo+float64(i)*width, h.Lo+float64(i+1)*width, c, bar)
-	}
-	return b.String()
 }

@@ -274,37 +274,6 @@ func TestChiSquareErrors(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 5.5, 9.9, -3, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	want := []int64{3, 1, 1, 0, 2} // -3 clamps to bin 0, 42 clamps to bin 4
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("counts = %v, want %v", h.Counts, want)
-		}
-	}
-	if s := h.String(); !strings.Contains(s, "#") {
-		t.Fatalf("histogram rendering missing bars:\n%s", s)
-	}
-}
-
-func TestNewHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("zero bins accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("lo == hi accepted")
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	s, err := Summarize([]float64{1, 2, 3})
 	if err != nil {
