@@ -229,9 +229,9 @@ func TestCategoricalMatchesChainedLaw(t *testing.T) {
 		pAdopt := float64(s.u*d) / w.Float64()
 		for i := 0; i < windows; i++ {
 			if categorical {
-				s.sampleWindowCategorical(vals, w, m, d)
+				s.sampleWindowCategorical(vals, s.windowFloors(), w, m, d)
 			} else {
-				s.sampleWindowChained(vals, m, d, pAdopt)
+				s.sampleWindowChained(vals, s.windowFloors(), m, d, pAdopt)
 			}
 			for j := 0; j < k; j++ {
 				adoptTot[j] += s.batchCounts[j]
@@ -387,6 +387,32 @@ func skewedConfig(t testing.TB, n int64, k int) *conf.Config {
 	return c
 }
 
+// withFloors returns a copy of cfg with stubborn floors on every other
+// opinion (a third of its support, at least 1 where the support allows it)
+// and zero on the rest, so the undecide weights (xⱼ−bⱼ)(D−xⱼ) differ from
+// the classic ones on some categories and match them on others.
+func withFloors(cfg *conf.Config) *conf.Config {
+	c := *cfg
+	c.Stubborn = make([]int64, len(cfg.Support))
+	for j, x := range cfg.Support {
+		if j%2 == 0 {
+			c.Stubborn[j] = min(max(x/3, 1), x)
+		}
+	}
+	return &c
+}
+
+// windowVariants are the batchable window-law shapes the categorical tests
+// cover: classic (no floors) and stubborn with nonzero floors.
+var windowVariants = []struct {
+	name   string
+	dyn    Dynamics
+	config func(*conf.Config) *conf.Config
+}{
+	{"classic", Classic, func(c *conf.Config) *conf.Config { return c }},
+	{"stubborn", StubbornAgents, withFloors},
+}
+
 func TestCategoricalSelectsFirstCumAboveDraw(t *testing.T) {
 	// The guide table only picks where a draw's scan starts; it must never
 	// change which category the draw selects. Replay each seed through
@@ -395,49 +421,72 @@ func TestCategoricalSelectsFirstCumAboveDraw(t *testing.T) {
 	// same seed, and require identical per-category counts. The window
 	// sizes cover guides below, at and just above the 8-bucket minimum and
 	// at the table's cap; the populations cover draw spaces W below 2⁶⁴
-	// (n = 10³) and above it (n near MaxN), i.e. both Uint128n paths.
-	for _, n := range []int64{1000, conf.MaxN - 7} {
-		for _, k := range []int{1, 2, 32, 33} {
-			cfg := skewedConfig(t, n, k)
-			for _, m := range []int64{1, 8, 9, 12, 200, int64(16*k - 1)} {
-				seed := uint64(n) ^ uint64(k)<<32 ^ uint64(m)<<48
-				s := newSim(t, cfg, seed, WithKernel(KernelAuto(0)))
-				w := s.productiveWeight()
-				d := s.n - s.u
-				s.ensureBatchScratch(k)
-				vals := s.tree.View()
-				s.sampleWindowCategorical(vals, w, m, d)
+	// (n = 10³, the 64-bit sampler) and above it (n near MaxN, the 128-bit
+	// one); the variants cover zero and stubborn floors.
+	for _, v := range windowVariants {
+		for _, n := range []int64{1000, conf.MaxN - 7} {
+			for _, k := range []int{1, 2, 32, 33} {
+				cfg := v.config(skewedConfig(t, n, k))
+				for _, m := range []int64{1, 8, 9, 12, 200, int64(16*k - 1)} {
+					seed := uint64(n) ^ uint64(k)<<32 ^ uint64(m)<<48
+					s := newSim(t, cfg, seed, WithKernel(KernelAuto(0)), WithDynamics(v.dyn))
+					w := s.productiveWeight()
+					d := s.n - s.u
+					s.ensureBatchScratch(k)
+					vals := s.tree.View()
+					s.sampleWindowCategorical(vals, s.windowFloors(), w, m, d)
 
-				cum := make([]u128.U128, 2*k)
-				var c u128.U128
-				for j, x := range vals {
-					c = c.Add(u128.Mul64(uint64(s.u), uint64(x)))
-					cum[j] = c
-				}
-				for j, x := range vals {
-					c = c.Add(u128.Mul64(uint64(x), uint64(d-x)))
-					cum[k+j] = c
-				}
-				if c != w {
-					t.Fatalf("n=%d k=%d: cumulative total %v != W %v", n, k, c, w)
-				}
-				if (n < 1e6) != (w.Hi == 0) {
-					t.Fatalf("n=%d k=%d: W = %v on the wrong side of 2⁶⁴", n, k, w)
-				}
-				want := make([]int64, 2*k)
-				ref := rng.New(seed)
-				for e := int64(0); e < m; e++ {
-					r := ref.Uint128n(w)
-					idx := 0
-					for cum[idx].Leq(r) {
-						idx++
+					floors := make([]int64, k)
+					copy(floors, cfg.Stubborn)
+					cum := make([]u128.U128, 2*k)
+					var c u128.U128
+					for j, x := range vals {
+						c = c.Add(u128.Mul64(uint64(s.u), uint64(x)))
+						cum[j] = c
 					}
-					want[idx]++
-				}
-				for j, got := range s.batchCounts {
-					if got != want[j] {
-						t.Fatalf("n=%d k=%d m=%d: category %d drew %d, linear scan %d", n, k, m, j, got, want[j])
+					for j, x := range vals {
+						c = c.Add(u128.Mul64(uint64(x-floors[j]), uint64(d-x)))
+						cum[k+j] = c
 					}
+					if c != w {
+						t.Fatalf("%s n=%d k=%d: cumulative total %v != W %v", v.name, n, k, c, w)
+					}
+					if (n < 1e6) != (w.Hi == 0) {
+						t.Fatalf("%s n=%d k=%d: W = %v on the wrong side of 2⁶⁴", v.name, n, k, w)
+					}
+					want := make([]int64, 2*k)
+					ref := rng.New(seed)
+					for e := int64(0); e < m; e++ {
+						r := ref.Uint128n(w)
+						idx := 0
+						for cum[idx].Leq(r) {
+							idx++
+						}
+						want[idx]++
+					}
+					for j, got := range s.batchCounts {
+						if got != want[j] {
+							t.Fatalf("%s n=%d k=%d m=%d: category %d drew %d, linear scan %d", v.name, n, k, m, j, got, want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCategoricalWidthsDrawIdenticalWindows(t *testing.T) {
+	// Below narrowN the kernel draws categorical windows in 64-bit words;
+	// the 128-bit sampler must draw the identical window from the same
+	// seed, or trajectories would change with the width. Force the 128-bit
+	// path on states up to the width boundary, classic and stubborn.
+	for _, v := range windowVariants {
+		for _, n := range []int64{40, 1000, 1 << 20, narrowN - 1} {
+			for _, k := range []int{1, 2, 32, 33} {
+				cfg := v.config(skewedConfig(t, n, k))
+				for _, m := range []int64{1, 8, 12, 200, int64(16*k - 1)} {
+					seed := uint64(n) ^ uint64(k)<<32 ^ uint64(m)<<48
+					categoricalWidthsAgree(t, cfg, v.dyn, seed, m)
 				}
 			}
 		}
@@ -447,23 +496,27 @@ func TestCategoricalSelectsFirstCumAboveDraw(t *testing.T) {
 func BenchmarkCategoricalWindow(b *testing.B) {
 	// One categorical window at the small-n fleet shape (n = 10³, k = 32):
 	// the cumulative and guide build plus m draws, the per-window cost the
-	// auto kernel pays between leap-condition checks.
-	const n, k = 1000, 32
-	for _, m := range []int64{12, 200, 500} {
-		b.Run(benchName("m", int(m)), func(b *testing.B) {
-			s, err := New(skewedConfig(b, n, k), rng.New(1), WithKernel(KernelAuto(0)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			w := s.productiveWeight()
-			d := s.n - s.u
-			s.ensureBatchScratch(k)
-			vals := s.tree.View()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.sampleWindowCategorical(vals, w, m, d)
-			}
-		})
+	// auto kernel pays between leap-condition checks. The n = MaxN − 7 rows
+	// time the 128-bit sampler the small-n shape no longer reaches.
+	const k = 32
+	for _, n := range []int64{1000, conf.MaxN - 7} {
+		for _, m := range []int64{12, 200, 500} {
+			b.Run(benchName("n", int(n))+"/"+benchName("m", int(m)), func(b *testing.B) {
+				s, err := New(skewedConfig(b, n, k), rng.New(1), WithKernel(KernelAuto(0)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				w := s.productiveWeight()
+				d := s.n - s.u
+				s.ensureBatchScratch(k)
+				vals := s.tree.View()
+				floors := s.windowFloors()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.sampleWindowCategorical(vals, floors, w, m, d)
+				}
+			})
+		}
 	}
 }

@@ -283,6 +283,15 @@ func (s *Simulator) stepSkip(w, budget u128.U128) (Event, bool) {
 	return ev, true
 }
 
+// narrowN is the population bound below which every quantity of a window
+// fits one 64-bit word: W <= n·D <= n² < 2⁶⁴ for n < 2³², and with it every
+// threshold and every cumulative weight. Categorical windows at such n build
+// and draw in uint64 (sampleCategorical64); only larger populations pay for
+// 128-bit arithmetic (sampleCategorical128). Both widths select the
+// same categories from the same raw outputs, because Uint128n of a 64-bit
+// bound is Uint64n.
+const narrowN = 1 << 32
+
 // ensureBatchScratch sizes the batched kernels' scratch buffers for k
 // opinions. Allocation happens on first use (or growth); afterwards the
 // buffers are resliced only. Reset can shrink the opinion count below a
@@ -291,101 +300,180 @@ func (s *Simulator) stepSkip(w, budget u128.U128) (Event, bool) {
 // resliced to the live k or stale trailing weights would leak window events
 // onto phantom opinions.
 func (s *Simulator) ensureBatchScratch(k int) {
-	// The categorical sampler's cumulative array carries one slot past the
-	// 2k category weights for the absorbing u128.Max sentinel: the guide
+	// The categorical sampler's cumulative arrays carry one slot past the
+	// 2k category weights for an absorbing all-ones sentinel: the guide
 	// build's forward scan must stop inside the array even for buckets whose
 	// smallest threshold is >= W (the threshold-space bucketing reaches such
 	// buckets; no draw does). The guide table's capacity is twice the power
 	// of two strictly greater than 2k — two buckets per category slot,
 	// which keeps the expected guide scan under half a step for the largest
 	// categorical windows; each window builds only the prefix its size
-	// needs (see sampleWindowCategorical).
+	// needs (see guideFor). batchZero stays all zero: it is the floor slice
+	// of a dual without stubborn floors.
 	guideLen := 2 << bits.Len(uint(2*k))
 	if cap(s.batchVals) < k || cap(s.batchGuide) < guideLen {
 		s.batchVals = make([]int64, k)
+		s.batchZero = make([]int64, k)
 		s.batchCounts = make([]int64, 2*k)
 		s.batchWeights = make([]float64, k)
 		s.batchCum = make([]u128.U128, 2*k+1)
+		s.batchCum64 = make([]uint64, 2*k+1)
 		s.batchGuide = make([]int32, guideLen)
 	}
 	s.batchVals = s.batchVals[:k]
+	s.batchZero = s.batchZero[:k]
 	s.batchCounts = s.batchCounts[:2*k]
 	s.batchWeights = s.batchWeights[:k]
 	s.batchCum = s.batchCum[:2*k+1]
+	s.batchCum64 = s.batchCum64[:2*k+1]
 	s.batchGuide = s.batchGuide[:guideLen]
+}
+
+// windowFloors returns the support floors bⱼ of the frozen window law: the
+// dual's stubborn floors, or the all-zero scratch slice when it carries
+// none (classic). Every batchable variant's undecide weight is then
+// (xⱼ−bⱼ)(D−xⱼ), so the samplers and the feasibility scan read one formula
+// with no per-opinion branch or call. It needs ensureBatchScratch(k) first.
+func (s *Simulator) windowFloors() []int64 {
+	if b := s.tree.Floors(); b != nil {
+		return b
+	}
+	return s.batchZero
 }
 
 // sampleWindowChained draws the per-opinion adopt/undecide counts of one
 // m-event window from the frozen law by hierarchical binomial chaining: the
 // number of adopt events is Binomial(m, uD/W), adopts split over opinions j
-// with weights xⱼ, and undecide events split with weights xᵢ·(D−xᵢ) —
+// with weights xⱼ, and undecide events split with weights (xⱼ−bⱼ)·(D−xⱼ) —
 // together the exact multinomial law of m independent productive events at
 // the frozen configuration. Cost is O(k) binomial draws independent of m.
 // It fills batchCounts (adopt counts in the first k slots, undecide counts
-// in the next k) from the pre-window supports vals and returns the adopt
-// total.
-func (s *Simulator) sampleWindowChained(vals []int64, m, d int64, pAdopt float64) int64 {
+// in the next k) from the pre-window supports vals and floors and returns
+// the adopt total.
+func (s *Simulator) sampleWindowChained(vals, floors []int64, m, d int64, pAdopt float64) int64 {
 	k := len(vals)
+	weights := s.batchWeights[:k]
+	floors = floors[:k]
 	adopts := s.src.Binomial(m, pAdopt)
 	for j, x := range vals {
-		s.batchWeights[j] = float64(x)
+		weights[j] = float64(x)
 	}
-	s.src.Multinomial(adopts, s.batchWeights, s.batchCounts[:k:k])
-	s.dyn.fillUndecideWeights(s, vals, d, s.batchWeights)
-	s.src.Multinomial(m-adopts, s.batchWeights, s.batchCounts[k:])
+	s.src.Multinomial(adopts, weights, s.batchCounts[:k:k])
+	for j, x := range vals {
+		weights[j] = float64(x-floors[j]) * float64(d-x)
+	}
+	s.src.Multinomial(m-adopts, weights, s.batchCounts[k:])
 	return adopts
 }
 
 // sampleWindowCategorical draws the same frozen-law window as
 // sampleWindowChained by m individual categorical draws against the exact
 // integer cumulative weights of the 2k event categories (adopt opinion j
-// with weight u·xⱼ, undecide opinion i with weight xᵢ·(D−xᵢ)) — the same
-// multinomial distribution, materialized event by event. Cost is O(k + m)
-// — the O(k) cumulative build, a guide table of O(m) buckets, and m guided
-// draws whose scans total O(k + m) expected steps — which undercuts the
-// chained sampler's 2k inversion setups whenever m is small relative to k.
-// It fills batchCounts from the pre-window supports vals and returns the
-// adopt total.
-func (s *Simulator) sampleWindowCategorical(vals []int64, w u128.U128, m, d int64) int64 {
+// with weight u·xⱼ, undecide opinion j with weight (xⱼ−bⱼ)·(D−xⱼ)) — the
+// same multinomial distribution, materialized event by event. Cost is
+// O(k + m) — the O(k) cumulative build, a guide table of O(m) buckets, and
+// m guided draws whose scans total O(k + m) expected steps — which
+// undercuts the chained sampler's 2k inversion setups whenever m is small
+// relative to k. It fills batchCounts from the pre-window supports vals and
+// floors and returns the adopt total. Below narrowN it runs in 64-bit
+// words, otherwise in 128-bit ones; both select identical categories.
+func (s *Simulator) sampleWindowCategorical(vals, floors []int64, w u128.U128, m, d int64) int64 {
+	if s.n < narrowN {
+		return s.sampleCategorical64(vals, floors, w.Lo, m, d)
+	}
+	return s.sampleCategorical128(vals, floors, w, m, d)
+}
+
+// guideFor returns the guide table (Chen's method) of an m-draw window and
+// the log₂ gb of its bucket count. Buckets partition a threshold's draw
+// space [0, w) by its top bits: with lz = w's leading-zero count, a
+// threshold shifted left by lz normalizes to the top of its B-bit word
+// (B = 64 or 128), and its top gb bits select the bucket. Bucket g
+// therefore covers thresholds in [g·2^(B−gb−lz), (g+1)·2^(B−gb−lz)), and
+// its entry is the first category index a threshold in that bucket can
+// select — correct as a scan start because thresholds grow with the bucket
+// index. The bucket count is the next power of two >= m (at least 8, at
+// most the table's capacity): the build then costs O(m + k), where a fixed
+// table of 4k–8k buckets dominated windows of a dozen draws, and the
+// draws' scans still total O(m + k) expected steps. Every draw selects the
+// first category with cum > r whatever the bucket count, so the sampled
+// window does not depend on it.
+func (s *Simulator) guideFor(m int64) ([]int32, uint) {
+	nb := max(1<<bits.Len64(uint64(m-1)), 8)
+	guide := s.batchGuide[:min(nb, len(s.batchGuide))]
+	return guide, uint(bits.Len(uint(len(guide)) - 1))
+}
+
+// sampleCategorical64 is sampleWindowCategorical for n < narrowN, where the
+// draw space w, every cumulative weight and every threshold fit in uint64.
+func (s *Simulator) sampleCategorical64(vals, floors []int64, w uint64, m, d int64) int64 {
 	k := len(vals)
-	cum := s.batchCum
-	counts := s.batchCounts
+	cum := s.batchCum64[:2*k+1]
+	counts := s.batchCounts[:2*k]
+	floors = floors[:k]
+	u := uint64(s.u)
+	var c uint64
+	for j, x := range vals {
+		c += u * uint64(x)
+		cum[j] = c
+	}
+	for j, x := range vals {
+		c += uint64(x-floors[j]) * uint64(d-x)
+		cum[k+j] = c
+	}
+	clear(counts)
+	// c == w by construction; thresholds are drawn in [0, w) and w <= n² is
+	// below the trailing absorbing sentinel, which no draw can reach.
+	cum[2*k] = math.MaxUint64
+	// The guide build is one merge pass: the category pointer only moves
+	// forward.
+	guide, gb := s.guideFor(m)
+	lz := uint(bits.LeadingZeros64(w))
+	idx := 0
+	for g := range guide {
+		rg := uint64(g) << (64 - gb) >> lz // smallest threshold of bucket g
+		for cum[idx] <= rg {
+			idx++
+		}
+		guide[g] = int32(idx)
+	}
+	for e := int64(0); e < m; e++ {
+		// The selected category is a single indexed increment — adopt vs
+		// undecide is resolved by the count slot, not a per-draw branch.
+		r := s.src.Uint64n(w)
+		idx := int(guide[r<<lz>>(64-gb)])
+		for cum[idx] <= r {
+			idx++
+		}
+		counts[idx]++
+	}
+	return adoptTotal(counts[:k])
+}
+
+// sampleCategorical128 is sampleWindowCategorical in 128-bit words, for
+// n >= narrowN, where W reaches ~2⁷⁴ at MaxN. It consumes the raw stream
+// exactly as sampleCategorical64 does whenever W fits 64 bits, because
+// Uint128n then delegates to Uint64n; wider W takes its mask-rejection path.
+func (s *Simulator) sampleCategorical128(vals, floors []int64, w u128.U128, m, d int64) int64 {
+	k := len(vals)
+	cum := s.batchCum[:2*k+1]
+	counts := s.batchCounts[:2*k]
+	floors = floors[:k]
 	var c u128.U128
 	for j, x := range vals {
 		c = c.Add(u128.Mul64(uint64(s.u), uint64(x)))
 		cum[j] = c
-		counts[j] = 0
 	}
 	for j, x := range vals {
-		c = c.Add(s.dyn.undecideWeightU(s, j, x, d))
+		c = c.Add(u128.Mul64(uint64(x-floors[j]), uint64(d-x)))
 		cum[k+j] = c
-		counts[k+j] = 0
 	}
-	// c == W by construction; thresholds are drawn in [0, W). The trailing
-	// slot is an absorbing sentinel a draw can never reach.
+	clear(counts)
 	cum[2*k] = u128.Max
-	// Guide table (Chen's method), bucketed by a threshold's top bits within
-	// the draw space [0, w): with lz = w's leading-zero count, a threshold
-	// shifted left by lz normalizes to the top of the 128-bit range, and its
-	// top gb bits select the bucket. Bucket g therefore covers thresholds in
-	// [g·2^(128−gb−lz), (g+1)·2^(128−gb−lz)), and guide[g] is the first
-	// category index a threshold in that bucket can select — correct as a
-	// scan start because thresholds grow with the bucket index. A draw then
-	// begins its linear scan at its bucket's entry. The bucket count is the
-	// next power of two >= m (at least 8, at most the table's capacity):
-	// the build then costs O(m + k), where a fixed table of 4k–8k buckets
-	// dominated windows of a dozen draws, and the draws' scans still total
-	// O(m + k) expected steps. Every draw selects the first category with
-	// cum > r whatever the bucket count, so the sampled window does not
-	// depend on it. The build is one merge pass: the category pointer only
-	// moves forward.
-	nb := max(1<<bits.Len64(uint64(m-1)), 8)
-	guide := s.batchGuide[:min(nb, len(s.batchGuide))]
-	gb := uint(bits.Len(uint(len(guide)) - 1)) // log₂ of the bucket count
+	guide, gb := s.guideFor(m)
 	lz := uint(128 - w.Len())
 	idx := 0
 	for g := range guide {
-		// Smallest threshold of bucket g.
 		rg := u128.U128{Hi: uint64(g) << (64 - gb)}.Rsh(lz)
 		for cum[idx].Leq(rg) {
 			idx++
@@ -393,11 +481,6 @@ func (s *Simulator) sampleWindowCategorical(vals []int64, w u128.U128, m, d int6
 		guide[g] = int32(idx)
 	}
 	for e := int64(0); e < m; e++ {
-		// For w within 64 bits Uint128n is the same Lemire multiply-shift
-		// draw the pre-u128 sampler inlined, consuming identical raw
-		// outputs; wider w takes its mask-rejection path. The selected
-		// category is a single indexed increment — adopt vs undecide is
-		// resolved by the count slot, not a per-draw branch.
 		r := s.src.Uint128n(w)
 		idx := int(guide[r.Lsh(lz).Hi>>(64-gb)])
 		for cum[idx].Leq(r) {
@@ -405,8 +488,13 @@ func (s *Simulator) sampleWindowCategorical(vals []int64, w u128.U128, m, d int6
 		}
 		counts[idx]++
 	}
+	return adoptTotal(counts[:k])
+}
+
+// adoptTotal returns the number of adopt events in a window's adopt counts.
+func adoptTotal(adoptCounts []int64) int64 {
 	var adopts int64
-	for _, c := range counts[:k] {
+	for _, c := range adoptCounts {
 		adopts += c
 	}
 	return adopts
@@ -421,10 +509,12 @@ func (s *Simulator) sampleWindowCategorical(vals []int64, w u128.U128, m, d int6
 // budget; the clock is then clamped to the budget and the window is
 // discarded, mirroring the exact kernel's mid-jump budget semantics.
 //
-// A window whose net deltas would drive a support negative is discarded and
-// resampled at half the size (falling back to one exact step below the
-// floor), which conditions away a large-deviation event of probability o(1)
-// in the window size.
+// A window whose net deltas would drive a support under its floor (zero,
+// or the opinion's stubborn count) is discarded and resampled at half the
+// size (falling back to one exact step below the kernel's floor), which
+// conditions away a large-deviation event of probability o(1) in the
+// window size: the frozen law's undecide weight already vanishes at the
+// floor.
 func (s *Simulator) batchStep(w u128.U128, m int64, budget u128.U128, row kernelRow) (Event, bool) {
 	d := s.n - s.u
 	k := s.tree.Len()
@@ -435,34 +525,34 @@ func (s *Simulator) batchStep(w u128.U128, m int64, budget u128.U128, row kernel
 	// per-window copy — and stay untouched until applyWindow, including
 	// across feasibility resamples.
 	vals := s.tree.View()
+	floors := s.windowFloors()[:k]
+	adoptCounts, undecideCounts := s.batchCounts[:k], s.batchCounts[k:2*k]
+	next := s.batchVals[:k]
 	for {
 		var adopts int64
 		if categorical {
-			adopts = s.sampleWindowCategorical(vals, w, m, d)
+			adopts = s.sampleWindowCategorical(vals, floors, w, m, d)
 		} else {
-			adopts = s.sampleWindowChained(vals, m, d, pAdopt)
+			adopts = s.sampleWindowChained(vals, floors, m, d, pAdopt)
 		}
 
 		// Feasibility scan: compute the post-window supports (into scratch,
-		// the view stays pristine) and Σx², and count touched opinions so
-		// the apply step can pick the cheaper of an incremental Fenwick
-		// update and a full rebuild.
+		// the view stays pristine), and count touched opinions so the apply
+		// step can pick the cheaper of an incremental Fenwick update and a
+		// full rebuild.
 		feasible := true
 		touched := 0
-		var r2 u128.U128
-		k2 := len(vals)
 		for j, x := range vals {
-			delta := s.batchCounts[j] - s.batchCounts[k2+j]
+			delta := adoptCounts[j] - undecideCounts[j]
 			nx := x + delta
-			if nx < s.dyn.supportFloor(s, j) {
+			if nx < floors[j] {
 				feasible = false
 				break
 			}
 			if delta != 0 {
 				touched++
 			}
-			s.batchVals[j] = nx
-			r2 = r2.Add(u128.Mul64(uint64(nx), uint64(nx)))
+			next[j] = nx
 		}
 		if !feasible {
 			m /= 2
@@ -489,7 +579,9 @@ func (s *Simulator) batchStep(w u128.U128, m int64, budget u128.U128, row kernel
 		}
 		s.steps = satAdd(s.steps, span)
 		s.applyWindow(touched, k)
-		s.r2 = r2
+		// Σx² comes from the dual's prefix tree, which applyWindow just
+		// brought up to date: O(log k) reads instead of k multiplies.
+		s.r2 = s.tree.SumSquares()
 		s.u += (m - adopts) - adopts
 		return Event{Kind: EventBatch, Opinion: -1, Interactions: s.steps, Count: m}, true
 	}

@@ -268,14 +268,18 @@ type Simulator struct {
 
 	// Scratch buffers of the batched and auto kernels, allocated on first
 	// use: batchCounts holds a window's adopt counts (first k slots) and
-	// undecide counts (next k), batchCum the categorical sampler's 2k
-	// cumulative weights plus one u128.Max sentinel, batchGuide its
-	// draw-acceleration table, sized for the largest categorical window;
-	// each window builds only the power-of-two prefix its size needs.
+	// undecide counts (next k), batchCum64 and batchCum the categorical
+	// sampler's 2k cumulative weights plus one all-ones sentinel (64-bit
+	// below narrowN, 128-bit above), batchGuide its draw-acceleration
+	// table, sized for the largest categorical window; each window builds
+	// only the power-of-two prefix its size needs. batchZero is the
+	// all-zero floor slice of a classic window.
 	batchVals    []int64
+	batchZero    []int64
 	batchCounts  []int64
 	batchWeights []float64
 	batchCum     []u128.U128
+	batchCum64   []uint64
 	batchGuide   []int32
 }
 
@@ -406,11 +410,8 @@ func (s *Simulator) Config() *conf.Config {
 		Support:   s.tree.Values(nil),
 		Undecided: s.u,
 	}
-	if s.tree.HasStubborn() {
-		c.Stubborn = make([]int64, s.tree.Len())
-		for i := range c.Stubborn {
-			c.Stubborn[i] = s.tree.Stubborn(i)
-		}
+	if b := s.tree.Floors(); b != nil {
+		c.Stubborn = append([]int64(nil), b...)
 	}
 	return c
 }

@@ -26,26 +26,32 @@ import (
 //     absorbed for the W = 0 classification). The exact kernel and the
 //     geometric-skipping clock are shared; only these hooks differ.
 //
-//   - The per-window law for the batched/auto kernels: the per-opinion
-//     undecide weights the frozen multinomial window uses, the support
-//     floor a sampled window must respect, and the drift divisor bounding
-//     |ΔW| per event (the tau-leaping leap condition's W term). Variants
-//     without an honest window-law derivation return Batchable() == false
-//     and are restricted to the exact kernel by Variant.ValidateKernel and
-//     Simulator.Reset.
+//   - For the batched/auto kernels, the drift divisor bounding |ΔW| per
+//     event (the tau-leaping leap condition's W term). The frozen window
+//     law itself is one formula shared by every batchable variant and read
+//     by the kernels directly (batch.go): opinion j undecides with weight
+//     (xⱼ−bⱼ)(D−xⱼ) and a sampled window must keep xⱼ >= bⱼ, where bⱼ are
+//     the stubborn floors the Fenwick dual carries — none, i.e. zero, for
+//     classic. Variants without an honest window-law derivation return
+//     Batchable() == false and are restricted to the exact kernel by
+//     Variant.ValidateKernel and Simulator.Reset.
 
 // Dynamics is a protocol variant of the population-protocol opinion
-// dynamics: the per-interaction transition law plus (optionally) the frozen
-// window law the batched kernels need. Implementations are provided by this
-// package (Classic, StubbornAgents, Unconstrained) and selected with
-// WithDynamics or a parsed Variant; the interface is sealed — its
-// unexported hooks operate on the simulator's internals.
+// dynamics: the per-interaction transition law plus, for batchable
+// variants, the leap condition's drift divisor. The frozen window law has
+// no hook: the kernels read it from the stubborn floors (see Batchable).
+// Implementations are provided by this package (Classic, StubbornAgents,
+// Unconstrained) and selected with WithDynamics or a parsed Variant; the
+// interface is sealed — its unexported hooks operate on the simulator's
+// internals.
 type Dynamics interface {
 	// Name returns the variant's registry name ("classic", "stubborn",
 	// "unconstrained").
 	Name() string
-	// Batchable reports whether the variant carries a derived window law
-	// for the batched/auto kernels. Exact-only variants return false and
+	// Batchable reports whether the variant's transition law is the frozen
+	// window law the batched/auto kernels sample: adopt weight u·xⱼ,
+	// undecide weight (xⱼ−bⱼ)(D−xⱼ) with the dual's stubborn floors bⱼ
+	// (zero when none are installed). Exact-only variants return false and
 	// are rejected for batched kernels by Variant.ValidateKernel and
 	// Simulator.Reset.
 	Batchable() bool
@@ -76,19 +82,6 @@ type Dynamics interface {
 	// relative drift of W below ~tol (see wDriftDivisor for the classic
 	// derivation). Batchable variants only.
 	driftDivisor() float64
-	// fillUndecideWeights writes each opinion's undecide-event weight at
-	// the frozen (pre-window) supports vals into dst, as the float64
-	// values the chained-binomial window sampler splits on. Batchable
-	// variants only.
-	fillUndecideWeights(s *Simulator, vals []int64, d int64, dst []float64)
-	// undecideWeightU returns opinion j's exact integer undecide weight at
-	// frozen support x, for the categorical window sampler's cumulative
-	// build. Batchable variants only.
-	undecideWeightU(s *Simulator, j int, x, d int64) u128.U128
-	// supportFloor returns the smallest admissible support of opinion j; a
-	// sampled window whose net deltas would cross it is resampled at half
-	// the size. Batchable variants only.
-	supportFloor(s *Simulator, j int) int64
 }
 
 // Registered dynamics. Each value is stateless and safe to share between
@@ -358,18 +351,6 @@ func (classicDynamics) absorbed(s *Simulator) (Outcome, int) {
 
 func (classicDynamics) driftDivisor() float64 { return wDriftDivisor }
 
-func (classicDynamics) fillUndecideWeights(s *Simulator, vals []int64, d int64, dst []float64) {
-	for j, x := range vals {
-		dst[j] = float64(x) * float64(d-x)
-	}
-}
-
-func (classicDynamics) undecideWeightU(s *Simulator, j int, x, d int64) u128.U128 {
-	return u128.Mul64(uint64(x), uint64(d-x))
-}
-
-func (classicDynamics) supportFloor(s *Simulator, j int) int64 { return 0 }
-
 // stubbornDynamics is the stubborn-agent USD variant. The transition law
 // keeps the classic adopt channel (u·xⱼ pairs) and restricts the undecide
 // channel to free agents: (xᵢ−bᵢ)·(D−xᵢ) ordered pairs, maintained exactly
@@ -496,23 +477,6 @@ func (stubbornDynamics) absorbed(s *Simulator) (Outcome, int) {
 // of tol·W/(3n) events keeps the relative drift of W below
 // tol·(2n+1)/(3n) < tol.
 func (stubbornDynamics) driftDivisor() float64 { return 3 }
-
-func (stubbornDynamics) fillUndecideWeights(s *Simulator, vals []int64, d int64, dst []float64) {
-	for j, x := range vals {
-		dst[j] = float64(x-s.tree.Stubborn(j)) * float64(d-x)
-	}
-}
-
-func (stubbornDynamics) undecideWeightU(s *Simulator, j int, x, d int64) u128.U128 {
-	return u128.Mul64(uint64(x-s.tree.Stubborn(j)), uint64(d-x))
-}
-
-// supportFloor pins each opinion at its stubborn count: a window whose net
-// deltas would dip below bⱼ is infeasible (the frozen law's undecide weight
-// already vanishes at the floor, so such windows are large-deviation events
-// the feasibility resample conditions away, exactly like the classic
-// kernel's negative-support windows).
-func (stubbornDynamics) supportFloor(s *Simulator, j int) int64 { return s.tree.Stubborn(j) }
 
 // UnconstrainedMaxN is the population ceiling of the unconstrained variant:
 // ⌊√MaxInt64⌋, so the per-opinion undecide weights xᵢ·(C−zᵢ) <= n² and
@@ -674,17 +638,5 @@ func (unconstrainedDynamics) absorbed(s *Simulator) (Outcome, int) {
 }
 
 func (unconstrainedDynamics) driftDivisor() float64 {
-	panic("core: unconstrained dynamics has no window law")
-}
-
-func (unconstrainedDynamics) fillUndecideWeights(*Simulator, []int64, int64, []float64) {
-	panic("core: unconstrained dynamics has no window law")
-}
-
-func (unconstrainedDynamics) undecideWeightU(*Simulator, int, int64, int64) u128.U128 {
-	panic("core: unconstrained dynamics has no window law")
-}
-
-func (unconstrainedDynamics) supportFloor(*Simulator, int) int64 {
 	panic("core: unconstrained dynamics has no window law")
 }

@@ -405,20 +405,13 @@ func (d *Dual) rebuildStubbornX() {
 	}
 }
 
-// Stubborn returns the stubborn floor at index i (0 when no floors are
-// installed).
-func (d *Dual) Stubborn(i int) int64 {
-	if d.bvals == nil {
-		return 0
-	}
-	return d.bvals[i]
-}
+// Floors returns the installed stubborn floors without copying, or nil when
+// none are installed. The slice is the tree's own store: callers must treat
+// it as read-only. The windowed simulation kernels read it once per window.
+func (d *Dual) Floors() []int64 { return d.bvals }
 
 // StubbornSum returns Σbᵢ over all indices (0 when no floors are installed).
 func (d *Dual) StubbornSum() int64 { return d.bsum }
-
-// HasStubborn reports whether stubborn floors are installed.
-func (d *Dual) HasStubborn() bool { return d.bvals != nil }
 
 // TotalWeightedStubborn returns Σᵢ (xᵢ−bᵢ)·(D−xᵢ) =
 // D·(Σxᵢ−Σbᵢ) − Σxᵢ² + Σbᵢxᵢ, the stubborn variant's count of ordered

@@ -1,5 +1,5 @@
 // Package potential implements the analytic quantities the paper's proof
-// tracks: the phase-1 potential Z_α(t) = n − 2u − α·xmax, the unstable
+// tracks: the phase-1 potential Z(t) = n − 2u − xmax, the unstable
 // undecided equilibrium u* = n(k−1)/(2k−1), the significance threshold
 // α√(n log n), the undecided-count band of Lemmas 3-4, the exact one-step
 // transition probabilities of Observations 6, 8 and 9, and the
@@ -27,12 +27,6 @@ const DefaultAlpha = 1.0
 // ends as soon as Z(t) ≤ 0 (Lemma 1).
 func Z(n, u, xmax int64) int64 {
 	return n - 2*u - xmax
-}
-
-// ZAlpha returns the generalized potential Z_α(t) = n − 2u − α·xmax used in
-// Phase 4 with α = 7/8 (Lemma 14).
-func ZAlpha(n, u, xmax int64, alpha float64) float64 {
-	return float64(n) - 2*float64(u) - alpha*float64(xmax)
 }
 
 // EquilibriumUndecided returns u* = n(k−1)/(2k−1), the unstable equilibrium

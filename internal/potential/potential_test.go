@@ -32,16 +32,6 @@ func TestZ(t *testing.T) {
 	}
 }
 
-func TestZAlphaMatchesZ(t *testing.T) {
-	if got := ZAlpha(100, 25, 50, 1.0); got != 0 {
-		t.Fatalf("ZAlpha(α=1) = %v, want 0", got)
-	}
-	// Lemma 14 potential: n − 2u − 7/8·x1.
-	if got := ZAlpha(800, 100, 640, 7.0/8.0); got != 800-200-560 {
-		t.Fatalf("ZAlpha(7/8) = %v", got)
-	}
-}
-
 func TestEquilibriumUndecided(t *testing.T) {
 	// k=2: u* = n/3; k→∞: u* → n/2.
 	if got := EquilibriumUndecided(300, 2); math.Abs(got-100) > 1e-9 {

@@ -1,13 +1,11 @@
 // Package trace records trajectories of simulation quantities and renders
-// them as CSV or as ASCII plots — the repository's "figure" output format.
+// them as ASCII plots — the repository's "figure" output format.
 package trace
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"strconv"
 	"strings"
 
 	"repro/internal/u128"
@@ -72,27 +70,6 @@ func (r *Recorder) Final(t u128.U128, y float64) {
 	r.Series.Add(t.Float64(), y)
 	r.last = t
 	r.primed = true
-}
-
-// WriteCSV writes the series in long format: series,x,y per row.
-func WriteCSV(w io.Writer, series ...*Series) error {
-	if _, err := io.WriteString(w, "series,x,y\n"); err != nil {
-		return err
-	}
-	for _, s := range series {
-		if len(s.X) != len(s.Y) {
-			return fmt.Errorf("trace: series %q has mismatched lengths", s.Name)
-		}
-		for i := range s.X {
-			row := s.Name + "," +
-				strconv.FormatFloat(s.X[i], 'g', -1, 64) + "," +
-				strconv.FormatFloat(s.Y[i], 'g', -1, 64) + "\n"
-			if _, err := io.WriteString(w, row); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // plot symbols assigned to series in order.

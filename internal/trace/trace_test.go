@@ -58,27 +58,6 @@ func TestRecorderEveryClamped(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	a := &Series{Name: "a", X: []float64{1, 2}, Y: []float64{3, 4.5}}
-	b := &Series{Name: "b", X: []float64{0}, Y: []float64{9}}
-	var sb strings.Builder
-	if err := WriteCSV(&sb, a, b); err != nil {
-		t.Fatal(err)
-	}
-	want := "series,x,y\na,1,3\na,2,4.5\nb,0,9\n"
-	if sb.String() != want {
-		t.Fatalf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
-func TestWriteCSVMismatched(t *testing.T) {
-	bad := &Series{Name: "bad", X: []float64{1}, Y: nil}
-	var sb strings.Builder
-	if err := WriteCSV(&sb, bad); err == nil {
-		t.Fatal("mismatched series accepted")
-	}
-}
-
 func TestRenderASCII(t *testing.T) {
 	s := &Series{Name: "line"}
 	for i := 0; i < 20; i++ {
