@@ -112,6 +112,12 @@ func run(args []string) error {
 	if *shards < 0 {
 		return fmt.Errorf("-shards %d must be non-negative", *shards)
 	}
+	if *remote != "" && *hosts == "" {
+		return fmt.Errorf("-remote-cmd requires -hosts")
+	}
+	if *hosts != "" && *shards < 1 {
+		return fmt.Errorf("-hosts requires -shards")
+	}
 	if *ckpt != "" {
 		if *shards < 2 {
 			// Checkpointing rides on the sharded coordinator; a single
@@ -160,12 +166,6 @@ func run(args []string) error {
 		CheckpointDir: *ckpt,
 		WorkerTimeout: *timeout,
 		MaxRelaunches: *relaunch,
-	}
-	if *remote != "" && *hosts == "" {
-		return fmt.Errorf("-remote-cmd requires -hosts")
-	}
-	if *hosts != "" && *shards < 1 {
-		return fmt.Errorf("-hosts requires -shards")
 	}
 	if p.Shards >= 1 {
 		var extra []string

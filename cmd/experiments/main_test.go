@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -73,6 +74,24 @@ func TestAdaptiveFlagValidation(t *testing.T) {
 		return run([]string{"-run", "K3-many-opinions", "-trials", "-4"})
 	}); err == nil || !strings.Contains(err.Error(), "-trials") {
 		t.Fatalf("negative -trials accepted: %v", err)
+	}
+}
+
+// TestHostsRequiresShards pins that -hosts needs an explicit -shards, with
+// or without -checkpoint (which implies one shard), as in cmd/sweep.
+func TestHostsRequiresShards(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "ck")
+	for _, args := range [][]string{
+		{"-run", "T1-phases", "-hosts", "h"},
+		{"-run", "T1-phases", "-hosts", "h", "-checkpoint", ckpt},
+	} {
+		err := silence(t, func() error { return run(args) })
+		if err == nil || !strings.Contains(err.Error(), "-hosts requires -shards") {
+			t.Errorf("%v: err = %v, want -hosts requires -shards", args, err)
+		}
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("rejected command created the checkpoint directory (stat: %v)", err)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 
 	"repro/internal/conf"
 	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/phase"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -46,25 +46,26 @@ func run(args []string) error {
 
 	durations := make([][]float64, phase.Count)
 	winners := make([]int64, *k)
-	for i := 0; i < *trials; i++ {
-		src := rng.New(rng.Derive(*seed, uint64(i)))
-		s, err := core.New(cfg, src)
-		if err != nil {
-			return err
-		}
-		tr := phase.NewTracker(phase.WithCheckInterval(phase.DefaultCheckInterval(*n)))
-		tr.ObserveNow(s)
-		res := s.RunWatched(core.NoBudget, tr)
-		tr.ObserveNow(s)
-		if res.Outcome != core.OutcomeConsensus {
-			return fmt.Errorf("trial %d did not reach consensus: %v", i, res.Outcome)
-		}
-		winners[res.Winner]++
-		for p := 1; p <= phase.Count; p++ {
-			if d, ok := tr.Times().Duration(p); ok {
-				durations[p-1] = append(durations[p-1], d.Float64())
+	var failed error
+	spec := experiment.NewShardSpec(cfg, core.Variant{}, core.KernelExact, core.NoBudget, 0, true)
+	if _, err := experiment.RunCell(spec, 0, experiment.ShardRunOptions{MaxTrials: *trials, Seed: *seed},
+		func(i int, r experiment.ShardResult) {
+			if !r.Consensus() {
+				failed = fmt.Errorf("trial %d did not reach consensus: %v", i, r.Outcome)
+				return
 			}
-		}
+			winners[r.Winner]++
+			phases := r.Phases()
+			for p := 1; p <= phase.Count; p++ {
+				if d, ok := phases.Duration(p); ok {
+					durations[p-1] = append(durations[p-1], d.Float64())
+				}
+			}
+		}, func() bool { return failed != nil }, nil); err != nil {
+		return err
+	}
+	if failed != nil {
+		return failed
 	}
 
 	lnN := math.Log(float64(*n))

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -211,5 +212,19 @@ func TestSweepTrialCountValidation(t *testing.T) {
 		return run(append(base, "-trials", "0", "-adaptive", "-maxtrials", "5"))
 	}); err != nil {
 		t.Fatalf("-trials 0 -adaptive -maxtrials 5: %v", err)
+	}
+}
+
+// TestSweepHostsRequiresShards pins that -hosts needs an explicit -shards,
+// with or without -checkpoint (which implies one shard), as in
+// cmd/experiments.
+func TestSweepHostsRequiresShards(t *testing.T) {
+	base := []string{"-param", "k", "-values", "2", "-n", "512", "-hosts", "h"}
+	for _, extra := range [][]string{nil, {"-checkpoint", filepath.Join(t.TempDir(), "ck")}} {
+		args := append(append([]string(nil), base...), extra...)
+		err := silence(t, func() error { return run(args) })
+		if err == nil || !strings.Contains(err.Error(), "-hosts requires -shards") {
+			t.Errorf("%v: err = %v, want -hosts requires -shards", args, err)
+		}
 	}
 }

@@ -215,37 +215,6 @@ type Watcher interface {
 	Watch(s *Simulator, ev Event)
 }
 
-// MultiWatcher broadcasts every applied event to each watcher in order.
-type MultiWatcher []Watcher
-
-// Watch implements Watcher.
-func (m MultiWatcher) Watch(s *Simulator, ev Event) {
-	for _, w := range m {
-		w.Watch(s, ev)
-	}
-}
-
-// Watchers combines watchers into one, so a single observed run can feed
-// several observers (for example a phase tracker and a trajectory sampler).
-// Nil entries are dropped; with zero or one non-nil watcher no wrapper is
-// allocated.
-func Watchers(ws ...Watcher) Watcher {
-	var m MultiWatcher
-	for _, w := range ws {
-		if w != nil {
-			m = append(m, w)
-		}
-	}
-	switch len(m) {
-	case 0:
-		return nil
-	case 1:
-		return m[0]
-	default:
-		return m
-	}
-}
-
 // Simulator simulates the USD at configuration level. It is not safe for
 // concurrent use. Construct with New.
 type Simulator struct {

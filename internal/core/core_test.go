@@ -610,27 +610,6 @@ func TestResetPreservesOptions(t *testing.T) {
 	}
 }
 
-func TestWatchersBroadcast(t *testing.T) {
-	cfg := mustConfig(t, []int64{50, 30}, 20)
-	s := newSim(t, cfg, 2)
-	var a, b int
-	w := Watchers(nil, Observer(func(*Simulator, Event) { a++ }), nil,
-		Observer(func(*Simulator, Event) { b++ }))
-	s.RunWatched(NoBudget, w)
-	if a == 0 || a != b {
-		t.Fatalf("watcher counts diverge: %d vs %d", a, b)
-	}
-	if Watchers() != nil || Watchers(nil, nil) != nil {
-		t.Fatal("empty Watchers must collapse to nil")
-	}
-	single := Observer(func(*Simulator, Event) {})
-	if got := Watchers(nil, single); got == nil {
-		t.Fatal("single watcher dropped")
-	} else if _, wrapped := got.(MultiWatcher); wrapped {
-		t.Fatal("single watcher needlessly wrapped")
-	}
-}
-
 func TestSatAdd(t *testing.T) {
 	from := u128.From64
 	cases := []struct{ a, b, want u128.U128 }{

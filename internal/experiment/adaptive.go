@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
-
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -66,18 +64,23 @@ func StreamAdaptive[T any](opts AdaptiveOptions, fn func(i int, src *rng.Source,
 // if later folds widen its interval again — the standard group-sequential
 // convention, and the reason a finished run can report per-metric stopping
 // trials individually.
+//
+// A metric checkpoints through encoding/json: the aggregates (bit-exactly,
+// via the stats snapshot encodings) and the latch, but not the Rule — rules
+// are code, so the restoring side builds the metric with NewAdaptiveMetric
+// and unmarshals into it, which keeps the rule it was constructed with.
 type AdaptiveMetric struct {
 	// Name labels the metric in reports.
-	Name string
+	Name string `json:"name"`
 	// Rule decides when the metric needs no more samples.
-	Rule stats.StoppingRule
+	Rule stats.StoppingRule `json:"-"`
 	// Online accumulates mean/variance/extrema of the folded values.
-	Online stats.Online
+	Online stats.Online `json:"online"`
 	// Median is the P² sketch of the 0.5 quantile.
-	Median *stats.P2
+	Median *stats.P2 `json:"median,omitempty"`
 	// StoppedAt is the trial count after which Rule first held; 0 while the
 	// metric is still open.
-	StoppedAt int64
+	StoppedAt int64 `json:"stopped_at"`
 }
 
 // NewAdaptiveMetric returns a metric with the given stopping rule.
@@ -96,51 +99,6 @@ func (m *AdaptiveMetric) Add(x float64) {
 
 // Done reports whether the metric has halted.
 func (m *AdaptiveMetric) Done() bool { return m.StoppedAt > 0 }
-
-// adaptiveMetricJSON is the serialized form of an AdaptiveMetric: the
-// aggregates and the stopping latch, but not the Rule (rules are code; the
-// restoring side reconstructs the metric with NewAdaptiveMetric and
-// unmarshals into it, which preserves its rule).
-type adaptiveMetricJSON struct {
-	Name      string       `json:"name"`
-	Online    stats.Online `json:"online"`
-	Median    *stats.P2    `json:"median,omitempty"`
-	StoppedAt int64        `json:"stopped_at"`
-}
-
-// MarshalJSON serializes the metric's aggregates and latch (bit-exactly,
-// via the stats snapshot encodings) so sharded-cell checkpoints can carry
-// half-finished metrics across interruptions.
-func (m *AdaptiveMetric) MarshalJSON() ([]byte, error) {
-	return json.Marshal(adaptiveMetricJSON{
-		Name:      m.Name,
-		Online:    m.Online,
-		Median:    m.Median,
-		StoppedAt: m.StoppedAt,
-	})
-}
-
-// UnmarshalJSON restores the metric's aggregates and latch in place,
-// keeping its Rule: a resumed metric continues evaluating exactly the rule
-// the caller constructed it with.
-func (m *AdaptiveMetric) UnmarshalJSON(data []byte) error {
-	var s adaptiveMetricJSON
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	m.Name = s.Name
-	m.Online = s.Online
-	if s.Median == nil {
-		m.Median = nil
-	} else {
-		if m.Median == nil {
-			m.Median = new(stats.P2)
-		}
-		*m.Median = *s.Median
-	}
-	m.StoppedAt = s.StoppedAt
-	return nil
-}
 
 // StopWhenAll returns a StreamAdaptive predicate that fires once every
 // metric has halted. Metrics with a nil rule never halt on their own, so

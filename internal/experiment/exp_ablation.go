@@ -114,13 +114,15 @@ func a2Engine() Experiment {
 				return err
 			}
 			agg := make([]float64, trials)
-			Stream(trials, p.Parallelism, p.Seed+83, func(i int, src *rng.Source, a *Arena) float64 {
-				t, _, err := consensusTime(a, cfg, src, core.NoBudget, p.Kernel)
-				if err != nil {
-					return math.NaN()
+			spec := NewShardSpec(cfg, core.Variant{}, p.Kernel, core.NoBudget, 0, false)
+			if err := p.cell(spec, trials, p.Seed+83, func(i int, r ShardResult) {
+				agg[i] = math.NaN()
+				if r.Consensus() {
+					agg[i] = r.Interactions().Float64()
 				}
-				return t.Float64()
-			}, func(i int, v float64) { agg[i] = v })
+			}); err != nil {
+				return err
+			}
 			agent := make([]float64, trials)
 			Stream(trials, p.Parallelism, p.Seed+84, func(i int, src *rng.Source, _ *Arena) float64 {
 				e, err := pop.NewEngine(cfg, pop.USD{Opinions: k}, pop.UniformScheduler{Src: src})

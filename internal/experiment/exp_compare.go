@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/conf"
-	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/potential"
 	"repro/internal/rng"
@@ -93,7 +92,7 @@ func f4ModelCompare() Experiment {
 				}
 				for _, rg := range regimes {
 					md := potential.MonochromaticDistance(rg.cfg.Support)
-					popStats, _, _, err := timeStats(p, p.Seed+uint64(k)*61, rg.cfg, trials, core.NoBudget)
+					popStats, _, _, err := timeStats(p, p.Seed+uint64(k)*61, rg.cfg, trials)
 					if err != nil {
 						return err
 					}

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/conf"
-	"repro/internal/core"
 )
 
 // f6Endgame regenerates the Phase 5 coupling claim (Lemmas 16-17): from a
@@ -41,7 +40,7 @@ func f6Endgame() Experiment {
 				if err != nil {
 					return err
 				}
-				s, winRate, done, err := timeStats(p, p.Seed+uint64(k)*73, cfg, trials, core.NoBudget)
+				s, winRate, done, err := timeStats(p, p.Seed+uint64(k)*73, cfg, trials)
 				if err != nil {
 					return err
 				}

@@ -3,12 +3,9 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/conf"
-	"repro/internal/core"
 	"repro/internal/exact"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -52,29 +49,10 @@ func x3Exact() Experiment {
 				if err != nil {
 					return err
 				}
-				type obs struct {
-					t   float64
-					won bool
+				times, wins, err := consensusSamples(p, p.Kernel, p.Seed+uint64(idx)*107, cfg, trials)
+				if err != nil {
+					return err
 				}
-				var times []float64
-				wins := 0
-				Stream(trials, p.Parallelism, p.Seed+uint64(idx)*107,
-					func(i int, src *rng.Source, a *Arena) obs {
-						t, winner, err := consensusTime(a, cfg, src, core.NoBudget, p.Kernel)
-						if err != nil {
-							return obs{t: math.NaN()}
-						}
-						return obs{t: t.Float64(), won: winner == 0}
-					},
-					func(_ int, o obs) {
-						if math.IsNaN(o.t) {
-							return
-						}
-						times = append(times, o.t)
-						if o.won {
-							wins++
-						}
-					})
 				mean, half, err := stats.MeanCI(times, 1.96)
 				if err != nil {
 					return err

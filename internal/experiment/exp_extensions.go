@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/conf"
-	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -94,7 +93,7 @@ func x2LargeK() Experiment {
 				if err != nil {
 					return err
 				}
-				s, _, _, err := timeStats(p, p.Seed+uint64(k)*103, cfg, trials, core.NoBudget)
+				s, _, _, err := timeStats(p, p.Seed+uint64(k)*103, cfg, trials)
 				if err != nil {
 					return err
 				}

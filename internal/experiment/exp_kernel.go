@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/conf"
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -61,10 +60,6 @@ func k1KernelAgreement() Experiment {
 				{"additive-2thr", func() (*conf.Config, error) { return conf.WithAdditiveBias(n, k, 2*int64(thr), 0) }},
 			}
 
-			type trial struct {
-				run USDRun
-				ok  bool
-			}
 			const (
 				ksAlpha     = 0.01 // two-sample KS significance for consensus times
 				winTol      = 0.12 // max |leader-win-rate| gap (≈4σ at 200 trials)
@@ -92,30 +87,26 @@ func k1KernelAgreement() Experiment {
 				oks    int
 				phases [][]float64
 			}
-			gather := func(cfg *conf.Config, kern core.Kernel, seedOff uint64) gathered {
+			gather := func(cfg *conf.Config, kern core.Kernel, seedOff uint64) (gathered, error) {
 				g := gathered{phases: make([][]float64, 5)}
-				Stream(trials, p.Parallelism, p.Seed+seedOff, func(i int, src *rng.Source, a *Arena) trial {
-					r, err := RunTracked(a, cfg, src, core.NoBudget, 0, kern)
-					if err != nil || r.Result.Outcome != core.OutcomeConsensus {
-						return trial{}
-					}
-					return trial{run: r, ok: true}
-				}, func(_ int, t trial) {
-					if !t.ok {
+				spec := NewShardSpec(cfg, core.Variant{}, kern, core.NoBudget, 0, true)
+				err := p.cell(spec, trials, p.Seed+seedOff, func(_ int, r ShardResult) {
+					if !r.Consensus() {
 						return
 					}
 					g.oks++
-					g.times = append(g.times, t.run.Result.Interactions.Float64())
-					if t.run.Result.Winner == t.run.InitialLeader {
+					g.times = append(g.times, r.Interactions().Float64())
+					if r.Winner == r.InitialLeader {
 						g.wins++
 					}
+					phases := r.Phases()
 					for ph := 1; ph <= 5; ph++ {
-						if t.run.Phases.Reached(ph) {
-							g.phases[ph-1] = append(g.phases[ph-1], t.run.Phases.End[ph-1].Float64())
+						if phases.Reached(ph) {
+							g.phases[ph-1] = append(g.phases[ph-1], phases.End[ph-1].Float64())
 						}
 					}
 				})
-				return g
+				return g, err
 			}
 
 			for ci, c := range configs {
@@ -126,12 +117,18 @@ func k1KernelAgreement() Experiment {
 				// All arms share the same derived seed per trial index
 				// (common random numbers), so the comparisons are genuinely
 				// paired; the kernels then consume the stream differently.
-				ge := gather(cfg, core.KernelExact, uint64(ci)*1000+1)
+				ge, err := gather(cfg, core.KernelExact, uint64(ci)*1000+1)
+				if err != nil {
+					return err
+				}
 				if ge.oks == 0 {
 					return fmt.Errorf("no successful exact runs for config %s", c.name)
 				}
 				for _, kern := range kernels {
-					gw := gather(cfg, kern, uint64(ci)*1000+1)
+					gw, err := gather(cfg, kern, uint64(ci)*1000+1)
+					if err != nil {
+						return err
+					}
 					if gw.oks == 0 {
 						return fmt.Errorf("no successful %v runs for config %s", kern, c.name)
 					}
@@ -234,28 +231,10 @@ func k2NScaling() Experiment {
 				if err != nil {
 					return err
 				}
-				type out struct {
-					t   float64
-					won bool
-					ok  bool
+				times, wins, err := consensusSamples(p, c.kern, p.Seed+uint64(n), cfg, c.trials)
+				if err != nil {
+					return err
 				}
-				var times []float64
-				wins := 0
-				Stream(c.trials, p.Parallelism, p.Seed+uint64(n), func(i int, src *rng.Source, a *Arena) out {
-					t, winner, err := consensusTime(a, cfg, src, core.NoBudget, c.kern)
-					if err != nil {
-						return out{}
-					}
-					return out{t: t.Float64(), won: winner == 0, ok: true}
-				}, func(_ int, o out) {
-					if !o.ok {
-						return
-					}
-					times = append(times, o.t)
-					if o.won {
-						wins++
-					}
-				})
 				s, err := stats.Summarize(times)
 				if err != nil {
 					return fmt.Errorf("n=%d: %w", n, err)

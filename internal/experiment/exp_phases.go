@@ -38,14 +38,9 @@ func t1Phases() Experiment {
 					lnN := math.Log(float64(n))
 					norm := make([][]float64, 5)
 					var totals []float64
-					Stream(trials, p.Parallelism, p.Seed+uint64(n)+uint64(k), func(i int, src *rng.Source, a *Arena) USDRun {
-						r, err := RunTracked(a, cfg, src, core.NoBudget, 0, p.Kernel)
-						if err != nil {
-							return USDRun{}
-						}
-						return r
-					}, func(_ int, r USDRun) {
-						if r.Result.Outcome != core.OutcomeConsensus {
+					spec := NewShardSpec(cfg, core.Variant{}, p.Kernel, core.NoBudget, 0, true)
+					err = p.cell(spec, trials, p.Seed+uint64(n)+uint64(k), func(_ int, r ShardResult) {
+						if !r.Consensus() {
 							return
 						}
 						bounds := []float64{
@@ -55,13 +50,18 @@ func t1Phases() Experiment {
 							float64(k)*float64(n) + float64(n)*lnN,
 							float64(n) * lnN,
 						}
+						phases := r.Phases()
 						for ph := 1; ph <= 5; ph++ {
-							if d, ok := r.Phases.Duration(ph); ok {
+							if d, ok := phases.Duration(ph); ok {
 								norm[ph-1] = append(norm[ph-1], d.Float64()/bounds[ph-1])
 							}
 						}
-						totals = append(totals, r.Result.ParallelTime/(float64(k)*lnN))
+						parTime := r.Interactions().Float64() / float64(n)
+						totals = append(totals, parTime/(float64(k)*lnN))
 					})
+					if err != nil {
+						return err
+					}
 					if len(totals) == 0 {
 						return fmt.Errorf("no successful runs for n=%d k=%d", n, k)
 					}

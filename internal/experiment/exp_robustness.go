@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/conf"
-	"repro/internal/core"
 	"repro/internal/pop"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -134,7 +133,7 @@ func x5UndecidedStart() Experiment {
 				if cfg.Undecided <= (n-cfg.Support[0])/2 {
 					within = "yes"
 				}
-				s, winRate, done, err := timeStats(p, p.Seed+uint64(frac*100)+7, cfg, trials, core.NoBudget)
+				s, winRate, done, err := timeStats(p, p.Seed+uint64(frac*100)+7, cfg, trials)
 				if err != nil {
 					return err
 				}

@@ -7,45 +7,43 @@ import (
 
 	"repro/internal/conf"
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/u128"
 )
 
-// timeStats runs `trials` USD simulations from cfg and returns the summary
-// of consensus interactions and the fraction won by opinion 0.
-func timeStats(p Params, seed uint64, cfg *conf.Config, trials int, budget u128.U128) (stats.Summary, float64, int, error) {
-	type outcome struct {
-		t   float64
-		won bool
-		ok  bool
+// timeStats runs `trials` USD simulations from cfg to consensus and returns
+// the summary of consensus interactions, the fraction won by opinion 0, and
+// the number of trials that reached consensus.
+func timeStats(p Params, seed uint64, cfg *conf.Config, trials int) (stats.Summary, float64, int, error) {
+	times, wins, err := consensusSamples(p, p.Kernel, seed, cfg, trials)
+	if err != nil {
+		return stats.Summary{}, 0, 0, err
 	}
-	var times []float64
-	wins, completed := 0, 0
-	Stream(trials, p.Parallelism, seed, func(i int, src *rng.Source, a *Arena) outcome {
-		t, winner, err := consensusTime(a, cfg, src, budget, p.Kernel)
-		if err != nil {
-			return outcome{}
-		}
-		return outcome{t: t.Float64(), won: winner == 0, ok: true}
-	}, func(_ int, o outcome) {
-		if !o.ok {
-			return
-		}
-		completed++
-		times = append(times, o.t)
-		if o.won {
-			wins++
-		}
-	})
-	if completed == 0 {
+	if len(times) == 0 {
 		return stats.Summary{}, 0, 0, fmt.Errorf("experiment: no trial reached consensus")
 	}
 	s, err := stats.Summarize(times)
 	if err != nil {
 		return stats.Summary{}, 0, 0, err
 	}
-	return s, float64(wins) / float64(completed), completed, nil
+	return s, float64(wins) / float64(len(times)), len(times), nil
+}
+
+// consensusSamples runs `trials` classic USD simulations from cfg to
+// consensus under kern and returns, in trial order, the interaction counts
+// of the trials that reached consensus and how many of them opinion 0 won.
+func consensusSamples(p Params, kern core.Kernel, seed uint64, cfg *conf.Config, trials int) ([]float64, int, error) {
+	var times []float64
+	wins := 0
+	err := p.cell(NewShardSpec(cfg, core.Variant{}, kern, core.NoBudget, 0, false), trials, seed, func(_ int, r ShardResult) {
+		if !r.Consensus() {
+			return
+		}
+		times = append(times, r.Interactions().Float64())
+		if r.Winner == 0 {
+			wins++
+		}
+	})
+	return times, wins, err
 }
 
 // t2Multiplicative regenerates Theorem 2(1): with an initial multiplicative
@@ -70,7 +68,7 @@ func t2Multiplicative() Experiment {
 				if err != nil {
 					return err
 				}
-				s, winRate, done, err := timeStats(p, p.Seed+uint64(n)*31+uint64(k), cfg, trials, core.NoBudget)
+				s, winRate, done, err := timeStats(p, p.Seed+uint64(n)*31+uint64(k), cfg, trials)
 				if err != nil {
 					return err
 				}
@@ -117,7 +115,7 @@ func t3Additive() Experiment {
 				if err != nil {
 					return err
 				}
-				s, winRate, done, err := timeStats(p, p.Seed+uint64(n)*37+uint64(k), cfg, trials, core.NoBudget)
+				s, winRate, done, err := timeStats(p, p.Seed+uint64(n)*37+uint64(k), cfg, trials)
 				if err != nil {
 					return err
 				}
@@ -169,23 +167,20 @@ func t4NoBias() Experiment {
 				var times []float64
 				agree := 0
 				completed := 0
-				Stream(trials, p.Parallelism, p.Seed+uint64(n)*41, func(i int, src *rng.Source, a *Arena) USDRun {
-					r, err := RunTracked(a, cfg, src, core.NoBudget, 0, p.Kernel)
-					if err != nil {
-						return USDRun{}
-					}
-					return r
-				}, func(_ int, r USDRun) {
-					if r.Result.Winner < 0 {
+				spec := NewShardSpec(cfg, core.Variant{}, p.Kernel, core.NoBudget, 0, true)
+				if err := p.cell(spec, trials, p.Seed+uint64(n)*41, func(_ int, r ShardResult) {
+					if r.Winner < 0 {
 						return
 					}
 					completed++
-					winnerCounts[r.Result.Winner]++
-					times = append(times, r.Result.Interactions.Float64())
-					if r.Phases.LeaderAtT2 == r.Result.Winner {
+					winnerCounts[r.Winner]++
+					times = append(times, r.Interactions().Float64())
+					if r.LeaderAtT2 == r.Winner {
 						agree++
 					}
-				})
+				}); err != nil {
+					return err
+				}
 				if completed == 0 {
 					return fmt.Errorf("no consensus for n=%d", n)
 				}
@@ -235,7 +230,7 @@ func f5KScaling() Experiment {
 				if err != nil {
 					return err
 				}
-				s, _, _, err := timeStats(p, p.Seed+uint64(k)*43, cfg, trials, core.NoBudget)
+				s, _, _, err := timeStats(p, p.Seed+uint64(k)*43, cfg, trials)
 				if err != nil {
 					return err
 				}

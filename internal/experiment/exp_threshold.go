@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/conf"
-	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -47,7 +46,7 @@ func f3Threshold() Experiment {
 							return err
 						}
 						_, winRate, done, err := timeStats(p,
-							p.Seed+uint64(n)*53+uint64(k)*59+uint64(beta), cfg, trials, core.NoBudget)
+							p.Seed+uint64(n)*53+uint64(k)*59+uint64(beta), cfg, trials)
 						if err != nil {
 							return err
 						}

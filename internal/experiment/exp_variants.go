@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/conf"
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/u128"
 )
@@ -100,54 +99,25 @@ func k5Stubborn(p Params, w io.Writer, focus core.Variant, verdict func(bool) st
 			n, trials, p.Kernel.Name()),
 		"stubborn", "decided", "win rate b-side", "wilson 95% lo", "mean par. time", "gate", "verdict")
 	for ri, bs := range rows {
-		v := core.Variant{Name: "stubborn", Stubborn: bs}
-		if err := v.Validate(); err != nil {
-			return err
-		}
-		if err := v.ValidateKernel(p.Kernel); err != nil {
-			return err
-		}
-		dyn, err := v.Dynamics()
-		if err != nil {
-			return err
-		}
 		cfg, err := conf.Uniform(n, len(bs), 0)
 		if err != nil {
 			return err
 		}
-		v.Configure(cfg)
-		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("stubborn row %v: %w", bs, err)
-		}
-		opts := []core.Option{core.WithDynamics(dyn)}
-		type out struct {
-			t       float64
-			winner  int
-			decided bool
-		}
+		spec := NewShardSpec(cfg, core.Variant{Name: "stubborn", Stubborn: bs}, p.Kernel, budget, 0, true)
 		decided, wins := 0, 0
 		var par float64
-		Stream(trials, p.Parallelism, p.Seed+uint64(ri)*1000, func(i int, src *rng.Source, a *Arena) out {
-			r, err := RunTracked(a, cfg, src, budget, 0, p.Kernel, opts...)
-			if err != nil {
-				return out{}
-			}
-			oc := r.Result.Outcome
-			return out{
-				t:       r.Result.Interactions.Float64(),
-				winner:  r.Result.Winner,
-				decided: oc == core.OutcomeDominance || oc == core.OutcomeConsensus,
-			}
-		}, func(_ int, o out) {
-			if !o.decided {
+		if err := p.cell(spec, trials, p.Seed+uint64(ri)*1000, func(_ int, r ShardResult) {
+			if !r.Decided() {
 				return
 			}
 			decided++
-			par += o.t / float64(n)
-			if o.winner == 0 {
+			par += r.Interactions().Float64() / float64(n)
+			if r.Winner == 0 {
 				wins++
 			}
-		})
+		}); err != nil {
+			return fmt.Errorf("stubborn row %v: %w", bs, err)
+		}
 		if decided > 0 {
 			par /= float64(decided)
 		}
@@ -189,7 +159,6 @@ func k5Unconstrained(p Params, w io.Writer, verdict func(bool) string) error {
 	ks := []int{2, 8}
 	// The variant is exact-only; the arm ignores Params.Kernel.
 	const timeTol = 30 // max mean T/(n ln n), generous vs the O(n log n) bound
-	opts := []core.Option{core.WithDynamics(core.Unconstrained)}
 	tbl := NewTable(
 		fmt.Sprintf("Unconstrained USD, n=%d, u0=n/2 blank, %d trials per k (exact kernel):", n, trials),
 		"k", "consensus", "mean T/(n ln n)", "mean par. time", "gate", "verdict")
@@ -198,25 +167,18 @@ func k5Unconstrained(p Params, w io.Writer, verdict func(bool) string) error {
 		if err != nil {
 			return err
 		}
-		type out struct {
-			t  float64
-			ok bool
-		}
 		oks := 0
 		var sum float64
-		Stream(trials, p.Parallelism, p.Seed+uint64(ki)*7777, func(i int, src *rng.Source, a *Arena) out {
-			t, _, err := consensusTime(a, cfg, src, core.NoBudget, core.KernelExact, opts...)
-			if err != nil {
-				return out{}
-			}
-			return out{t: t.Float64(), ok: true}
-		}, func(_ int, o out) {
-			if !o.ok {
+		spec := NewShardSpec(cfg, core.Variant{Name: "unconstrained"}, core.KernelExact, core.NoBudget, 0, false)
+		if err := p.cell(spec, trials, p.Seed+uint64(ki)*7777, func(_ int, r ShardResult) {
+			if !r.Consensus() {
 				return
 			}
 			oks++
-			sum += o.t
-		})
+			sum += r.Interactions().Float64()
+		}); err != nil {
+			return err
+		}
 		mean := sum / math.Max(float64(oks), 1)
 		norm := mean / (float64(n) * math.Log(float64(n)))
 		pass := oks == trials && norm <= timeTol

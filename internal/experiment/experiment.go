@@ -61,7 +61,10 @@ type Params struct {
 	// coordinator. 0 keeps cells in-process; 1 runs the distributed engine
 	// with a single worker (still useful for checkpointing). Every cell
 	// runs one trial function through RunCell whatever the shard count, so
-	// sharded and in-process runs of the same cell are byte-identical.
+	// sharded and in-process runs of the same cell are byte-identical. The
+	// other experiments' USD cells also run through RunCell, but always in
+	// process: their folds have no checkpointable state, which a sharded
+	// cell needs to resume.
 	Shards int
 	// ShardLauncher starts shard workers; required when Shards >= 1.
 	// cmd/experiments wires a dist.ExecLauncher that re-executes the
@@ -174,6 +177,14 @@ func (p Params) consensusCell(spec ShardSpec, metric *AdaptiveMetric, maxTrials 
 		err = ErrInterrupted
 	}
 	return res, failed, err
+}
+
+// cell runs trials fixed-count trials of spec in process at p.Parallelism
+// (RunCell with Shards 0), folding each result into fold in trial order;
+// trial i draws from rng.Derive(seed, i).
+func (p Params) cell(spec ShardSpec, trials int, seed uint64, fold func(i int, r ShardResult)) error {
+	_, err := RunCell(spec, p.Parallelism, ShardRunOptions{MaxTrials: trials, Seed: seed}, fold, nil, nil)
+	return err
 }
 
 // trials returns the effective trial count given a default.

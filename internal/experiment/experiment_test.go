@@ -92,13 +92,21 @@ func TestRunTracked(t *testing.T) {
 	}
 }
 
-func TestConsensusTimeBudgetError(t *testing.T) {
+// TestRunShardTrialBudgetExhausted pins that an untracked trial whose
+// budget runs out before consensus reports it in the result's Outcome
+// rather than as a winner.
+func TestRunShardTrialBudgetExhausted(t *testing.T) {
 	cfg, err := conf.Uniform(10000, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := consensusTime(new(Arena), cfg, rng.New(1), u128.From64(10), core.KernelExact); err == nil {
-		t.Fatal("budget exhaustion not reported")
+	spec := NewShardSpec(cfg, core.Variant{}, core.KernelExact, u128.From64(10), 0, false)
+	r, err := runShardTrial(spec, cfg, core.KernelExact, rng.New(1), new(Arena))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Outcome != core.OutcomeBudget.String() || r.Consensus() {
+		t.Fatalf("outcome %q (consensus %v), want budget exhaustion", r.Outcome, r.Consensus())
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -24,6 +23,13 @@ import (
 // state exhaustively, and results are folded in index order on the calling
 // goroutine, so the folds are byte-identical at every parallelism level
 // (see the determinism tests).
+//
+// A configuration-level USD cell does not call these doors directly: it
+// states its trial as a ShardSpec and runs through RunCell (shard.go), in
+// process or sharded, which runs runShardTrial on this engine. Stream
+// remains the door for trials a spec cannot express — a stopping
+// predicate, a simulator option outside the spec, a trajectory recorder,
+// or another engine.
 
 // Arena is the per-worker reusable state of the trial engine: every trial
 // callback of Stream, StreamIndices and StreamAdaptive receives its
@@ -254,20 +260,4 @@ func RunTracked(a *Arena, c *conf.Config, src *rng.Source, budget u128.U128, che
 	// occurred in the last few events.
 	tr.ObserveNow(s)
 	return USDRun{Result: res, Phases: tr.Times(), InitialLeader: leader}, nil
-}
-
-// consensusTime runs the USD from c to consensus under the given kernel on
-// the arena's simulator and returns the interaction count and winner. It
-// fails if the budget is exhausted first.
-func consensusTime(a *Arena, c *conf.Config, src *rng.Source, budget u128.U128, kern core.Kernel, opts ...core.Option) (u128.U128, int, error) {
-	s, err := a.Simulator(c, src, opts...)
-	if err != nil {
-		return u128.U128{}, -1, err
-	}
-	s.SetKernel(kern)
-	res := s.Run(budget)
-	if res.Outcome != core.OutcomeConsensus {
-		return res.Interactions, -1, fmt.Errorf("experiment: no consensus within %v interactions (outcome %v)", budget, res.Outcome)
-	}
-	return res.Interactions, res.Winner, nil
 }

@@ -209,6 +209,22 @@ func (r ShardResult) Interactions() u128.U128 {
 	return u128.U128{Hi: r.InteractionsHi, Lo: r.InteractionsLo}
 }
 
+// Phases returns the phase end times of a tracked trial, equal to the
+// phase.Times RunTracked recorded; an untracked trial carries none and
+// returns phase.NewTimes().
+func (r ShardResult) Phases() phase.Times {
+	t := phase.NewTimes()
+	n := min(phase.Count, len(r.PhaseEnded), len(r.PhaseEndsHi), len(r.PhaseEndsLo))
+	for i := 0; i < n; i++ {
+		t.End[i] = u128.U128{Hi: r.PhaseEndsHi[i], Lo: r.PhaseEndsLo[i]}
+		t.Ended[i] = r.PhaseEnded[i]
+	}
+	if n > 0 {
+		t.LeaderAtT2 = r.LeaderAtT2
+	}
+	return t
+}
+
 // AppendJSON appends r's wire encoding to dst and returns the extended
 // slice. The bytes equal json.Marshal(r)'s for every value; the encoding is
 // assembled field by field without reflection, and only an Outcome string

@@ -16,6 +16,7 @@ import (
 	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/phase"
 	"repro/internal/rng"
 	"repro/internal/u128"
 )
@@ -28,6 +29,84 @@ func metricFingerprint(m *AdaptiveMetric) string {
 		o.N(), math.Float64bits(o.Mean()), math.Float64bits(o.Var()),
 		math.Float64bits(o.Min()), math.Float64bits(o.Max()),
 		math.Float64bits(m.Median.Value()), m.StoppedAt)
+}
+
+// consensusTime runs the USD from c to consensus under the given kernel on
+// the arena's simulator and returns the interaction count and winner. It
+// fails if the budget is exhausted first. It is written directly against
+// the simulator, independently of runShardTrial, so the tests below can use
+// it as the reference the cell runner is compared against.
+func consensusTime(a *Arena, c *conf.Config, src *rng.Source, budget u128.U128, kern core.Kernel, opts ...core.Option) (u128.U128, int, error) {
+	s, err := a.Simulator(c, src, opts...)
+	if err != nil {
+		return u128.U128{}, -1, err
+	}
+	s.SetKernel(kern)
+	res := s.Run(budget)
+	if res.Outcome != core.OutcomeConsensus {
+		return res.Interactions, -1, fmt.Errorf("experiment: no consensus within %v interactions (outcome %v)", budget, res.Outcome)
+	}
+	return res.Interactions, res.Winner, nil
+}
+
+// TestShardResultPhasesMatchRunTracked pins ShardResult.Phases against the
+// phase.Times RunTracked records for the same spec, seed and index, for the
+// classic and stubborn dynamics under the exact and auto kernels, both on
+// the in-process result and after the result's wire round trip.
+func TestShardResultPhasesMatchRunTracked(t *testing.T) {
+	const n = 1000
+	const seed = 77
+	for _, v := range []core.Variant{{}, {Name: "stubborn", Stubborn: []int64{50, 0}}} {
+		for _, kern := range []core.Kernel{core.KernelExact, core.KernelAuto(0)} {
+			cfg, err := conf.Uniform(n, 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := NewShardSpec(cfg, v, kern, u128.Mul64(n, n), 0, true)
+			data, err := spec.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := newCellTrials(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := cfg.Clone()
+			v.Configure(ref)
+			dyn, err := v.Dynamics()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var a Arena
+			for i := 0; i < 3; i++ {
+				name := fmt.Sprintf("%v/%s/trial %d", v, kern.Name(), i)
+				r, err := runShardTrial(c.spec, c.cfg, c.kern, rng.New(rng.Derive(seed, uint64(i))), &a, c.opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want, err := RunTracked(nil, ref, rng.New(rng.Derive(seed, uint64(i))), spec.Budget(), 0, kern, core.WithDynamics(dyn))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !want.Phases.Reached(1) {
+					t.Fatalf("%s: reference run ended no phase", name)
+				}
+				if got := r.Phases(); got != want.Phases {
+					t.Fatalf("%s: Phases() = %+v, RunTracked recorded %+v", name, got, want.Phases)
+				}
+				var back ShardResult
+				if err := json.Unmarshal(r.AppendJSON(nil), &back); err != nil {
+					t.Fatal(err)
+				}
+				if got := back.Phases(); got != want.Phases {
+					t.Fatalf("%s: decoded Phases() = %+v, RunTracked recorded %+v", name, got, want.Phases)
+				}
+			}
+		}
+	}
+	if got := (ShardResult{Outcome: "consensus"}).Phases(); got != phase.NewTimes() {
+		t.Fatalf("untracked Phases() = %+v, want phase.NewTimes()", got)
+	}
 }
 
 // TestShardSpecRoundTrip pins the spec wire format against its decoder.
@@ -580,6 +659,31 @@ func TestAdaptiveMetricJSONPreservesRule(t *testing.T) {
 	back.Add(10.2)
 	if metricFingerprint(back) != metricFingerprint(m) {
 		t.Fatalf("post-restore folds diverged")
+	}
+}
+
+// TestAdaptiveMetricJSONBytesPinned pins a metric's checkpoint encoding
+// byte for byte, so checkpoints written by earlier builds keep resuming: a
+// latched metric with a median sketch, and an open one without.
+func TestAdaptiveMetricJSONBytesPinned(t *testing.T) {
+	m := NewAdaptiveMetric("consensus T", ConsensusRule(0.5, 100))
+	for _, v := range []float64{10, 11, 10.5, 9.8, 10.2, 1e9 / 3} {
+		m.Add(v)
+	}
+	for _, tc := range []struct {
+		m    *AdaptiveMetric
+		want string
+	}{
+		{m, `{"name":"consensus T","online":{"n":6,"mean":4722725351453389254,"m2":4860667434984792841,"min":4621706527598287258,"max":4734372014072354133},"median":{"q":4602678819172646912,"h":[4621706527598287258,4621819117588971520,4621931707579655782,4622100592565682176,4734372014072354133],"pos":[4607182418800017408,4611686018427387904,4613937818241073152,4616189618054758400,4618441417868443648],"want":[4607182418800017408,4612248968380809216,4615063718147915776,4617034042984890368,4618441417868443648],"n":6},"stopped_at":5}`},
+		{&AdaptiveMetric{Name: "open"}, `{"name":"open","online":{"n":0,"mean":0,"m2":0,"min":0,"max":0},"stopped_at":0}`},
+	} {
+		data, err := json.Marshal(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != tc.want {
+			t.Fatalf("%s: marshaled\n%s\nwant\n%s", tc.m.Name, data, tc.want)
+		}
 	}
 }
 

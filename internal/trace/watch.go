@@ -100,7 +100,8 @@ type Probe func(s *core.Simulator) float64
 
 // Sampler records downsampled trajectories of simulator quantities during a
 // run. It implements core.Watcher, so it plugs directly into
-// Simulator.RunWatched (alone or fanned out via core.Watchers): each
+// Simulator.RunWatched, alone or inside an Observer that also feeds other
+// watchers: each
 // applied event — a single interaction under the exact kernel, a whole
 // window of them under a batched kernel — offers one observation per probe.
 // Under the batched kernel this is the window-granularity recording path

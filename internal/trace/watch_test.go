@@ -128,7 +128,10 @@ func TestSamplerWithWatchersFanOut(t *testing.T) {
 		return float64(s.Undecided())
 	})
 	events := 0
-	s.RunWatched(core.NoBudget, core.Watchers(sa, core.Observer(func(*core.Simulator, core.Event) { events++ })))
+	s.RunWatched(core.NoBudget, core.Observer(func(s *core.Simulator, ev core.Event) {
+		sa.Watch(s, ev)
+		events++
+	}))
 	if events == 0 || sa.Series()[0].Len() == 0 {
 		t.Fatalf("fan-out lost observations: events=%d points=%d", events, sa.Series()[0].Len())
 	}

@@ -232,25 +232,14 @@ func RunFastWithBudget(cfg *Config, seed uint64, budget int64) (Report, error) {
 // from a -kernel flag) use this directly instead of branching between Run
 // and RunFast.
 func RunWithKernel(cfg *Config, seed uint64, budget Clock, kern Kernel) (Report, error) {
-	s, err := NewSimulator(cfg, seed, WithKernel(kern))
-	if err != nil {
-		return Report{}, err
-	}
-	leader, _ := cfg.Max()
-	tr := phase.NewTracker(phase.WithCheckInterval(phase.CheckIntervalFor(cfg.N(), kern)))
-	tr.ObserveNow(s)
-	// The tracker is its own core.Watcher, so the phase-tracking hot path
-	// runs without an observer closure.
-	res := s.RunWatched(budget, tr)
-	tr.ObserveNow(s)
-	return Report{Result: res, Phases: tr.Times(), InitialLeader: leader}, nil
+	return RunVariant(cfg, Variant{}, seed, budget, kern)
 }
 
-// RunVariant is RunWithKernel under a pluggable dynamics variant: the
-// variant's parameters are applied to a copy of cfg, the kernel is checked
-// against the variant's window-law support (exact-only variants reject
-// batched kernels), and the run is phase-tracked. The classic variant
-// reduces to RunWithKernel.
+// RunVariant is the phase-tracked run under a pluggable dynamics variant:
+// the variant's parameters are applied to a copy of cfg, the kernel is
+// checked against the variant's window-law support (exact-only variants
+// reject batched kernels), and the run is phase-tracked. RunWithKernel is
+// its classic case.
 func RunVariant(cfg *Config, v Variant, seed uint64, budget Clock, kern Kernel) (Report, error) {
 	if err := v.Validate(); err != nil {
 		return Report{}, err
