@@ -39,6 +39,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *trials < 1 {
+		return fmt.Errorf("-trials %d must be positive", *trials)
+	}
 	cfg, err := conf.Uniform(*n, *k, *u0)
 	if err != nil {
 		return err

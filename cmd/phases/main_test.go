@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -50,5 +51,14 @@ func TestPhasesInvalidConfig(t *testing.T) {
 func TestPhasesBadFlag(t *testing.T) {
 	if err := run([]string{"-nope"}); err == nil {
 		t.Fatal("unknown flag accepted")
+	}
+}
+
+func TestPhasesRejectsNonPositiveTrials(t *testing.T) {
+	for _, v := range []string{"0", "-2"} {
+		err := run([]string{"-n", "64", "-k", "2", "-trials", v})
+		if err == nil || !strings.Contains(err.Error(), "-trials") {
+			t.Fatalf("-trials %s: err = %v, want an error naming -trials", v, err)
+		}
 	}
 }

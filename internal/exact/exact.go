@@ -14,9 +14,14 @@
 //	h(s) = 1 + Σ_{s'} P(s,s')·h(s')        h(absorbing) = 0
 //	wᵢ(s) = Σ_{s'} P(s,s')·wᵢ(s')          wᵢ(consensus j) = [i = j]
 //
-// which this package solves by Gauss-Seidel iteration after folding the
-// self-loops into the diagonal (both systems are irreducibly diagonally
-// dominant after the fold, so the iteration converges). This provides
+// New enumerates the states once and builds their transition rows once:
+// the productive edges of every state and their total probability (the
+// self-loop is the complement, folded into the diagonal). A state is
+// absorbing exactly when that total is zero. Both systems are then solved
+// by one Gauss-Seidel loop that sweeps the rows in alternating direction
+// (both systems are irreducibly diagonally dominant after the fold, so the
+// iteration converges). It stops when a sweep's largest update falls below
+// a tolerance; that is a stall test, not an error bound. This provides
 // ground truth that the simulators are validated against in tests and in
 // the X3-exact-validation experiment.
 package exact
@@ -25,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/conf"
 )
@@ -41,15 +47,27 @@ const (
 // ErrTooLarge is returned when the configuration space exceeds the limits.
 var ErrTooLarge = errors.New("exact: state space too large")
 
+// bits is the width of one part of a packed state key (n <= 4000 < 2¹²).
+const bits = 12
+
 // Chain is the exact USD chain for a fixed (n, k). Construct with New.
 type Chain struct {
-	n      int64
-	k      int
-	states [][]int16      // states[id] = (x₁..x_k, u)
-	index  map[uint64]int // packed state -> id
+	n int64
+	k int
+	// keys[id] packs the state (x₁..x_k, u), 12 bits per part with x₁
+	// most significant. Enumeration order is ascending key order, so ids
+	// are found by binary search.
+	keys []uint64
+	// The productive edges of state id are to[e], p[e] for e in
+	// [start[id], start[id+1]); total[id] is their summed probability.
+	start []int32
+	to    []int32
+	p     []float64
+	total []float64
 }
 
-// New enumerates the configuration space for n agents and k opinions.
+// New enumerates the configuration space for n agents and k opinions and
+// builds its transition rows.
 func New(n int64, k int) (*Chain, error) {
 	if k < 1 || k > MaxOpinions {
 		return nil, fmt.Errorf("exact: k = %d out of [1, %d]", k, MaxOpinions)
@@ -62,14 +80,15 @@ func New(n int64, k int) (*Chain, error) {
 		return nil, fmt.Errorf("%w: %d states for n=%d k=%d", ErrTooLarge, count, n, k)
 	}
 	c := &Chain{
-		n:      n,
-		k:      k,
-		states: make([][]int16, 0, count),
-		index:  make(map[uint64]int, count),
+		n:     n,
+		k:     k,
+		keys:  make([]uint64, 0, count),
+		start: make([]int32, 0, count+1),
+		total: make([]float64, count),
 	}
 	// Enumerate all compositions of n into k+1 parts.
-	parts := make([]int16, k+1)
-	c.enumerate(parts, 0, int16(n))
+	c.enumerate(0, 0, uint64(n))
+	c.buildRows()
 	return c, nil
 }
 
@@ -82,31 +101,51 @@ func stateCount(n int64, k int) int64 {
 	return count
 }
 
-func (c *Chain) enumerate(parts []int16, pos int, remaining int16) {
-	if pos == len(parts)-1 {
-		parts[pos] = remaining
-		s := append([]int16(nil), parts...)
-		c.index[pack(s)] = len(c.states)
-		c.states = append(c.states, s)
+func (c *Chain) enumerate(key uint64, pos int, remaining uint64) {
+	if pos == c.k {
+		c.keys = append(c.keys, key<<bits|remaining)
 		return
 	}
-	for v := int16(0); v <= remaining; v++ {
-		parts[pos] = v
-		c.enumerate(parts, pos+1, remaining-v)
+	for v := uint64(0); v <= remaining; v++ {
+		c.enumerate(key<<bits|v, pos+1, remaining-v)
 	}
 }
 
-// pack encodes a state as a uint64 key (12 bits per part; n <= 4000).
-func pack(parts []int16) uint64 {
-	var key uint64
-	for _, p := range parts {
-		key = key<<12 | uint64(p)
+// buildRows emits the productive edges of every state: per opinion i, the
+// adopt edge (xᵢ+1, u−1) and then the undecide edge (xᵢ−1, u+1).
+func (c *Chain) buildRows() {
+	const mask = 1<<bits - 1
+	nn := float64(c.n) * float64(c.n)
+	for id, key := range c.keys {
+		c.start = append(c.start, int32(len(c.to)))
+		u := int64(key & mask)
+		d := c.n - u
+		for i := 0; i < c.k; i++ {
+			shift := uint(bits * (c.k - i))
+			xi := int64(key >> shift & mask)
+			if xi == 0 {
+				continue
+			}
+			if u > 0 {
+				c.addEdge(id, key+1<<shift-1, float64(u*xi)/nn)
+			}
+			if other := d - xi; other > 0 {
+				c.addEdge(id, key-1<<shift+1, float64(xi*other)/nn)
+			}
+		}
 	}
-	return key
+	c.start = append(c.start, int32(len(c.to)))
+}
+
+func (c *Chain) addEdge(id int, key uint64, p float64) {
+	to, _ := slices.BinarySearch(c.keys, key)
+	c.to = append(c.to, int32(to))
+	c.p = append(c.p, p)
+	c.total[id] += p
 }
 
 // States returns the number of enumerated states.
-func (c *Chain) States() int { return len(c.states) }
+func (c *Chain) States() int { return len(c.keys) }
 
 // N returns the population size.
 func (c *Chain) N() int64 { return c.n }
@@ -122,73 +161,15 @@ func (c *Chain) StateID(cfg *conf.Config) (int, error) {
 		return 0, fmt.Errorf("exact: configuration (n=%d, k=%d) does not match chain (n=%d, k=%d)",
 			cfg.N(), cfg.K(), c.n, c.k)
 	}
-	parts := make([]int16, c.k+1)
-	for i, x := range cfg.Support {
-		parts[i] = int16(x)
+	var key uint64
+	for _, x := range cfg.Support {
+		key = key<<bits | uint64(x)
 	}
-	parts[c.k] = int16(cfg.Undecided)
-	id, ok := c.index[pack(parts)]
+	id, ok := slices.BinarySearch(c.keys, key<<bits|uint64(cfg.Undecided))
 	if !ok {
 		return 0, fmt.Errorf("exact: configuration %v not found", cfg)
 	}
 	return id, nil
-}
-
-// isAbsorbing reports whether state s has no productive transition:
-// consensus (some xᵢ = n) or all-undecided (u = n).
-func (c *Chain) isAbsorbing(s []int16) bool {
-	if s[c.k] == int16(c.n) {
-		return true
-	}
-	for i := 0; i < c.k; i++ {
-		if s[i] == int16(c.n) {
-			return true
-		}
-	}
-	return false
-}
-
-// transition holds one outgoing edge.
-type transition struct {
-	to   int
-	prob float64
-}
-
-// transitions returns the productive outgoing edges of state id and the
-// total productive probability (the self-loop is the complement).
-func (c *Chain) transitions(id int, buf []transition) ([]transition, float64) {
-	s := c.states[id]
-	u := int64(s[c.k])
-	d := c.n - u
-	nn := float64(c.n) * float64(c.n)
-	buf = buf[:0]
-	var total float64
-	next := make([]int16, len(s))
-	for i := 0; i < c.k; i++ {
-		xi := int64(s[i])
-		if xi == 0 {
-			continue
-		}
-		if u > 0 {
-			// Adopt opinion i: (xᵢ+1, u−1).
-			p := float64(u*xi) / nn
-			copy(next, s)
-			next[i]++
-			next[c.k]--
-			buf = append(buf, transition{to: c.index[pack(next)], prob: p})
-			total += p
-		}
-		if other := d - xi; other > 0 {
-			// Opinion-i responder becomes undecided: (xᵢ−1, u+1).
-			p := float64(xi*other) / nn
-			copy(next, s)
-			next[i]--
-			next[c.k]++
-			buf = append(buf, transition{to: c.index[pack(next)], prob: p})
-			total += p
-		}
-	}
-	return buf, total
 }
 
 // solver configuration.
@@ -197,48 +178,53 @@ const (
 	tolerance = 1e-12
 )
 
+// solve iterates v(s) = (b + Σ p(s,s')·v(s')) / total(s) over the
+// transient states by Gauss-Seidel with alternating sweep direction; the
+// absorbing entries of v keep their given values. It reports whether a
+// sweep's largest update fell to tolerance·(1 + b·max v) within maxSweeps.
+func (c *Chain) solve(v []float64, b float64) bool {
+	last := len(c.keys) - 1
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		var maxDelta, scale float64
+		for pos := 0; pos <= last; pos++ {
+			id := pos
+			if sweep%2 == 1 {
+				id = last - pos
+			}
+			if c.total[id] == 0 {
+				continue
+			}
+			var sum float64
+			for e := c.start[id]; e < c.start[id+1]; e++ {
+				sum += c.p[e] * v[c.to[e]]
+			}
+			nv := (b + sum) / c.total[id]
+			if delta := math.Abs(nv - v[id]); delta > maxDelta {
+				maxDelta = delta
+			}
+			if nv > scale {
+				scale = nv
+			}
+			v[id] = nv
+		}
+		if maxDelta <= tolerance*(1+b*scale) {
+			return true
+		}
+	}
+	return false
+}
+
 // ExpectedConsensusTimes solves for the expected number of interactions to
 // absorption from every state and returns the vector indexed by state id,
 // plus the id lookup for a start configuration via StateID. States from
 // which absorption is impossible do not exist in this chain (absorption is
 // almost sure), so the system has a unique solution.
 func (c *Chain) ExpectedConsensusTimes() ([]float64, error) {
-	h := make([]float64, len(c.states))
-	var buf []transition
-	// Gauss-Seidel with alternating sweep direction:
-	// h(s) = (1 + Σ p(s,s') h(s')) / pTotal(s), where pTotal is the
-	// productive probability (the self-loop folded into the diagonal).
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		var maxDelta, scale float64
-		for pos := 0; pos < len(c.states); pos++ {
-			id := pos
-			if sweep%2 == 1 {
-				id = len(c.states) - 1 - pos
-			}
-			if c.isAbsorbing(c.states[id]) {
-				continue
-			}
-			var sum float64
-			var total float64
-			buf, total = c.transitions(id, buf)
-			for _, tr := range buf {
-				sum += tr.prob * h[tr.to]
-			}
-			nv := (1 + sum) / total
-			delta := math.Abs(nv - h[id])
-			if delta > maxDelta {
-				maxDelta = delta
-			}
-			if nv > scale {
-				scale = nv
-			}
-			h[id] = nv
-		}
-		if maxDelta <= tolerance*(1+scale) {
-			return h, nil
-		}
+	h := make([]float64, len(c.keys))
+	if !c.solve(h, 1) {
+		return nil, errors.New("exact: expected-time solver did not converge")
 	}
-	return nil, errors.New("exact: expected-time solver did not converge")
+	return h, nil
 }
 
 // WinProbabilities solves for the probability that opinion `win` is the
@@ -247,40 +233,13 @@ func (c *Chain) WinProbabilities(win int) ([]float64, error) {
 	if win < 0 || win >= c.k {
 		return nil, fmt.Errorf("exact: opinion %d out of range", win)
 	}
-	w := make([]float64, len(c.states))
-	for id, s := range c.states {
-		if s[win] == int16(c.n) {
-			w[id] = 1
-		}
+	w := make([]float64, len(c.keys))
+	id, _ := slices.BinarySearch(c.keys, uint64(c.n)<<(bits*(c.k-win)))
+	w[id] = 1
+	if !c.solve(w, 0) {
+		return nil, errors.New("exact: win-probability solver did not converge")
 	}
-	var buf []transition
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		var maxDelta float64
-		for pos := 0; pos < len(c.states); pos++ {
-			id := pos
-			if sweep%2 == 1 {
-				id = len(c.states) - 1 - pos
-			}
-			if c.isAbsorbing(c.states[id]) {
-				continue
-			}
-			var sum float64
-			var total float64
-			buf, total = c.transitions(id, buf)
-			for _, tr := range buf {
-				sum += tr.prob * w[tr.to]
-			}
-			nv := sum / total
-			if delta := math.Abs(nv - w[id]); delta > maxDelta {
-				maxDelta = delta
-			}
-			w[id] = nv
-		}
-		if maxDelta <= tolerance {
-			return w, nil
-		}
-	}
-	return nil, errors.New("exact: win-probability solver did not converge")
+	return w, nil
 }
 
 // ExpectedTimeFrom returns the expected interactions to absorption from a

@@ -2,7 +2,9 @@ package exact
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/conf"
@@ -60,32 +62,67 @@ func TestStateEnumeration(t *testing.T) {
 	}
 }
 
+// parts unpacks state id into (x₁..x_k, u).
+func (c *Chain) parts(id int) []int64 {
+	parts := make([]int64, c.k+1)
+	key := c.keys[id]
+	for i := c.k; i >= 0; i-- {
+		parts[i] = int64(key & (1<<bits - 1))
+		key >>= bits
+	}
+	return parts
+}
+
+// absorbing reports whether a state is consensus (some xᵢ = n) or
+// all-undecided (u = n), read from its parts.
+func (c *Chain) absorbing(parts []int64) bool {
+	return slices.Contains(parts, c.n)
+}
+
 func TestTransitionProbabilitiesSumToOne(t *testing.T) {
 	c, err := New(12, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf []transition
-	for id := range c.states {
-		var total float64
-		buf, total = c.transitions(id, buf)
+	if !slices.IsSorted(c.keys) {
+		t.Fatal("state keys not in ascending order")
+	}
+	for id := range c.keys {
+		s := c.parts(id)
+		total := c.total[id]
 		if total < -1e-15 || total > 1+1e-12 {
-			t.Fatalf("state %v: productive probability %v out of [0,1]", c.states[id], total)
+			t.Fatalf("state %v: productive probability %v out of [0,1]", s, total)
 		}
 		var check float64
-		for _, tr := range buf {
-			if tr.prob <= 0 {
-				t.Fatalf("state %v: non-positive edge probability", c.states[id])
+		for e := c.start[id]; e < c.start[id+1]; e++ {
+			if c.p[e] <= 0 {
+				t.Fatalf("state %v: non-positive edge probability", s)
 			}
-			check += tr.prob
+			// Every edge moves one agent between an opinion and u.
+			next := c.parts(int(c.to[e]))
+			var moved int64
+			for i := range s {
+				moved += abs(next[i] - s[i])
+			}
+			if moved != 2 || abs(next[c.k]-s[c.k]) != 1 {
+				t.Fatalf("state %v: edge to %v is not an adopt or undecide move", s, next)
+			}
+			check += c.p[e]
 		}
 		if math.Abs(check-total) > 1e-12 {
-			t.Fatalf("state %v: edges sum %v != total %v", c.states[id], check, total)
+			t.Fatalf("state %v: edges sum %v != total %v", s, check, total)
 		}
-		if c.isAbsorbing(c.states[id]) && total != 0 {
-			t.Fatalf("absorbing state %v has productive probability %v", c.states[id], total)
+		if c.absorbing(s) != (total == 0) {
+			t.Fatalf("state %v: absorbing %v but productive probability %v", s, c.absorbing(s), total)
 		}
 	}
+}
+
+func abs(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // k=1 closed form: with a single opinion, only "adopt" transitions happen;
@@ -122,11 +159,12 @@ func TestExpectedTimeAbsorbingIsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, s := range c.states {
-		if c.isAbsorbing(s) && h[id] != 0 {
+	for id := range c.keys {
+		s := c.parts(id)
+		if c.absorbing(s) && h[id] != 0 {
 			t.Fatalf("absorbing state %v has expected time %v", s, h[id])
 		}
-		if !c.isAbsorbing(s) && h[id] <= 0 {
+		if !c.absorbing(s) && h[id] <= 0 {
 			t.Fatalf("transient state %v has expected time %v", s, h[id])
 		}
 	}
@@ -168,8 +206,9 @@ func TestWinProbabilitiesSumToOne(t *testing.T) {
 		}
 		ws = append(ws, w)
 	}
-	for id, s := range c.states {
-		if s[3] == int16(n) { // all-undecided: nobody wins
+	for id := range c.keys {
+		s := c.parts(id)
+		if s[3] == n { // all-undecided: nobody wins
 			continue
 		}
 		sum := ws[0][id] + ws[1][id] + ws[2][id]
@@ -315,15 +354,190 @@ func TestAllUndecidedAbsorbingState(t *testing.T) {
 	}
 }
 
-func BenchmarkExpectedTimes(b *testing.B) {
-	c, err := New(40, 2)
+// ExpectedConsensusTimes allocates its result vector and nothing else:
+// the transition rows are built once, in New.
+func TestExpectedTimesAllocatesOnlyResult(t *testing.T) {
+	c, err := New(10, 2)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := c.ExpectedConsensusTimes(); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
+	})
+	if allocs != 1 {
+		t.Fatalf("ExpectedConsensusTimes made %v allocations per run, want 1", allocs)
+	}
+}
+
+// TestMatchesDenseReference checks the solver against a direct solve: for
+// every chain with n <= 10 and k <= 3 it enumerates the compositions
+// itself, derives the transition matrix by applying the USD rule to every
+// ordered (responder, initiator) type pair, and solves the absorbing
+// systems for h and w₀ by Gaussian elimination.
+func TestMatchesDenseReference(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		for n := int64(1); n <= 10; n++ {
+			c, err := New(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := c.ExpectedConsensusTimes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := c.WinProbabilities(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states := compositions(n, k+1)
+			if len(states) != c.States() {
+				t.Fatalf("n=%d k=%d: %d compositions, chain has %d states", n, k, len(states), c.States())
+			}
+			wantH, wantW := denseReference(states, n, k)
+			for i, s := range states {
+				cfg := mustConfig(t, s[:k], s[k])
+				id, err := c.StateID(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !closeRel(h[id], wantH[i]) || !closeRel(w[id], wantW[i]) {
+					t.Fatalf("n=%d k=%d state %v: (h, w0) = (%v, %v), dense reference (%v, %v)",
+						n, k, s, h[id], w[id], wantH[i], wantW[i])
+				}
+			}
+		}
+	}
+}
+
+func closeRel(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want))
+}
+
+// compositions lists every composition of n into the given number of
+// non-negative parts.
+func compositions(n int64, parts int) [][]int64 {
+	if parts == 1 {
+		return [][]int64{{n}}
+	}
+	var out [][]int64
+	for v := int64(0); v <= n; v++ {
+		for _, rest := range compositions(n-v, parts-1) {
+			out = append(out, append([]int64{v}, rest...))
+		}
+	}
+	return out
+}
+
+// denseReference solves (I − P)·h = 1 and (I − P)·w₀ = 0 over the transient
+// states of the USD chain on the given states (x₁..x_k, u), with h = 0 and
+// w₀ = [consensus on opinion 0] on the absorbing ones.
+func denseReference(states [][]int64, n int64, k int) (h, w []float64) {
+	index := make(map[string]int, len(states))
+	for i, s := range states {
+		index[fmt.Sprint(s)] = i
+	}
+	m := len(states)
+	a := make([][]float64, m)
+	rhs := make([][2]float64, m)
+	nn := float64(n * n)
+	for i, s := range states {
+		a[i] = make([]float64, m)
+		if slices.Contains(s, n) { // consensus or all-undecided
+			a[i][i] = 1
+			if s[0] == n {
+				rhs[i][1] = 1
+			}
+			continue
+		}
+		rhs[i][0] = 1
+		a[i][i] = 1
+		// Agent types 0..k-1 are opinions, type k is undecided.
+		for r := 0; r <= k; r++ {
+			for in := 0; in <= k; in++ {
+				p := float64(s[r]*s[in]) / nn
+				if p == 0 {
+					continue
+				}
+				next := slices.Clone(s)
+				switch {
+				case r < k && in < k && r != in:
+					next[r]--
+					next[k]++
+				case r == k && in < k:
+					next[k]--
+					next[in]++
+				}
+				a[i][index[fmt.Sprint(next)]] -= p
+			}
+		}
+	}
+	x := gaussSolve(a, rhs)
+	h = make([]float64, m)
+	w = make([]float64, m)
+	for i := range x {
+		h[i], w[i] = x[i][0], x[i][1]
+	}
+	return h, w
+}
+
+// gaussSolve solves a·x = rhs for two right-hand sides by Gaussian
+// elimination with partial pivoting; a and rhs are overwritten.
+func gaussSolve(a [][]float64, rhs [][2]float64) [][2]float64 {
+	m := len(a)
+	for col := 0; col < m; col++ {
+		piv := col
+		for r := col + 1; r < m; r++ {
+			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
+				piv = r
+			}
+		}
+		a[col], a[piv] = a[piv], a[col]
+		rhs[col], rhs[piv] = rhs[piv], rhs[col]
+		for r := col + 1; r < m; r++ {
+			f := a[r][col] / a[col][col]
+			if f == 0 {
+				continue
+			}
+			for j := col; j < m; j++ {
+				a[r][j] -= f * a[col][j]
+			}
+			rhs[r][0] -= f * rhs[col][0]
+			rhs[r][1] -= f * rhs[col][1]
+		}
+	}
+	x := make([][2]float64, m)
+	for r := m - 1; r >= 0; r-- {
+		for b := 0; b < 2; b++ {
+			sum := rhs[r][b]
+			for j := r + 1; j < m; j++ {
+				sum -= a[r][j] * x[j][b]
+			}
+			x[r][b] = sum / a[r][r]
+		}
+	}
+	return x
+}
+
+// BenchmarkExpectedTimes times the expected-time solve at the chain sizes
+// the exact validation needs.
+func BenchmarkExpectedTimes(b *testing.B) {
+	for _, tc := range []struct {
+		n int64
+		k int
+	}{{40, 2}, {200, 2}, {60, 3}} {
+		b.Run(fmt.Sprintf("n=%d/k=%d", tc.n, tc.k), func(b *testing.B) {
+			c, err := New(tc.n, tc.k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.ExpectedConsensusTimes(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -129,8 +129,8 @@ func a2Engine() Experiment {
 				if err != nil {
 					return math.NaN()
 				}
-				res, err := e.Run(0)
-				if err != nil || !res.Consensus {
+				res := e.Run(0)
+				if !res.Consensus {
 					return math.NaN()
 				}
 				return float64(res.Interactions)
@@ -188,8 +188,8 @@ func a3SelfInteraction() Experiment {
 					if err != nil {
 						return math.NaN()
 					}
-					res, err := e.Run(0)
-					if err != nil || !res.Consensus {
+					res := e.Run(0)
+					if !res.Consensus {
 						return math.NaN()
 					}
 					return float64(res.Interactions)

@@ -59,8 +59,8 @@ func x4Scheduler() Experiment {
 					if b := 1000 * float64(n) * float64(n); b < float64(math.MaxInt64) {
 						budget = 1000 * n * n
 					}
-					res, err := e.Run(budget)
-					if err != nil || !res.Consensus {
+					res := e.Run(budget)
+					if !res.Consensus {
 						return outcome{}
 					}
 					return outcome{t: float64(res.Interactions), won: res.Winner == 0, done: true}

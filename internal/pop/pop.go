@@ -9,8 +9,8 @@
 // For the USD specifically, the aggregate simulator in internal/core is
 // asymptotically faster; this engine serves as the ground truth it is
 // validated against, and as the substrate for scheduler variations
-// (forbidding self-interactions, recording and replaying interaction
-// sequences) that the aggregate simulator cannot express.
+// (forbidding self-interactions, heterogeneous activation weights) that
+// the aggregate simulator cannot express.
 package pop
 
 import (
@@ -109,48 +109,6 @@ func (s NoSelfScheduler) Pair(n int) (int, int) {
 		j++
 	}
 	return i, j
-}
-
-// Recorder wraps a scheduler and records every pair it emits, for
-// deterministic replay.
-type Recorder struct {
-	// Inner is the scheduler whose choices are recorded.
-	Inner Scheduler
-	// Pairs accumulates the emitted (responder, initiator) pairs.
-	Pairs [][2]int
-}
-
-// Pair delegates to Inner and appends the choice to Pairs.
-func (r *Recorder) Pair(n int) (int, int) {
-	i, j := r.Inner.Pair(n)
-	r.Pairs = append(r.Pairs, [2]int{i, j})
-	return i, j
-}
-
-// ErrReplayExhausted is returned (via panic recovery in Engine.Step's
-// caller contract) when a Replayer runs out of recorded pairs.
-var ErrReplayExhausted = errors.New("pop: replay schedule exhausted")
-
-// Replayer replays a recorded pair sequence.
-type Replayer struct {
-	// Pairs is the recorded schedule.
-	Pairs [][2]int
-	// next is the cursor.
-	next int
-}
-
-// Pair returns the next recorded pair. It panics with ErrReplayExhausted
-// when the schedule runs out; Engine.Run converts this into an error.
-func (r *Replayer) Pair(n int) (int, int) {
-	if r.next >= len(r.Pairs) {
-		panic(ErrReplayExhausted)
-	}
-	p := r.Pairs[r.next]
-	r.next++
-	if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
-		panic(fmt.Errorf("pop: replayed pair %v out of range for n=%d", p, n))
-	}
-	return p[0], p[1]
 }
 
 // Engine simulates a population protocol over an explicit agent vector.
@@ -279,26 +237,15 @@ type Result struct {
 }
 
 // Run simulates until consensus or until the interaction budget is
-// exhausted (budget <= 0 means until consensus). It returns an error if the
-// scheduler fails (for example a Replayer running out of schedule).
-func (e *Engine) Run(budget int64) (res Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if recErr, ok := r.(error); ok {
-				err = recErr
-				res = Result{Winner: -1, Interactions: e.steps}
-				return
-			}
-			panic(r)
-		}
-	}()
+// exhausted (budget <= 0 means until consensus).
+func (e *Engine) Run(budget int64) Result {
 	for !e.IsConsensus() {
 		if budget > 0 && e.steps >= budget {
-			return Result{Winner: -1, Interactions: e.steps}, nil
+			return Result{Winner: -1, Interactions: e.steps}
 		}
 		if e.u == e.N() {
 			// All-undecided is absorbing; report as non-consensus.
-			return Result{Winner: -1, Interactions: e.steps}, nil
+			return Result{Winner: -1, Interactions: e.steps}
 		}
 		e.Step()
 	}
@@ -309,5 +256,5 @@ func (e *Engine) Run(budget int64) (res Result, err error) {
 			break
 		}
 	}
-	return Result{Consensus: true, Winner: winner, Interactions: e.steps}, nil
+	return Result{Consensus: true, Winner: winner, Interactions: e.steps}
 }

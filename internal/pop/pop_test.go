@@ -1,7 +1,6 @@
 package pop
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -160,10 +159,7 @@ func TestEngineReachesConsensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := e.Run(0)
 	if !res.Consensus {
 		t.Fatal("no consensus")
 	}
@@ -184,10 +180,7 @@ func TestEngineBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := e.Run(100)
 	if res.Consensus {
 		t.Fatal("cannot reach consensus in 100 interactions from uniform 4-opinion start")
 	}
@@ -202,10 +195,7 @@ func TestEngineAllUndecidedAbsorbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := e.Run(0)
 	if res.Consensus || res.Winner != -1 {
 		t.Fatalf("all-undecided run: %+v", res)
 	}
@@ -268,53 +258,6 @@ func TestNoSelfSchedulerLaw(t *testing.T) {
 	}
 }
 
-func TestRecordReplayIdentical(t *testing.T) {
-	c := mustConfig(t, []int64{30, 20, 10}, 5)
-	rec := &Recorder{Inner: UniformScheduler{Src: rng.New(33)}}
-	e1, err := NewEngine(c, USD{Opinions: 3}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		e1.Step()
-	}
-	e2, err := NewEngine(c, USD{Opinions: 3}, &Replayer{Pairs: rec.Pairs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		e2.Step()
-	}
-	for i := int64(0); i < e1.N(); i++ {
-		if e1.agents[int(i)] != e2.agents[int(i)] {
-			t.Fatalf("replay diverged at agent %d", i)
-		}
-	}
-}
-
-func TestReplayExhaustion(t *testing.T) {
-	c := mustConfig(t, []int64{5, 5}, 0)
-	e, err := NewEngine(c, USD{Opinions: 2}, &Replayer{Pairs: [][2]int{{0, 5}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = e.Run(10)
-	if !errors.Is(err, ErrReplayExhausted) {
-		t.Fatalf("err = %v, want ErrReplayExhausted", err)
-	}
-}
-
-func TestReplayOutOfRangePair(t *testing.T) {
-	c := mustConfig(t, []int64{5, 5}, 0)
-	e, err := NewEngine(c, USD{Opinions: 2}, &Replayer{Pairs: [][2]int{{0, 99}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(10); err == nil {
-		t.Fatal("out-of-range replayed pair not reported")
-	}
-}
-
 func TestEngineMatchesObservation6(t *testing.T) {
 	// The agent-level engine's one-step law must match the aggregate
 	// probabilities, confirming the two simulators implement one process.
@@ -352,10 +295,7 @@ func TestVoterReachesConsensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := e.Run(0)
 	if !res.Consensus {
 		t.Fatal("voter did not converge")
 	}

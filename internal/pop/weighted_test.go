@@ -145,10 +145,7 @@ func TestUSDConvergesUnderWeightedScheduler(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run(50_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := e.Run(50_000_000)
 		if !res.Consensus {
 			t.Fatalf("trial %d did not converge", i)
 		}

@@ -216,13 +216,7 @@ func RunWithBudget(cfg *Config, seed uint64, budget int64) (Report, error) {
 // phase-time distributions agree with Run within tolerance; see the
 // K1-kernel-agreement experiment).
 func RunFast(cfg *Config, seed uint64) (Report, error) {
-	return RunFastWithBudget(cfg, seed, 0)
-}
-
-// RunFastWithBudget is RunFast with an interaction budget; budget <= 0
-// simulates until an absorbing configuration is reached.
-func RunFastWithBudget(cfg *Config, seed uint64, budget int64) (Report, error) {
-	return RunWithKernel(cfg, seed, ClockOf(budget), KernelBatched(0))
+	return RunWithKernel(cfg, seed, NoBudget, KernelBatched(0))
 }
 
 // RunWithKernel is the kernel-parameterized tracked run behind Run and
