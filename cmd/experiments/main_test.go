@@ -108,3 +108,15 @@ func TestRunK4Adaptive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNegativeParallelismRejected pins that -parallelism < 0 fails at flag
+// parsing, naming the flag, instead of silently meaning GOMAXPROCS.
+func TestNegativeParallelismRejected(t *testing.T) {
+	for _, extra := range [][]string{nil, {"-shards", "2"}} {
+		args := append([]string{"-run", "T1-phases", "-quick", "-parallelism", "-3"}, extra...)
+		err := silence(t, func() error { return run(args) })
+		if err == nil || !strings.Contains(err.Error(), "-parallelism -3 must be non-negative") {
+			t.Errorf("%v: err = %v, want -parallelism -3 must be non-negative", args, err)
+		}
+	}
+}

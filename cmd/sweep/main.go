@@ -116,6 +116,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *workers < 0 {
+		return fmt.Errorf("-parallelism %d must be non-negative", *workers)
+	}
 	if *worker != "" {
 		shard, of, err := dist.ParseShardArg(*worker)
 		if err != nil {

@@ -228,3 +228,17 @@ func TestSweepHostsRequiresShards(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepNegativeParallelismRejected pins that -parallelism < 0 fails at
+// flag parsing, naming the flag, on both engines, instead of silently
+// meaning GOMAXPROCS and being forwarded to the workers.
+func TestSweepNegativeParallelismRejected(t *testing.T) {
+	base := []string{"-param", "k", "-values", "2", "-n", "512", "-trials", "2", "-parallelism", "-3"}
+	for _, extra := range [][]string{nil, {"-shards", "2"}} {
+		args := append(append([]string(nil), base...), extra...)
+		err := silence(t, func() error { return run(args) })
+		if err == nil || !strings.Contains(err.Error(), "-parallelism -3 must be non-negative") {
+			t.Errorf("%v: err = %v, want -parallelism -3 must be non-negative", args, err)
+		}
+	}
+}

@@ -58,6 +58,8 @@ type Conn struct {
 	// mu serializes coordinator writes to W: the shard's sender goroutine
 	// and the shutdown path can address the same worker concurrently.
 	mu sync.Mutex
+	// frame is the line buffer every send reuses, guarded by mu.
+	frame []byte
 }
 
 // send writes one coordinator-to-worker message under the connection's
@@ -65,7 +67,9 @@ type Conn struct {
 func (c *Conn) send(m Msg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return writeMsg(c.W, m)
+	var err error
+	c.frame, err = writeFrame(c.W, c.frame, m)
+	return err
 }
 
 // kill forcibly tears a connection down: the launcher-specific Kill first
@@ -327,8 +331,10 @@ type Options struct {
 	// has produced no protocol line for this long is declared dead and
 	// recovered exactly like a crashed one. Zero disables the deadline,
 	// and a hung worker then blocks the run forever. Set it comfortably
-	// above the cost of the slowest single trial: workers emit results as
-	// trials finish, so any healthy busy worker speaks at least that often.
+	// above the cost of the slowest single trial plus 1 ms: a worker
+	// writes a wave share's results in one write, but early once 1 ms has
+	// passed since its last write, so any healthy busy worker speaks at
+	// least once per slowest trial plus 1 ms.
 	WorkerTimeout time.Duration
 	// MaxRelaunches caps how many times one shard's failed worker is
 	// relaunched (with backoff) before the shard is written off and its

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -551,5 +552,70 @@ func TestRunDispatchFailureSelfHeals(t *testing.T) {
 		if want := fmt.Sprintf("%d:%s", i, echoPayload(spec, 7, i)); st.Seq[i] != want {
 			t.Fatalf("fold %d = %q, want %q", i, st.Seq[i], want)
 		}
+	}
+}
+
+// TestHandleDropsBatchTailAfterTeardown pins the generation check inside a
+// batch: once a line severs the connection, the lines the reader batched
+// behind it belong to a dead incarnation and are dropped, as they would
+// have been arriving one channel send at a time.
+func TestHandleDropsBatchTailAfterTeardown(t *testing.T) {
+	s := &shardSlot{health: healthReady}
+	co := &coordinator{
+		slots:   []*shardSlot{s},
+		pending: map[int][]byte{},
+		owner:   map[int]int{3: 0, 5: 0},
+		log:     io.Discard,
+		res:     &Result{},
+	}
+	s.owed = 2
+	co.handle(shardMsg{ms: []Msg{
+		{V: ProtocolVersion, Type: TypeResult, Trial: 3, Data: []byte(`{}`)},
+		{V: ProtocolVersion, Type: TypeHello}, // a second hello: the worker is misbehaving
+		{V: ProtocolVersion, Type: TypeResult, Trial: 5, Data: []byte(`{}`)},
+	}})
+	if _, ok := co.pending[3]; !ok {
+		t.Fatal("result ahead of the teardown was dropped")
+	}
+	if _, ok := co.pending[5]; ok || s.owed != 1 {
+		t.Fatalf("result behind the teardown was handled (owed %d)", s.owed)
+	}
+	if s.gen != 1 || co.fatal == nil {
+		t.Fatalf("bad hello did not sever the connection (gen %d, fatal %v)", s.gen, co.fatal)
+	}
+}
+
+// TestBatchReadsLinesPastTheBuffer pins the batched reader on lines longer
+// than its buffer: they are gathered whole, between the short lines around
+// them, in stream order.
+func TestBatchReadsLinesPastTheBuffer(t *testing.T) {
+	long := []byte(`"` + strings.Repeat("x", 3<<16) + `"`)
+	want := []Msg{
+		{V: ProtocolVersion, Type: TypeResult, Trial: 1, Data: []byte(`{}`)},
+		{V: ProtocolVersion, Type: TypeResult, Trial: 2, Data: long},
+		{V: ProtocolVersion, Type: TypeResult, Trial: 3, Data: []byte(`{}`)},
+		{V: ProtocolVersion, Type: TypeWaveDone, Hi: 4, Indices: []int{1, 2, 3}},
+	}
+	var stream []byte
+	for _, m := range want {
+		var err error
+		if stream, err = appendMsg(stream, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []Msg
+	dec := newMsgReader(bytes.NewReader(stream))
+	for {
+		ms, err := dec.batch()
+		got = append(got, ms...)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("batched reads decoded %d messages, want %d; equal %v", len(got), len(want), reflect.DeepEqual(got, want))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/experiment"
@@ -13,6 +14,13 @@ import (
 // by its interaction budget.
 var frameResult = experiment.ShardResult{
 	InteractionsLo: 1, Winner: -1, InitialLeader: 17, Outcome: "budget",
+}
+
+// frameWave is a typical wave command of a 2-member fleet at the default
+// wave size: one member's stride of the wave's indices.
+var frameWave = dist.Msg{
+	Type: dist.TypeWave, Lo: 123456, Hi: 123456 + dist.DefaultWave,
+	Indices: []int{123456, 123458, 123460, 123462, 123464, 123466, 123468, 123470},
 }
 
 // repeatReader yields the same bytes forever, so a msgReader over it reads
@@ -35,7 +43,20 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 // resultLine is frameResult's result frame for trial 123456.
 func resultLine(t testing.TB) []byte {
 	var buf bytes.Buffer
-	if _, err := dist.WriteResultFrame(&buf, nil, 123456, frameResult.AppendJSON(nil)); err != nil {
+	ww := dist.NewWaveWriter(&buf)
+	if err := ww.EmitResult(123456, frameResult.AppendJSON(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ww.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// waveLine is frameWave's protocol line.
+func waveLine(t testing.TB) []byte {
+	var buf bytes.Buffer
+	if _, err := dist.WriteFrame(&buf, nil, frameWave); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -43,17 +64,20 @@ func resultLine(t testing.TB) []byte {
 
 // TestResultFrameAllocFree pins the per-trial codec cost on both ends of
 // the pipe: a worker encoding a ShardResult into its reused payload buffer
-// and writing the frame from its reused frame buffer allocates nothing,
-// and the coordinator decodes a result line with at most the one
-// allocation ReadBytes makes for the line itself.
+// and appending the frame to its reused wave buffer allocates nothing, and
+// the coordinator's batched reads decode result lines with at most one
+// allocation per line.
 func TestResultFrameAllocFree(t *testing.T) {
-	var payload, frame []byte
+	var payload []byte
 	var err error
+	ww := dist.NewWaveWriter(io.Discard)
 	emit := func() {
 		payload = frameResult.AppendJSON(payload[:0])
-		frame, err = dist.WriteResultFrame(io.Discard, frame, 123456, payload)
+		err = ww.EmitResult(123456, payload)
 	}
-	emit() // grow the buffers once
+	for i := 0; i < 5000; i++ {
+		emit() // grow the buffers
+	}
 	if avg := testing.AllocsPerRun(1000, emit); avg != 0 {
 		t.Errorf("worker result emit allocates %v objects per trial, want 0", avg)
 	}
@@ -61,43 +85,108 @@ func TestResultFrameAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// AllocsPerRun calls batch once more than it measures.
+	const runs = 100
 	dec := dist.NewMsgReader(&repeatReader{line: resultLine(t)})
-	var m dist.Msg
-	next := func() { m, err = dec.Next() }
-	next()
-	if avg := testing.AllocsPerRun(1000, next); avg > 1 {
-		t.Errorf("result line decode allocates %v objects, want at most 1", avg)
+	var ms []dist.Msg
+	lines := 0
+	batch := func() {
+		ms, err = dec.Batch()
+		lines += len(ms)
 	}
+	perBatch := testing.AllocsPerRun(runs, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Type != dist.TypeResult || m.Trial != 123456 || !bytes.Equal(m.Data, frameResult.AppendJSON(nil)) {
-		t.Fatalf("decoded %+v, want trial 123456 carrying %s", m, frameResult.AppendJSON(nil))
+	if perLine := perBatch / (float64(lines) / (runs + 1)); perLine > 1 {
+		t.Errorf("batched result decode allocates %v objects per line (%v per batch), want at most 1", perLine, perBatch)
+	}
+	for _, m := range ms {
+		if m.Type != dist.TypeResult || m.Trial != 123456 || !bytes.Equal(m.Data, frameResult.AppendJSON(nil)) {
+			t.Fatalf("decoded %+v, want trial 123456 carrying %s", m, frameResult.AppendJSON(nil))
+		}
 	}
 }
 
 // BenchmarkResultFrameEncode times a worker's per-trial emit: encode the
-// ShardResult, frame it and write the line.
+// ShardResult and append its frame to the wave share's pending write.
 func BenchmarkResultFrameEncode(b *testing.B) {
-	var payload, frame []byte
+	var payload []byte
+	ww := dist.NewWaveWriter(io.Discard)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		payload = frameResult.AppendJSON(payload[:0])
-		var err error
-		if frame, err = dist.WriteResultFrame(io.Discard, frame, i, payload); err != nil {
+		if err := ww.EmitResult(i, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkResultFrameDecode times the coordinator's read of one result
-// line off a buffered stream.
+// BenchmarkResultFrameDecode times the coordinator's batched read of
+// result lines off a buffered stream, per line.
 func BenchmarkResultFrameDecode(b *testing.B) {
 	dec := dist.NewMsgReader(&repeatReader{line: resultLine(b)})
+	b.ReportAllocs()
+	for n := 0; n < b.N; {
+		ms, err := dec.Batch()
+		if err != nil {
+			b.Fatal(err)
+		}
+		n += len(ms)
+	}
+}
+
+// BenchmarkWaveFrameEncode times the coordinator's encode and write of one
+// wave command.
+func BenchmarkWaveFrameEncode(b *testing.B) {
+	var frame []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if frame, err = dist.WriteFrame(io.Discard, frame, frameWave); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWaveFrameDecode times a worker's read of one wave command off a
+// buffered stream.
+func BenchmarkWaveFrameDecode(b *testing.B) {
+	dec := dist.NewMsgReader(&repeatReader{line: waveLine(b)})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := dec.Next(); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRunPipe times dist.Run end to end over in-process pipes: b.N
+// trials on 2 members whose trials cost nothing but emitting a constant
+// payload, so waves, frames and the event loop are the whole cost. ns/op
+// and allocs/op are per trial.
+func BenchmarkRunPipe(b *testing.B) {
+	payload := frameResult.AppendJSON(nil)
+	build := func([]byte, uint64) (dist.TrialRunner, error) {
+		return func(indices []int, emit func(int, []byte)) error {
+			for _, i := range indices {
+				emit(i, payload)
+			}
+			return nil
+		}, nil
+	}
+	opts := dist.Options{
+		Shards: 2, MaxTrials: b.N, Spec: []byte(`{}`),
+		Launcher: &dist.PipeLauncher{Build: build},
+	}
+	b.ReportAllocs()
+	start := time.Now()
+	res, err := dist.Run(opts, func(int, []byte) error { return nil }, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Trials != b.N {
+		b.Fatalf("folded %d trials, want %d", res.Trials, b.N)
+	}
+	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "trials/s")
 }

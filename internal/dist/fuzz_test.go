@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -109,10 +110,13 @@ func TestRunRefusesCorruptCheckpoint(t *testing.T) {
 // protocol version and a known message type, and a version mismatch must
 // keep the rebuild guidance the cmds' error paths point users at.
 //
-// It also pins the hand-written result codec to encoding/json: every line
-// the canonical result parser accepts must unmarshal to a DeepEqual Msg,
-// and a result frame for the fuzzed trial number and the compacted input
-// (when the input is one JSON value) must equal json.Marshal's bytes.
+// It also pins the hand-written codecs to encoding/json in both
+// directions: every line the canonical result or wave/wavedone parser
+// accepts must unmarshal to a DeepEqual Msg; a result frame for the fuzzed
+// trial number and the compacted input (when the input is one JSON value)
+// must equal json.Marshal's bytes; and so must a wave and a wavedone frame
+// for the fuzzed lo and hi and indices read from the input's 8-byte words,
+// which the wave parser must then decode back to the same Msg.
 func FuzzFrame(f *testing.F) {
 	marshal := func(m Msg) []byte {
 		data, err := json.Marshal(m)
@@ -121,39 +125,66 @@ func FuzzFrame(f *testing.F) {
 		}
 		return append(data, '\n')
 	}
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeJob, Shard: 0, Shards: 2, Seed: 7, Hash: "h", Spec: []byte(`{}`)}), 0)
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWave, Lo: 0, Hi: 4, Indices: []int{0, 2}}), 0)
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeResult, Trial: 3, Data: []byte(`{"x":1}`)}), 3)
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeResult, Trial: 0, Data: []byte(`null`)}), 0)
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWaveDone, Lo: 0, Hi: 4, Indices: []int{0, 2}}), 0)
-	f.Add(marshal(Msg{V: 1, Type: TypeResult, Trial: 3}), 3)
-	f.Add(marshal(Msg{V: 2, Type: TypeWaveDone, Lo: 0, Hi: 4}), 0)
-	f.Add([]byte("{\"v\":3}\n{\"v\":3}\n"), 0)
-	f.Add([]byte("not json\n"), 0)
-	f.Add([]byte("{\"v\":1e999}\n"), 0)
-	f.Add([]byte("{}"), 0)
-	f.Add([]byte("\n"), 0)
-	f.Add([]byte{}, 0)
+	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeJob, Shard: 0, Shards: 2, Seed: 7, Hash: "h", Spec: []byte(`{}`)}), 0, 0, 0)
+	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWave, Lo: 0, Hi: 4, Indices: []int{0, 2}}), 0, 0, 4)
+	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeResult, Trial: 3, Data: []byte(`{"x":1}`)}), 3, 0, 0)
+	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeResult, Trial: 0, Data: []byte(`null`)}), 0, 0, 0)
+	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWaveDone, Lo: 0, Hi: 4, Indices: []int{0, 2}}), 0, 16, 32)
+	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWave, Lo: -5, Hi: math.MaxInt, Indices: []int{math.MinInt, -1, 0}}), 1, -5, math.MaxInt)
+	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWaveDone}), 1, math.MinInt, 0)
+	f.Add(marshal(Msg{V: 1, Type: TypeResult, Trial: 3}), 3, 0, 0)
+	f.Add(marshal(Msg{V: 2, Type: TypeWaveDone, Lo: 0, Hi: 4}), 0, 0, 4)
+	f.Add([]byte("{\"v\":3}\n{\"v\":3}\n"), 0, 0, 0)
+	f.Add([]byte("not json\n"), 0, 0, 0)
+	f.Add([]byte("{\"v\":1e999}\n"), 0, 0, 0)
+	f.Add([]byte("{}"), 0, 0, 0)
+	f.Add([]byte("\n"), 0, 0, 0)
+	f.Add([]byte{}, 0, 0, 0)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 0, 0, -1)
 	// Near misses of the canonical result form, which must fall through to
-	// encoding/json: leading zeros, a 19-digit trial that fits an int and
-	// one that does not, a negative trial, fields after the payload, a
-	// missing newline, whitespace inside the frame, and payloads that
-	// json.Marshal would rewrite.
-	f.Add([]byte(`{"v":4,"type":"result","trial":007,"data":{}}`+"\n"), 7)
-	f.Add([]byte(`{"v":4,"type":"result","trial":00,"data":{}}`+"\n"), 0)
-	f.Add([]byte(`{"v":4,"type":"result","trial":9223372036854775807,"data":{}}`+"\n"), math.MaxInt)
-	f.Add([]byte(`{"v":4,"type":"result","trial":9223372036854775808,"data":{}}`+"\n"), math.MinInt)
-	f.Add([]byte(`{"v":4,"type":"result","trial":-3,"data":{}}`+"\n"), -3)
-	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{},"err":"boom"}`+"\n"), 3)
-	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{},"v":5}`+"\n"), 3)
-	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":1},"v":5}`+"\n"), 3)
-	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{}}`), 3)
-	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{}}`+"\r\n"), 3)
-	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data": {"a" : 1} }`+"\n"), 3)
-	f.Add([]byte(`{"v": 4, "type": "result", "trial": 3, "data": {}}`+"\n"), 3)
-	f.Add([]byte("{\"v\":4,\"type\":\"result\",\"trial\":3,\"data\":\"<a\u2028&>\"}\n"), 3)
-	f.Add([]byte("{\"v\":4,\"type\":\"result\",\"trial\":3,\"data\":\"\xff\u00e9\"}\n"), 3)
-	f.Fuzz(func(t *testing.T, data []byte, trial int) {
+	// encoding/json: leading zeros, a trial that does not fit an int, -0,
+	// fields after the payload, a missing newline, whitespace inside the
+	// frame, and payloads that json.Marshal would rewrite. The largest int
+	// and a negative trial are canonical.
+	f.Add([]byte(`{"v":4,"type":"result","trial":007,"data":{}}`+"\n"), 7, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"result","trial":00,"data":{}}`+"\n"), 0, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"result","trial":9223372036854775807,"data":{}}`+"\n"), math.MaxInt, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"result","trial":9223372036854775808,"data":{}}`+"\n"), math.MinInt, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"result","trial":-3,"data":{}}`+"\n"), -3, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"result","trial":-0,"data":{}}`+"\n"), 0, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{},"err":"boom"}`+"\n"), 3, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{},"v":5}`+"\n"), 3, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":1},"v":5}`+"\n"), 3, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{}}`), 3, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{}}`+"\r\n"), 3, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data": {"a" : 1} }`+"\n"), 3, 0, 0)
+	f.Add([]byte(`{"v": 4, "type": "result", "trial": 3, "data": {}}`+"\n"), 3, 0, 0)
+	f.Add([]byte("{\"v\":4,\"type\":\"result\",\"trial\":3,\"data\":\"<a\u2028&>\"}\n"), 3, 0, 0)
+	f.Add([]byte("{\"v\":4,\"type\":\"result\",\"trial\":3,\"data\":\"\xff\u00e9\"}\n"), 3, 0, 0)
+	// Near misses of the canonical wave and wavedone forms: leading zeros,
+	// explicit zero lo, hi and indices members, -0, an index past an int,
+	// whitespace, members out of order, trailing fields, a non-zero trial,
+	// an unknown type and a missing newline. -1 and math.MinInt are
+	// canonical.
+	f.Add([]byte(`{"v":4,"type":"wave","lo":016,"hi":32,"indices":[16],"trial":0}`+"\n"), 0, 16, 32)
+	f.Add([]byte(`{"v":4,"type":"wave","lo":0,"hi":32,"indices":[16],"trial":0}`+"\n"), 0, 0, 32)
+	f.Add([]byte(`{"v":4,"type":"wave","hi":0,"trial":0}`+"\n"), 0, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"wave","hi":4,"indices":[],"trial":0}`+"\n"), 0, 0, 4)
+	f.Add([]byte(`{"v":4,"type":"wave","lo":-1,"hi":4,"indices":[-1,03],"trial":0}`+"\n"), 0, -1, 4)
+	f.Add([]byte(`{"v":4,"type":"wave","lo":-1,"hi":4,"indices":[-1,3],"trial":0}`+"\n"), 0, -1, 4)
+	f.Add([]byte(`{"v":4,"type":"wavedone","lo":-0,"hi":4,"trial":0}`+"\n"), 0, 0, 4)
+	f.Add([]byte(`{"v":4,"type":"wavedone","indices":[-9223372036854775808,9223372036854775808],"trial":0}`+"\n"), 0, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"wavedone","indices":[-9223372036854775808],"trial":0}`+"\n"), 0, 0, 0)
+	f.Add([]byte(`{"v":4,"type":"wave","lo":16,"hi":32,"indices":[16, 18],"trial":0}`+"\n"), 0, 16, 32)
+	f.Add([]byte(`{"v":4,"type":"wave","hi":32,"lo":16,"trial":0}`+"\n"), 0, 16, 32)
+	f.Add([]byte(`{"v":4,"type":"wave","lo":16,"hi":32,"indices":[16,],"trial":0}`+"\n"), 0, 16, 32)
+	f.Add([]byte(`{"v":4,"type":"wave","lo":16,"hi":32,"trial":0,"err":"x"}`+"\n"), 0, 16, 32)
+	f.Add([]byte(`{"v":4,"type":"wave","lo":16,"hi":32,"trial":0,"lo":17}`+"\n"), 0, 16, 32)
+	f.Add([]byte(`{"v":4,"type":"wave","lo":16,"hi":32,"trial":1}`+"\n"), 0, 16, 32)
+	f.Add([]byte(`{"v":4,"type":"waved","lo":16,"hi":32,"trial":0}`+"\n"), 0, 16, 32)
+	f.Add([]byte(`{"v":4,"type":"wavedone","lo":16,"hi":32,"trial":0}`), 0, 16, 32)
+	f.Add([]byte(`{"v":4,"type":"wavedone","lo":16,"hi":32,"trial":0}`+"\r\n"), 0, 16, 32)
+	f.Fuzz(func(t *testing.T, data []byte, trial, lo, hi int) {
 		dec := newMsgReader(bytes.NewReader(data))
 		for {
 			m, err := dec.next()
@@ -174,16 +205,31 @@ func FuzzFrame(f *testing.F) {
 		}
 
 		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
-			m, ok := parseResultFrame(line)
-			if !ok {
-				continue
+			for name, parse := range map[string]func([]byte) (Msg, bool){"result": parseResultFrame, "wave": parseRangeFrame} {
+				m, ok := parse(line)
+				if !ok {
+					continue
+				}
+				var want Msg
+				if err := json.Unmarshal(line, &want); err != nil {
+					t.Fatalf("%s parser accepted %q, which encoding/json rejects: %v", name, line, err)
+				}
+				if !reflect.DeepEqual(m, want) {
+					t.Fatalf("%s parser decoded %q to %+v, encoding/json to %+v", name, line, m, want)
+				}
 			}
-			var want Msg
-			if err := json.Unmarshal(line, &want); err != nil {
-				t.Fatalf("result parser accepted %q, which encoding/json rejects: %v", line, err)
-			}
-			if !reflect.DeepEqual(m, want) {
-				t.Fatalf("result parser decoded %q to %+v, encoding/json to %+v", line, m, want)
+		}
+
+		var indices []int
+		for w := data; len(w) >= 8; w = w[8:] {
+			indices = append(indices, int(binary.LittleEndian.Uint64(w)))
+		}
+		for _, typ := range []string{TypeWave, TypeWaveDone} {
+			m := Msg{V: ProtocolVersion, Type: typ, Lo: lo, Hi: hi, Indices: indices}
+			got := encodeLike(t, m)
+			back, ok := parseRangeFrame(got)
+			if !ok || !reflect.DeepEqual(back, m) {
+				t.Fatalf("wave parser decoded %q to %+v (ok %v), want %+v", got, back, ok, m)
 			}
 		}
 
@@ -191,20 +237,26 @@ func FuzzFrame(f *testing.F) {
 		if json.Compact(&payload, data) != nil {
 			return
 		}
-		m := Msg{Type: TypeResult, Trial: trial, Data: payload.Bytes()}
-		got, err := appendMsg(nil, m)
-		if err != nil {
-			t.Fatalf("encode result frame of %q: %v", payload.Bytes(), err)
-		}
-		m.V = ProtocolVersion
-		want, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want = append(want, '\n'); !bytes.Equal(got, want) {
-			t.Fatalf("result frame\n got %q\nwant %q", got, want)
-		}
+		encodeLike(t, Msg{V: ProtocolVersion, Type: TypeResult, Trial: trial, Data: payload.Bytes()})
 	})
+}
+
+// encodeLike returns m's protocol line from appendMsg, failing t unless it
+// equals json.Marshal's bytes and a newline.
+func encodeLike(t *testing.T, m Msg) []byte {
+	t.Helper()
+	got, err := appendMsg(nil, m)
+	if err != nil {
+		t.Fatalf("encode %s frame %+v: %v", m.Type, m, err)
+	}
+	want, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(got, want) {
+		t.Fatalf("%s frame\n got %q\nwant %q", m.Type, got, want)
+	}
+	return got
 }
 
 // FuzzCheckpoint drives checkpoint parsing with arbitrary bytes: it must

@@ -16,10 +16,14 @@
 // coordinator sends a job header (spec, seed, shard identity, spec hash),
 // the worker answers with a hello echoing the verified hash, and then
 // explicit trial-index lists flow down and per-trial result payloads flow
-// back, each wave closed by a wavedone barrier message. The per-trial
-// result frame is the protocol's hot line, so it is encoded and parsed by
-// hand rather than by reflection, into the same bytes encoding/json writes;
-// every other message goes through encoding/json. The wave barrier is
+// back, each wave closed by a wavedone barrier message. The lines sent per
+// trial and per wave are encoded and parsed by hand rather than by
+// reflection, into the same bytes encoding/json writes: result frames
+// carrying only a trial number and payload, and wave and wavedone frames
+// carrying only lo, hi and indices. Every other message (job, hello, halt,
+// error) and any other spelling goes through encoding/json. A worker writes
+// a wave share's frames in one write, and the coordinator hands every line
+// already buffered to its event loop in one channel send. The wave barrier is
 // the cross-process analogue of StreamAdaptive's dispatch window: after
 // folding a wave the coordinator evaluates the stopping predicate, writes a
 // checkpoint (caller aggregate state + next trial index + spec hash), and
@@ -124,16 +128,23 @@ type Msg struct {
 	Err string `json:"err,omitempty"`
 }
 
+// msgHead is the opening of every message up to its type name.
+var msgHead = `{"v":` + strconv.Itoa(ProtocolVersion) + `,"type":"`
+
 // resultHead is the opening of a result frame up to its trial number:
 // the bytes json.Marshal writes for a Msg whose only non-zero fields are
 // V, Type, Trial and Data.
-var resultHead = []byte(`{"v":` + strconv.Itoa(ProtocolVersion) + `,"type":"` + TypeResult + `","trial":`)
+var resultHead = msgHead + TypeResult + `","trial":`
 
 // resultDataKey separates a result frame's trial number from its payload.
 const resultDataKey = `,"data":`
 
 // resultTail closes a result frame and its line.
 const resultTail = "}\n"
+
+// rangeTail closes a wave or wavedone frame and its line: json.Marshal
+// writes the zero trial number because Trial has no omitempty.
+const rangeTail = `,"trial":0}` + "\n"
 
 // writeMsg emits one protocol line. The marshaled message and its newline
 // go out in a single Write call, so concurrent pipes never interleave
@@ -144,8 +155,7 @@ func writeMsg(w io.Writer, m Msg) error {
 }
 
 // writeFrame is writeMsg building the line in buf, reused across calls: it
-// returns the grown buffer for the next frame. A worker emitting one result
-// per trial through it allocates nothing in steady state.
+// returns the grown buffer for the next frame.
 func writeFrame(w io.Writer, buf []byte, m Msg) ([]byte, error) {
 	buf, err := appendMsg(buf[:0], m)
 	if err != nil {
@@ -157,21 +167,40 @@ func writeFrame(w io.Writer, buf []byte, m Msg) ([]byte, error) {
 	return buf, nil
 }
 
-// appendMsg appends m's protocol line, newline included, to dst. The one
-// frame sent per trial — a result carrying only its trial number and
-// payload — is assembled by hand; every other message goes through
-// encoding/json. Both give the same bytes: the hand path is taken only
-// when json.Marshal would copy the payload verbatim.
+// appendMsg appends m's protocol line, newline included, to dst. The
+// frames sent per trial and per wave — a result carrying only its trial
+// number and payload, a wave or wavedone carrying only its range and
+// indices — are assembled by hand; every other message goes through
+// encoding/json. Both give the same bytes: a result takes the hand path
+// only when json.Marshal would copy its payload verbatim.
 func appendMsg(dst []byte, m Msg) ([]byte, error) {
 	m.V = ProtocolVersion
-	if m.Type == TypeResult && m.Shard == 0 && m.Shards == 0 && m.Seed == 0 && m.Hash == "" &&
-		len(m.Spec) == 0 && m.Lo == 0 && m.Hi == 0 && len(m.Indices) == 0 && m.Err == "" &&
-		verbatimJSON(m.Data) {
+	bare := m.Shard == 0 && m.Shards == 0 && m.Seed == 0 && m.Hash == "" && len(m.Spec) == 0 && m.Err == ""
+	switch {
+	case bare && m.Type == TypeResult && m.Lo == 0 && m.Hi == 0 && len(m.Indices) == 0 && verbatimJSON(m.Data):
 		dst = append(dst, resultHead...)
 		dst = strconv.AppendInt(dst, int64(m.Trial), 10)
 		dst = append(dst, resultDataKey...)
 		dst = append(dst, m.Data...)
 		return append(dst, resultTail...), nil
+	case bare && (m.Type == TypeWave || m.Type == TypeWaveDone) && m.Trial == 0 && len(m.Data) == 0:
+		dst = append(append(append(dst, msgHead...), m.Type...), '"')
+		if m.Lo != 0 {
+			dst = strconv.AppendInt(append(dst, `,"lo":`...), int64(m.Lo), 10)
+		}
+		if m.Hi != 0 {
+			dst = strconv.AppendInt(append(dst, `,"hi":`...), int64(m.Hi), 10)
+		}
+		if len(m.Indices) > 0 {
+			dst = append(dst, `,"indices":`...)
+			sep := byte('[')
+			for _, x := range m.Indices {
+				dst = strconv.AppendInt(append(dst, sep), int64(x), 10)
+				sep = ','
+			}
+			dst = append(dst, ']')
+		}
+		return append(dst, rangeTail...), nil
 	}
 	b, err := json.Marshal(m)
 	if err != nil {
@@ -203,6 +232,9 @@ var rewritten = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, '<': tr
 // limit (result payloads can be large).
 type msgReader struct {
 	r *bufio.Reader
+	// queue and err hold the rest of the last batch for next.
+	queue []Msg
+	err   error
 }
 
 // newMsgReader wraps a stream in a protocol decoder.
@@ -210,17 +242,67 @@ func newMsgReader(r io.Reader) *msgReader {
 	return &msgReader{r: bufio.NewReaderSize(r, 1<<16)}
 }
 
-// next reads and validates one protocol line. It returns io.EOF untouched
-// at a clean end of stream.
+// next reads and validates one protocol line, by way of batch. It returns
+// io.EOF untouched at a clean end of stream.
 func (d *msgReader) next() (Msg, error) {
-	line, err := d.r.ReadBytes('\n')
-	if err != nil {
-		if err == io.EOF && len(line) == 0 {
-			return Msg{}, io.EOF
+	for len(d.queue) == 0 {
+		if d.err != nil {
+			return Msg{}, d.err
 		}
-		return Msg{}, fmt.Errorf("dist: read protocol line: %w", err)
+		d.queue, d.err = d.batch()
 	}
+	m := d.queue[0]
+	d.queue = d.queue[1:]
+	return m, nil
+}
+
+// batch reads the next protocol line, blocking until it is complete, and
+// then every further line already complete in the buffer, without
+// blocking. It copies the lines out of the buffer in one allocation, which
+// the decoded payloads alias. The lines decoded before a failing one come
+// back with its error, and the reader is spent after any error; io.EOF
+// comes back untouched at a clean end of stream.
+func (d *msgReader) batch() ([]Msg, error) {
+	line, err := d.r.ReadSlice('\n')
+	var long []byte // a line longer than the buffer, gathered in pieces
+	for err == bufio.ErrBufferFull {
+		long = append(long, line...)
+		line, err = d.r.ReadSlice('\n')
+	}
+	if err != nil {
+		if err == io.EOF && len(long)+len(line) == 0 {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("dist: read protocol line: %w", err)
+	}
+	// Peeking at and discarding no more than is buffered never reads, so
+	// neither fails, and line stays valid until the copy.
+	rest, _ := d.r.Peek(d.r.Buffered())
+	rest = rest[:bytes.LastIndexByte(rest, '\n')+1]
+	lines := make([]byte, 0, len(long)+len(line)+len(rest))
+	lines = append(append(append(lines, long...), line...), rest...)
+	d.r.Discard(len(rest))
+	ms := make([]Msg, 0, bytes.Count(lines, []byte{'\n'}))
+	for len(lines) > 0 {
+		i := bytes.IndexByte(lines, '\n') + 1
+		m, err := decodeLine(lines[:i:i])
+		if err != nil {
+			return ms, err
+		}
+		ms = append(ms, m)
+		lines = lines[i:]
+	}
+	return ms, nil
+}
+
+// decodeLine decodes and validates one protocol line, newline included.
+// The hand-coded frames are parsed in one pass; every other line goes
+// through encoding/json.
+func decodeLine(line []byte) (Msg, error) {
 	if m, ok := parseResultFrame(line); ok {
+		return m, nil
+	}
+	if m, ok := parseRangeFrame(line); ok {
 		return m, nil
 	}
 	var m Msg
@@ -245,30 +327,22 @@ func (d *msgReader) next() (Msg, error) {
 
 // parseResultFrame decodes, in one pass, a line in the canonical form
 // appendMsg writes for a result: {"v":V,"type":"result","trial":N,"data":P}
-// and a newline, with V = ProtocolVersion, N a decimal without sign or
-// leading zero that fits an int, and P a valid JSON value with no
-// whitespace around it. Data aliases line, which ReadBytes allocated for
-// this call alone. Any other line reports false and goes to encoding/json,
-// which decodes a canonical line to the same Msg, so the fast path changes
-// neither the accepted language nor the decoded messages.
+// and a newline, with V = ProtocolVersion, N an int in json.Marshal's
+// spelling (see cutInt), and P a valid JSON value with no whitespace
+// around it. Data aliases line. Any other line reports false and goes to
+// encoding/json, which decodes a canonical line to the same Msg, so the
+// fast path changes neither the accepted language nor the decoded
+// messages.
 func parseResultFrame(line []byte) (Msg, bool) {
-	rest, ok := bytes.CutPrefix(line, resultHead)
+	rest, ok := cutString(line, resultHead)
 	if !ok {
 		return Msg{}, false
 	}
-	trial, i := 0, 0
-	for ; i < len(rest) && '0' <= rest[i] && rest[i] <= '9'; i++ {
-		d := int(rest[i] - '0')
-		if trial > (math.MaxInt-d)/10 {
-			return Msg{}, false
-		}
-		trial = trial*10 + d
-	}
-	if i == 0 || (rest[0] == '0' && i > 1) {
+	trial, rest, ok := cutInt(rest)
+	if !ok {
 		return Msg{}, false
 	}
-	rest, ok = bytes.CutPrefix(rest[i:], []byte(resultDataKey))
-	if !ok {
+	if rest, ok = cutString(rest, resultDataKey); !ok {
 		return Msg{}, false
 	}
 	data, ok := bytes.CutSuffix(rest, []byte(resultTail))
@@ -276,6 +350,95 @@ func parseResultFrame(line []byte) (Msg, bool) {
 		return Msg{}, false
 	}
 	return Msg{V: ProtocolVersion, Type: TypeResult, Trial: trial, Data: data}, true
+}
+
+// parseRangeFrame decodes, in one pass, a line in the canonical form
+// appendMsg writes for a wave or wavedone:
+// {"v":V,"type":T,"lo":L,"hi":H,"indices":[I,…],"trial":0} and a newline,
+// with V = ProtocolVersion, T "wave" or "wavedone", the lo and hi members
+// present only when non-zero and indices only when non-empty, and every
+// number an int in json.Marshal's spelling. Any other line reports false
+// and goes to encoding/json, which decodes a canonical line to the same
+// Msg.
+func parseRangeFrame(line []byte) (Msg, bool) {
+	rest, ok := cutString(line, msgHead)
+	if !ok {
+		return Msg{}, false
+	}
+	m := Msg{V: ProtocolVersion}
+	if rest, ok = cutString(rest, TypeWave+`"`); ok {
+		m.Type = TypeWave
+	} else if rest, ok = cutString(rest, TypeWaveDone+`"`); ok {
+		m.Type = TypeWaveDone
+	} else {
+		return Msg{}, false
+	}
+	if rest, ok = cutString(rest, `,"lo":`); ok {
+		if m.Lo, rest, ok = cutInt(rest); !ok || m.Lo == 0 {
+			return Msg{}, false
+		}
+	}
+	if rest, ok = cutString(rest, `,"hi":`); ok {
+		if m.Hi, rest, ok = cutInt(rest); !ok || m.Hi == 0 {
+			return Msg{}, false
+		}
+	}
+	if rest, ok = cutString(rest, `,"indices":[`); ok {
+		list := rest[:max(bytes.IndexByte(rest, ']'), 0)]
+		m.Indices = make([]int, 0, bytes.Count(list, []byte{','})+1)
+		for sep := byte(','); sep == ','; {
+			var x int
+			if x, rest, ok = cutInt(rest); !ok || len(rest) == 0 {
+				return Msg{}, false
+			}
+			m.Indices = append(m.Indices, x)
+			sep, rest = rest[0], rest[1:]
+			if sep != ',' && sep != ']' {
+				return Msg{}, false
+			}
+		}
+	}
+	if string(rest) != rangeTail {
+		return Msg{}, false
+	}
+	return m, true
+}
+
+// cutInt parses, off the front of b, an int in the spelling json.Marshal
+// writes: an optional minus sign and decimal digits without a leading zero,
+// never -0. It reports false when there is none or it overflows an int.
+func cutInt(b []byte) (int, []byte, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	limit := uint64(math.MaxInt)
+	if neg {
+		b, limit = b[1:], limit+1
+	}
+	var u uint64
+	i := 0
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		d := uint64(b[i] - '0')
+		if u > (limit-d)/10 {
+			return 0, nil, false
+		}
+		u = u*10 + d
+	}
+	if i == 0 || b[0] == '0' && (i > 1 || neg) {
+		return 0, nil, false
+	}
+	// Negating in int wraps the magnitude 2^63 to math.MinInt.
+	v := int(u)
+	if neg {
+		v = -v
+	}
+	return v, b[i:], true
+}
+
+// cutString is bytes.CutPrefix for a string prefix.
+func cutString(b []byte, prefix string) ([]byte, bool) {
+	if len(b) < len(prefix) || string(b[:len(prefix)]) != prefix {
+		return b, false
+	}
+	return b[len(prefix):], true
 }
 
 // isSpace reports whether c is JSON insignificant whitespace.

@@ -55,13 +55,15 @@ type waveRange struct{ lo, hi int }
 type shardMsg struct {
 	shard int
 	gen   int
-	m     Msg
-	err   error
+	// ms is a batch of messages in stream order: every line the reader
+	// found already buffered, or one undelivered command.
+	ms  []Msg
+	err error
 	// sendErr marks err as a command-side failure: the worker can no longer
 	// be told anything, but results it already received commands for may
 	// still flow back.
 	sendErr bool
-	// undelivered marks m as a command that never reached the worker (the
+	// undelivered marks ms as a command that never reached the worker (the
 	// failed write, or one drained from the queue behind it). The fold loop
 	// uses it to know which indices can never arrive when recovery is
 	// disabled.
@@ -372,24 +374,28 @@ func (co *coordinator) sender(shard, gen int, c *Conn, sendq chan Msg) {
 			// The failed command, and everything queued behind it, never
 			// reached the worker; report each so the fold loop knows which
 			// indices can no longer arrive.
-			co.msgs <- shardMsg{shard: shard, gen: gen, m: m, undelivered: true}
+			co.msgs <- shardMsg{shard: shard, gen: gen, ms: []Msg{m}, undelivered: true}
 			for m := range sendq {
-				co.msgs <- shardMsg{shard: shard, gen: gen, m: m, undelivered: true}
+				co.msgs <- shardMsg{shard: shard, gen: gen, ms: []Msg{m}, undelivered: true}
 			}
 			return
 		}
 	}
 }
 
-// reader pumps a connection's protocol lines to the event loop. EOF mid-run
-// means the worker died (a worker that exits cleanly does so only after a
-// halt, when nobody is waiting on its messages); decode errors mean it is
-// emitting garbage. Both become death events.
+// reader pumps a connection's protocol lines to the event loop, every line
+// already buffered in one send. EOF mid-run means the worker died (a
+// worker that exits cleanly does so only after a halt, when nobody is
+// waiting on its messages); decode errors mean it is emitting garbage.
+// Both become death events, sent after the lines decoded before them.
 func (co *coordinator) reader(shard, gen int, r io.ReadCloser) {
 	defer co.pumps.Done()
 	dec := newMsgReader(r)
 	for {
-		m, err := dec.next()
+		ms, err := dec.batch()
+		if len(ms) > 0 {
+			co.msgs <- shardMsg{shard: shard, gen: gen, ms: ms}
+		}
 		if err != nil {
 			if err == io.EOF {
 				err = errors.New("worker exited")
@@ -397,7 +403,6 @@ func (co *coordinator) reader(shard, gen int, r io.ReadCloser) {
 			co.msgs <- shardMsg{shard: shard, gen: gen, err: err}
 			return
 		}
-		co.msgs <- shardMsg{shard: shard, gen: gen, m: m}
 	}
 }
 
@@ -502,7 +507,10 @@ func (co *coordinator) busy(s *shardSlot) bool {
 	return s.health == healthLaunching || s.owed > 0
 }
 
-// handle processes one worker event on the event loop.
+// handle processes one worker event on the event loop: a death, or a
+// batch of messages in stream order. A message that severs the connection
+// bumps the generation, so the rest of its batch is dropped like any dead
+// incarnation's trailing lines.
 func (co *coordinator) handle(sm shardMsg) {
 	s := co.slots[sm.shard]
 	if sm.gen != s.gen {
@@ -529,11 +537,22 @@ func (co *coordinator) handle(sm shardMsg) {
 		return
 	}
 	if sm.undelivered {
-		co.markUndelivered(s, sm.m)
+		for _, m := range sm.ms {
+			co.markUndelivered(s, m)
+		}
 		return
 	}
 	s.lastHeard = time.Now()
-	m := sm.m
+	for _, m := range sm.ms {
+		if sm.gen != s.gen {
+			return
+		}
+		co.handleMsg(s, m)
+	}
+}
+
+// handleMsg processes one message from a shard's live connection.
+func (co *coordinator) handleMsg(s *shardSlot, m Msg) {
 	switch m.Type {
 	case TypeHello:
 		if s.health != healthLaunching || m.Shard != s.id || m.Hash != co.hash {

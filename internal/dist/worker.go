@@ -3,7 +3,14 @@ package dist
 import (
 	"fmt"
 	"io"
+	"time"
 )
+
+// flushAfter is how long a worker holds result frames before writing them
+// early: a wave share's frames otherwise go out in one write at its end.
+// Checked at each emit, it bounds the silence of a busy worker by the
+// slowest trial plus flushAfter.
+const flushAfter = time.Millisecond
 
 // TrialRunner computes the results of the given global trial indices,
 // calling emit exactly once per index with the trial's encoded payload.
@@ -63,7 +70,7 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 		return err
 	}
 
-	var frame []byte // result-frame buffer, reused for every trial
+	out := &waveWriter{w: w, last: time.Now()} // the hello was the last write
 	for {
 		m, err := dec.next()
 		if err != nil {
@@ -80,7 +87,7 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 			emitted := make([]int, 0, len(m.Indices))
 			err := runner(m.Indices, func(trial int, data []byte) {
 				if emitErr == nil {
-					frame, emitErr = writeFrame(w, frame, Msg{Type: TypeResult, Trial: trial, Data: data})
+					emitErr = out.emit(Msg{Type: TypeResult, Trial: trial, Data: data})
 				}
 				emitted = append(emitted, trial)
 			})
@@ -88,13 +95,20 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 				err = emitErr
 			}
 			if err != nil {
+				// The results already emitted still fold: they reach the
+				// wire ahead of the error.
+				_ = out.flush()
 				return failWorker(w, fmt.Errorf("dist: shard %d wave [%d,%d): %w", shard, m.Lo, m.Hi, err))
 			}
 			// The barrier echoes the indices actually emitted — the
 			// coordinator's frame-integrity evidence: stream ordering puts
 			// every result line before this wavedone, so an echoed index the
-			// coordinator still lacks a result for was lost in transit.
-			if err := writeMsg(w, Msg{Type: TypeWaveDone, Lo: m.Lo, Hi: m.Hi, Indices: emitted}); err != nil {
+			// coordinator still lacks a result for was lost in transit. It
+			// closes the wave share's single write.
+			if err := out.add(Msg{Type: TypeWaveDone, Lo: m.Lo, Hi: m.Hi, Indices: emitted}); err != nil {
+				return err
+			}
+			if err := out.flush(); err != nil {
 				return err
 			}
 		case TypeHalt:
@@ -103,6 +117,48 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 			return failWorker(w, fmt.Errorf("dist: worker got unexpected %s message", m.Type))
 		}
 	}
+}
+
+// waveWriter coalesces a worker's protocol lines: frames accumulate in one
+// buffer, reused across waves, and go out in a single Write at the end of
+// the wave share — or early, at the first emit flushAfter past the last
+// write.
+type waveWriter struct {
+	w    io.Writer
+	buf  []byte
+	last time.Time // when the last Write returned
+}
+
+// add appends one frame to the pending write.
+func (ww *waveWriter) add(m Msg) error {
+	var err error
+	ww.buf, err = appendMsg(ww.buf, m)
+	return err
+}
+
+// emit adds one frame and writes everything pending once flushAfter has
+// passed since the last write.
+func (ww *waveWriter) emit(m Msg) error {
+	if err := ww.add(m); err != nil {
+		return err
+	}
+	if time.Since(ww.last) >= flushAfter {
+		return ww.flush()
+	}
+	return nil
+}
+
+// flush writes the pending frames, if any, in one Write.
+func (ww *waveWriter) flush() error {
+	if len(ww.buf) == 0 {
+		return nil
+	}
+	_, err := ww.w.Write(ww.buf)
+	ww.buf, ww.last = ww.buf[:0], time.Now()
+	if err != nil {
+		return fmt.Errorf("dist: write protocol lines: %w", err)
+	}
+	return nil
 }
 
 // failWorker reports a worker-side error to the coordinator (best effort)
