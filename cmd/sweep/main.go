@@ -119,6 +119,9 @@ func run(args []string) error {
 	if *workers < 0 {
 		return fmt.Errorf("-parallelism %d must be non-negative", *workers)
 	}
+	if *u0 < 0 {
+		return fmt.Errorf("-u0 %d must be non-negative", *u0)
+	}
 	if *worker != "" {
 		shard, of, err := dist.ParseShardArg(*worker)
 		if err != nil {

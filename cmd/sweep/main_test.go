@@ -242,3 +242,27 @@ func TestSweepNegativeParallelismRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepNegativeU0Rejected pins that -u0 < 0 fails at flag parsing on
+// both engines and in -shard-worker mode, instead of scaleU rounding it to
+// an unbiased u₀ = 0 start.
+func TestSweepNegativeU0Rejected(t *testing.T) {
+	base := []string{"-param", "n", "-values", "1000", "-k", "4", "-trials", "2", "-u0", "-5"}
+	// A worker that got past flag parsing would serve stdin: give it an
+	// empty one so a regression fails instead of hanging.
+	devnull, err := os.Open(os.DevNull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	oldIn := os.Stdin
+	os.Stdin = devnull
+	defer func() { os.Stdin = oldIn }()
+	for _, extra := range [][]string{nil, {"-shards", "2"}, {"-shard-worker", "0/1"}} {
+		args := append(append([]string(nil), base...), extra...)
+		err := silence(t, func() error { return run(args) })
+		if err == nil || !strings.Contains(err.Error(), "-u0 -5 must be non-negative") {
+			t.Errorf("%v: err = %v, want -u0 -5 must be non-negative", args, err)
+		}
+	}
+}

@@ -58,6 +58,17 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// buildConfig treats a non-positive bias as "not given", so a negative
+	// one would silently run the unbiased uniform start.
+	if *bias < 0 {
+		return fmt.Errorf("-bias %d must be non-negative", *bias)
+	}
+	if !(*mult >= 0) {
+		return fmt.Errorf("-mult %v must be a non-negative number", *mult)
+	}
+	if !(*zipf >= 0) {
+		return fmt.Errorf("-zipf %v must be a non-negative number", *zipf)
+	}
 	kern, err := core.ParseKernel(*kernel, *tol)
 	if err != nil {
 		return err

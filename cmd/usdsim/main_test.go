@@ -98,3 +98,20 @@ func TestBuildConfigDirect(t *testing.T) {
 		t.Fatal("three bias flags accepted")
 	}
 }
+
+// TestNegativeBiasFlagsRejected pins that a negative (or NaN) -bias, -mult
+// or -zipf fails at flag parsing, naming the flag, instead of silently
+// running the unbiased uniform start.
+func TestNegativeBiasFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bias", "-3"},
+		{"-mult", "-2"},
+		{"-zipf", "-1"},
+		{"-mult", "NaN"},
+	} {
+		err := silence(t, func() error { return run(append([]string{"-n", "1000"}, args...)) })
+		if err == nil || !strings.Contains(err.Error(), args[0]+" "+args[1]) {
+			t.Errorf("%v: err = %v, want a %s error", args, err, args[0])
+		}
+	}
+}

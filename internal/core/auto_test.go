@@ -520,3 +520,32 @@ func BenchmarkCategoricalWindow(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAutoConsensusSmallN runs one auto-kernel trial to consensus per
+// op at the small-n fleet shape (n = 10³, k = 32, uniform start) on one
+// simulator that each trial Resets and reseeds, as the trial engines run
+// fleets. Exact steps, window draws and the per-window support update do
+// the work; windows run back to back and rarely hand over to an exact
+// step, so the dual's prefix trees are rebuilt far less often than set.
+func BenchmarkAutoConsensusSmallN(b *testing.B) {
+	c, err := conf.Uniform(1000, 32, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := rng.New(1)
+	s, err := New(c, src, WithKernel(KernelAuto(0)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Reseed(uint64(i))
+		if err := s.Reset(c, src); err != nil {
+			b.Fatal(err)
+		}
+		if res := s.Run(NoBudget); res.Outcome != OutcomeConsensus {
+			b.Fatalf("trial %d ended in %v", i, res.Outcome)
+		}
+	}
+}

@@ -348,9 +348,8 @@ func (s *Simulator) windowFloors() []int64 {
 // together the exact multinomial law of m independent productive events at
 // the frozen configuration. Cost is O(k) binomial draws independent of m.
 // It fills batchCounts (adopt counts in the first k slots, undecide counts
-// in the next k) from the pre-window supports vals and floors and returns
-// the adopt total.
-func (s *Simulator) sampleWindowChained(vals, floors []int64, m, d int64, pAdopt float64) int64 {
+// in the next k) from the pre-window supports vals and floors.
+func (s *Simulator) sampleWindowChained(vals, floors []int64, m, d int64, pAdopt float64) {
 	k := len(vals)
 	weights := s.batchWeights[:k]
 	floors = floors[:k]
@@ -363,7 +362,6 @@ func (s *Simulator) sampleWindowChained(vals, floors []int64, m, d int64, pAdopt
 		weights[j] = float64(x-floors[j]) * float64(d-x)
 	}
 	s.src.Multinomial(m-adopts, weights, s.batchCounts[k:])
-	return adopts
 }
 
 // sampleWindowCategorical draws the same frozen-law window as
@@ -375,13 +373,14 @@ func (s *Simulator) sampleWindowChained(vals, floors []int64, m, d int64, pAdopt
 // m guided draws whose scans total O(k + m) expected steps — which
 // undercuts the chained sampler's 2k inversion setups whenever m is small
 // relative to k. It fills batchCounts from the pre-window supports vals and
-// floors and returns the adopt total. Below narrowN it runs in 64-bit
-// words, otherwise in 128-bit ones; both select identical categories.
-func (s *Simulator) sampleWindowCategorical(vals, floors []int64, w u128.U128, m, d int64) int64 {
+// floors. Below narrowN it runs in 64-bit words, otherwise in 128-bit ones;
+// both select identical categories.
+func (s *Simulator) sampleWindowCategorical(vals, floors []int64, w u128.U128, m, d int64) {
 	if s.n < narrowN {
-		return s.sampleCategorical64(vals, floors, w.Lo, m, d)
+		s.sampleCategorical64(vals, floors, w.Lo, m, d)
+		return
 	}
-	return s.sampleCategorical128(vals, floors, w, m, d)
+	s.sampleCategorical128(vals, floors, w, m, d)
 }
 
 // guideFor returns the guide table (Chen's method) of an m-draw window and
@@ -406,7 +405,7 @@ func (s *Simulator) guideFor(m int64) ([]int32, uint) {
 
 // sampleCategorical64 is sampleWindowCategorical for n < narrowN, where the
 // draw space w, every cumulative weight and every threshold fit in uint64.
-func (s *Simulator) sampleCategorical64(vals, floors []int64, w uint64, m, d int64) int64 {
+func (s *Simulator) sampleCategorical64(vals, floors []int64, w uint64, m, d int64) {
 	k := len(vals)
 	cum := s.batchCum64[:2*k+1]
 	counts := s.batchCounts[:2*k]
@@ -447,14 +446,13 @@ func (s *Simulator) sampleCategorical64(vals, floors []int64, w uint64, m, d int
 		}
 		counts[idx]++
 	}
-	return adoptTotal(counts[:k])
 }
 
 // sampleCategorical128 is sampleWindowCategorical in 128-bit words, for
 // n >= narrowN, where W reaches ~2⁷⁴ at MaxN. It consumes the raw stream
 // exactly as sampleCategorical64 does whenever W fits 64 bits, because
 // Uint128n then delegates to Uint64n; wider W takes its mask-rejection path.
-func (s *Simulator) sampleCategorical128(vals, floors []int64, w u128.U128, m, d int64) int64 {
+func (s *Simulator) sampleCategorical128(vals, floors []int64, w u128.U128, m, d int64) {
 	k := len(vals)
 	cum := s.batchCum[:2*k+1]
 	counts := s.batchCounts[:2*k]
@@ -488,16 +486,6 @@ func (s *Simulator) sampleCategorical128(vals, floors []int64, w u128.U128, m, d
 		}
 		counts[idx]++
 	}
-	return adoptTotal(counts[:k])
-}
-
-// adoptTotal returns the number of adopt events in a window's adopt counts.
-func adoptTotal(adoptCounts []int64) int64 {
-	var adopts int64
-	for _, c := range adoptCounts {
-		adopts += c
-	}
-	return adopts
 }
 
 // batchStep samples one window of m productive events under the law frozen
@@ -522,36 +510,31 @@ func (s *Simulator) batchStep(w u128.U128, m int64, budget u128.U128, row kernel
 	pAdopt := u128.Mul64(uint64(s.u), uint64(d)).Float64() / w.Float64()
 	categorical := m < row.categorical*int64(k)
 	// The pre-window supports are read through the tree's live view — no
-	// per-window copy — and stay untouched until applyWindow, including
-	// across feasibility resamples.
+	// per-window copy — and stay untouched until SetAll, including across
+	// feasibility resamples.
 	vals := s.tree.View()
 	floors := s.windowFloors()[:k]
 	adoptCounts, undecideCounts := s.batchCounts[:k], s.batchCounts[k:2*k]
 	next := s.batchVals[:k]
 	for {
-		var adopts int64
 		if categorical {
-			adopts = s.sampleWindowCategorical(vals, floors, w, m, d)
+			s.sampleWindowCategorical(vals, floors, w, m, d)
 		} else {
-			adopts = s.sampleWindowChained(vals, floors, m, d, pAdopt)
+			s.sampleWindowChained(vals, floors, m, d, pAdopt)
 		}
 
-		// Feasibility scan: compute the post-window supports (into scratch,
-		// the view stays pristine), and count touched opinions so the apply
-		// step can pick the cheaper of an incremental Fenwick update and a
-		// full rebuild.
+		// One post-draw scan computes the post-window supports (into
+		// scratch, the view stays pristine), checks each against its floor
+		// and totals the adopts.
 		feasible := true
-		touched := 0
+		var adopts int64
 		for j, x := range vals {
-			delta := adoptCounts[j] - undecideCounts[j]
-			nx := x + delta
+			nx := x + adoptCounts[j] - undecideCounts[j]
 			if nx < floors[j] {
 				feasible = false
 				break
 			}
-			if delta != 0 {
-				touched++
-			}
+			adopts += adoptCounts[j]
 			next[j] = nx
 		}
 		if !feasible {
@@ -578,31 +561,10 @@ func (s *Simulator) batchStep(w u128.U128, m int64, budget u128.U128, row kernel
 			return Event{}, false
 		}
 		s.steps = satAdd(s.steps, span)
-		s.applyWindow(touched, k)
-		// Σx² comes from the dual's prefix tree, which applyWindow just
-		// brought up to date: O(log k) reads instead of k multiplies.
-		s.r2 = s.tree.SumSquares()
+		// One O(k) copy: the dual re-totals Σx and Σx² and rebuilds its
+		// prefix trees only when a later exact step descends them.
+		s.tree.SetAll(next)
 		s.u += (m - adopts) - adopts
 		return Event{Kind: EventBatch, Opinion: -1, Interactions: s.steps, Count: m}, true
 	}
-}
-
-// applyWindow writes the window's post-state supports (already materialized
-// in batchVals, with per-opinion deltas recoverable from the adopt and
-// undecide halves of batchCounts) into the Fenwick tree. Windows that touch few
-// opinions — routine near absorption and in the many-opinions regime, where
-// a window's events concentrate on a handful of survivors — apply as
-// incremental O(log k) point updates; denser windows take the one-pass O(k)
-// rebuild. The crossover compares touched·(log₂k+2) point-update work
-// against the k-slot rebuild.
-func (s *Simulator) applyWindow(touched, k int) {
-	if touched*(bits.Len(uint(k))+2) < k {
-		for j := range s.batchVals {
-			if delta := s.batchCounts[j] - s.batchCounts[k+j]; delta != 0 {
-				s.tree.Add(j, delta)
-			}
-		}
-		return
-	}
-	s.tree.SetAll(s.batchVals)
 }

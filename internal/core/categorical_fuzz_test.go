@@ -32,11 +32,8 @@ func categoricalWidthsAgree(t testing.TB, cfg *conf.Config, dyn Dynamics, seed u
 		return // absorbing: no window to draw
 	}
 	k, d := narrow.tree.Len(), narrow.n-narrow.u
-	a := narrow.sampleCategorical64(narrow.tree.View(), narrow.windowFloors(), w.Lo, m, d)
-	b := wide.sampleCategorical128(wide.tree.View(), wide.windowFloors(), w, m, d)
-	if a != b {
-		t.Fatalf("%s n=%d k=%d m=%d seed=%d: adopt totals %d (64-bit) vs %d (128-bit)", dyn.Name(), narrow.n, k, m, seed, a, b)
-	}
+	narrow.sampleCategorical64(narrow.tree.View(), narrow.windowFloors(), w.Lo, m, d)
+	wide.sampleCategorical128(wide.tree.View(), wide.windowFloors(), w, m, d)
 	for j, c := range narrow.batchCounts {
 		if c != wide.batchCounts[j] {
 			t.Fatalf("%s n=%d k=%d m=%d seed=%d: category %d drew %d (64-bit) vs %d (128-bit)", dyn.Name(), narrow.n, k, m, seed, j, c, wide.batchCounts[j])

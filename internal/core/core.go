@@ -218,13 +218,12 @@ type Watcher interface {
 // Simulator simulates the USD at configuration level. It is not safe for
 // concurrent use. Construct with New.
 type Simulator struct {
-	tree   *fenwick.Dual // per-opinion support with Σx and Σx² prefix sums
+	tree   *fenwick.Dual // per-opinion support; owns Σx, Σx² and their prefix sums
 	src    *rng.Source
 	n      int64
 	nSq    u128.U128 // n² ordered pairs; reaches 10²² ≈ 2⁷⁴ at MaxN
 	invNSq float64   // 1/float64(n²), hoisted once per Reset (see below)
 	u      int64
-	r2     u128.U128 // Σ xᵢ², maintained incrementally
 	steps  u128.U128 // interaction clock
 	skip   bool
 	kernel Kernel
@@ -315,7 +314,6 @@ func (s *Simulator) Reset(c *conf.Config, src *rng.Source, opts ...Option) error
 	// total instead of re-truncating n² at every step.
 	s.invNSq = 1 / s.nSq.Float64()
 	s.u = c.Undecided
-	s.r2 = c.SumSquares()
 	s.steps = u128.U128{}
 	for _, opt := range opts {
 		opt(s)
@@ -352,7 +350,7 @@ func (s *Simulator) Support(i int) int64 { return s.tree.Get(i) }
 func (s *Simulator) Supports(dst []int64) []int64 { return s.tree.Values(dst) }
 
 // SumSquares returns r₂ = Σ xᵢ².
-func (s *Simulator) SumSquares() u128.U128 { return s.r2 }
+func (s *Simulator) SumSquares() u128.U128 { return s.tree.SumSquares() }
 
 // Interactions returns the current interaction clock.
 func (s *Simulator) Interactions() u128.U128 { return s.steps }
@@ -387,7 +385,7 @@ func (s *Simulator) Config() *conf.Config {
 
 // IsConsensus reports whether all agents share one opinion.
 func (s *Simulator) IsConsensus() bool {
-	return s.u == 0 && s.r2 == s.nSq
+	return s.u == 0 && s.tree.SumSquares() == s.nSq
 }
 
 // IsAbsorbed reports whether no interaction can ever change the
@@ -412,19 +410,13 @@ func (s *Simulator) ProductiveProbability() float64 {
 
 // adopt applies "undecided responder adopts opinion j".
 func (s *Simulator) adopt(j int) {
-	x := s.tree.Get(j)
 	s.tree.Add(j, 1)
-	s.r2 = s.r2.Add64(uint64(2*x + 1))
 	s.u--
 }
 
-// undecide applies "opinion-i responder becomes undecided". The r₂ update
-// subtracts 2x−1 >= 1 exactly: the responder's opinion has support x >= 1,
-// so r₂ >= x² >= 2x−1.
+// undecide applies "opinion-i responder becomes undecided".
 func (s *Simulator) undecide(i int) {
-	x := s.tree.Get(i)
 	s.tree.Add(i, -1)
-	s.r2 = s.r2.Sub64(uint64(2*x - 1))
 	s.u++
 }
 

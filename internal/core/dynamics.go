@@ -314,7 +314,7 @@ func (classicDynamics) init(s *Simulator, c *conf.Config) error {
 // exact pair count even at n = MaxN where it reaches ~2⁷⁴.
 func (classicDynamics) weight(s *Simulator) u128.U128 {
 	d := uint64(s.n - s.u)
-	return u128.Mul64(uint64(s.u), d).Add(u128.Mul64(d, d).Sub(s.r2))
+	return u128.Mul64(uint64(s.u), d).Add(u128.Mul64(d, d).Sub(s.tree.SumSquares()))
 }
 
 func (classicDynamics) apply(s *Simulator, r u128.U128) Event {
@@ -440,7 +440,7 @@ func (stubbornDynamics) apply(s *Simulator, r u128.U128) Event {
 // winner — reports OutcomeConsensus.
 func (stubbornDynamics) terminal(s *Simulator) (Outcome, int, bool) {
 	st := s.dynState.(*stubState)
-	if s.r2.Less(st.thresholdSq) {
+	if s.tree.SumSquares().Less(st.thresholdSq) {
 		return 0, -1, false
 	}
 	winner, x := s.Max()

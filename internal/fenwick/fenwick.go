@@ -141,12 +141,27 @@ func (t *Tree) SetAll(xs []int64) {
 // maintains Σbᵢ (static) and Σbᵢxᵢ (updated with every Add/SetAll), which is
 // exactly what the variant's weighted descent over
 // wᵢ = (xᵢ−bᵢ)·(D−xᵢ) needs (see FindWeightedStubborn).
+//
+// The whole-array totals are kept current by every mutation, so Sum,
+// SumSquares and the weighted totals are O(1). SetAll and SetStubborn only
+// mark the prefix trees stale; the next descent (FindSupport, FindWeighted,
+// FindWeightedStubborn) rebuilds them once in O(n), and an Add on a stale
+// tree touches only the values and the totals. Bulk sets that no descent
+// reads in between — the windowed simulation kernels' steady state — cost
+// one O(n) copy each. Because a descent may rebuild, a Dual is not safe for
+// concurrent use, not even by readers alone.
 type Dual struct {
 	n    int
 	sx   []int64     // Fenwick over xᵢ (bounded by n, int64 suffices)
 	sx2  []u128.U128 // Fenwick over xᵢ² (reaches n² ≈ 2⁷⁴ at MaxN)
 	vals []int64
 	log  uint
+
+	sum   int64     // Σxᵢ
+	sum2  u128.U128 // Σxᵢ²
+	sumBX u128.U128 // Σbᵢxᵢ, zero without floors
+	// stale marks sx, sx2 and sbx as out of date with vals; see rebuild.
+	stale bool
 
 	// Stubborn floors, nil unless SetStubborn installed them.
 	sb    []int64     // Fenwick over bᵢ (static after SetStubborn)
@@ -169,22 +184,12 @@ func NewDual(n int) *Dual {
 	}
 }
 
-// DualFromSlice returns a dual tree initialized with a copy of xs in O(n).
-// All values must be non-negative.
+// DualFromSlice returns a dual tree initialized with a copy of xs in O(n),
+// its prefix trees built. All values must be non-negative.
 func DualFromSlice(xs []int64) *Dual {
 	d := NewDual(len(xs))
-	copy(d.vals, xs)
-	for i, v := range xs {
-		if v < 0 {
-			panic("fenwick: DualFromSlice called with negative value")
-		}
-		d.sx[i+1] += v
-		d.sx2[i+1] = d.sx2[i+1].Add(u128.Mul64(uint64(v), uint64(v)))
-		if parent := i + 1 + ((i + 1) & -(i + 1)); parent <= d.n {
-			d.sx[parent] += d.sx[i+1]
-			d.sx2[parent] = d.sx2[parent].Add(d.sx2[i+1])
-		}
-	}
+	d.SetAll(xs)
+	d.rebuild()
 	return d
 }
 
@@ -194,8 +199,9 @@ func (d *Dual) Len() int { return d.n }
 // Get returns the value at index i.
 func (d *Dual) Get(i int) int64 { return d.vals[i] }
 
-// Add adds delta to the value at index i, keeping both component trees in
-// sync. The resulting value must remain non-negative.
+// Add adds delta to the value at index i, keeping the totals and (unless
+// they are stale) the prefix trees in sync. The resulting value must remain
+// non-negative.
 func (d *Dual) Add(i int, delta int64) {
 	old := d.vals[i]
 	nv := old + delta
@@ -203,38 +209,44 @@ func (d *Dual) Add(i int, delta int64) {
 		panic("fenwick: Dual.Add would make value negative")
 	}
 	d.vals[i] = nv
+	d.sum += delta
+	fresh := !d.stale // a stale tree's nodes wait for the next rebuild
 	// The square delta nv² − old² = delta·(nv+old) factors into a 64×64
 	// product (|delta| <= n and nv+old <= 2n both fit uint64 for any
 	// admissible population), applied by sign. The subtraction is exact:
-	// every node covering index i holds at least old² >= |nv²−old²| when
-	// delta is negative.
+	// the total and every node covering index i hold at least
+	// old² >= |nv²−old²| when delta is negative.
 	if delta >= 0 {
 		d2 := u128.Mul64(uint64(delta), uint64(nv+old))
-		for j := i + 1; j <= d.n; j += j & -j {
+		d.sum2 = d.sum2.Add(d2)
+		for j := i + 1; fresh && j <= d.n; j += j & -j {
 			d.sx[j] += delta
 			d.sx2[j] = d.sx2[j].Add(d2)
 		}
 	} else {
 		d2 := u128.Mul64(uint64(-delta), uint64(nv+old))
-		for j := i + 1; j <= d.n; j += j & -j {
+		d.sum2 = d.sum2.Sub(d2)
+		for j := i + 1; fresh && j <= d.n; j += j & -j {
 			d.sx[j] += delta
 			d.sx2[j] = d.sx2[j].Sub(d2)
 		}
 	}
 	if d.bvals != nil {
 		// Δ(bᵢ·xᵢ) = bᵢ·delta: one more 64×64 product per touched node,
-		// exact for |delta| <= n and bᵢ <= n. Subtractions are exact: nodes
-		// covering i hold at least bᵢ·old >= bᵢ·|delta| when delta < 0
-		// (old >= -delta, or nv would be negative).
+		// exact for |delta| <= n and bᵢ <= n. Subtractions are exact: the
+		// total and nodes covering i hold at least bᵢ·old >= bᵢ·|delta|
+		// when delta < 0 (old >= -delta, or nv would be negative).
 		if b := d.bvals[i]; b != 0 {
 			if delta >= 0 {
 				db := u128.Mul64(uint64(b), uint64(delta))
-				for j := i + 1; j <= d.n; j += j & -j {
+				d.sumBX = d.sumBX.Add(db)
+				for j := i + 1; fresh && j <= d.n; j += j & -j {
 					d.sbx[j] = d.sbx[j].Add(db)
 				}
 			} else {
 				db := u128.Mul64(uint64(b), uint64(-delta))
-				for j := i + 1; j <= d.n; j += j & -j {
+				d.sumBX = d.sumBX.Sub(db)
+				for j := i + 1; fresh && j <= d.n; j += j & -j {
 					d.sbx[j] = d.sbx[j].Sub(db)
 				}
 			}
@@ -243,32 +255,16 @@ func (d *Dual) Add(i int, delta int64) {
 }
 
 // Sum returns Σ xᵢ over all indices.
-func (d *Dual) Sum() int64 { return d.prefixX(d.n) }
+func (d *Dual) Sum() int64 { return d.sum }
 
 // SumSquares returns Σ xᵢ² over all indices.
-func (d *Dual) SumSquares() u128.U128 { return d.prefixX2(d.n) }
-
-func (d *Dual) prefixX(j int) int64 { // 1-based exclusive bound
-	var s int64
-	for ; j > 0; j -= j & -j {
-		s += d.sx[j]
-	}
-	return s
-}
-
-func (d *Dual) prefixX2(j int) u128.U128 {
-	var s u128.U128
-	for ; j > 0; j -= j & -j {
-		s = s.Add(d.sx2[j])
-	}
-	return s
-}
+func (d *Dual) SumSquares() u128.U128 { return d.sum2 }
 
 // TotalWeighted returns Σᵢ (D·xᵢ − xᵢ²) = D·Σxᵢ − Σxᵢ². With D = Σxᵢ this is
 // the number of ordered pairs of decided agents holding different opinions.
 // The subtraction is exact: Σxᵢ² <= D·Σxᵢ whenever every xᵢ <= D.
 func (d *Dual) TotalWeighted(dTotal int64) u128.U128 {
-	return u128.Mul64(uint64(dTotal), uint64(d.Sum())).Sub(d.SumSquares())
+	return u128.Mul64(uint64(dTotal), uint64(d.sum)).Sub(d.sum2)
 }
 
 // FindWeighted returns the smallest index i such that the prefix sum of
@@ -277,6 +273,9 @@ func (d *Dual) TotalWeighted(dTotal int64) u128.U128 {
 // r uniformly selects index i with probability wᵢ/Σw, the exact distribution
 // of the responder in a "decided meets differently-decided" interaction.
 func (d *Dual) FindWeighted(dTotal int64, r u128.U128) int {
+	if d.stale {
+		d.rebuild()
+	}
 	pos := 0
 	for step := 1 << d.log; step > 0; step >>= 1 {
 		next := pos + step
@@ -302,6 +301,9 @@ func (d *Dual) FindSupport(r int64) int {
 	if r < 0 {
 		panic("fenwick: FindSupport called with negative threshold")
 	}
+	if d.stale {
+		d.rebuild()
+	}
 	pos := 0
 	for step := 1 << d.log; step > 0; step >>= 1 {
 		next := pos + step
@@ -316,27 +318,38 @@ func (d *Dual) FindSupport(r int64) int {
 	return pos
 }
 
-// SetAll replaces every value with xs in O(n), rebuilding both component
-// trees in one pass. It is the bulk counterpart of n point Adds: the batched
-// simulation kernel applies a whole window of per-opinion deltas with a
-// single rebuild instead of one O(log n) update per event. xs must have
+// SetAll replaces every value with xs, the bulk counterpart of n point
+// Adds: it copies the values and recomputes the totals in O(n) and leaves
+// the prefix trees stale for the next descent to rebuild. The batched
+// simulation kernel applies a whole window of per-opinion deltas with one
+// SetAll; consecutive windows pay no tree rebuild at all. xs must have
 // exactly Len() non-negative values.
 func (d *Dual) SetAll(xs []int64) {
 	if len(xs) != d.n {
 		panic("fenwick: SetAll called with wrong length")
 	}
 	// Validate before mutating so a contract panic leaves the tree intact.
+	var sum int64
+	var sum2 u128.U128
 	for _, v := range xs {
 		if v < 0 {
 			panic("fenwick: SetAll called with negative value")
 		}
+		sum += v
+		sum2 = sum2.Add(u128.Mul64(uint64(v), uint64(v)))
 	}
 	copy(d.vals, xs)
-	for i := range d.sx {
-		d.sx[i] = 0
-		d.sx2[i] = u128.U128{}
-	}
-	for i, v := range xs {
+	d.sum, d.sum2 = sum, sum2
+	d.sumBX = d.floorWeightedSum()
+	d.stale = true
+}
+
+// rebuild brings the prefix trees (sx, sx2 and, with floors, sbx) up to
+// date with the values in O(n) and clears the stale mark.
+func (d *Dual) rebuild() {
+	clear(d.sx)
+	clear(d.sx2)
+	for i, v := range d.vals {
 		d.sx[i+1] += v
 		d.sx2[i+1] = d.sx2[i+1].Add(u128.Mul64(uint64(v), uint64(v)))
 		if parent := i + 1 + ((i + 1) & -(i + 1)); parent <= d.n {
@@ -345,20 +358,37 @@ func (d *Dual) SetAll(xs []int64) {
 		}
 	}
 	if d.bvals != nil {
-		d.rebuildStubbornX()
+		clear(d.sbx)
+		for i, v := range d.vals {
+			d.sbx[i+1] = d.sbx[i+1].Add(u128.Mul64(uint64(d.bvals[i]), uint64(v)))
+			if parent := i + 1 + ((i + 1) & -(i + 1)); parent <= d.n {
+				d.sbx[parent] = d.sbx[parent].Add(d.sbx[i+1])
+			}
+		}
 	}
+	d.stale = false
 }
 
-// SetStubborn installs per-index stubborn floors bᵢ (a copy of b) and builds
-// the Σbᵢ and Σbᵢxᵢ component trees; passing nil clears the floors and drops
-// the extra maintenance from Add and SetAll. Floors must be non-negative;
-// the stubborn descent's weight contract additionally needs xᵢ >= bᵢ, which
-// the caller (the stubborn dynamics, whose transition law never removes a
-// stubborn agent) maintains. Buffers are reused across calls when the length
-// matches, so arena-style Reset cycles stay allocation-free.
+// floorWeightedSum returns Σbᵢxᵢ over the current values, 0 without floors.
+func (d *Dual) floorWeightedSum() u128.U128 {
+	var s u128.U128
+	for i, b := range d.bvals {
+		s = s.Add(u128.Mul64(uint64(b), uint64(d.vals[i])))
+	}
+	return s
+}
+
+// SetStubborn installs per-index stubborn floors bᵢ (a copy of b), builds
+// the static Σbᵢ tree and marks the Σbᵢxᵢ tree stale; passing nil clears
+// the floors and drops the extra maintenance from Add and SetAll. Floors
+// must be non-negative; the stubborn descent's weight contract additionally
+// needs xᵢ >= bᵢ, which the caller (the stubborn dynamics, whose transition
+// law never removes a stubborn agent) maintains. Buffers are reused across
+// calls when the length matches, so arena-style Reset cycles stay
+// allocation-free.
 func (d *Dual) SetStubborn(b []int64) {
 	if b == nil {
-		d.sb, d.sbx, d.bvals, d.bsum = nil, nil, nil, 0
+		d.sb, d.sbx, d.bvals, d.bsum, d.sumBX = nil, nil, nil, 0, u128.U128{}
 		return
 	}
 	if len(b) != d.n {
@@ -379,9 +409,7 @@ func (d *Dual) SetStubborn(b []int64) {
 	d.sbx = d.sbx[:d.n+1]
 	copy(d.bvals, b)
 	d.bsum = 0
-	for i := range d.sb {
-		d.sb[i] = 0
-	}
+	clear(d.sb)
 	for i, v := range b {
 		d.bsum += v
 		d.sb[i+1] += v
@@ -389,20 +417,8 @@ func (d *Dual) SetStubborn(b []int64) {
 			d.sb[parent] += d.sb[i+1]
 		}
 	}
-	d.rebuildStubbornX()
-}
-
-// rebuildStubbornX rebuilds the Σbᵢxᵢ tree from the current values in O(n).
-func (d *Dual) rebuildStubbornX() {
-	for i := range d.sbx {
-		d.sbx[i] = u128.U128{}
-	}
-	for i, v := range d.vals {
-		d.sbx[i+1] = d.sbx[i+1].Add(u128.Mul64(uint64(d.bvals[i]), uint64(v)))
-		if parent := i + 1 + ((i + 1) & -(i + 1)); parent <= d.n {
-			d.sbx[parent] = d.sbx[parent].Add(d.sbx[i+1])
-		}
-	}
+	d.sumBX = d.floorWeightedSum()
+	d.stale = true
 }
 
 // Floors returns the installed stubborn floors without copying, or nil when
@@ -419,16 +435,8 @@ func (d *Dual) StubbornSum() int64 { return d.bsum }
 // every bᵢ <= xᵢ <= D; the subtraction is then exact because the total is a
 // sum of non-negative terms.
 func (d *Dual) TotalWeightedStubborn(dTotal int64) u128.U128 {
-	pos := u128.Mul64(uint64(dTotal), uint64(d.Sum()-d.bsum)).Add(d.prefixBX(d.n))
-	return pos.Sub(d.SumSquares())
-}
-
-func (d *Dual) prefixBX(j int) u128.U128 {
-	var s u128.U128
-	for ; j > 0; j -= j & -j {
-		s = s.Add(d.sbx[j])
-	}
-	return s
+	pos := u128.Mul64(uint64(dTotal), uint64(d.sum-d.bsum)).Add(d.sumBX)
+	return pos.Sub(d.sum2)
 }
 
 // FindWeightedStubborn returns the smallest index i such that the prefix sum
@@ -439,6 +447,9 @@ func (d *Dual) prefixBX(j int) u128.U128 {
 // subtraction is exact because every node's weight is a sum of non-negative
 // per-index weights.
 func (d *Dual) FindWeightedStubborn(dTotal int64, r u128.U128) int {
+	if d.stale {
+		d.rebuild()
+	}
 	pos := 0
 	for step := 1 << d.log; step > 0; step >>= 1 {
 		next := pos + step
@@ -466,9 +477,9 @@ func (d *Dual) Values(dst []int64) []int64 {
 // View returns the tree's live value slice without copying. The slice is
 // the tree's own backing store: it stays valid (and visible through later
 // reads) across Add and SetAll, and callers must treat it as read-only —
-// writing through it would desynchronize the prefix trees. The batched
-// simulation kernels read the pre-window supports through it once per
-// window instead of copying k values.
+// writing through it would desynchronize the totals and the prefix trees.
+// The batched simulation kernels read the pre-window supports through it
+// once per window instead of copying k values.
 func (d *Dual) View() []int64 {
 	return d.vals
 }

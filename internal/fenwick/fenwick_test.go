@@ -394,6 +394,71 @@ func TestDualMaxNScale(t *testing.T) {
 	}
 }
 
+// TestDualDeferredRebuildMaxNScale pins that a descent after SetAll — which
+// leaves the prefix trees stale — selects exactly what a tree built eagerly
+// by DualFromSlice selects on the same values, at supports whose Σx² and
+// weighted totals are past int64, with and without stubborn floors and
+// after a point Add on the stale tree.
+func TestDualDeferredRebuildMaxNScale(t *testing.T) {
+	const maxN = int64(100_000_000_000)
+	xs := []int64{maxN / 2, 0, maxN / 3, maxN / 7, maxN/2 - maxN/3 - maxN/7}
+	floors := []int64{maxN / 5, 0, 7, maxN / 11, 0}
+	src := rng.New(3)
+	for _, b := range [][]int64{nil, floors} {
+		d := DualFromSlice([]int64{1, maxN / 4, 2, 3, maxN / 4})
+		ref := DualFromSlice(xs)
+		d.SetStubborn(b)
+		ref.SetStubborn(b)
+		d.SetAll(xs)
+		d.Add(1, maxN/9) // lands on the stale trees
+		ref.Add(1, maxN/9)
+		dTotal := ref.Sum()
+		if d.Sum() != dTotal || d.SumSquares() != ref.SumSquares() {
+			t.Fatalf("floors %v: totals (%d, %v) != eager (%d, %v)", b, d.Sum(), d.SumSquares(), dTotal, ref.SumSquares())
+		}
+		if ref.SumSquares().Hi == 0 && ref.SumSquares().Lo>>63 == 0 {
+			t.Fatal("test is not exercising the >int64 regime")
+		}
+		// Band edges of every slot, plus random thresholds.
+		total := ref.TotalWeighted(dTotal)
+		thresholds := []u128.U128{{}, total.Sub64(1)}
+		var cum u128.U128
+		for _, v := range ref.View() {
+			cum = cum.Add(u128.Mul64(uint64(dTotal), uint64(v)).Sub(u128.Mul64(uint64(v), uint64(v))))
+			if !cum.IsZero() && cum.Less(total) {
+				thresholds = append(thresholds, cum.Sub64(1), cum)
+			}
+		}
+		for range 64 {
+			thresholds = append(thresholds, src.Uint128n(total))
+		}
+		for _, r := range thresholds {
+			if got, want := d.FindWeighted(dTotal, r), ref.FindWeighted(dTotal, r); got != want {
+				t.Fatalf("floors %v: FindWeighted(%v) = %d, eager %d", b, r, got, want)
+			}
+		}
+		for range 64 {
+			r := src.Int63n(dTotal)
+			if got, want := d.FindSupport(r), ref.FindSupport(r); got != want {
+				t.Fatalf("floors %v: FindSupport(%d) = %d, eager %d", b, r, got, want)
+			}
+		}
+		if b == nil {
+			continue
+		}
+		ws := ref.TotalWeightedStubborn(dTotal)
+		if got := d.TotalWeightedStubborn(dTotal); got != ws {
+			t.Fatalf("TotalWeightedStubborn = %v, eager %v", got, ws)
+		}
+		for range 64 {
+			r := src.Uint128n(ws)
+			if got, want := d.FindWeightedStubborn(dTotal, r), ref.FindWeightedStubborn(dTotal, r); got != want {
+				t.Fatalf("FindWeightedStubborn(%v) = %d, eager %d", r, got, want)
+			}
+		}
+	}
+}
+
 func TestDualAddNegativePanics(t *testing.T) {
 	d := NewDual(2)
 	d.Add(0, 1)
@@ -486,6 +551,32 @@ func BenchmarkDualFindWeighted(b *testing.B) {
 		_ = d.FindWeighted(dTotal, u128.From64(src.Int63n(total)))
 	}
 }
+
+// BenchmarkDualSetAll times one bulk set of 32 values (the small-n fleet's
+// opinion count), alone and followed by the descent that rebuilds the
+// stale prefix trees — the per-window cost of the windowed kernels when the
+// next window follows directly, and when an exact step follows.
+func BenchmarkDualSetAll(b *testing.B) {
+	xs := make([]int64, 32)
+	for i := range xs {
+		xs[i] = int64(31 * (i + 1))
+	}
+	d := DualFromSlice(xs)
+	b.Run("set", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d.SetAll(xs)
+		}
+	})
+	b.Run("set+descend", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d.SetAll(xs)
+			sinkIndex = d.FindSupport(int64(i) % d.Sum())
+		}
+	})
+}
+
+// sinkIndex keeps benchmarked descents from being optimized away.
+var sinkIndex int
 
 func TestDualView(t *testing.T) {
 	d := DualFromSlice([]int64{3, 1, 4, 1, 5})

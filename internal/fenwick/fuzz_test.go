@@ -7,18 +7,27 @@ import (
 )
 
 // FuzzDual drives a Dual tree through an arbitrary interleaving of SetAll,
-// Add, and query operations decoded from the fuzz input, mirroring every
-// step against a plain-slice model. It checks the full query surface —
-// Sum, SumSquares, Get, TotalWeighted, FindSupport, and FindWeighted —
-// after every mutation, so any stale internal prefix left behind by the
-// SetAll bulk rebuild (the batched kernel's hot path) or by a point Add is
-// caught at the first query that touches it.
+// Add, SetStubborn and descents decoded from the fuzz input, mirroring every
+// step against a plain-slice model. The O(1) totals — Sum, SumSquares,
+// TotalWeighted and, with floors installed, TotalWeightedStubborn — are
+// checked after every operation; the descents (FindSupport, FindWeighted,
+// FindWeightedStubborn) only at explicit query operations, so point Adds
+// also land on trees a SetAll or SetStubborn left stale, and the next
+// descent must rebuild them to the model's values.
 func FuzzDual(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x02, 0x03})
 	f.Add([]byte{0x10, 0xFF, 0x00, 0x7F, 0x20, 0x05, 0x80, 0x01})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00})
 	f.Add([]byte{0xFE, 0x01, 0xFD, 0x02, 0xFC, 0x03, 0xFB, 0x04, 0xFA})
+	// n = 4: SetAll, floors, Add on the stale tree, query, SetAll, Add,
+	// query, floors cleared, query.
+	f.Add([]byte{0x03, 0x00, 9, 3, 7, 2, 200, 1, 40, 3, 0x02, 0x01, 128, 64, 255,
+		0x01, 0x02, 0x90, 0x03, 0x00, 5, 1, 6, 2, 7, 3, 8, 1, 0x01, 0x01, 0x20,
+		0x03, 0x02, 0x00, 0x03})
+	// n = 2: SetAll, query (trees fresh), floors installed on the fresh
+	// trees, query.
+	f.Add([]byte{0x01, 0x00, 48, 1, 48, 1, 0x03, 0x02, 0x01, 48, 0, 0x03})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
@@ -32,17 +41,27 @@ func FuzzDual(f *testing.F) {
 		n := int(next())%12 + 1
 		d := NewDual(n)
 		model := make([]int64, n)
+		var floors []int64 // nil while no floors are installed
 
-		// check compares every query against the naive model. Values are
+		floor := func(i int) int64 {
+			if floors == nil {
+				return 0
+			}
+			return floors[i]
+		}
+
+		// totals compares the O(1) surface against the naive model; it
+		// never descends, so it leaves a stale tree stale. Values are
 		// bounded (≤ ~2¹⁰ per slot), so no int64 concern anywhere here.
-		check := func() {
-			var sum, sum2 int64
+		totals := func() (sum int64) {
+			var sum2, bx int64
 			for i, v := range model {
 				if got := d.Get(i); got != v {
 					t.Fatalf("Get(%d) = %d, model %d (model %v)", i, got, v, model)
 				}
 				sum += v
 				sum2 += v * v
+				bx += floor(i) * v
 			}
 			if got := d.Sum(); got != sum {
 				t.Fatalf("Sum = %d, model %d (model %v)", got, sum, model)
@@ -53,61 +72,85 @@ func FuzzDual(f *testing.F) {
 			if got, want := d.TotalWeighted(sum), u128.From64(sum*sum-sum2); got != want {
 				t.Fatalf("TotalWeighted(%d) = %v, want %v (model %v)", sum, got, want, model)
 			}
+			if floors != nil {
+				var bsum int64
+				for _, b := range floors {
+					bsum += b
+				}
+				if got, want := d.TotalWeightedStubborn(sum), u128.From64(sum*(sum-bsum)-sum2+bx); got != want {
+					t.Fatalf("TotalWeightedStubborn(%d) = %v, want %v (model %v, floors %v)", sum, got, want, model, floors)
+				}
+			}
 			if vals := d.Values(nil); len(vals) != n {
 				t.Fatalf("Values returned %d slots, want %d", len(vals), n)
 			}
-			// FindSupport: for a threshold inside each slot's cumulative
-			// band the descent must return exactly that slot.
-			var cum int64
-			for i, v := range model {
-				if v > 0 {
-					if got := d.FindSupport(cum); got != i {
-						t.Fatalf("FindSupport(%d) = %d, want %d (model %v)", cum, got, i, model)
+			return sum
+		}
+
+		// descend checks every descent at both edges of each slot's
+		// cumulative band: a threshold inside the band must return exactly
+		// that slot.
+		descend := func() {
+			sum := totals()
+			bands := func(name string, weight func(i int, v int64) int64, find func(r int64) int) {
+				var cum int64
+				for i, v := range model {
+					w := weight(i, v)
+					if w > 0 {
+						for _, r := range []int64{cum, cum + w - 1} {
+							if got := find(r); got != i {
+								t.Fatalf("%s(%d) = %d, want %d (model %v, floors %v)", name, r, got, i, model, floors)
+							}
+						}
 					}
-					if got := d.FindSupport(cum + v - 1); got != i {
-						t.Fatalf("FindSupport(%d) = %d, want %d (model %v)", cum+v-1, got, i, model)
-					}
+					cum += w
 				}
-				cum += v
 			}
-			// FindWeighted with D = Sum: weights wᵢ = D·xᵢ − xᵢ² are all
-			// non-negative because every xᵢ ≤ D.
-			var wcum int64
-			for i, v := range model {
-				w := sum*v - v*v
-				if w > 0 {
-					if got := d.FindWeighted(sum, u128.From64(wcum)); got != i {
-						t.Fatalf("FindWeighted(%d, %d) = %d, want %d (model %v)", sum, wcum, got, i, model)
-					}
-					if got := d.FindWeighted(sum, u128.From64(wcum+w-1)); got != i {
-						t.Fatalf("FindWeighted(%d, %d) = %d, want %d (model %v)", sum, wcum+w-1, got, i, model)
-					}
-				}
-				wcum += w
+			bands("FindSupport", func(_ int, v int64) int64 { return v }, d.FindSupport)
+			// With D = Sum every xᵢ ≤ D, so all weights are non-negative.
+			bands("FindWeighted", func(_ int, v int64) int64 { return sum*v - v*v },
+				func(r int64) int { return d.FindWeighted(sum, u128.From64(r)) })
+			if floors != nil {
+				bands("FindWeightedStubborn", func(i int, v int64) int64 { return (v - floors[i]) * (sum - v) },
+					func(r int64) int { return d.FindWeightedStubborn(sum, u128.From64(r)) })
 			}
 		}
 
-		check()
+		descend()
 		for len(data) > 0 {
-			switch next() % 3 {
-			case 0: // SetAll from the next n bytes
+			switch next() % 5 {
+			case 0: // SetAll from the next n byte pairs, kept on the floors
 				xs := make([]int64, n)
 				for i := range xs {
-					xs[i] = int64(next()) * int64(next()%4)
+					xs[i] = floor(i) + int64(next())*int64(next()%4)
 				}
 				d.SetAll(xs)
 				copy(model, xs)
-			case 1: // point Add, clamped to keep the slot non-negative
+			case 1: // point Add, clamped to keep the slot on its floor
 				i := int(next()) % n
 				delta := int64(next()) - 128
-				if model[i]+delta < 0 {
-					delta = -model[i]
+				if model[i]+delta < floor(i) {
+					delta = floor(i) - model[i]
 				}
 				d.Add(i, delta)
 				model[i] += delta
-			case 2: // a second query pass costs nothing and catches drift
+			case 2: // install floors as fractions of the supports, or clear
+				if c := next(); c%4 == 0 {
+					floors = nil
+					d.SetStubborn(nil)
+				} else {
+					floors = make([]int64, n)
+					for i, v := range model {
+						floors[i] = v * int64(next()) / 255
+					}
+					d.SetStubborn(floors)
+				}
+			case 3:
+				descend()
+			case 4: // a totals-only pass: the tree stays as it is
 			}
-			check()
+			totals()
 		}
+		descend()
 	})
 }
