@@ -120,3 +120,14 @@ func TestNegativeParallelismRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNRelRejected pins that -rel NaN fails at flag parsing instead of
+// silently running at the default ±5% target.
+func TestNaNRelRejected(t *testing.T) {
+	err := silence(t, func() error {
+		return run([]string{"-quick", "-run", "K3-many-opinions", "-adaptive", "-rel", "NaN"})
+	})
+	if err == nil || !strings.Contains(err.Error(), "-rel NaN") {
+		t.Fatalf("err = %v, want a -rel NaN error", err)
+	}
+}

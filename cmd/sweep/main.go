@@ -49,7 +49,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -57,7 +56,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	usd "repro"
 	"repro/internal/core"
@@ -70,20 +68,10 @@ func main() {
 	os.Exit(runMain(os.Args[1:]))
 }
 
-// runMain maps a run's outcome to the process exit status: 0 on success,
-// 130 (the conventional interrupted status) when a sharded run checkpointed
-// and stopped on SIGINT/SIGTERM, 1 on any other error.
+// runMain maps a run's outcome to the process exit status (see
+// experiment.ExitStatus).
 func runMain(args []string) int {
-	err := run(args)
-	if err == nil {
-		return 0
-	}
-	if errors.Is(err, experiment.ErrInterrupted) {
-		fmt.Fprintln(os.Stderr, "sweep: interrupted — the wave in flight was folded and the checkpoint written; resume with the same command")
-		return 130
-	}
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	return 1
+	return experiment.ExitStatus("sweep", run(args))
 }
 
 func run(args []string) error {
@@ -97,7 +85,6 @@ func run(args []string) error {
 		u0       = fs.Int64("u0", 0, "initially undecided agents")
 		trials   = fs.Int("trials", 10, "trials per sweep point")
 		seed     = fs.Uint64("seed", 1, "base random seed")
-		workers  = fs.Int("parallelism", 0, "max concurrent trials (0 = GOMAXPROCS)")
 		asCSV    = fs.Bool("csv", false, "emit CSV instead of a table")
 		kernel   = fs.String("kernel", "exact", "stepping kernel: exact, batched, or auto")
 		varSpec  = fs.String("variant", "", "dynamics variant spec: classic, stubborn:b0,b1,..., or unconstrained (empty = classic)")
@@ -105,60 +92,24 @@ func run(args []string) error {
 		adaptive = fs.Bool("adaptive", false, "adaptive trial counts: stop each point once the consensus-time CI closes")
 		rel      = fs.Float64("rel", 0.05, "adaptive stopping target: relative CI half-width")
 		maxTri   = fs.Int("maxtrials", 0, "adaptive per-point trial cap (0 = 4x -trials)")
-		shards   = fs.Int("shards", 0, "distribute each point's trials across N worker processes (0 = in-process; 1 = distributed engine with a single worker)")
 		ckpt     = fs.String("checkpoint", "", "checkpoint file prefix: write/resume <prefix>.point<i> per sweep point (implies the sharded engine)")
-		timeout  = fs.Duration("worker-timeout", 5*time.Minute, "with -shards: per-shard liveness deadline; a worker silent this long is declared hung and relaunched (0 = never)")
-		relaunch = fs.Int("max-relaunches", 0, "with -shards: per-shard worker relaunch budget (0 = default 3; -1 = fail fast on the first worker death)")
-		hosts    = fs.String("hosts", "", "with -shards: comma-separated ssh hosts to start workers on (member i runs on host i mod len; empty = local worker processes)")
-		remote   = fs.String("remote-cmd", "", "with -hosts: worker command template run on each host ({host}/{shard}/{shards}/{cores} expand; empty = this binary's path in -shard-worker mode, which must exist on every host)")
-		worker   = fs.String("shard-worker", "", "internal: serve as shard worker \"i/of\" over stdin/stdout (spawned by -shards)")
+		eng      = experiment.AddEngineFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *workers < 0 {
-		return fmt.Errorf("-parallelism %d must be non-negative", *workers)
-	}
 	if *u0 < 0 {
 		return fmt.Errorf("-u0 %d must be non-negative", *u0)
 	}
-	if *worker != "" {
-		shard, of, err := dist.ParseShardArg(*worker)
-		if err != nil {
-			return err
-		}
-		return experiment.ServeShard(os.Stdin, os.Stdout, shard, of, *workers)
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d must be non-negative", *shards)
+	// Every point runs through one cell runner (experiment.RunCell) over
+	// this base; the launcher, interrupt and fault-tolerance options only
+	// matter with -shards.
+	base, served, err := eng.Engine(*ckpt != "")
+	if served || err != nil {
+		return err
 	}
 	if *trials < 0 || (*trials == 0 && !*adaptive) {
 		return fmt.Errorf("-trials %d must be positive", *trials)
-	}
-	if *timeout < 0 {
-		return fmt.Errorf("-worker-timeout %v must be non-negative", *timeout)
-	}
-	if *relaunch < dist.NoRelaunch {
-		return fmt.Errorf("-max-relaunches %d out of range (want >= %d)", *relaunch, dist.NoRelaunch)
-	}
-	if *remote != "" && *hosts == "" {
-		return fmt.Errorf("-remote-cmd requires -hosts")
-	}
-	if *hosts != "" && *shards < 1 {
-		return fmt.Errorf("-hosts requires -shards")
-	}
-	if *ckpt != "" {
-		// Checkpointing rides on the sharded coordinator; a single worker
-		// process still checkpoints.
-		if *shards == 0 {
-			*shards = 1
-		}
-		// Create the prefix's directory up front: discovering it is
-		// missing only at the first post-wave write would discard exactly
-		// the work checkpointing exists to protect.
-		if err := os.MkdirAll(filepath.Dir(*ckpt), 0o755); err != nil {
-			return err
-		}
 	}
 	kern, err := core.ParseKernel(*kernel, *tol)
 	if err != nil {
@@ -171,7 +122,7 @@ func run(args []string) error {
 	if err := variant.ValidateKernel(kern); err != nil {
 		return err
 	}
-	if *rel <= 0 || *rel >= 1 {
+	if !(*rel > 0 && *rel < 1) {
 		return fmt.Errorf("-rel %v out of range (0, 1)", *rel)
 	}
 	if *maxTri < 0 {
@@ -194,36 +145,22 @@ func run(args []string) error {
 	if *keps != 0 && *param != "n" {
 		return fmt.Errorf("-keps only applies to -param n (got -param %s)", *param)
 	}
-	if *keps < 0 || *keps >= 1 {
+	if !(*keps >= 0 && *keps < 1) {
 		return fmt.Errorf("-keps %v out of range [0, 1)", *keps)
+	}
+	if *ckpt != "" {
+		// Create the prefix's directory up front: discovering it is
+		// missing only at the first post-wave write would discard exactly
+		// the work checkpointing exists to protect.
+		if err := os.MkdirAll(filepath.Dir(*ckpt), 0o755); err != nil {
+			return err
+		}
 	}
 	raw := strings.Split(*values, ",")
 
-	// Every point runs through one cell runner (experiment.RunCell); the
-	// launcher, interrupt and fault-tolerance options only matter with
-	// -shards.
-	base := experiment.ShardRunOptions{
-		Shards:        *shards,
-		MaxTrials:     *trials,
-		Policy:        "fixed",
-		WorkerTimeout: *timeout,
-		MaxRelaunches: *relaunch,
-	}
+	base.MaxTrials, base.Policy = *trials, "fixed"
 	if *adaptive {
 		base.MaxTrials, base.Policy = adaptiveCap, experiment.ConsensusPolicy(*rel)
-	}
-	if *shards >= 1 {
-		if *hosts != "" {
-			base.Launcher, err = dist.SSHFleetLauncher(dist.SplitHostList(*hosts), *remote, workerArgs(*workers)...)
-			if err != nil {
-				return err
-			}
-		} else {
-			base.Launcher = dist.SelfExecLauncher(workerArgs(*workers)...)
-		}
-		// Graceful interrupt: on SIGINT/SIGTERM the coordinator finishes the
-		// wave in flight and checkpoints, and the run exits resumable.
-		base.Interrupt = dist.InterruptOnSignal(os.Stderr)
 	}
 
 	type row struct {
@@ -259,7 +196,7 @@ func run(args []string) error {
 		if *ckpt != "" {
 			opts.Checkpoint = fmt.Sprintf("%s.point%d", *ckpt, vi)
 		}
-		if err := runPoint(st, experiment.NewShardSpec(cfg, variant, kern, core.NoBudget, 0, true), *workers, opts); err != nil {
+		if err := runPoint(st, experiment.NewShardSpec(cfg, variant, kern, core.NoBudget, 0, true), eng.Parallelism, opts); err != nil {
 			return err
 		}
 		if st.FirstFail != "" {
@@ -358,15 +295,6 @@ func runPoint(st *pointState, spec experiment.ShardSpec, workers int, opts exper
 		return fmt.Errorf("point %s: %w", st.value, experiment.ErrInterrupted)
 	}
 	return nil
-}
-
-// workerArgs returns the extra worker argv forwarding the in-worker
-// parallelism bound.
-func workerArgs(workers int) []string {
-	if workers == 0 {
-		return nil
-	}
-	return []string{"-parallelism", strconv.Itoa(workers)}
 }
 
 // foldShardResult maps a trial's wire result onto the point fold. Decided

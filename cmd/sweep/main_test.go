@@ -266,3 +266,25 @@ func TestSweepNegativeU0Rejected(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepNaNKepsRejected pins that -keps NaN fails at flag parsing
+// instead of silently sweeping at the -k default.
+func TestSweepNaNKepsRejected(t *testing.T) {
+	err := silence(t, func() error {
+		return run([]string{"-param", "n", "-values", "2000", "-keps", "NaN", "-trials", "2"})
+	})
+	if err == nil || !strings.Contains(err.Error(), "-keps NaN") {
+		t.Fatalf("err = %v, want a -keps NaN error", err)
+	}
+}
+
+// TestSweepNaNRelRejected pins that -rel NaN fails at flag parsing instead
+// of an adaptive point whose CI never closes running its whole trial cap.
+func TestSweepNaNRelRejected(t *testing.T) {
+	err := silence(t, func() error {
+		return run([]string{"-param", "n", "-values", "2000", "-adaptive", "-rel", "NaN", "-trials", "3"})
+	})
+	if err == nil || !strings.Contains(err.Error(), "-rel NaN") {
+		t.Fatalf("err = %v, want a -rel NaN error", err)
+	}
+}

@@ -69,6 +69,11 @@ func run(args []string) error {
 	if !(*zipf >= 0) {
 		return fmt.Errorf("-zipf %v must be a non-negative number", *zipf)
 	}
+	// ClockOfFloat would map a negative budget to NoBudget and NaN to an
+	// unlimited one, both silently running to consensus.
+	if !(*budget >= 0) {
+		return fmt.Errorf("-budget %v must be a non-negative number", *budget)
+	}
 	kern, err := core.ParseKernel(*kernel, *tol)
 	if err != nil {
 		return err

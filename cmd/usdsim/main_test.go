@@ -115,3 +115,14 @@ func TestNegativeBiasFlagsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestBadBudgetRejected pins that a negative or NaN -budget fails at flag
+// parsing, naming the flag, instead of silently running to consensus.
+func TestBadBudgetRejected(t *testing.T) {
+	for _, v := range []string{"-5", "NaN"} {
+		err := silence(t, func() error { return run([]string{"-n", "2000", "-k", "4", "-budget", v}) })
+		if err == nil || !strings.Contains(err.Error(), "-budget "+v) {
+			t.Errorf("-budget %s: err = %v, want a -budget error", v, err)
+		}
+	}
+}

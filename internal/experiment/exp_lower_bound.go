@@ -20,7 +20,7 @@ import (
 //
 // Trials at these sizes cost seconds to tens of seconds each, so the cell
 // budget is adaptive by construction: each cell folds its trials through
-// the cell runner (RunCell, in process or sharded per Params.Shards) and
+// the cell runner (RunCell, in process or sharded per Params.Engine) and
 // halts as soon as the consensus-time CI closes below the relative
 // half-width target (Params.RelWidth, default ±5% at 95%), with
 // Params.MaxTrials as the hard cap — the self-budgeting machinery this

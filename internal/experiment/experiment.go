@@ -10,7 +10,6 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -56,35 +55,21 @@ type Params struct {
 	// default. A positive Trials overrides both (fixed and adaptive runs
 	// then use the same count ceiling, which keeps -quick smoke runs cheap).
 	MaxTrials int
-	// Shards distributes supporting experiments' per-cell trials (K3 and
-	// K4) across this many worker processes through the internal/dist
-	// coordinator. 0 keeps cells in-process; 1 runs the distributed engine
-	// with a single worker (still useful for checkpointing). Every cell
-	// runs one trial function through RunCell whatever the shard count, so
-	// sharded and in-process runs of the same cell are byte-identical. The
-	// other experiments' USD cells also run through RunCell, but always in
-	// process: their folds have no checkpointable state, which a sharded
-	// cell needs to resume.
-	Shards int
-	// ShardLauncher starts shard workers; required when Shards >= 1.
-	// cmd/experiments wires a dist.ExecLauncher that re-executes the
-	// binary with the hidden -shard-worker flag.
-	ShardLauncher dist.Launcher
+	// Engine is the engine the cells that can shard (K3 and K4) run on:
+	// the shard count (0 keeps cells in-process; 1 runs the distributed
+	// engine with a single worker, still useful for checkpointing), the
+	// worker launcher, the fault-tolerance settings and the interrupt
+	// channel. Each cell sets its own MaxTrials, Seed, Policy and
+	// Checkpoint over it. Every cell runs one trial function through
+	// RunCell whatever the shard count, so sharded and in-process runs of
+	// the same cell are byte-identical. The other experiments' USD cells
+	// also run through RunCell, but always in process: their folds have no
+	// checkpointable state, which a sharded cell needs to resume.
+	Engine ShardRunOptions
 	// CheckpointDir, when non-empty, makes sharded cells write per-cell
 	// checkpoints under this directory and resume from them, so
 	// interrupted multi-hour runs continue instead of restarting.
 	CheckpointDir string
-	// WorkerTimeout is the sharded coordinator's per-shard liveness
-	// deadline (see dist.Options.WorkerTimeout); 0 disables hang detection.
-	WorkerTimeout time.Duration
-	// MaxRelaunches caps per-shard worker relaunches in sharded cells
-	// (see dist.Options.MaxRelaunches); 0 means the dist default,
-	// dist.NoRelaunch disables self-healing.
-	MaxRelaunches int
-	// Interrupt, when closed, gracefully stops sharded cells after their
-	// in-flight wave with a final checkpoint (see dist.Options.Interrupt).
-	// cmd/sweep and cmd/experiments close it on SIGINT/SIGTERM.
-	Interrupt <-chan struct{}
 }
 
 // Adaptive stopping defaults shared by experiments and the CLIs.
@@ -148,29 +133,22 @@ func ConsensusPolicy(rel float64) string {
 	return fmt.Sprintf("consensus-rule rel=%g level=%g min=%d", rel, DefaultCILevel, MinAdaptiveTrials)
 }
 
-// consensusCell runs one consensus-time cell of an experiment on p's engine
-// (see RunCell): in process at p.Parallelism when p.Shards is 0, across
-// p.Shards workers otherwise, with a per-cell checkpoint named cell under
-// p.CheckpointDir when that is set. Trials fold into metric; the cell stops
-// when the metric's rule fires (never, for a nil rule) or after maxTrials.
-// It returns the run result and the count of trials that did not reach
-// consensus, and ErrInterrupted when p.Interrupt stopped the cell.
+// consensusCell runs one consensus-time cell of an experiment on p.Engine
+// (see RunCell): in process at p.Parallelism when p.Engine.Shards is 0,
+// across p.Engine.Shards workers otherwise, with a per-cell checkpoint
+// named cell under p.CheckpointDir when that is set. Trials fold into
+// metric; the cell stops when the metric's rule fires (never, for a nil
+// rule) or after maxTrials. It returns the run result and the count of
+// trials that did not reach consensus, and ErrInterrupted when
+// p.Engine.Interrupt stopped the cell.
 func (p Params) consensusCell(spec ShardSpec, metric *AdaptiveMetric, maxTrials int, seed uint64, cell, policy string) (dist.Result, int, error) {
 	ckpt := ""
 	if p.CheckpointDir != "" {
 		ckpt = filepath.Join(p.CheckpointDir, cell+".ckpt")
 	}
-	res, failed, err := runConsensusCell(spec, p.Parallelism, metric, ShardRunOptions{
-		Shards:        p.Shards,
-		MaxTrials:     maxTrials,
-		Seed:          seed,
-		Launcher:      p.ShardLauncher,
-		Checkpoint:    ckpt,
-		Policy:        policy,
-		WorkerTimeout: p.WorkerTimeout,
-		MaxRelaunches: p.MaxRelaunches,
-		Interrupt:     p.Interrupt,
-	})
+	opts := p.Engine
+	opts.MaxTrials, opts.Seed, opts.Policy, opts.Checkpoint = maxTrials, seed, policy, ckpt
+	res, failed, err := runConsensusCell(spec, p.Parallelism, metric, opts)
 	if err == nil && res.Interrupted {
 		// Stop at the cell boundary instead of printing a table built on a
 		// partial fold; the cell's checkpoint carries the progress.

@@ -18,10 +18,9 @@ import (
 )
 
 // ErrInterrupted reports that a sharded run stopped early at the user's
-// request (Params.Interrupt closed): the wave in flight was folded and the
-// checkpoint written, so rerunning the same command resumes where it
-// stopped. The cmds test for it with errors.Is and map it to exit status
-// 130.
+// request (ShardRunOptions.Interrupt closed): the wave in flight was folded
+// and the checkpoint written, so rerunning the same command resumes where
+// it stopped. ExitStatus maps it to exit status 130.
 var ErrInterrupted = errors.New("interrupted: checkpoint written, rerun the same command to resume")
 
 // This file is the experiment side of the distributed trial engine
@@ -71,8 +70,10 @@ type ShardSpec struct {
 	// only meaningful when Tracked.
 	CheckEvery int `json:"check_every"`
 	// Tracked selects the phase-tracked run (RunTracked) over the plain
-	// consensus run. The two consume randomness differently under the
-	// batched kernel, so the flag is part of the trial identity.
+	// consensus run. The tracker only watches the run, so both step
+	// identically and the flag selects only the result's shape (phase end
+	// times or none); it stays part of the trial identity, and of the spec
+	// hash a checkpoint records, for that reason.
 	Tracked bool `json:"tracked"`
 	// Variant is the dynamics variant name (empty = classic). It is part
 	// of the trial identity: equal seeds under different variants draw
@@ -444,7 +445,8 @@ type ShardRunOptions struct {
 	Wave int
 	// Seed is the cell's trial-stream family seed.
 	Seed uint64
-	// Launcher starts the workers (see Params.ShardLauncher).
+	// Launcher starts the workers; the CLIs' EngineFlags.Engine builds one
+	// that re-executes the binary as a -shard-worker.
 	Launcher dist.Launcher
 	// Checkpoint, when non-empty, is the cell's checkpoint path; it needs
 	// Shards >= 1.

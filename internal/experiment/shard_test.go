@@ -109,6 +109,56 @@ func TestShardResultPhasesMatchRunTracked(t *testing.T) {
 	}
 }
 
+// TestTrackedRunStepsLikeUntracked pins that ShardSpec.Tracked selects only
+// the result's shape: the phase tracker watches the run without changing
+// how it steps, so a tracked and an untracked trial with the same seed and
+// index end at the same interaction count, winner and outcome, for every
+// kernel, classic and stubborn, below and above the categorical windows'
+// small-n regime.
+func TestTrackedRunStepsLikeUntracked(t *testing.T) {
+	trials := 30
+	if testing.Short() {
+		trials = 4
+	}
+	const seed = 41
+	for _, n := range []int64{1000, 20000} {
+		for _, v := range []core.Variant{{}, {Name: "stubborn", Stubborn: []int64{n / 20, 0, 0}}} {
+			for _, kern := range []core.Kernel{core.KernelExact, core.KernelBatched(0), core.KernelAuto(0)} {
+				cfg, err := conf.Uniform(n, 3, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var cells [2]*cellTrials
+				for i, tracked := range []bool{false, true} {
+					data, err := NewShardSpec(cfg, v, kern, core.NoBudget, 0, tracked).Encode()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cells[i], err = newCellTrials(data); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var a Arena
+				for i := 0; i < trials; i++ {
+					var got [2]ShardResult
+					for j, c := range cells {
+						got[j], err = runShardTrial(c.spec, c.cfg, c.kern, rng.New(rng.Derive(seed, uint64(i))), &a, c.opts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					plain, tracked := got[0], got[1]
+					if plain.Interactions() != tracked.Interactions() || plain.Winner != tracked.Winner ||
+						plain.Outcome != tracked.Outcome || plain.InitialLeader != tracked.InitialLeader {
+						t.Fatalf("n=%d %v %s trial %d: untracked %+v, tracked %+v",
+							n, v, kern.Name(), i, plain, tracked)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestShardSpecRoundTrip pins the spec wire format against its decoder.
 func TestShardSpecRoundTrip(t *testing.T) {
 	cfg, err := conf.WithAdditiveBias(5000, 6, 100, 50)
@@ -562,8 +612,8 @@ func TestK4ShardedKilledResumedTablesByteIdentical(t *testing.T) {
 	want := k4Output(t, base)
 
 	sharded := base
-	sharded.Shards = 2
-	sharded.ShardLauncher = &dist.PipeLauncher{Build: ShardBuilder(2)}
+	sharded.Engine.Shards = 2
+	sharded.Engine.Launcher = &dist.PipeLauncher{Build: ShardBuilder(2)}
 	if got := k4Output(t, sharded); got != want {
 		t.Fatalf("K4 table with 2 shards diverged from in-process run:\n%s\nwant:\n%s", got, want)
 	}
@@ -571,8 +621,8 @@ func TestK4ShardedKilledResumedTablesByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	killedParams := sharded
 	killedParams.CheckpointDir = dir
-	killedParams.ShardLauncher = &killAfterWaves{inner: &dist.PipeLauncher{Build: ShardBuilder(2)}, waves: 2}
-	killedParams.MaxRelaunches = dist.NoRelaunch
+	killedParams.Engine.Launcher = &killAfterWaves{inner: &dist.PipeLauncher{Build: ShardBuilder(2)}, waves: 2}
+	killedParams.Engine.MaxRelaunches = dist.NoRelaunch
 	e, _ := Find("K4-lower-bound")
 	var buf bytes.Buffer
 	if err := e.Run(killedParams, &buf); err == nil {

@@ -78,13 +78,6 @@ func (r *Source) Reseed(seed uint64) {
 	r.pos = bufLen
 }
 
-// Split returns a new Source whose stream is statistically independent of
-// the receiver's continuation. It consumes two outputs from the receiver.
-func (r *Source) Split() *Source {
-	seed := r.Uint64() ^ bits.RotateLeft64(r.Uint64(), 32)
-	return New(seed)
-}
-
 // Uint64 returns the next 64 uniformly distributed bits. The fast path is a
 // buffered load small enough to inline; refill regenerates the block from
 // the xoshiro state roughly once per bufLen draws.
@@ -152,17 +145,6 @@ func (r *Source) Intn(n int) int {
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
-}
-
-// Bernoulli returns true with probability p (clamped to [0, 1]).
-func (r *Source) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
 }
 
 // maxGeometric caps geometric samples so that downstream interaction-clock
@@ -526,13 +508,4 @@ func (r *Source) Multinomial(m int64, weights []float64, dst []int64) []int64 {
 		wrem -= w
 	}
 	return dst
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap, via the
-// Fisher-Yates algorithm.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -70,20 +70,6 @@ func TestDeriveIndependence(t *testing.T) {
 	}
 }
 
-func TestSplitDiverges(t *testing.T) {
-	a := New(9)
-	b := a.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("%d/100 outputs collided between parent and split child", same)
-	}
-}
-
 func TestUint64nBounds(t *testing.T) {
 	src := New(3)
 	for _, n := range []uint64{1, 2, 3, 7, 100, 1 << 40} {
@@ -127,39 +113,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 	if mean := sum / trials; math.Abs(mean-0.5) > 0.01 {
 		t.Fatalf("Float64 mean = %.4f, want ~0.5", mean)
-	}
-}
-
-func TestBernoulliEdges(t *testing.T) {
-	src := New(1)
-	for i := 0; i < 10; i++ {
-		if src.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) returned true")
-		}
-		if !src.Bernoulli(1) {
-			t.Fatal("Bernoulli(1) returned false")
-		}
-		if src.Bernoulli(-0.5) {
-			t.Fatal("Bernoulli(-0.5) returned true")
-		}
-		if !src.Bernoulli(1.5) {
-			t.Fatal("Bernoulli(1.5) returned false")
-		}
-	}
-}
-
-func TestBernoulliMean(t *testing.T) {
-	src := New(17)
-	const trials = 200000
-	hits := 0
-	for i := 0; i < trials; i++ {
-		if src.Bernoulli(0.3) {
-			hits++
-		}
-	}
-	p := float64(hits) / trials
-	if math.Abs(p-0.3) > 0.005 {
-		t.Fatalf("Bernoulli(0.3) empirical rate = %.4f", p)
 	}
 }
 
@@ -584,26 +537,6 @@ func TestMultinomialPanics(t *testing.T) {
 			}()
 			tc.fn()
 		})
-	}
-}
-
-func TestShuffleUniformity(t *testing.T) {
-	// All 6 permutations of 3 elements should be roughly equally likely.
-	src := New(19)
-	counts := map[[3]int]int{}
-	const trials = 60000
-	for i := 0; i < trials; i++ {
-		a := [3]int{0, 1, 2}
-		src.Shuffle(3, func(x, y int) { a[x], a[y] = a[y], a[x] })
-		counts[a]++
-	}
-	if len(counts) != 6 {
-		t.Fatalf("saw %d distinct permutations, want 6", len(counts))
-	}
-	for p, c := range counts {
-		if math.Abs(float64(c)-trials/6.0) > 500 {
-			t.Fatalf("permutation %v count %d deviates from %d", p, c, trials/6)
-		}
 	}
 }
 

@@ -324,16 +324,3 @@ func All(rules ...StoppingRule) StoppingRule {
 		return true
 	})
 }
-
-// Any composes rules disjunctively: stop as soon as one rule stops. With no
-// rules it never stops.
-func Any(rules ...StoppingRule) StoppingRule {
-	return StopFunc(func(o *Online) bool {
-		for _, r := range rules {
-			if r.Stop(o) {
-				return true
-			}
-		}
-		return false
-	})
-}
