@@ -16,14 +16,17 @@
 // up to -maxtrials. K4-lower-bound is adaptive by construction and reads
 // -rel/-maxtrials directly.
 //
-// -shards N distributes supporting experiments' per-cell trials
-// (K3-many-opinions, and K4-lower-bound, whose billion-agent cells cost
-// tens of seconds per trial) across N worker processes: the binary re-executes itself in a
-// hidden worker mode and the internal/dist coordinator folds shard results
-// in global trial order, so the output tables are byte-identical to the
-// in-process run. -checkpoint DIR additionally persists each cell's fold
-// after every trial wave and resumes from it, so a killed multi-hour run
-// continues where it stopped (delete the directory to start over).
+// -shards N distributes each USD cell's trials across N worker processes:
+// the binary re-executes itself in a hidden worker mode and the
+// internal/dist coordinator folds shard results in global trial order, so
+// the output tables are byte-identical to the in-process run. Every
+// experiment whose cells a job spec expresses shards (T1–T4, F3, F5, F6,
+// X2, X3, X5, K1–K5 and the population-protocol arms of F4 and A2); the
+// trajectory, timing and other-engine trials of T5, T6, F1, F2, F4's
+// gossip arm, F7, A1, A3, X1 and X4 stay in process. -checkpoint DIR additionally logs each sharded cell's trial
+// results after every wave and resumes by replaying them, so a killed
+// multi-hour run continues where it stopped (delete the directory to start
+// over).
 //
 // Sharded runs tolerate worker failure: a crashed, hung (-worker-timeout),
 // or garbling worker is relaunched up to -max-relaunches times with its
@@ -58,17 +61,16 @@ func run(args []string) error {
 		trials   = fs.Int("trials", 0, "override trials per cell (0 = experiment default)")
 		kernel   = fs.String("kernel", "exact", "stepping kernel for USD runs: exact, batched, or auto")
 		varSpec  = fs.String("variant", "", "focus K5-variants on one dynamics variant arm: stubborn:b0,b1,... or unconstrained (empty = all arms)")
-		tol      = fs.Float64("tol", 0, "batched/auto-kernel drift tolerance (0 = default)")
+		tol      = fs.Float64("tol", 0, "batched/auto-kernel drift tolerance in [0, 0.25] (0 = default 0.05)")
 		adaptive = fs.Bool("adaptive", false, "adaptive trial counts where supported (K3): stop each cell once its CI closes")
 		rel      = fs.Float64("rel", 0, "adaptive stopping target: relative CI half-width (0 = default 0.05)")
 		maxTri   = fs.Int("maxtrials", 0, "adaptive per-cell trial cap (0 = experiment default)")
-		ckpt     = fs.String("checkpoint", "", "with -shards: directory for per-cell checkpoints, written after every wave and resumed from")
 		eng      = experiment.AddEngineFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	engine, served, err := eng.Engine(*ckpt != "")
+	engine, served, err := eng.Engine()
 	if served || err != nil {
 		return err
 	}
@@ -91,12 +93,6 @@ func run(args []string) error {
 	if *maxTri < 0 {
 		return fmt.Errorf("-maxtrials %d must be non-negative", *maxTri)
 	}
-	if *ckpt != "" {
-		if err := os.MkdirAll(*ckpt, 0o755); err != nil {
-			return err
-		}
-	}
-
 	if *list {
 		fmt.Println("available experiments:")
 		for _, e := range experiment.All() {
@@ -116,7 +112,7 @@ func run(args []string) error {
 		RelWidth:      *rel,
 		MaxTrials:     *maxTri,
 		Engine:        engine,
-		CheckpointDir: *ckpt,
+		CheckpointDir: eng.CheckpointDir,
 	}
 
 	if *all || *runIDs == "" {

@@ -131,3 +131,16 @@ func TestNaNRelRejected(t *testing.T) {
 		t.Fatalf("err = %v, want a -rel NaN error", err)
 	}
 }
+
+// TestBadToleranceRejected pins that a negative or above-0.25 -tol fails at
+// flag parsing instead of running at the default or a clamped tolerance.
+func TestBadToleranceRejected(t *testing.T) {
+	for _, v := range []string{"-1", "0.3"} {
+		err := silence(t, func() error {
+			return run([]string{"-quick", "-run", "T1-phases", "-kernel", "auto", "-tol", v})
+		})
+		if err == nil || !strings.Contains(err.Error(), "tolerance") {
+			t.Errorf("-tol %s: err = %v, want a tolerance error", v, err)
+		}
+	}
+}

@@ -64,7 +64,7 @@ func run(args []string) error {
 					durations[p-1] = append(durations[p-1], d.Float64())
 				}
 			}
-		}, func() bool { return failed != nil }, nil); err != nil {
+		}, func() bool { return failed != nil }); err != nil {
 		return err
 	}
 	if failed != nil {

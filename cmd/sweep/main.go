@@ -11,7 +11,7 @@
 //	sweep -param n -values 1e6,1e8,1e9 -keps 0.25 -kernel batched
 //	sweep -param eps -values 0.1,0.25,0.5 -n 1e6 -kernel batched
 //	sweep -param n -values 2.2e9,2.6e9,3e9 -k 512 -kernel batched -adaptive -rel 0.03
-//	sweep -param n -values 3e9 -k 512 -kernel batched -adaptive -shards 4 -checkpoint sweep.ckpt
+//	sweep -param n -values 3e9 -k 512 -kernel batched -adaptive -shards 4 -checkpoint sweep-ckpt
 //
 // -kernel batched selects the bulk stepping kernel for large-n sweeps; it
 // trades a bounded per-rate drift (-tol, default 0.05) for orders of
@@ -35,10 +35,11 @@
 // binary re-executes itself in a hidden worker mode) through the
 // internal/dist coordinator; the folded output is byte-identical to the
 // in-process run at every shard count — the shard-determinism CI job
-// diffs 1-, 2-, and 4-shard runs of the same sweep. -checkpoint PREFIX
-// additionally writes a per-point checkpoint after every folded wave and
-// resumes from it, so interrupted billion-agent sweeps continue instead of
-// restarting (delete the checkpoint files to start over).
+// diffs 1-, 2-, and 4-shard runs of the same sweep. -checkpoint DIR
+// additionally logs each point's trial results in a file under DIR after
+// every folded wave and resumes by replaying them, so interrupted
+// billion-agent sweeps continue instead of restarting (delete the
+// directory to start over).
 //
 // Sharded runs tolerate worker failure: a crashed, hung (-worker-timeout),
 // or garbling worker is relaunched up to -max-relaunches times with its
@@ -53,13 +54,11 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	usd "repro"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/experiment"
 	"repro/internal/stats"
 )
@@ -88,11 +87,10 @@ func run(args []string) error {
 		asCSV    = fs.Bool("csv", false, "emit CSV instead of a table")
 		kernel   = fs.String("kernel", "exact", "stepping kernel: exact, batched, or auto")
 		varSpec  = fs.String("variant", "", "dynamics variant spec: classic, stubborn:b0,b1,..., or unconstrained (empty = classic)")
-		tol      = fs.Float64("tol", 0, "batched/auto-kernel drift tolerance (0 = default)")
+		tol      = fs.Float64("tol", 0, "batched/auto-kernel drift tolerance in [0, 0.25] (0 = default 0.05)")
 		adaptive = fs.Bool("adaptive", false, "adaptive trial counts: stop each point once the consensus-time CI closes")
 		rel      = fs.Float64("rel", 0.05, "adaptive stopping target: relative CI half-width")
 		maxTri   = fs.Int("maxtrials", 0, "adaptive per-point trial cap (0 = 4x -trials)")
-		ckpt     = fs.String("checkpoint", "", "checkpoint file prefix: write/resume <prefix>.point<i> per sweep point (implies the sharded engine)")
 		eng      = experiment.AddEngineFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -104,7 +102,7 @@ func run(args []string) error {
 	// Every point runs through one cell runner (experiment.RunCell) over
 	// this base; the launcher, interrupt and fault-tolerance options only
 	// matter with -shards.
-	base, served, err := eng.Engine(*ckpt != "")
+	base, served, err := eng.Engine()
 	if served || err != nil {
 		return err
 	}
@@ -148,14 +146,6 @@ func run(args []string) error {
 	if !(*keps >= 0 && *keps < 1) {
 		return fmt.Errorf("-keps %v out of range [0, 1)", *keps)
 	}
-	if *ckpt != "" {
-		// Create the prefix's directory up front: discovering it is
-		// missing only at the first post-wave write would discard exactly
-		// the work checkpointing exists to protect.
-		if err := os.MkdirAll(filepath.Dir(*ckpt), 0o755); err != nil {
-			return err
-		}
-	}
 	raw := strings.Split(*values, ",")
 
 	base.MaxTrials, base.Policy = *trials, "fixed"
@@ -188,33 +178,36 @@ func run(args []string) error {
 			// Sequential stopping: keep sampling this point until the
 			// consensus-time CI closes below -rel or the cap is hit. The
 			// win-rate estimate simply uses however many trials that took.
-			st.Metric = experiment.NewAdaptiveMetric("consensus T",
+			st.metric = experiment.NewAdaptiveMetric("consensus T",
 				experiment.ConsensusRule(*rel, adaptiveCap))
 		}
+		spec := experiment.NewShardSpec(cfg, variant, kern, core.NoBudget, 0, true)
 		opts := base
 		opts.Seed = *seed + uint64(vi)*1_000_003
-		if *ckpt != "" {
-			opts.Checkpoint = fmt.Sprintf("%s.point%d", *ckpt, vi)
+		if eng.CheckpointDir != "" {
+			if opts.Checkpoint, err = experiment.CellCheckpoint(eng.CheckpointDir, spec, opts); err != nil {
+				return err
+			}
 		}
-		if err := runPoint(st, experiment.NewShardSpec(cfg, variant, kern, core.NoBudget, 0, true), eng.Parallelism, opts); err != nil {
+		if err := runPoint(st, spec, eng.Parallelism, opts); err != nil {
 			return err
 		}
-		if st.FirstFail != "" {
-			return fmt.Errorf("%s", st.FirstFail)
+		if st.firstFail != "" {
+			return fmt.Errorf("%s", st.firstFail)
 		}
-		s, err := stats.Summarize(st.Times)
+		s, err := stats.Summarize(st.times)
 		if err != nil {
 			return err
 		}
 		rows = append(rows, row{
 			value:    vs,
 			k:        cfg.K(),
-			trials:   len(st.Times),
+			trials:   len(st.times),
 			mean:     s.Mean,
 			median:   s.Median,
 			std:      s.Std,
 			parallel: s.Mean / float64(cfg.N()),
-			winRate:  float64(st.Wins) / float64(len(st.Times)),
+			winRate:  float64(st.wins) / float64(len(st.times)),
 		})
 	}
 
@@ -239,55 +232,55 @@ func run(args []string) error {
 	return nil
 }
 
-// pointState is the fold state of one sweep point, checkpointed by sharded
-// runs through dist.JSONState: the JSON-tagged fields round-trip losslessly
-// (times are integer-valued float64s), so a resumed point finishes
-// byte-identical to an uninterrupted one.
+// pointState is the fold state of one sweep point. A checkpointed point
+// saves its trial results, not this state, and a resumed point replays
+// them through the fold (see experiment.RunCell).
 type pointState struct {
 	value string
-
-	// Times holds the consensus times of successful trials, in fold order.
-	Times []float64 `json:"times"`
-	// Wins counts trials the initial leader won.
-	Wins int `json:"wins"`
-	// FirstFail records the first non-consensus trial, or "".
-	FirstFail string `json:"first_fail"`
-	// Metric is the adaptive stopping metric; nil for fixed-count runs.
-	Metric *experiment.AdaptiveMetric `json:"metric,omitempty"`
+	// times holds the consensus times of successful trials, in fold order.
+	times []float64
+	// wins counts trials the initial leader won.
+	wins int
+	// firstFail records the first non-consensus trial, or "".
+	firstFail string
+	// metric is the adaptive stopping metric; nil for fixed-count runs.
+	metric *experiment.AdaptiveMetric
 }
 
-// fold accumulates one trial outcome.
-func (st *pointState) fold(i int, t float64, won bool, fail string) {
-	if fail != "" {
-		if st.FirstFail == "" {
-			st.FirstFail = fmt.Sprintf("value %s trial %d: %s", st.value, i, fail)
+// fold accumulates trial i's outcome. Decided covers both consensus and
+// the stubborn variant's dominance terminal, so stubborn sweeps report
+// decision times rather than failing every trial.
+func (st *pointState) fold(i int, r experiment.ShardResult) {
+	if !r.Decided() {
+		if st.firstFail == "" {
+			st.firstFail = fmt.Sprintf("value %s trial %d: %s", st.value, i, r.Outcome)
 		}
 		return
 	}
-	st.Times = append(st.Times, t)
-	if won {
-		st.Wins++
+	t := r.Interactions().Float64()
+	st.times = append(st.times, t)
+	if r.Winner == r.InitialLeader {
+		st.wins++
 	}
-	if st.Metric != nil {
-		st.Metric.Add(t)
+	if st.metric != nil {
+		st.metric.Add(t)
 	}
 }
 
 // runPoint folds one sweep point through the cell runner: in process, or
 // with -shards through worker processes whose results the coordinator folds
-// in global trial order, persisting the fold after every wave when the
-// point has a checkpoint. Both fold the same per-trial results in the same
+// in global trial order, logging the folded results after every wave when
+// the point has a checkpoint. Both fold the same per-trial results in the same
 // order, so the table is byte-identical between them — the
 // shard-determinism CI job relies on it. A run the user interrupted returns
 // experiment.ErrInterrupted instead of printing a table built on a partial
 // fold.
 func runPoint(st *pointState, spec experiment.ShardSpec, workers int, opts experiment.ShardRunOptions) error {
 	var stop func() bool
-	if st.Metric != nil {
-		stop = experiment.StopWhenAll(st.Metric)
+	if st.metric != nil {
+		stop = experiment.StopWhenAll(st.metric)
 	}
-	res, err := experiment.RunCell(spec, workers, opts,
-		func(i int, r experiment.ShardResult) { foldShardResult(st, i, r) }, stop, dist.JSONState{V: st})
+	res, err := experiment.RunCell(spec, workers, opts, st.fold, stop)
 	if err != nil {
 		return err
 	}
@@ -295,17 +288,6 @@ func runPoint(st *pointState, spec experiment.ShardSpec, workers int, opts exper
 		return fmt.Errorf("point %s: %w", st.value, experiment.ErrInterrupted)
 	}
 	return nil
-}
-
-// foldShardResult maps a trial's wire result onto the point fold. Decided
-// covers both consensus and the stubborn variant's dominance terminal, so
-// stubborn sweeps report decision times rather than failing every trial.
-func foldShardResult(st *pointState, i int, r experiment.ShardResult) {
-	if !r.Decided() {
-		st.fold(i, 0, false, r.Outcome)
-		return
-	}
-	st.fold(i, r.Interactions().Float64(), r.Winner == r.InitialLeader, "")
 }
 
 func buildConfig(param, value string, n int64, k int, keps float64, u0 int64) (*usd.Config, error) {

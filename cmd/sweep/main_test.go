@@ -88,12 +88,17 @@ func TestSweepBadValues(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsNaNTolerance pins that a NaN, negative or above-0.25
+// -tol fails at flag parsing instead of running at the default or a
+// clamped tolerance.
 func TestSweepRejectsNaNTolerance(t *testing.T) {
-	err := silence(t, func() error {
-		return run([]string{"-param", "n", "-values", "20000", "-k", "4", "-trials", "2", "-kernel", "auto", "-tol", "NaN", "-shards", "1"})
-	})
-	if err == nil || !strings.Contains(err.Error(), "tolerance") {
-		t.Fatalf("err = %v, want a NaN tolerance error", err)
+	for _, tol := range []string{"NaN", "-1", "0.3"} {
+		err := silence(t, func() error {
+			return run([]string{"-param", "n", "-values", "20000", "-k", "4", "-trials", "2", "-kernel", "auto", "-tol", tol, "-shards", "1"})
+		})
+		if err == nil || !strings.Contains(err.Error(), "tolerance") {
+			t.Errorf("-tol %s: err = %v, want a tolerance error", tol, err)
+		}
 	}
 }
 

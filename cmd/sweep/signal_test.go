@@ -53,9 +53,9 @@ func TestSweepShardedInterruptResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns multi-second worker processes; skipped in -short mode")
 	}
-	prefix := filepath.Join(t.TempDir(), "ckpt")
+	dir := filepath.Join(t.TempDir(), "ckpt")
 	point := []string{"-param", "n", "-values", "30000", "-k", "2", "-trials", "192", "-seed", "7"}
-	sharded := append(append([]string{}, point...), "-shards", "2", "-checkpoint", prefix)
+	sharded := append(append([]string{}, point...), "-shards", "2", "-checkpoint", dir)
 
 	cmd := exec.Command(os.Args[0], append([]string{sweepMainMarker}, sharded...)...)
 	var stdout, stderr bytes.Buffer
@@ -65,16 +65,17 @@ func TestSweepShardedInterruptResume(t *testing.T) {
 	}
 	// Signal as soon as the first wave has been folded and checkpointed, so
 	// the interrupt lands mid-run with plenty of trials outstanding.
-	ckptPath := prefix + ".point0"
+	var ckptPath string
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if _, err := os.Stat(ckptPath); err == nil {
+		if m, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(m) == 1 {
+			ckptPath = m[0]
 			break
 		}
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
 			cmd.Wait()
-			t.Fatalf("checkpoint %s never appeared\nstderr: %s", ckptPath, stderr.String())
+			t.Fatalf("no checkpoint appeared in %s\nstderr: %s", dir, stderr.String())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -52,7 +52,7 @@ func run(args []string) error {
 		budget  = fs.Float64("budget", 0, "interaction budget, accepts 1e20-style values (0 = run to consensus)")
 		plot    = fs.Bool("plot", false, "render an ASCII trajectory")
 		kernel  = fs.String("kernel", "exact", "stepping kernel: exact, batched, or auto")
-		tol     = fs.Float64("tol", 0, "batched/auto-kernel drift tolerance (0 = default)")
+		tol     = fs.Float64("tol", 0, "batched/auto-kernel drift tolerance in [0, 0.25] (0 = default 0.05)")
 		varSpec = fs.String("variant", "", "dynamics variant spec: classic, stubborn:b0,b1,..., or unconstrained (empty = classic)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -126,3 +126,14 @@ func TestBadBudgetRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestBadToleranceRejected pins that a negative or above-0.25 -tol fails at
+// flag parsing instead of running at the default or a clamped tolerance.
+func TestBadToleranceRejected(t *testing.T) {
+	for _, v := range []string{"-1", "0.3", "NaN"} {
+		err := silence(t, func() error { return run([]string{"-n", "2000", "-k", "4", "-kernel", "auto", "-tol", v}) })
+		if err == nil || !strings.Contains(err.Error(), "tolerance") {
+			t.Errorf("-tol %s: err = %v, want a tolerance error", v, err)
+		}
+	}
+}

@@ -60,10 +60,20 @@ func TestParseKernelRejectsNaNTolerance(t *testing.T) {
 			t.Fatalf("ParseKernel(%q, NaN) error = %v, want one naming the tolerance", name, err)
 		}
 	}
-	// +Inf keeps the documented clamp.
-	k, err := ParseKernel("auto", math.Inf(1))
-	if err != nil || k.Tolerance() != maxTolerance {
-		t.Fatalf("ParseKernel(auto, +Inf) = %v, %v; want tolerance %v", k, err, maxTolerance)
+	// A tolerance outside [0, maxTolerance] is rejected too, +Inf
+	// included; the constructors in code keep their clamp.
+	for _, tol := range []float64{-1, math.Inf(-1), maxTolerance + 0.01, math.Inf(1)} {
+		if k, err := ParseKernel("auto", tol); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("ParseKernel(auto, %v) = %v, %v; want an out-of-range error", tol, k, err)
+		}
+	}
+	for _, tol := range []float64{0, maxTolerance} {
+		if _, err := ParseKernel("auto", tol); err != nil {
+			t.Fatalf("ParseKernel(auto, %v): %v", tol, err)
+		}
+	}
+	if k := KernelAuto(math.Inf(1)); k.Tolerance() != maxTolerance {
+		t.Fatalf("KernelAuto(+Inf) tolerance %v, want the clamp %v", k.Tolerance(), maxTolerance)
 	}
 }
 

@@ -131,13 +131,17 @@ func KernelNames() []string {
 }
 
 // ParseKernel returns the kernel named by s: "exact", "batched", or "auto",
-// the latter two with drift tolerance tol (tol <= 0 selects
-// DefaultTolerance; values above 0.25, +Inf included, are clamped). The
-// empty string is the exact kernel. CLI -kernel flags share this parser;
-// unknown names, and a NaN tolerance, are rejected with an error.
+// the latter two with drift tolerance tol (0 selects DefaultTolerance). The
+// empty string is the exact kernel. CLI -kernel and -tol flags share this
+// parser; unknown names, and a tolerance that is NaN or outside
+// [0, 0.25], are rejected with an error rather than defaulted or clamped
+// as KernelBatched and KernelAuto do for callers in code.
 func ParseKernel(s string, tol float64) (Kernel, error) {
 	if math.IsNaN(tol) {
 		return Kernel{}, fmt.Errorf("core: kernel tolerance %v is not a number", tol)
+	}
+	if tol < 0 || tol > maxTolerance {
+		return Kernel{}, fmt.Errorf("core: kernel tolerance %v out of range [0, %v] (0 = default %v)", tol, maxTolerance, DefaultTolerance)
 	}
 	if s == "" {
 		return KernelExact, nil

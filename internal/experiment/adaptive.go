@@ -65,10 +65,12 @@ func StreamAdaptive[T any](opts AdaptiveOptions, fn func(i int, src *rng.Source,
 // convention, and the reason a finished run can report per-metric stopping
 // trials individually.
 //
-// A metric checkpoints through encoding/json: the aggregates (bit-exactly,
-// via the stats snapshot encodings) and the latch, but not the Rule — rules
-// are code, so the restoring side builds the metric with NewAdaptiveMetric
-// and unmarshals into it, which keeps the rule it was constructed with.
+// A metric round-trips through encoding/json for callers that snapshot a
+// fold themselves through dist.JSONState (RunCell checkpoints results and
+// replays them instead): the aggregates (bit-exactly, via the stats
+// snapshot encodings) and the latch, but not the Rule — rules are code, so
+// the restoring side builds the metric with NewAdaptiveMetric and
+// unmarshals into it, which keeps the rule it was constructed with.
 type AdaptiveMetric struct {
 	// Name labels the metric in reports.
 	Name string `json:"name"`

@@ -115,12 +115,12 @@ func a2Engine() Experiment {
 			}
 			agg := make([]float64, trials)
 			spec := NewShardSpec(cfg, core.Variant{}, p.Kernel, core.NoBudget, 0, false)
-			if err := p.cell(spec, trials, p.Seed+83, func(i int, r ShardResult) {
+			if _, err := p.cell(spec, trials, p.Seed+83, func(i int, r ShardResult) {
 				agg[i] = math.NaN()
 				if r.Consensus() {
 					agg[i] = r.Interactions().Float64()
 				}
-			}); err != nil {
+			}, nil, ""); err != nil {
 				return err
 			}
 			agent := make([]float64, trials)

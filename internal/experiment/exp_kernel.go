@@ -90,7 +90,7 @@ func k1KernelAgreement() Experiment {
 			gather := func(cfg *conf.Config, kern core.Kernel, seedOff uint64) (gathered, error) {
 				g := gathered{phases: make([][]float64, 5)}
 				spec := NewShardSpec(cfg, core.Variant{}, kern, core.NoBudget, 0, true)
-				err := p.cell(spec, trials, p.Seed+seedOff, func(_ int, r ShardResult) {
+				_, err := p.cell(spec, trials, p.Seed+seedOff, func(_ int, r ShardResult) {
 					if !r.Consensus() {
 						return
 					}
@@ -105,7 +105,7 @@ func k1KernelAgreement() Experiment {
 							g.phases[ph-1] = append(g.phases[ph-1], phases.End[ph-1].Float64())
 						}
 					}
-				})
+				}, nil, "")
 				return g, err
 			}
 

@@ -62,20 +62,20 @@ func k4LowerBound() Experiment {
 					if err != nil {
 						return err
 					}
-					metric := NewAdaptiveMetric("consensus T", p.consensusRule(maxTrials))
-					res, failed, err := p.consensusCell(
+					st := &ConsensusCellState{Metric: NewAdaptiveMetric("consensus T", p.consensusRule(maxTrials))}
+					metric := st.Metric
+					res, err := p.cell(
 						NewShardSpec(cfg, core.Variant{}, core.KernelBatched(0), core.NoBudget, 0, false),
-						metric, maxTrials, p.Seed+uint64(n)*31+uint64(k)*1_000_003,
-						fmt.Sprintf("K4-lower-bound.n%d.k%d", n, k), ConsensusPolicy(rel))
+						maxTrials, p.Seed+uint64(n)*31+uint64(k)*1_000_003, st.fold, StopWhenAll(metric), ConsensusPolicy(rel))
 					if err != nil {
 						return fmt.Errorf("n=%d k=%d: %w", n, k, err)
 					}
 					if metric.Online.N() == 0 {
 						return fmt.Errorf("n=%d k=%d: all %d trials failed", n, k, res.Trials)
 					}
-					if failed > 0 {
+					if st.Failed > 0 {
 						fmt.Fprintf(w, "note: n=%d k=%d: %d/%d trials did not reach consensus\n",
-							n, k, failed, res.Trials)
+							n, k, st.Failed, res.Trials)
 					}
 					ci := stats.StudentTCI(&metric.Online, DefaultCILevel)
 					lo, hi, ok := bounds.Bracket(n, k, ci.Mean)

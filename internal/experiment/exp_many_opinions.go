@@ -94,21 +94,20 @@ func k3ManyOpinions() Experiment {
 					}
 					// Stream the cell: only the online aggregates are held,
 					// never the per-trial results.
-					metric := NewAdaptiveMetric("consensus T", rule)
-					res, failed, err := p.consensusCell(
+					st := &ConsensusCellState{Metric: NewAdaptiveMetric("consensus T", rule)}
+					res, err := p.cell(
 						NewShardSpec(cfg, core.Variant{}, core.KernelBatched(0), core.NoBudget, 0, false),
-						metric, trials, p.Seed+uint64(n)*13+uint64(g.eps*1000),
-						fmt.Sprintf("K3-many-opinions.eps%g.n%d", g.eps, n), policy)
+						trials, p.Seed+uint64(n)*13+uint64(g.eps*1000), st.fold, StopWhenAll(st.Metric), policy)
 					if err != nil {
 						return fmt.Errorf("eps=%g n=%d: %w", g.eps, n, err)
 					}
-					agg, med := &metric.Online, metric.Median
+					agg, med := &st.Metric.Online, st.Metric.Median
 					if agg.N() == 0 {
 						return fmt.Errorf("eps=%g n=%d: all trials failed", g.eps, n)
 					}
-					if failed > 0 {
+					if st.Failed > 0 {
 						fmt.Fprintf(w, "note: eps=%g n=%d: %d trials did not reach consensus\n",
-							g.eps, n, failed)
+							g.eps, n, st.Failed)
 					}
 					norm := agg.Mean() / (float64(k) * float64(n) * math.Log(float64(n)))
 					tbl.AddRowf(g.eps, n, k, fmt.Sprintf("%d%s", res.Trials, capSuffix),

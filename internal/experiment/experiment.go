@@ -8,7 +8,6 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/core"
@@ -55,20 +54,20 @@ type Params struct {
 	// default. A positive Trials overrides both (fixed and adaptive runs
 	// then use the same count ceiling, which keeps -quick smoke runs cheap).
 	MaxTrials int
-	// Engine is the engine the cells that can shard (K3 and K4) run on:
-	// the shard count (0 keeps cells in-process; 1 runs the distributed
-	// engine with a single worker, still useful for checkpointing), the
-	// worker launcher, the fault-tolerance settings and the interrupt
-	// channel. Each cell sets its own MaxTrials, Seed, Policy and
-	// Checkpoint over it. Every cell runs one trial function through
-	// RunCell whatever the shard count, so sharded and in-process runs of
-	// the same cell are byte-identical. The other experiments' USD cells
-	// also run through RunCell, but always in process: their folds have no
-	// checkpointable state, which a sharded cell needs to resume.
+	// Engine is the engine every USD cell (Params.cell) runs on: the shard
+	// count (0 keeps cells in-process; 1 runs the distributed engine with
+	// a single worker, still useful for checkpointing), the worker
+	// launcher, the fault-tolerance settings and the interrupt channel.
+	// Each cell sets its own MaxTrials, Seed, Policy and Checkpoint over
+	// it. Every cell runs one trial function through RunCell whatever the
+	// shard count, so sharded and in-process runs of the same cell are
+	// byte-identical. Trials a ShardSpec cannot express (those of T5, T6,
+	// F1, F2, F4's gossip arm, F7, A1, A3, X1 and X4) stay in process.
 	Engine ShardRunOptions
 	// CheckpointDir, when non-empty, makes sharded cells write per-cell
-	// checkpoints under this directory and resume from them, so
-	// interrupted multi-hour runs continue instead of restarting.
+	// checkpoints under this directory (named by CellCheckpoint) and
+	// resume from them, so interrupted multi-hour runs continue instead of
+	// restarting. It needs Engine.Shards >= 1.
 	CheckpointDir string
 }
 
@@ -133,36 +132,30 @@ func ConsensusPolicy(rel float64) string {
 	return fmt.Sprintf("consensus-rule rel=%g level=%g min=%d", rel, DefaultCILevel, MinAdaptiveTrials)
 }
 
-// consensusCell runs one consensus-time cell of an experiment on p.Engine
-// (see RunCell): in process at p.Parallelism when p.Engine.Shards is 0,
-// across p.Engine.Shards workers otherwise, with a per-cell checkpoint
-// named cell under p.CheckpointDir when that is set. Trials fold into
-// metric; the cell stops when the metric's rule fires (never, for a nil
-// rule) or after maxTrials. It returns the run result and the count of
-// trials that did not reach consensus, and ErrInterrupted when
+// cell runs one cell of spec on p.Engine (see RunCell): in process at
+// p.Parallelism when p.Engine.Shards is 0, across p.Engine.Shards workers
+// otherwise, checkpointed under p.CheckpointDir (see CellCheckpoint) when
+// that is set. Trials fold into fold in trial order until stop (nil =
+// never) fires or maxTrials trials have folded; trial i draws from
+// rng.Derive(seed, i), and policy names stop in the checkpoint (see
+// ShardRunOptions.Policy). It returns ErrInterrupted when
 // p.Engine.Interrupt stopped the cell.
-func (p Params) consensusCell(spec ShardSpec, metric *AdaptiveMetric, maxTrials int, seed uint64, cell, policy string) (dist.Result, int, error) {
-	ckpt := ""
-	if p.CheckpointDir != "" {
-		ckpt = filepath.Join(p.CheckpointDir, cell+".ckpt")
-	}
+func (p Params) cell(spec ShardSpec, maxTrials int, seed uint64, fold func(i int, r ShardResult), stop func() bool, policy string) (dist.Result, error) {
 	opts := p.Engine
-	opts.MaxTrials, opts.Seed, opts.Policy, opts.Checkpoint = maxTrials, seed, policy, ckpt
-	res, failed, err := runConsensusCell(spec, p.Parallelism, metric, opts)
+	opts.MaxTrials, opts.Seed, opts.Policy = maxTrials, seed, policy
+	if p.CheckpointDir != "" {
+		var err error
+		if opts.Checkpoint, err = CellCheckpoint(p.CheckpointDir, spec, opts); err != nil {
+			return dist.Result{}, err
+		}
+	}
+	res, err := RunCell(spec, p.Parallelism, opts, fold, stop)
 	if err == nil && res.Interrupted {
 		// Stop at the cell boundary instead of printing a table built on a
 		// partial fold; the cell's checkpoint carries the progress.
 		err = ErrInterrupted
 	}
-	return res, failed, err
-}
-
-// cell runs trials fixed-count trials of spec in process at p.Parallelism
-// (RunCell with Shards 0), folding each result into fold in trial order;
-// trial i draws from rng.Derive(seed, i).
-func (p Params) cell(spec ShardSpec, trials int, seed uint64, fold func(i int, r ShardResult)) error {
-	_, err := RunCell(spec, p.Parallelism, ShardRunOptions{MaxTrials: trials, Seed: seed}, fold, nil, nil)
-	return err
+	return res, err
 }
 
 // trials returns the effective trial count given a default.

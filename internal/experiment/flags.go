@@ -14,13 +14,14 @@ import (
 // EngineFlags are the command-line settings of the sharded trial engine,
 // declared once for cmd/sweep and cmd/experiments: AddEngineFlags registers
 // them and Engine turns the parsed values into the base ShardRunOptions of
-// every cell the command runs. -checkpoint stays with each command, which
-// gives it its own meaning (a file prefix in sweep, a directory in
-// experiments).
+// every cell the command runs.
 type EngineFlags struct {
 	// Parallelism bounds concurrent trials in this process and, forwarded
 	// as -parallelism, in every worker (0 = GOMAXPROCS).
 	Parallelism int
+	// CheckpointDir is the directory each cell's checkpoint is kept in
+	// (see CellCheckpoint); empty runs without checkpoints.
+	CheckpointDir string
 
 	shards     int
 	timeout    time.Duration
@@ -30,12 +31,14 @@ type EngineFlags struct {
 	worker     string
 }
 
-// AddEngineFlags registers -parallelism, -shards, -worker-timeout,
-// -max-relaunches, -hosts, -remote-cmd and the hidden -shard-worker on fs.
+// AddEngineFlags registers -parallelism, -shards, -checkpoint,
+// -worker-timeout, -max-relaunches, -hosts, -remote-cmd and the hidden
+// -shard-worker on fs.
 func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	f := &EngineFlags{}
 	fs.IntVar(&f.Parallelism, "parallelism", 0, "max concurrent trials (0 = GOMAXPROCS)")
-	fs.IntVar(&f.shards, "shards", 0, "distribute each sharded cell's trials across N worker processes (0 = in-process; 1 = distributed engine with a single worker)")
+	fs.IntVar(&f.shards, "shards", 0, "distribute each cell's trials across N worker processes (0 = in-process; 1 = distributed engine with a single worker); cells a job spec cannot express stay in process")
+	fs.StringVar(&f.CheckpointDir, "checkpoint", "", "directory for per-cell checkpoints, written after every wave and resumed from (implies the sharded engine)")
 	fs.DurationVar(&f.timeout, "worker-timeout", 5*time.Minute, "with -shards: per-shard liveness deadline; a worker silent this long is declared hung and relaunched (0 = never)")
 	fs.IntVar(&f.relaunches, "max-relaunches", 0, "with -shards: per-shard worker relaunch budget (0 = default 3; -1 = fail fast on the first worker death)")
 	fs.StringVar(&f.hosts, "hosts", "", "with -shards: comma-separated ssh hosts to start workers on (member i runs on host i mod len; empty = local worker processes)")
@@ -48,12 +51,11 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 // the command's cells: the shard count, the fault-tolerance settings and,
 // with -shards >= 1, a launcher that re-executes this binary as a
 // -shard-worker (over ssh with -hosts) plus an interrupt channel closed on
-// SIGINT/SIGTERM. checkpoint reports whether the command was given a
-// checkpoint, which rides on the sharded coordinator and so implies one
-// shard. In -shard-worker mode Engine instead serves the worker protocol on
-// stdin/stdout until the coordinator halts, and returns served = true with
-// the worker's error.
-func (f *EngineFlags) Engine(checkpoint bool) (opts ShardRunOptions, served bool, err error) {
+// SIGINT/SIGTERM. A -checkpoint directory rides on the sharded coordinator
+// and so implies one shard. In -shard-worker mode Engine instead serves the
+// worker protocol on stdin/stdout until the coordinator halts, and returns
+// served = true with the worker's error.
+func (f *EngineFlags) Engine() (opts ShardRunOptions, served bool, err error) {
 	if f.Parallelism < 0 {
 		return opts, false, fmt.Errorf("-parallelism %d must be non-negative", f.Parallelism)
 	}
@@ -77,7 +79,7 @@ func (f *EngineFlags) Engine(checkpoint bool) (opts ShardRunOptions, served bool
 		return opts, false, fmt.Errorf("-hosts requires -shards")
 	}
 	opts = ShardRunOptions{Shards: f.shards, WorkerTimeout: f.timeout, MaxRelaunches: f.relaunches}
-	if checkpoint && opts.Shards == 0 {
+	if f.CheckpointDir != "" && opts.Shards == 0 {
 		opts.Shards = 1
 	}
 	if opts.Shards == 0 {

@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -249,14 +252,7 @@ func (r ShardResult) AppendJSON(dst []byte) []byte {
 		dst = appendUints(append(dst, `,"phase_ends_lo":`...), r.PhaseEndsLo)
 	}
 	if len(r.PhaseEnded) > 0 {
-		dst = append(dst, `,"phase_ended":[`...)
-		for i, e := range r.PhaseEnded {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendBool(dst, e)
-		}
-		dst = append(dst, ']')
+		dst = appendBools(append(dst, `,"phase_ended":`...), r.PhaseEnded)
 	}
 	if r.LeaderAtT2 != 0 {
 		dst = append(dst, `,"leader_at_t2":`...)
@@ -273,6 +269,18 @@ func appendUints(dst []byte, vs []uint64) []byte {
 			dst = append(dst, ',')
 		}
 		dst = strconv.AppendUint(dst, v, 10)
+	}
+	return append(dst, ']')
+}
+
+// appendBools appends a JSON array of booleans.
+func appendBools(dst []byte, vs []bool) []byte {
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendBool(dst, v)
 	}
 	return append(dst, ']')
 }
@@ -418,16 +426,27 @@ func ServeShard(r io.Reader, w io.Writer, shard, shards, parallelism int) error 
 	return dist.Serve(r, w, shard, shards, ShardBuilder(parallelism))
 }
 
-// ConsensusCellState is the checkpointable fold state of a sharded
-// consensus cell: the adaptive metric (aggregates plus stopping latch) and
-// the count of trials that failed to reach consensus. Checkpointed through
-// dist.JSONState; restoring it and folding the remaining trials is
-// bit-identical to never having been interrupted.
+// ConsensusCellState is the fold state of a consensus cell: the adaptive
+// metric (aggregates plus stopping latch) and the count of trials that
+// failed to reach consensus. RunShardedConsensus and the experiments'
+// consensus cells fold into it; a sharded cell checkpoints its results, not
+// this state (see RunCell), so its JSON form is only a dist.JSONState
+// snapshot for callers that drive dist.Run themselves.
 type ConsensusCellState struct {
 	// Metric is the cell's consensus-time metric.
 	Metric *AdaptiveMetric `json:"metric"`
 	// Failed counts folded trials that did not reach consensus.
 	Failed int `json:"failed"`
+}
+
+// fold adds a consensus trial's time to the metric and counts any other
+// outcome as a failure.
+func (s *ConsensusCellState) fold(_ int, r ShardResult) {
+	if !r.Consensus() {
+		s.Failed++
+		return
+	}
+	s.Metric.Add(r.Interactions().Float64())
 }
 
 // ShardRunOptions configure one cell run (RunCell, RunShardedConsensus).
@@ -448,8 +467,9 @@ type ShardRunOptions struct {
 	// Launcher starts the workers; the CLIs' EngineFlags.Engine builds one
 	// that re-executes the binary as a -shard-worker.
 	Launcher dist.Launcher
-	// Checkpoint, when non-empty, is the cell's checkpoint path; it needs
-	// Shards >= 1.
+	// Checkpoint, when non-empty, is the cell's checkpoint file (see
+	// CellCheckpoint for the name a checkpoint directory gives it); it
+	// needs Shards >= 1.
 	Checkpoint string
 	// Policy is the stopping-policy identity recorded in checkpoints
 	// (see dist.Options.Policy); typically ConsensusPolicy(rel).
@@ -480,9 +500,13 @@ type ShardRunOptions struct {
 // parallelism (0 = GOMAXPROCS), otherwise across opts.Shards worker
 // processes through dist.Run, whose payloads decode into the same
 // ShardResults — so a cell folds the same sequence at every shard count.
-// state is the fold state checkpointed by a sharded cell (see dist.Run);
-// a checkpoint with Shards 0 is an error.
-func RunCell(spec ShardSpec, parallelism int, opts ShardRunOptions, fold func(i int, r ShardResult), stop func() bool, state dist.State) (dist.Result, error) {
+//
+// A sharded cell with opts.Checkpoint checkpoints its results, not its
+// fold: after every wave it saves the log of the results folded so far
+// (see resultLog), and a resumed cell replays that log through fold before
+// folding the rest, so any fold resumes bit-identical to an uninterrupted
+// run. A checkpoint with Shards 0 is an error.
+func RunCell(spec ShardSpec, parallelism int, opts ShardRunOptions, fold func(i int, r ShardResult), stop func() bool) (dist.Result, error) {
 	specBytes, err := spec.Encode()
 	if err != nil {
 		return dist.Result{}, err
@@ -503,7 +527,17 @@ func RunCell(spec ShardSpec, parallelism int, opts ShardRunOptions, fold func(i 
 			w.trial, fold, stop)
 		return dist.Result{Trials: res.Trials, Stopped: res.Stopped}, w.err
 	}
-	return dist.Run(dist.Options{
+	sink := func(i int, r ShardResult) error {
+		fold(i, r)
+		return nil
+	}
+	var log *resultLog
+	var state dist.State
+	if opts.Checkpoint != "" {
+		log = &resultLog{path: opts.Checkpoint, fold: fold}
+		sink, state = log.add, log
+	}
+	res, err := dist.Run(dist.Options{
 		Shards:         opts.Shards,
 		MaxTrials:      opts.MaxTrials,
 		Wave:           opts.Wave,
@@ -522,9 +556,148 @@ func RunCell(spec ShardSpec, parallelism int, opts ShardRunOptions, fold func(i 
 		if err := json.Unmarshal(data, &r); err != nil {
 			return err
 		}
-		fold(i, r)
-		return nil
+		return sink(i, r)
 	}, stop, state)
+	if err == nil && log != nil && res.Trials != log.n {
+		// A finished checkpoint returns without folding: its log must
+		// hold exactly the trials it records.
+		return res, log.mismatch(res.Trials)
+	}
+	return res, err
+}
+
+// resultLog is a sharded cell's checkpoint state (a dist.State): the JSON
+// array of the ShardResults folded so far, in trial order, each in its
+// positional log form (appendLogEntry). Restore replays a saved log
+// through the cell's fold, which rebuilds every aggregate the fold keeps —
+// stopping latches included — with no codec of its own. The log grows by
+// one result per trial, so each checkpoint write costs O(folded trials)
+// bytes.
+type resultLog struct {
+	path string
+	fold func(i int, r ShardResult)
+	// buf is the log's open array "[r0,r1,…" (empty before the first
+	// result); Snapshot closes it.
+	buf []byte
+	n   int
+}
+
+// add appends trial i's result to the log and folds it. Trials arrive in
+// order from 0, so i must equal the number already logged; a resumed log
+// that disagrees with its checkpoint's resume point fails here, before
+// anything is folded out of place.
+func (l *resultLog) add(i int, r ShardResult) error {
+	if i != l.n {
+		return l.mismatch(i)
+	}
+	if l.n == 0 {
+		l.buf = append(l.buf, '[')
+	} else {
+		l.buf = append(l.buf, ',')
+	}
+	l.buf = r.appendLogEntry(l.buf)
+	l.n++
+	l.fold(i, r)
+	return nil
+}
+
+// mismatch reports a log whose length disagrees with its checkpoint's
+// trial count.
+func (l *resultLog) mismatch(trials int) error {
+	return fmt.Errorf("experiment: checkpoint %s logs %d results but records %d folded trials; delete it to start over",
+		l.path, l.n, trials)
+}
+
+// Snapshot implements dist.State. The returned slice aliases the log's
+// buffer; dist.Run marshals it before the next add overwrites the
+// closing bracket.
+func (l *resultLog) Snapshot() ([]byte, error) {
+	if l.n == 0 {
+		return []byte("[]"), nil
+	}
+	return append(l.buf, ']'), nil
+}
+
+// Restore implements dist.State: it decodes a saved log and replays it
+// through add. Anything but a JSON array of results — such as the fold
+// snapshot (a JSON object) that builds which checkpointed folds wrote — is
+// rejected before anything is folded.
+func (l *resultLog) Restore(data []byte) error {
+	var entries []json.RawMessage
+	if err := json.Unmarshal(data, &entries); err != nil {
+		return fmt.Errorf("experiment: checkpoint %s holds no result log (a fold snapshot from an older build?): %v; delete it to start over", l.path, err)
+	}
+	for i, e := range entries {
+		r, err := parseLogEntry(e)
+		if err != nil {
+			return fmt.Errorf("experiment: checkpoint %s: result %d: %v; delete it to start over", l.path, i, err)
+		}
+		if err := l.add(i, r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendLogEntry appends r's log form to dst: the JSON array
+// [interactions_hi, interactions_lo, winner, initial_leader, outcome],
+// extended by [leader_at_t2, phase_ends_hi, phase_ends_lo, phase_ended]
+// when the wire form carries any of those. It holds what the wire form
+// holds without the field names, a quarter of its size for an untracked
+// trial, which keeps the per-wave checkpoint rewrite small.
+func (r ShardResult) appendLogEntry(dst []byte) []byte {
+	dst = strconv.AppendUint(append(dst, '['), r.InteractionsHi, 10)
+	dst = strconv.AppendUint(append(dst, ','), r.InteractionsLo, 10)
+	dst = strconv.AppendInt(append(dst, ','), int64(r.Winner), 10)
+	dst = strconv.AppendInt(append(dst, ','), int64(r.InitialLeader), 10)
+	dst = appendJSONString(append(dst, ','), r.Outcome)
+	if r.LeaderAtT2 != 0 || len(r.PhaseEndsHi)+len(r.PhaseEndsLo)+len(r.PhaseEnded) > 0 {
+		dst = strconv.AppendInt(append(dst, ','), int64(r.LeaderAtT2), 10)
+		dst = appendUints(append(dst, ','), r.PhaseEndsHi)
+		dst = appendUints(append(dst, ','), r.PhaseEndsLo)
+		dst = appendBools(append(dst, ','), r.PhaseEnded)
+	}
+	return append(dst, ']')
+}
+
+// parseLogEntry decodes appendLogEntry's form.
+func parseLogEntry(data []byte) (ShardResult, error) {
+	var r ShardResult
+	var fields []json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		return r, err
+	}
+	to := []any{&r.InteractionsHi, &r.InteractionsLo, &r.Winner, &r.InitialLeader, &r.Outcome,
+		&r.LeaderAtT2, &r.PhaseEndsHi, &r.PhaseEndsLo, &r.PhaseEnded}
+	if len(fields) != 5 && len(fields) != len(to) {
+		return r, fmt.Errorf("%d fields, want 5 or %d", len(fields), len(to))
+	}
+	for i, f := range fields {
+		if err := json.Unmarshal(f, to[i]); err != nil {
+			return r, err
+		}
+	}
+	return r, nil
+}
+
+// CellCheckpoint returns the checkpoint file, under dir, of a cell of spec
+// run with opts, creating dir if needed. The name is derived from the
+// cell's identity — spec hash, seed, trial cap and stopping policy, the
+// four things dist.Run checks on resume — so a rerun finds every cell's
+// checkpoint whatever cells it runs in whatever order, and two cells share
+// a file only when they run the same trials under the same policy, where
+// one's result log is the other's.
+func CellCheckpoint(dir string, spec ShardSpec, opts ShardRunOptions) (string, error) {
+	specBytes, err := spec.Encode()
+	if err != nil {
+		return "", err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	id := sha256.Sum256(fmt.Appendf(nil, "%s seed=%d cap=%d policy=%q",
+		dist.HashSpec(specBytes), opts.Seed, opts.MaxTrials, opts.Policy))
+	return filepath.Join(dir, fmt.Sprintf("cell-%x.ckpt", id[:8])), nil
 }
 
 // RunShardedConsensus runs an adaptive consensus-time cell: trials of spec
@@ -535,19 +708,7 @@ func RunCell(spec ShardSpec, parallelism int, opts ShardRunOptions, fold func(i 
 // byte-identical at every shard count. It returns the run result and the
 // number of folded trials that did not reach consensus.
 func RunShardedConsensus(spec ShardSpec, metric *AdaptiveMetric, opts ShardRunOptions) (dist.Result, int, error) {
-	return runConsensusCell(spec, 0, metric, opts)
-}
-
-// runConsensusCell is RunShardedConsensus at a chosen in-process
-// parallelism; the experiments pass Params.Parallelism.
-func runConsensusCell(spec ShardSpec, parallelism int, metric *AdaptiveMetric, opts ShardRunOptions) (dist.Result, int, error) {
-	state := &ConsensusCellState{Metric: metric}
-	res, err := RunCell(spec, parallelism, opts, func(_ int, r ShardResult) {
-		if !r.Consensus() {
-			state.Failed++
-			return
-		}
-		state.Metric.Add(r.Interactions().Float64())
-	}, StopWhenAll(state.Metric), dist.JSONState{V: state})
-	return res, state.Failed, err
+	st := &ConsensusCellState{Metric: metric}
+	res, err := RunCell(spec, 0, opts, st.fold, StopWhenAll(metric))
+	return res, st.Failed, err
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -583,13 +584,19 @@ func TestShardedConsensusSurvivesWorkerKill(t *testing.T) {
 // k4Output renders the K4 experiment with the given params.
 func k4Output(t *testing.T, p Params) string {
 	t.Helper()
-	e, ok := Find("K4-lower-bound")
+	return experimentOutput(t, "K4-lower-bound", p)
+}
+
+// experimentOutput renders experiment id with the given params.
+func experimentOutput(t *testing.T, id string, p Params) string {
+	t.Helper()
+	e, ok := Find(id)
 	if !ok {
-		t.Fatal("K4-lower-bound not registered")
+		t.Fatalf("%s not registered", id)
 	}
 	var buf bytes.Buffer
 	if err := e.Run(p, &buf); err != nil {
-		t.Fatalf("K4 run: %v\noutput so far:\n%s", err, buf.String())
+		t.Fatalf("%s run: %v\noutput so far:\n%s", id, err, buf.String())
 	}
 	return buf.String()
 }
@@ -634,6 +641,139 @@ func TestK4ShardedKilledResumedTablesByteIdentical(t *testing.T) {
 	if got := k4Output(t, resumed); got != want {
 		t.Fatalf("resumed K4 table diverged from uninterrupted run:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+// TestT1ShardedKilledResumedTablesByteIdentical is the K4 acceptance check
+// for a fixed-count experiment, whose fold keeps plain slices and has no
+// codec: the checkpoint logs the cell's results and a resume replays them
+// through the fold. (1) A 2-shard run of T1 renders the in-process table
+// byte for byte; (2) a checkpointed run killed after two waves, then rerun
+// against the same directory, does too; (3) so does a rerun against the
+// finished directory, which only replays.
+func TestT1ShardedKilledResumedTablesByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders the T1 experiment four times")
+	}
+	base := Params{Quick: true, Seed: 5}
+	want := experimentOutput(t, "T1-phases", base)
+
+	sharded := base
+	sharded.Engine.Shards = 2
+	sharded.Engine.Launcher = &dist.PipeLauncher{Build: ShardBuilder(2)}
+	// Three-trial waves split each 8-trial cell into three, so the kill
+	// lands inside the first cell and the resume replays a partial log.
+	sharded.Engine.Wave = 3
+	if got := experimentOutput(t, "T1-phases", sharded); got != want {
+		t.Fatalf("T1 table with 2 shards diverged from in-process run:\n%s\nwant:\n%s", got, want)
+	}
+
+	dir := t.TempDir()
+	killed := sharded
+	killed.CheckpointDir = dir
+	killed.Engine.Launcher = &killAfterWaves{inner: &dist.PipeLauncher{Build: ShardBuilder(2)}, waves: 2}
+	killed.Engine.MaxRelaunches = dist.NoRelaunch
+	killed.Engine.Log = io.Discard
+	e, _ := Find("T1-phases")
+	if err := e.Run(killed, io.Discard); err == nil || !strings.Contains(err.Error(), "injected kill") {
+		t.Fatalf("killed run: err = %v, want an injected kill", err)
+	}
+	ckpts, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	partial := false
+	for _, f := range ckpts {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cp dist.Checkpoint
+		if err := json.Unmarshal(data, &cp); err != nil {
+			t.Fatal(err)
+		}
+		partial = partial || (!cp.Done && cp.NextTrial > 0)
+	}
+	if !partial {
+		t.Fatalf("the killed run left no mid-cell checkpoint among %d; the resume would replay no partial log", len(ckpts))
+	}
+
+	resumed := sharded
+	resumed.CheckpointDir = dir
+	for _, pass := range []string{"resumed", "finished"} {
+		if got := experimentOutput(t, "T1-phases", resumed); got != want {
+			t.Fatalf("%s T1 table diverged from uninterrupted run:\n%s\nwant:\n%s", pass, got, want)
+		}
+	}
+}
+
+// TestResumeRejectsFoldSnapshotCheckpoint pins that a checkpoint whose
+// state is not a result log fails loudly, naming the file and saying to
+// delete it, before anything is folded: both a fold snapshot (the JSON
+// object builds that checkpointed folds wrote) and a log shorter than the
+// trial count its checkpoint records.
+func TestResumeRejectsFoldSnapshotCheckpoint(t *testing.T) {
+	cfg, err := conf.Uniform(2000, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cap, seed = 12, 91
+	policy := ConsensusPolicy(0.05)
+	spec := NewShardSpec(cfg, core.Variant{}, core.KernelBatched(0), core.NoBudget, 0, false)
+	specBytes, err := spec.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	launcher := &dist.PipeLauncher{Build: ShardBuilder(1)}
+
+	// The checkpoint such a build wrote: dist.Run over the cell's fold
+	// state, snapshotted through dist.JSONState, halted after one wave.
+	ckpt := filepath.Join(t.TempDir(), "cell.ckpt")
+	old := &ConsensusCellState{Metric: NewAdaptiveMetric("consensus T", ConsensusRule(0.05, cap))}
+	if _, err := dist.Run(dist.Options{
+		Shards: 1, MaxTrials: cap, Wave: 4, MaxWaves: 1, Seed: seed, Spec: specBytes,
+		Launcher: launcher, CheckpointPath: ckpt, Policy: policy,
+	}, func(i int, data []byte) error {
+		var r ShardResult
+		if err := json.Unmarshal(data, &r); err != nil {
+			return err
+		}
+		old.fold(i, r)
+		return nil
+	}, StopWhenAll(old.Metric), dist.JSONState{V: old}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp map[string]json.RawMessage
+	if err := json.Unmarshal(data, &cp); err != nil || !bytes.HasPrefix(cp["state"], []byte("{")) {
+		t.Fatalf("setup: checkpoint state %.40s is not a fold snapshot (%v)", cp["state"], err)
+	}
+
+	resume := func(want string) {
+		t.Helper()
+		metric := NewAdaptiveMetric("consensus T", ConsensusRule(0.05, cap))
+		_, _, err := RunShardedConsensus(spec, metric, ShardRunOptions{
+			Shards: 1, MaxTrials: cap, Wave: 4, Seed: seed,
+			Launcher: launcher, Checkpoint: ckpt, Policy: policy, Log: io.Discard,
+		})
+		if err == nil || !strings.Contains(err.Error(), ckpt) || !strings.Contains(err.Error(), want) ||
+			!strings.Contains(err.Error(), "delete it") {
+			t.Fatalf("err = %v, want one naming %s, %q and saying to delete it", err, ckpt, want)
+		}
+		if n := metric.Online.N(); n != 0 {
+			t.Fatalf("the rejected checkpoint folded %d trials", n)
+		}
+	}
+	resume("holds no result log")
+
+	// A log that holds fewer results than the checkpoint's resume point.
+	cp["state"] = json.RawMessage("[]")
+	if data, err = json.Marshal(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resume("logs 0 results but records 4 folded trials")
 }
 
 // TestStreamIndicesMatchesStream pins the shard entry point against the
@@ -878,7 +1018,7 @@ func TestRunCellFoldsIdenticallyAtEveryShardCount(t *testing.T) {
 					if metric != nil && r.Decided() {
 						metric.Add(r.Interactions().Float64())
 					}
-				}, stop, nil)
+				}, stop)
 				if err != nil {
 					t.Fatalf("%s adaptive=%v shards=%d: %v", tc.name, adaptive, shards, err)
 				}
@@ -915,10 +1055,8 @@ func TestRunCellInProcessRejectsCheckpoint(t *testing.T) {
 	}
 	spec := NewShardSpec(cfg, core.Variant{}, core.KernelExact, core.NoBudget, 0, false)
 	path := filepath.Join(t.TempDir(), "cell.ckpt")
-	var st foldCount
 	_, err = RunCell(spec, 1, ShardRunOptions{MaxTrials: 4, Checkpoint: path},
-		func(int, ShardResult) { t.Error("an in-process cell with a checkpoint folded a trial") },
-		nil, &st)
+		func(int, ShardResult) { t.Error("an in-process cell with a checkpoint folded a trial") }, nil)
 	if err == nil || !strings.Contains(err.Error(), "Shards") {
 		t.Fatalf("err = %v, want a checkpoint-needs-shards error", err)
 	}
