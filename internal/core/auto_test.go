@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -397,6 +398,24 @@ func skewedConfig(t testing.TB, n int64, k int) *conf.Config {
 	return c
 }
 
+// dealtConfig returns a k-opinion configuration of n agents with a quarter
+// undecided and the decided agents dealt one at a time over the opinions,
+// so that a population under 4k agents still spreads its weight over many
+// categories (skewedConfig would put it all on the last opinion).
+func dealtConfig(t testing.TB, n int64, k int) *conf.Config {
+	t.Helper()
+	u := n / 4
+	support := make([]int64, k)
+	for a := int64(0); a < n-u; a++ {
+		support[a%int64(k)]++
+	}
+	c, err := conf.FromSupport(support, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // withFloors returns a copy of cfg with stubborn floors on every other
 // opinion (a third of its support, at least 1 where the support allows it)
 // and zero on the rest, so the undecide weights (xⱼ−bⱼ)(D−xⱼ) differ from
@@ -424,30 +443,42 @@ var windowVariants = []struct {
 }
 
 func TestCategoricalSelectsFirstCumAboveDraw(t *testing.T) {
-	// The guide table only picks where a draw's scan starts; it must never
-	// change which category the draw selects. Replay each seed through
-	// sampleWindowCategorical and through a plain linear scan over
-	// independently built cumulative weights on a second source with the
-	// same seed, and require identical per-category counts. The window
-	// sizes cover guides below, at and just above the 8-bucket minimum and
-	// at the table's cap; the populations cover draw spaces W below 2⁶⁴
-	// (n = 10³, the 64-bit sampler) and above it (n near MaxN, the 128-bit
-	// one); the variants cover zero and stubborn floors.
+	// How the sampler finds a draw's category — bisection, or a guide entry
+	// and a short scan — must never change which category it selects.
+	// Replay each seed through sampleWindowCategorical and through a plain
+	// linear scan over independently built cumulative weights on a second
+	// source with the same seed, and require identical per-category counts.
+	// The window sizes cover guides below, at and just above the 8-bucket
+	// minimum and at the table's cap, and the 64-bit sampler's switch from
+	// bisection to the guide at m = 2k. They run in sequence on one
+	// simulator, at a state and then at its mirror image, so an entry a
+	// window fails to rebuild is read stale from an earlier window. The
+	// populations cover draw spaces W below 2⁶⁴ (the 64-bit sampler:
+	// n = 12, where at k >= 32 W is below the guide's bucket count;
+	// n = 10³, the small-n fleet shape; n = 10⁴, the stubborn and
+	// sharded-fleet shape) and above it (n near MaxN, the 128-bit one); the
+	// variants cover zero and stubborn floors.
 	for _, v := range windowVariants {
-		for _, n := range []int64{1000, conf.MaxN - 7} {
+		for _, pop := range []struct {
+			n      int64
+			config func(testing.TB, int64, int) *conf.Config
+		}{{12, dealtConfig}, {1000, skewedConfig}, {10_000, skewedConfig}, {conf.MaxN - 7, skewedConfig}} {
+			n := pop.n
 			for _, k := range []int{1, 2, 32, 33} {
-				cfg := v.config(skewedConfig(t, n, k))
-				for _, m := range []int64{1, 8, 9, 12, 200, int64(16*k - 1)} {
-					seed := uint64(n) ^ uint64(k)<<32 ^ uint64(m)<<48
-					s := newSim(t, cfg, seed, WithKernel(KernelAuto(0)), WithDynamics(v.dyn))
+				cfg := v.config(pop.config(t, n, k))
+				seed := uint64(n) ^ uint64(k)<<32
+				s := newSim(t, cfg, seed, WithKernel(KernelAuto(0)), WithDynamics(v.dyn))
+				ref := rng.New(seed)
+				for _, state := range []*conf.Config{cfg, mirrored(cfg)} {
+					if err := s.Reset(state, s.src); err != nil {
+						t.Fatal(err)
+					}
 					w := s.productiveWeight()
 					d := s.n - s.u
 					s.ensureBatchScratch(k)
 					vals := s.tree.View()
-					s.sampleWindowCategorical(vals, s.windowFloors(), w, m, d)
-
 					floors := make([]int64, k)
-					copy(floors, cfg.Stubborn)
+					copy(floors, state.Stubborn)
 					cum := make([]u128.U128, 2*k)
 					var c u128.U128
 					for j, x := range vals {
@@ -464,25 +495,39 @@ func TestCategoricalSelectsFirstCumAboveDraw(t *testing.T) {
 					if (n < 1e6) != (w.Hi == 0) {
 						t.Fatalf("%s n=%d k=%d: W = %v on the wrong side of 2⁶⁴", v.name, n, k, w)
 					}
-					want := make([]int64, 2*k)
-					ref := rng.New(seed)
-					for e := int64(0); e < m; e++ {
-						r := ref.Uint128n(w)
-						idx := 0
-						for cum[idx].Leq(r) {
-							idx++
+					for _, m := range []int64{1, 8, 9, 12, int64(2*k - 1), int64(2 * k), int64(2*k + 1), 200, int64(16*k - 1)} {
+						s.sampleWindowCategorical(vals, s.windowFloors(), w, m, d)
+						want := make([]int64, 2*k)
+						for e := int64(0); e < m; e++ {
+							r := ref.Uint128n(w)
+							idx := 0
+							for cum[idx].Leq(r) {
+								idx++
+							}
+							want[idx]++
 						}
-						want[idx]++
-					}
-					for j, got := range s.batchCounts {
-						if got != want[j] {
-							t.Fatalf("%s n=%d k=%d m=%d: category %d drew %d, linear scan %d", v.name, n, k, m, j, got, want[j])
+						for j, got := range s.batchCounts {
+							if got != want[j] {
+								t.Fatalf("%s n=%d k=%d m=%d: category %d drew %d, linear scan %d", v.name, n, k, m, j, got, want[j])
+							}
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// mirrored returns a copy of cfg with its opinions in reverse order.
+func mirrored(cfg *conf.Config) *conf.Config {
+	c := *cfg
+	c.Support = slices.Clone(cfg.Support)
+	slices.Reverse(c.Support)
+	if cfg.Stubborn != nil {
+		c.Stubborn = slices.Clone(cfg.Stubborn)
+		slices.Reverse(c.Stubborn)
+	}
+	return &c
 }
 
 func TestCategoricalWidthsDrawIdenticalWindows(t *testing.T) {
@@ -504,15 +549,25 @@ func TestCategoricalWidthsDrawIdenticalWindows(t *testing.T) {
 }
 
 func BenchmarkCategoricalWindow(b *testing.B) {
-	// One categorical window at the small-n fleet shape (n = 10³, k = 32):
-	// the cumulative and guide build plus m draws, the per-window cost the
-	// auto kernel pays between leap-condition checks. The n = MaxN − 7 rows
-	// time the 128-bit sampler the small-n shape no longer reaches.
+	// One categorical window at k = 32: the cumulative build plus m draws,
+	// the per-window cost the auto kernel pays between leap-condition
+	// checks. n = 10³ is the small-n fleet shape, whose windows of a dozen
+	// events bisect; n = 10⁴ is the stubborn and sharded-fleet shape, whose
+	// windows of 64–127 events draw through the guide. The m = 63 and
+	// m = 64 rows sit either side of the switch at m = 2k. The n = MaxN − 7
+	// rows time the 128-bit sampler the fleets no longer reach.
 	const k = 32
-	for _, n := range []int64{1000, conf.MaxN - 7} {
-		for _, m := range []int64{12, 200, 500} {
-			b.Run(benchName("n", int(n))+"/"+benchName("m", int(m)), func(b *testing.B) {
-				s, err := New(skewedConfig(b, n, k), rng.New(1), WithKernel(KernelAuto(0)))
+	for _, tc := range []struct {
+		n  int64
+		ms []int64
+	}{
+		{1000, []int64{12, 2*k - 1, 2 * k, 200, 500}},
+		{10_000, []int64{2*k - 1, 2 * k, 128, 256}},
+		{conf.MaxN - 7, []int64{12, 200, 500}},
+	} {
+		for _, m := range tc.ms {
+			b.Run(benchName("n", int(tc.n))+"/"+benchName("m", int(m)), func(b *testing.B) {
+				s, err := New(skewedConfig(b, tc.n, k), rng.New(1), WithKernel(KernelAuto(0)))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -531,31 +586,56 @@ func BenchmarkCategoricalWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkAutoConsensusSmallN runs one auto-kernel trial to consensus per
-// op at the small-n fleet shape (n = 10³, k = 32, uniform start) on one
-// simulator that each trial Resets and reseeds, as the trial engines run
-// fleets. Exact steps, window draws and the per-window support update do
-// the work; windows run back to back and rarely hand over to an exact
-// step, so the dual's prefix trees are rebuilt far less often than set.
+// BenchmarkAutoConsensusSmallN runs one auto-kernel trial to absorption
+// per op on one simulator that each trial Resets and reseeds, as the trial
+// engines run fleets, at k = 32 from a uniform start: n = 10³ to consensus
+// (the small-n fleet shape), n = 10⁴ to consensus (the sharded-fleet
+// shape) and n = 10⁴ with 100 stubborn agents on opinion 0 to dominance
+// (the stubborn shape). Exact steps, window draws and the per-window
+// support update do the work; windows run back to back and rarely hand
+// over to an exact step, so the dual's prefix trees are rebuilt far less
+// often than set.
 func BenchmarkAutoConsensusSmallN(b *testing.B) {
-	c, err := conf.Uniform(1000, 32, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
-	s, err := New(c, src, WithKernel(KernelAuto(0)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src.Reseed(uint64(i))
-		if err := s.Reset(c, src); err != nil {
-			b.Fatal(err)
-		}
-		if res := s.Run(NoBudget); res.Outcome != OutcomeConsensus {
-			b.Fatalf("trial %d ended in %v", i, res.Outcome)
-		}
+	const k = 32
+	stubborn := make([]int64, k)
+	stubborn[0] = 100
+	for _, tc := range []struct {
+		name     string
+		n        int64
+		stubborn []int64
+		want     Outcome
+	}{
+		{"n=1000", 1000, nil, OutcomeConsensus},
+		{"n=10000", 10_000, nil, OutcomeConsensus},
+		{"n=10000/stubborn", 10_000, stubborn, OutcomeDominance},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, err := conf.Uniform(tc.n, k, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := []Option{WithKernel(KernelAuto(0))}
+			if tc.stubborn != nil {
+				c.Stubborn = tc.stubborn
+				opts = append(opts, WithDynamics(StubbornAgents))
+			}
+			src := rng.New(1)
+			s, err := New(c, src, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Run(NoBudget) // size the window scratch outside the timer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Reseed(uint64(i))
+				if err := s.Reset(c, src); err != nil {
+					b.Fatal(err)
+				}
+				if res := s.Run(NoBudget); res.Outcome != tc.want {
+					b.Fatalf("trial %d ended in %v", i, res.Outcome)
+				}
+			}
+		})
 	}
 }

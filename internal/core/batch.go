@@ -105,10 +105,11 @@ func KernelBatched(tol float64) Kernel { return kernelAt(batchedRow, tol) }
 //     single-event law there anyway, and per-window setup would dominate);
 //   - m < autoCategoricalFactor·k: per-event categorical draws against the
 //     frozen cumulative weights — O(k + m) per window for the cumulative
-//     build, a guide table sized to m and the m guided draws, plus a
-//     single negative-binomial span draw for the whole window — which
-//     beats both exact stepping (one geometric per event) and binomial
-//     chaining (whose 2k inversion setups dominate small windows);
+//     build, a guide table sized to m (none below 2k draws, which bisect)
+//     and the m draws, plus a single negative-binomial span draw for the
+//     whole window — which beats both exact stepping (one geometric per
+//     event) and binomial chaining (whose 2k inversion setups dominate
+//     small windows);
 //   - larger m: the chained-binomial batch of KernelBatched, whose O(k)
 //     cost is independent of m.
 //
@@ -210,12 +211,14 @@ const minAutoWindow = 8
 // autoCategoricalFactor is the auto kernel's strategy boundary in units of
 // the opinion count: windows of fewer than autoCategoricalFactor·k events
 // are sampled by per-event categorical draws, larger ones by binomial
-// chaining. The constant is the measured cost ratio of one chained-binomial
-// category (two CDF-inversion setups with their transcendentals, ~100ns) to
-// one categorical draw (a buffered uniform plus a binary search, ~12ns),
-// discounted for the categorical path's O(k) cumulative build. The choice
-// is a pure function of (m, k), so trajectories stay deterministic in the
-// seed.
+// chaining. The constant is the measured cost ratio of one opinion's share
+// of a chained window (two binomial inversions with their transcendentals:
+// ~7.5µs for a whole window at k = 32, ~230ns per opinion, whatever m) to
+// one categorical draw (a buffered uniform, a guide load and a step or
+// two: ~14ns, from BenchmarkCategoricalWindow's n=10000 rows at
+// m = 128–256 on a 2-vCPU Xeon VM), so the two samplers cost about the
+// same at m = 16k. The choice is a pure function of (m, k), so
+// trajectories stay deterministic in the seed.
 const autoCategoricalFactor = 16
 
 // wDriftDivisor bounds the drift of the productive weight W = uD + (D²−r₂)
@@ -304,24 +307,27 @@ const narrowN = 1 << 32
 // resliced to the live k or stale trailing weights would leak window events
 // onto phantom opinions.
 func (s *Simulator) ensureBatchScratch(k int) {
-	// The categorical sampler's cumulative arrays carry one slot past the
-	// 2k category weights for an absorbing all-ones sentinel: the guide
-	// build's forward scan must stop inside the array even for buckets whose
-	// smallest threshold is >= W (the threshold-space bucketing reaches such
-	// buckets; no draw does). The guide table's capacity is twice the power
-	// of two strictly greater than 2k — two buckets per category slot,
-	// which keeps the expected guide scan under half a step for the largest
-	// categorical windows; each window builds only the prefix its size
-	// needs (see guideFor). batchZero stays all zero: it is the floor slice
-	// of a dual without stubborn floors.
-	guideLen := 2 << bits.Len(uint(2*k))
+	// The 128-bit categorical sampler's cumulative array carries one slot
+	// past the 2k category weights for an absorbing all-ones sentinel: its
+	// guide build's forward scan must stop inside the array even for
+	// buckets whose smallest threshold is >= W (the threshold-space
+	// bucketing reaches such buckets; no draw does). The 64-bit sampler
+	// needs none, since its searches never pass cum[2k−1] = W and its guide
+	// build does not scan. The guide table holds twice the power of two
+	// strictly greater than 2k buckets — two per category slot, which keeps
+	// the expected guide scan under half a step for the largest categorical
+	// windows — plus one spare slot for the 64-bit build's stores at the
+	// bucket count; each window builds only the prefix its size needs (see
+	// guideFor). batchZero stays all zero: it is the floor slice of a dual
+	// without stubborn floors.
+	guideLen := 2<<bits.Len(uint(2*k)) + 1
 	if cap(s.batchVals) < k || cap(s.batchGuide) < guideLen {
 		s.batchVals = make([]int64, k)
 		s.batchZero = make([]int64, k)
 		s.batchCounts = make([]int64, 2*k)
 		s.batchWeights = make([]float64, k)
 		s.batchCum = make([]u128.U128, 2*k+1)
-		s.batchCum64 = make([]uint64, 2*k+1)
+		s.batchCum64 = make([]uint64, 2*k)
 		s.batchGuide = make([]int32, guideLen)
 	}
 	s.batchVals = s.batchVals[:k]
@@ -329,7 +335,7 @@ func (s *Simulator) ensureBatchScratch(k int) {
 	s.batchCounts = s.batchCounts[:2*k]
 	s.batchWeights = s.batchWeights[:k]
 	s.batchCum = s.batchCum[:2*k+1]
-	s.batchCum64 = s.batchCum64[:2*k+1]
+	s.batchCum64 = s.batchCum64[:2*k]
 	s.batchGuide = s.batchGuide[:guideLen]
 }
 
@@ -374,7 +380,8 @@ func (s *Simulator) sampleWindowChained(vals, floors []int64, m, d int64, pAdopt
 // with weight u·xⱼ, undecide opinion j with weight (xⱼ−bⱼ)·(D−xⱼ)) — the
 // same multinomial distribution, materialized event by event. Cost is
 // O(k + m) — the O(k) cumulative build, a guide table of O(m) buckets, and
-// m guided draws whose scans total O(k + m) expected steps — which
+// m guided draws whose scans total O(k + m) expected steps; below narrowN
+// a window of fewer than 2k draws bisects instead, O(k + m·log k) — which
 // undercuts the chained sampler's 2k inversion setups whenever m is small
 // relative to k. It fills batchCounts from the pre-window supports vals and
 // floors. Below narrowN it runs in 64-bit words, otherwise in 128-bit ones;
@@ -396,22 +403,28 @@ func (s *Simulator) sampleWindowCategorical(vals, floors []int64, w u128.U128, m
 // its entry is the first category index a threshold in that bucket can
 // select — correct as a scan start because thresholds grow with the bucket
 // index. The bucket count is the next power of two >= m (at least 8, at
-// most the table's capacity): the build then costs O(m + k), where a fixed
-// table of 4k–8k buckets dominated windows of a dozen draws, and the
-// draws' scans still total O(m + k) expected steps. Every draw selects the
-// first category with cum > r whatever the bucket count, so the sampled
-// window does not depend on it.
+// most the table's capacity less its spare slot): the build then costs
+// O(m + k), where a fixed table of 4k–8k buckets dominated windows of a
+// dozen draws, and the draws' scans still total O(m + k) expected steps.
+// Every draw selects the first category with cum > r whatever the bucket
+// count, so the sampled window does not depend on it.
 func (s *Simulator) guideFor(m int64) ([]int32, uint) {
 	nb := max(1<<bits.Len64(uint64(m-1)), 8)
-	guide := s.batchGuide[:min(nb, len(s.batchGuide))]
+	guide := s.batchGuide[:min(nb, len(s.batchGuide)-1)]
 	return guide, uint(bits.Len(uint(len(guide)) - 1))
 }
 
 // sampleCategorical64 is sampleWindowCategorical for n < narrowN, where the
 // draw space w, every cumulative weight and every threshold fit in uint64.
+// Each draw selects the first category j with cum[j] > r; how it finds j
+// depends only on (m, k). A window of fewer draws than its 2k categories
+// builds no guide and bisects each draw (bisect64): the guide's O(2k)
+// build would cost more than it saves. A larger window builds the guide
+// with no data-dependent branch and resolves most draws with one table
+// load and two branch-free steps.
 func (s *Simulator) sampleCategorical64(vals, floors []int64, w uint64, m, d int64) {
 	k := len(vals)
-	cum := s.batchCum64[:2*k+1]
+	cum := s.batchCum64[:2*k]
 	counts := s.batchCounts[:2*k]
 	floors = floors[:k]
 	u := uint64(s.u)
@@ -425,31 +438,69 @@ func (s *Simulator) sampleCategorical64(vals, floors []int64, w uint64, m, d int
 		cum[k+j] = c
 	}
 	clear(counts)
-	// c == w by construction; thresholds are drawn in [0, w) and w <= n² is
-	// below the trailing absorbing sentinel, which no draw can reach.
-	cum[2*k] = math.MaxUint64
-	// The guide build is one merge pass: the category pointer only moves
-	// forward.
+	// c == w by construction and every threshold is drawn in [0, w), so
+	// cum[2k−1] > r ends every search inside the array.
+	if m < int64(2*k) {
+		for e := int64(0); e < m; e++ {
+			counts[bisect64(cum, s.src.Uint64n(w))]++
+		}
+		return
+	}
 	guide, gb := s.guideFor(m)
 	lz := uint(bits.LeadingZeros64(w))
-	idx := 0
-	for g := range guide {
-		rg := uint64(g) << (64 - gb) >> lz // smallest threshold of bucket g
-		for cum[idx] <= rg {
-			idx++
-		}
-		guide[g] = int32(idx)
+	sh := 64 - gb
+	// A threshold r falls in bucket (r<<lz)>>sh, and category j lies below
+	// every threshold of bucket g exactly when cum[j]<<lz <= g<<sh: from
+	// the category's bucket bound ⌈(cum[j]<<lz) / 2^sh⌉ on. Bucket g's
+	// entry, the number of categories bounded at or below g, is then the
+	// running maximum of j+1 stored at each category's bound. The shift
+	// cannot overflow because every cum[j] <= w, and a bound can reach the
+	// bucket count, which the table's spare slot absorbs.
+	mask := uint64(1)<<sh - 1
+	table := s.batchGuide[:len(guide)+1]
+	clear(table)
+	for j, c := range cum {
+		c <<= lz
+		table[c>>sh+(c&mask+mask)>>sh] = int32(j + 1)
+	}
+	var run int32
+	for g, v := range guide {
+		run = max(run, v)
+		guide[g] = run
 	}
 	for e := int64(0); e < m; e++ {
-		// The selected category is a single indexed increment — adopt vs
-		// undecide is resolved by the count slot, not a per-draw branch.
+		// With at least as many buckets as categories, the entry rarely
+		// falls more than two categories short: two branch-free steps
+		// (each adds 1 unless r − cum[idx] borrows, that is unless
+		// cum[idx] > r) and a scan for the rest.
 		r := s.src.Uint64n(w)
-		idx := int(guide[r<<lz>>(64-gb)])
+		idx := int(guide[r<<lz>>sh])
+		_, above := bits.Sub64(r, cum[idx], 0)
+		idx += int(1 - above)
+		_, above = bits.Sub64(r, cum[idx], 0)
+		idx += int(1 - above)
 		for cum[idx] <= r {
 			idx++
 		}
 		counts[idx]++
 	}
+}
+
+// bisect64 returns the first index j with cum[j] > r; cum must be
+// non-decreasing and its last element above r. Each halving step advances
+// by its half unless r − cum borrows (cum > r), as a mask rather than a
+// branch: a window's draws land all over the categories, so a branch
+// would mispredict about every other step. The step count depends only on
+// len(cum).
+func bisect64(cum []uint64, r uint64) int {
+	base := 0
+	for n := len(cum); n > 1; {
+		half := n >> 1
+		_, above := bits.Sub64(r, cum[base+half-1], 0)
+		base += half & (int(above) - 1)
+		n -= half
+	}
+	return base
 }
 
 // sampleCategorical128 is sampleWindowCategorical in 128-bit words, for

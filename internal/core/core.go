@@ -237,11 +237,12 @@ type Simulator struct {
 	// Scratch buffers of the batched and auto kernels, allocated on first
 	// use: batchCounts holds a window's adopt counts (first k slots) and
 	// undecide counts (next k), batchCum64 and batchCum the categorical
-	// sampler's 2k cumulative weights plus one all-ones sentinel (64-bit
-	// below narrowN, 128-bit above), batchGuide its draw-acceleration
-	// table, sized for the largest categorical window; each window builds
-	// only the power-of-two prefix its size needs. batchZero is the
-	// all-zero floor slice of a classic window.
+	// sampler's 2k cumulative weights (64-bit below narrowN; 128-bit above,
+	// plus one all-ones sentinel), batchGuide its draw-acceleration table,
+	// sized for the largest categorical window plus one spare slot; each
+	// window builds only the power-of-two prefix its size needs, and
+	// windows of fewer than 2k draws below narrowN build none. batchZero
+	// is the all-zero floor slice of a classic window.
 	batchVals    []int64
 	batchZero    []int64
 	batchCounts  []int64

@@ -237,9 +237,18 @@ type msgReader struct {
 	err   error
 }
 
+// msgReaderSize is a decoder's buffer size. At the default wave a
+// connection has at most pipelineDepth·DefaultWave result lines of ~100
+// bytes in flight (~3 KB, half that per shard of two), so one read takes
+// in everything a batch could decode; a longer line, such as a large job
+// spec, is gathered whole by batch's long path. Every worker launch gets
+// a fresh decoder, so a larger buffer would only add to the coordinator's
+// peak RSS.
+const msgReaderSize = 4 << 10
+
 // newMsgReader wraps a stream in a protocol decoder.
 func newMsgReader(r io.Reader) *msgReader {
-	return &msgReader{r: bufio.NewReaderSize(r, 1<<16)}
+	return &msgReader{r: bufio.NewReaderSize(r, msgReaderSize)}
 }
 
 // next reads and validates one protocol line, by way of batch. It returns
