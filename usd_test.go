@@ -1,6 +1,7 @@
 package usd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -208,5 +209,62 @@ func TestRunTimeWithinTheoremBound(t *testing.T) {
 	if ratio := report.Result.Interactions.Float64() / bound; ratio > 10 {
 		t.Fatalf("consensus time %v is %.1fx the theorem bound %v",
 			report.Result.Interactions, ratio, bound)
+	}
+}
+
+// facadeFingerprint renders a Report's outcome, winner, 128-bit clock,
+// initial leader and every phase end, so a pin compares all of them at once.
+func facadeFingerprint(r Report) string {
+	s := fmt.Sprintf("%v winner=%d clock=%d:%d leader=%d t2=%d phases=",
+		r.Result.Outcome, r.Result.Winner, r.Result.Interactions.Hi, r.Result.Interactions.Lo,
+		r.InitialLeader, r.Phases.LeaderAtT2)
+	for p := 0; p < len(r.Phases.End); p++ {
+		if r.Phases.Ended[p] {
+			s += fmt.Sprintf("[%d:%d]", r.Phases.End[p].Hi, r.Phases.End[p].Lo)
+		} else {
+			s += "[-]"
+		}
+	}
+	return s
+}
+
+// TestFacadeRunsPinned pins the facade's tracked runs — Run, RunFast, and
+// RunVariant under a stubborn variant, the exact and auto kernels, and an
+// interaction budget — to the exact results and phase ends they recorded,
+// so any change to how the facade builds a trial that alters its stream or
+// its tracker shows here.
+func TestFacadeRunsPinned(t *testing.T) {
+	cfg, err := WithAdditiveBias(5000, 5, 800, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stubborn, err := ParseVariantSpec("stubborn:40,0,0,0,60")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		run  func() (Report, error)
+		want string
+	}{
+		{"Run", func() (Report, error) { return Run(cfg, 42) },
+			"consensus winner=0 clock=0:101288 leader=0 t2=0 phases=[0:8427][0:8427][0:8427][0:48733][0:101288]"},
+		{"RunFast", func() (Report, error) { return RunFast(cfg, 42) },
+			"consensus winner=0 clock=0:100730 leader=0 t2=0 phases=[0:7984][0:7984][0:7984][0:47901][0:100730]"},
+		{"stubborn/exact", func() (Report, error) { return RunVariant(cfg, stubborn, 42, NoBudget, KernelExact) },
+			"dominance winner=0 clock=0:60012 leader=0 t2=0 phases=[0:9022][0:9022][0:9022][0:50643][-]"},
+		{"stubborn/auto", func() (Report, error) { return RunVariant(cfg, stubborn, 42, NoBudget, KernelAuto(0)) },
+			"dominance winner=0 clock=0:60659 leader=0 t2=0 phases=[0:8810][0:8810][0:8810][0:50535][-]"},
+		{"budget", func() (Report, error) { return RunVariant(cfg, Variant{}, 42, ClockOf(1000), KernelExact) },
+			"budget-exhausted winner=-1 clock=0:1000 leader=0 t2=-1 phases=[-][-][-][-][-]"},
+	}
+	for _, c := range cases {
+		r, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := facadeFingerprint(r); got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
 	}
 }
