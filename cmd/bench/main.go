@@ -499,8 +499,10 @@ func run(args []string) error {
 		return err
 	}
 	rep.LargeN = append(rep.LargeN, lne)
-	fmt.Printf("%-16s n=%-11d trials=%-3d kernel=%-14s wall %6.2fs  %.3f ns/interaction  total=%s  identical=%v\n",
-		lne.Workload, lne.N, lne.Trials, lne.Kernel, float64(lne.WallNanos)/1e9,
+	// A run to consensus at this n takes milliseconds at ~10⁻⁶ ns per
+	// interaction, so fixed-point seconds and ns would both print zeros.
+	fmt.Printf("%-16s n=%-11d trials=%-3d kernel=%-14s wall %v  %.3g ns/interaction  total=%s  identical=%v\n",
+		lne.Workload, lne.N, lne.Trials, lne.Kernel, time.Duration(lne.WallNanos),
 		lne.NsPerInteraction, lne.Interactions, lne.Identical)
 
 	// The regression gates, each on a median ratio of interleaved arms.

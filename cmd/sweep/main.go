@@ -117,9 +117,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := variant.ValidateKernel(kern); err != nil {
-		return err
-	}
 	if !(*rel > 0 && *rel < 1) {
 		return fmt.Errorf("-rel %v out of range (0, 1)", *rel)
 	}
@@ -169,8 +166,9 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		variant.Configure(cfg)
-		if err := cfg.Validate(); err != nil {
+		// Prepare rejects a bad (variant, kernel, configuration) triple
+		// before the point runs any trial.
+		if cfg, _, err = variant.Prepare(cfg, kern); err != nil {
 			return fmt.Errorf("value %s with -variant %s: %w", vs, variant, err)
 		}
 		st := &pointState{value: vs}

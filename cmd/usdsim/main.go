@@ -82,16 +82,14 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := variant.ValidateKernel(kern); err != nil {
-		return err
-	}
-
 	cfg, err := buildConfig(*n, *k, *u0, *bias, *mult, *zipf)
 	if err != nil {
 		return err
 	}
-	variant.Configure(cfg)
-	if err := cfg.Validate(); err != nil {
+	// Prepare rejects a bad (variant, kernel, configuration) triple, such
+	// as an exact-only variant under -kernel auto, before any run.
+	cfg, dyn, err := variant.Prepare(cfg, kern)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("initial configuration: %v\n", cfg)
@@ -106,7 +104,7 @@ func run(args []string) error {
 
 	b := usd.ClockOfFloat(*budget)
 	if *plot {
-		return runPlotted(cfg, variant, *seed, b, kern)
+		return runPlotted(cfg, dyn, *seed, b, kern)
 	}
 
 	report, err := usd.RunVariant(cfg, variant, *seed, b, kern)
@@ -171,11 +169,7 @@ func printReport(cfg *usd.Config, report usd.Report, bound float64) {
 	}
 }
 
-func runPlotted(cfg *usd.Config, variant usd.Variant, seed uint64, budget usd.Clock, kern core.Kernel) error {
-	dyn, err := variant.Dynamics()
-	if err != nil {
-		return err
-	}
+func runPlotted(cfg *usd.Config, dyn usd.Dynamics, seed uint64, budget usd.Clock, kern core.Kernel) error {
 	s, err := core.New(cfg, rng.New(seed), core.WithKernel(kern), core.WithDynamics(dyn))
 	if err != nil {
 		return err

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/u128"
@@ -238,19 +237,6 @@ func (c *Config) IsConsensus() bool {
 	}
 	_, xmax := c.Max()
 	return xmax == c.N()
-}
-
-// RanksDesc returns opinion indices sorted by decreasing support (stable, so
-// ties keep index order). Useful for reporting "which initial rank won".
-func (c *Config) RanksDesc() []int {
-	idx := make([]int, len(c.Support))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return c.Support[idx[a]] > c.Support[idx[b]]
-	})
-	return idx
 }
 
 // String renders a compact human-readable form, truncating long vectors.

@@ -323,17 +323,6 @@ func TestIsConsensus(t *testing.T) {
 	}
 }
 
-func TestRanksDesc(t *testing.T) {
-	c := &Config{Support: []int64{5, 9, 5, 12}}
-	got := c.RanksDesc()
-	want := []int{3, 1, 0, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RanksDesc = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	c := &Config{Support: []int64{1, 2}, Undecided: 3}
 	d := c.Clone()

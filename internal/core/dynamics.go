@@ -240,6 +240,29 @@ func (v Variant) Configure(c *conf.Config) {
 	}
 }
 
+// Prepare resolves the variant for a run of cfg under kern, the one door
+// every entry point (facade, CLIs, shard-spec decode) starts a variant's
+// trial through: it checks the variant and the kernel against it, installs
+// the variant's parameters on a copy of cfg, validates that copy, and
+// returns it with the variant's Dynamics. cfg itself is never modified, and
+// a bad (variant, kernel, configuration) triple fails here, before any
+// trial runs.
+func (v Variant) Prepare(cfg *conf.Config, kern Kernel) (*conf.Config, Dynamics, error) {
+	if err := v.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := v.ValidateKernel(kern); err != nil {
+		return nil, nil, err
+	}
+	c := cfg.Clone()
+	v.Configure(c)
+	if err := c.Validate(); err != nil {
+		return nil, nil, err
+	}
+	dyn, err := v.Dynamics()
+	return c, dyn, err
+}
+
 // ParseVariantSpec parses a dynamics variant spec: a registered variant
 // name ("classic", "stubborn", "unconstrained"; empty means classic),
 // where the stubborn variant may carry per-opinion counts as

@@ -63,32 +63,53 @@ func f7Fluid() Experiment {
 				if err != nil {
 					return err
 				}
+				// Trial 0 of the largest n also returns its path for the
+				// overlay.
+				type pathObs struct {
+					worst  float64
+					series *trace.Series
+					err    error
+				}
+				overlay := n == ns[len(ns)-1]
 				var meanWorst float64
-				for trial := 0; trial < trials; trial++ {
-					sim, err := core.New(cfg, rng.New(rng.Derive(p.Seed+uint64(n), uint64(trial))), core.WithKernel(p.Kernel))
+				var runErr error
+				Stream(trials, p.Parallelism, p.Seed+uint64(n), func(trial int, src *rng.Source, a *Arena) pathObs {
+					sim, err := a.Simulator(cfg, src)
 					if err != nil {
-						return err
+						return pathObs{err: err}
 					}
+					sim.SetKernel(p.Kernel)
 					rec := trace.NewRecorder(fmt.Sprintf("simulated u/n, n=%d", n), n/8)
-					var worst float64
+					var o pathObs
 					sim.RunObserved(u128.FromFloat64(horizon*float64(n)), func(s *core.Simulator, ev core.Event) {
 						tau := ev.Interactions.Float64() / float64(n)
 						simU := float64(s.Undecided()) / float64(n)
 						rec.Observe(ev.Interactions, simU)
 						if fluidU, ok := grid[int(tau*1000+0.5)]; ok {
-							if d := math.Abs(simU - fluidU); d > worst {
-								worst = d
+							if d := math.Abs(simU - fluidU); d > o.worst {
+								o.worst = d
 							}
 						}
 					})
-					meanWorst += worst / float64(trials)
-					if n == ns[len(ns)-1] && trial == 0 {
+					if overlay && trial == 0 {
 						// Rescale the x axis to parallel time for the overlay.
-						simSeries = &trace.Series{Name: rec.Series.Name}
+						o.series = &trace.Series{Name: rec.Series.Name}
 						for i := range rec.Series.X {
-							simSeries.Add(rec.Series.X[i]/float64(n), rec.Series.Y[i])
+							o.series.Add(rec.Series.X[i]/float64(n), rec.Series.Y[i])
 						}
 					}
+					return o
+				}, func(_ int, o pathObs) {
+					if o.err != nil && runErr == nil {
+						runErr = o.err
+					}
+					meanWorst += o.worst / float64(trials)
+					if o.series != nil {
+						simSeries = o.series
+					}
+				})
+				if runErr != nil {
+					return runErr
 				}
 				tbl.AddRowf(n, meanWorst, meanWorst*math.Sqrt(float64(n)), fluid.Equilibrium(k))
 			}

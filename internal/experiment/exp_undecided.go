@@ -72,12 +72,13 @@ func f1Undecided() Experiment {
 				samples, upViol, loViol int64
 			}
 			var samples, up, lo int64
-			Stream(trials, p.Parallelism, p.Seed+2, func(i int, src *rng.Source, _ *Arena) bandObs {
+			Stream(trials, p.Parallelism, p.Seed+2, func(i int, src *rng.Source, a *Arena) bandObs {
 				var o bandObs
-				s, err := core.New(cfg, src, core.WithKernel(p.Kernel))
+				s, err := a.Simulator(cfg, src)
 				if err != nil {
 					return o
 				}
+				s.SetKernel(p.Kernel)
 				inPhase2 := false
 				s.RunObserved(core.NoBudget, func(sim *core.Simulator, _ core.Event) {
 					_, xmax := sim.Max()
@@ -142,11 +143,12 @@ func f2GapGrowth() Experiment {
 				return math.Abs(float64(s.Support(0) - s.Support(1)))
 			}
 			var t1s, t2s []float64
-			Stream(trials, p.Parallelism, p.Seed+3, func(i int, src *rng.Source, _ *Arena) gapObs {
-				s, err := core.New(cfg, src, core.WithKernel(p.Kernel))
+			Stream(trials, p.Parallelism, p.Seed+3, func(i int, src *rng.Source, a *Arena) gapObs {
+				s, err := a.Simulator(cfg, src)
 				if err != nil {
 					return gapObs{}
 				}
+				s.SetKernel(p.Kernel)
 				r1 := s.RunUntil(core.NoBudget, func(sim *core.Simulator) bool { return gap(sim) >= target1 })
 				t1 := r1.Interactions.Float64()
 				r2 := s.RunUntil(core.NoBudget, func(sim *core.Simulator) bool { return gap(sim) >= target2 })

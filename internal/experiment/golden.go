@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/conf"
 	"repro/internal/core"
-	"repro/internal/rng"
 )
 
 // The golden-classic corpus pins the classic dynamics' byte-level output
@@ -23,33 +22,24 @@ import (
 //go:embed testdata/golden_classic.json
 var goldenClassicJSON []byte
 
-// GoldenRun is one recorded pre-refactor classic run.
+// GoldenRun is one recorded pre-refactor classic run: the cell it ran
+// (configuration, kernel, seed, tracked) and the result it recorded, in the
+// wire form every cell folds. The corpus records neither InitialLeader nor
+// LeaderAtT2, so the replay ignores them.
 type GoldenRun struct {
 	// Config names the starting configuration (see goldenConfig).
 	Config string `json:"config"`
 	// Kernel is the kernel family name at default tolerance.
 	Kernel string `json:"kernel"`
-	// Seed is the stream-family seed; the run's source is
+	// Seed is the cell seed; the run is the cell's trial 0, on the source
 	// rng.New(rng.Derive(Seed, 0)).
 	Seed uint64 `json:"seed"`
-	// Tracked selects the phase-tracked replay path (RunTracked) over the
-	// plain Run path.
+	// Tracked selects the phase-tracked run (ShardSpec.Tracked), whose
+	// result also records the phase ends.
 	Tracked bool `json:"tracked"`
-	// Outcome is the recorded terminal outcome name.
-	Outcome string `json:"outcome"`
-	// Winner is the recorded consensus opinion (-1 when none).
-	Winner int `json:"winner"`
-	// InteractionsHi is the high word of the recorded 128-bit clock.
-	InteractionsHi uint64 `json:"interactions_hi"`
-	// InteractionsLo is the low word of the recorded 128-bit clock.
-	InteractionsLo uint64 `json:"interactions_lo"`
-	// PhaseEndsHi holds the high words of the phase tracker's five end
-	// times for tracked runs.
-	PhaseEndsHi []uint64 `json:"phase_ends_hi,omitempty"`
-	// PhaseEndsLo holds the low words of the phase end times.
-	PhaseEndsLo []uint64 `json:"phase_ends_lo,omitempty"`
-	// PhaseEnded records which phases ended before the run terminated.
-	PhaseEnded []bool `json:"phase_ended,omitempty"`
+	// ShardResult is the recorded outcome, winner, 128-bit interaction
+	// clock and, for tracked runs, phase ends.
+	ShardResult
 }
 
 // GoldenClassicRuns decodes the embedded pre-refactor corpus.
@@ -76,10 +66,11 @@ func goldenConfig(name string) (*conf.Config, error) {
 	}
 }
 
-// ReplayGoldenRun re-runs one corpus entry through the current engine and
-// returns a non-empty mismatch description if any recorded field differs —
-// byte-identity of the classic dynamics is the contract, so any difference
-// is a regression, not noise.
+// ReplayGoldenRun re-runs one corpus entry as trial 0 of a one-trial,
+// in-process RunCell of its spec — through the spec codec, the arena and
+// SetKernel, the path every cell runs — and returns a non-empty mismatch
+// description if any recorded field differs: byte-identity of the classic
+// dynamics is the contract, so any difference is a regression, not noise.
 func ReplayGoldenRun(g GoldenRun) (string, error) {
 	cfg, err := goldenConfig(g.Config)
 	if err != nil {
@@ -89,38 +80,15 @@ func ReplayGoldenRun(g GoldenRun) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	src := rng.New(rng.Derive(g.Seed, 0))
-	var res core.Result
-	var run USDRun
-	if g.Tracked {
-		run, err = RunTracked(nil, cfg, src, core.NoBudget, 0, kern)
-		if err != nil {
-			return "", err
-		}
-		res = run.Result
-	} else {
-		s, err := core.New(cfg, src, core.WithKernel(kern))
-		if err != nil {
-			return "", err
-		}
-		res = s.Run(core.NoBudget)
+	spec := NewShardSpec(cfg, core.Variant{}, kern, core.NoBudget, 0, g.Tracked)
+	var got ShardResult
+	if _, err := RunCell(spec, 1, ShardRunOptions{MaxTrials: 1, Seed: g.Seed},
+		func(_ int, r ShardResult) { got = r }, nil); err != nil {
+		return "", err
 	}
-	if res.Outcome.String() != g.Outcome || res.Winner != g.Winner ||
-		res.Interactions.Hi != g.InteractionsHi || res.Interactions.Lo != g.InteractionsLo {
-		return fmt.Sprintf("got outcome=%v winner=%d clock=%d:%d, recorded outcome=%s winner=%d clock=%d:%d",
-			res.Outcome, res.Winner, res.Interactions.Hi, res.Interactions.Lo,
-			g.Outcome, g.Winner, g.InteractionsHi, g.InteractionsLo), nil
-	}
-	if g.Tracked {
-		if len(g.PhaseEndsHi) != len(run.Phases.End) {
-			return fmt.Sprintf("phase count %d, recorded %d", len(run.Phases.End), len(g.PhaseEndsHi)), nil
-		}
-		for i, e := range run.Phases.End {
-			if e.Hi != g.PhaseEndsHi[i] || e.Lo != g.PhaseEndsLo[i] || run.Phases.Ended[i] != g.PhaseEnded[i] {
-				return fmt.Sprintf("phase %d end %d:%d ended=%v, recorded %d:%d ended=%v",
-					i, e.Hi, e.Lo, run.Phases.Ended[i], g.PhaseEndsHi[i], g.PhaseEndsLo[i], g.PhaseEnded[i]), nil
-			}
-		}
+	got.InitialLeader, got.LeaderAtT2 = g.InitialLeader, g.LeaderAtT2
+	if gotJSON, want := got.AppendJSON(nil), g.ShardResult.AppendJSON(nil); string(gotJSON) != string(want) {
+		return fmt.Sprintf("got %s, recorded %s", gotJSON, want), nil
 	}
 	return "", nil
 }

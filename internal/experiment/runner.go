@@ -209,55 +209,35 @@ func run[T any](count, parallelism int, seed uint64, index func(pos int) int, fn
 	return folded, false
 }
 
-// USDRun is the outcome of one tracked USD run.
-type USDRun struct {
-	// Result is the simulation result.
-	Result core.Result
-	// Phases records the five phase end times.
-	Phases phase.Times
-	// InitialLeader is the opinion with the largest initial support.
-	InitialLeader int
-}
+// USDRun is the outcome of one tracked USD run; it is the facade's
+// usd.Report.
+type USDRun = phase.Report
 
 // RunTracked simulates the USD from c to consensus (or budget) with phase
-// tracking under the given stepping kernel, reusing the arena's simulator
-// and tracker when a is non-nil (pass the *Arena handed to a Stream,
-// StreamIndices or StreamAdaptive trial callback; nil allocates fresh
-// state). checkEvery controls how
-// often the O(k) phase conditions are evaluated; 0 picks a
-// resolution-preserving default — per-interval for the exact kernel,
-// per-window for a batched kernel (whose observations already cover many
-// events each). Extra simulator options (typically core.WithDynamics for a
-// non-classic variant) are applied on top; hoist the option value out of
-// per-trial loops to keep them allocation-free.
+// tracking (phase.Tracker.Run) under the given stepping kernel, reusing the
+// arena's simulator and tracker when a is non-nil (pass the *Arena handed
+// to a Stream, StreamIndices or StreamAdaptive trial callback; nil
+// allocates fresh state). checkEvery controls how often the O(k) phase
+// conditions are evaluated; 0 picks a resolution-preserving default —
+// per-interval for the exact kernel, per-window for a batched kernel (whose
+// observations already cover many events each). Extra simulator options
+// (typically core.WithDynamics for a non-classic variant) are applied on
+// top; hoist the option value out of per-trial loops to keep them
+// allocation-free.
 func RunTracked(a *Arena, c *conf.Config, src *rng.Source, budget u128.U128, checkEvery int, kern core.Kernel, opts ...core.Option) (USDRun, error) {
 	if checkEvery <= 0 {
 		checkEvery = phase.CheckIntervalFor(c.N(), kern)
 	}
-	leader, _ := c.Max()
-	var s *core.Simulator
-	var tr *phase.Tracker
-	var err error
-	if a != nil {
-		// Option-free reset plus SetKernel keeps the default per-trial path
-		// free of the closure allocation a WithKernel option would cost
-		// (pinned by TestStreamFoldAllocFree).
-		s, err = a.Simulator(c, src, opts...)
-		if err == nil {
-			s.SetKernel(kern)
-		}
-		tr = a.Tracker(phase.WithCheckInterval(checkEvery))
-	} else {
-		s, err = core.New(c, src, append(append([]core.Option(nil), opts...), core.WithKernel(kern))...)
-		tr = phase.NewTracker(phase.WithCheckInterval(checkEvery))
+	if a == nil {
+		a = new(Arena)
 	}
+	// Option-free reset plus SetKernel keeps the default per-trial path
+	// free of the closure allocation a WithKernel option would cost
+	// (pinned by TestStreamFoldAllocFree).
+	s, err := a.Simulator(c, src, opts...)
 	if err != nil {
 		return USDRun{}, err
 	}
-	tr.ObserveNow(s)
-	res := s.RunWatched(budget, tr)
-	// Force a final check so interval skipping cannot miss phase ends that
-	// occurred in the last few events.
-	tr.ObserveNow(s)
-	return USDRun{Result: res, Phases: tr.Times(), InitialLeader: leader}, nil
+	s.SetKernel(kern)
+	return a.Tracker(phase.WithCheckInterval(checkEvery)).Run(s, budget), nil
 }

@@ -128,8 +128,8 @@ func (s ShardSpec) Encode() ([]byte, error) {
 }
 
 // decodeShardSpec parses and validates wire bytes back into a spec, its
-// configuration (with stubborn counts installed), its kernel, and its
-// dynamics.
+// configuration (with stubborn counts installed by Variant.Prepare), its
+// kernel, and its dynamics.
 func decodeShardSpec(data []byte) (ShardSpec, *conf.Config, core.Kernel, core.Dynamics, error) {
 	var s ShardSpec
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -149,18 +149,7 @@ func decodeShardSpec(data []byte) (ShardSpec, *conf.Config, core.Kernel, core.Dy
 	if err != nil {
 		return s, nil, core.Kernel{}, nil, err
 	}
-	v := core.Variant{Name: s.Variant, Stubborn: s.Stubborn}
-	if err := v.Validate(); err != nil {
-		return s, nil, core.Kernel{}, nil, err
-	}
-	if err := v.ValidateKernel(kern); err != nil {
-		return s, nil, core.Kernel{}, nil, err
-	}
-	v.Configure(cfg)
-	if err := cfg.Validate(); err != nil {
-		return s, nil, core.Kernel{}, nil, err
-	}
-	dyn, err := v.Dynamics()
+	cfg, dyn, err := core.Variant{Name: s.Variant, Stubborn: s.Stubborn}.Prepare(cfg, kern)
 	if err != nil {
 		return s, nil, core.Kernel{}, nil, err
 	}

@@ -186,6 +186,29 @@ func (tr *Tracker) Observe(v View) {
 // ignored — the tracker inspects the simulator state.
 func (tr *Tracker) Watch(s *core.Simulator, _ core.Event) { tr.Observe(s) }
 
+// Report is the outcome of one phase-tracked run (Tracker.Run).
+type Report struct {
+	// Result is the simulation outcome.
+	Result core.Result
+	// Phases records when each analysis phase ended (in interactions).
+	Phases Times
+	// InitialLeader is the opinion with the largest initial support.
+	InitialLeader int
+}
+
+// Run is the one phase-tracked run: it records s's initial leader,
+// classifies the start, runs s under the budget (the zero clock means none)
+// with the tracker watching, and classifies the end, which interval
+// skipping could otherwise miss. s must be freshly constructed or Reset and
+// tr fresh or Reset; Run allocates nothing beyond the tracker's scratch.
+func (tr *Tracker) Run(s *core.Simulator, budget u128.U128) Report {
+	leader, _ := s.Max()
+	tr.ObserveNow(s)
+	res := s.RunWatched(budget, tr)
+	tr.ObserveNow(s)
+	return Report{Result: res, Phases: tr.times, InitialLeader: leader}
+}
+
 // ObserveNow evaluates the end conditions immediately, bypassing the check
 // interval. Use it to classify the initial configuration and the final one,
 // which interval skipping could otherwise miss.

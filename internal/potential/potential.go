@@ -17,12 +17,6 @@ import (
 	"repro/internal/conf"
 )
 
-// DefaultAlpha is the significance constant α used when callers do not
-// specify one. The paper leaves α as "some fixed constant"; 1 keeps the
-// threshold at √(n ln n), the scale at which all the phase-2 machinery
-// operates.
-const DefaultAlpha = 1.0
-
 // Z returns the phase-1 potential Z(t) = n − 2u − xmax (α = 1). Phase 1
 // ends as soon as Z(t) ≤ 0 (Lemma 1).
 func Z(n, u, xmax int64) int64 {

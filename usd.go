@@ -184,29 +184,16 @@ func NewSimulator(cfg *Config, seed uint64, opts ...Option) (*Simulator, error) 
 	return core.New(cfg, rng.New(seed), opts...)
 }
 
-// Report is the result of a high-level Run: the simulation outcome plus the
-// empirical end times of the paper's five analysis phases.
-type Report struct {
-	// Result is the simulation outcome.
-	Result Result
-	// Phases records when each analysis phase ended (in interactions).
-	Phases PhaseTimes
-	// InitialLeader is the opinion with the largest initial support.
-	InitialLeader int
-}
+// Report is the result of a high-level Run: the simulation outcome
+// (Result), the empirical end times of the paper's five analysis phases
+// (Phases), and the opinion with the largest initial support
+// (InitialLeader).
+type Report = phase.Report
 
 // Run simulates the USD from cfg to consensus with phase tracking, using a
 // deterministic stream derived from seed.
 func Run(cfg *Config, seed uint64) (Report, error) {
-	return RunWithBudget(cfg, seed, 0)
-}
-
-// RunWithBudget is Run with an interaction budget; budget <= 0 simulates
-// until an absorbing configuration is reached. Budgets beyond int64 (runs
-// at n > ~3·10⁹ routinely need them) go through RunWithKernel with a
-// ClockOfFloat-constructed Clock.
-func RunWithBudget(cfg *Config, seed uint64, budget int64) (Report, error) {
-	return RunWithKernel(cfg, seed, ClockOf(budget), KernelExact)
+	return RunVariant(cfg, Variant{}, seed, NoBudget, KernelExact)
 }
 
 // RunFast is Run with the batched kernel at the default drift tolerance: it
@@ -216,50 +203,28 @@ func RunWithBudget(cfg *Config, seed uint64, budget int64) (Report, error) {
 // phase-time distributions agree with Run within tolerance; see the
 // K1-kernel-agreement experiment).
 func RunFast(cfg *Config, seed uint64) (Report, error) {
-	return RunWithKernel(cfg, seed, NoBudget, KernelBatched(0))
+	return RunVariant(cfg, Variant{}, seed, NoBudget, KernelBatched(0))
 }
 
-// RunWithKernel is the kernel-parameterized tracked run behind Run and
-// RunFast: it simulates cfg under kern until consensus, absorption, or the
-// budget (the zero Clock means none) and reports the outcome with phase
-// end times. Callers that thread kernel selection through (for example
-// from a -kernel flag) use this directly instead of branching between Run
-// and RunFast.
-func RunWithKernel(cfg *Config, seed uint64, budget Clock, kern Kernel) (Report, error) {
-	return RunVariant(cfg, Variant{}, seed, budget, kern)
-}
-
-// RunVariant is the phase-tracked run under a pluggable dynamics variant:
-// the variant's parameters are applied to a copy of cfg, the kernel is
-// checked against the variant's window-law support (exact-only variants
-// reject batched kernels), and the run is phase-tracked. RunWithKernel is
-// its classic case.
+// RunVariant is the phase-tracked run behind Run and RunFast, under a
+// pluggable dynamics variant and any kernel: Variant.Prepare applies the
+// variant's parameters to a copy of cfg and checks the kernel against the
+// variant's window-law support (exact-only variants reject batched
+// kernels), then the run goes to consensus, absorption, or the budget (the
+// zero Clock means none; budgets beyond int64 come from ClockOfFloat) with
+// phase tracking. Callers that thread kernel selection through (for example
+// from a -kernel flag) use this directly.
 func RunVariant(cfg *Config, v Variant, seed uint64, budget Clock, kern Kernel) (Report, error) {
-	if err := v.Validate(); err != nil {
-		return Report{}, err
-	}
-	if err := v.ValidateKernel(kern); err != nil {
-		return Report{}, err
-	}
-	dyn, err := v.Dynamics()
+	c, dyn, err := v.Prepare(cfg, kern)
 	if err != nil {
-		return Report{}, err
-	}
-	c := cfg.Clone()
-	v.Configure(c)
-	if err := c.Validate(); err != nil {
 		return Report{}, err
 	}
 	s, err := core.New(c, rng.New(seed), core.WithKernel(kern), core.WithDynamics(dyn))
 	if err != nil {
 		return Report{}, err
 	}
-	leader, _ := c.Max()
 	tr := phase.NewTracker(phase.WithCheckInterval(phase.CheckIntervalFor(c.N(), kern)))
-	tr.ObserveNow(s)
-	res := s.RunWatched(budget, tr)
-	tr.ObserveNow(s)
-	return Report{Result: res, Phases: tr.Times(), InitialLeader: leader}, nil
+	return tr.Run(s, budget), nil
 }
 
 // GossipResult summarizes a gossip-model run.

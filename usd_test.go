@@ -65,7 +65,7 @@ func TestRunWithBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := RunWithBudget(cfg, 1, 1000)
+	report, err := RunVariant(cfg, Variant{}, 1, ClockOf(1000), KernelExact)
 	if err != nil {
 		t.Fatal(err)
 	}
