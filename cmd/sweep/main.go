@@ -50,6 +50,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -99,8 +100,8 @@ func run(args []string) error {
 	if *u0 < 0 {
 		return fmt.Errorf("-u0 %d must be non-negative", *u0)
 	}
-	// Every point runs through one cell runner (experiment.RunCell) over
-	// this base; the launcher, interrupt and fault-tolerance options only
+	// Every point is one experiment cell (experiment.Params.Cell) on this
+	// base; the launcher, interrupt and fault-tolerance options only
 	// matter with -shards.
 	base, served, err := eng.Engine()
 	if served || err != nil {
@@ -145,10 +146,11 @@ func run(args []string) error {
 	}
 	raw := strings.Split(*values, ",")
 
-	base.MaxTrials, base.Policy = *trials, "fixed"
+	maxTrials, policy := *trials, "fixed"
 	if *adaptive {
-		base.MaxTrials, base.Policy = adaptiveCap, experiment.ConsensusPolicy(*rel)
+		maxTrials, policy = adaptiveCap, experiment.ConsensusPolicy(*rel)
 	}
+	cells := experiment.Params{Parallelism: eng.Parallelism, Engine: base, CheckpointDir: eng.CheckpointDir}
 
 	type row struct {
 		value        string
@@ -172,22 +174,24 @@ func run(args []string) error {
 			return fmt.Errorf("value %s with -variant %s: %w", vs, variant, err)
 		}
 		st := &pointState{value: vs}
+		var stop func() bool
 		if *adaptive {
 			// Sequential stopping: keep sampling this point until the
 			// consensus-time CI closes below -rel or the cap is hit. The
 			// win-rate estimate simply uses however many trials that took.
 			st.metric = experiment.NewAdaptiveMetric("consensus T",
 				experiment.ConsensusRule(*rel, adaptiveCap))
+			stop = experiment.StopWhenAll(st.metric)
 		}
+		// In process or across -shards workers, the cell folds the same
+		// results in the same order, so the table is byte-identical between
+		// them; an interrupted point returns ErrInterrupted instead of a
+		// table built on a partial fold.
 		spec := experiment.NewShardSpec(cfg, variant, kern, core.NoBudget, 0, true)
-		opts := base
-		opts.Seed = *seed + uint64(vi)*1_000_003
-		if eng.CheckpointDir != "" {
-			if opts.Checkpoint, err = experiment.CellCheckpoint(eng.CheckpointDir, spec, opts); err != nil {
-				return err
+		if _, err := cells.Cell(spec, maxTrials, *seed+uint64(vi)*1_000_003, st.fold, stop, policy); err != nil {
+			if errors.Is(err, experiment.ErrInterrupted) {
+				return fmt.Errorf("point %s: %w", vs, err)
 			}
-		}
-		if err := runPoint(st, spec, eng.Parallelism, opts); err != nil {
 			return err
 		}
 		if st.firstFail != "" {
@@ -263,29 +267,6 @@ func (st *pointState) fold(i int, r experiment.ShardResult) {
 	if st.metric != nil {
 		st.metric.Add(t)
 	}
-}
-
-// runPoint folds one sweep point through the cell runner: in process, or
-// with -shards through worker processes whose results the coordinator folds
-// in global trial order, logging the folded results after every wave when
-// the point has a checkpoint. Both fold the same per-trial results in the same
-// order, so the table is byte-identical between them — the
-// shard-determinism CI job relies on it. A run the user interrupted returns
-// experiment.ErrInterrupted instead of printing a table built on a partial
-// fold.
-func runPoint(st *pointState, spec experiment.ShardSpec, workers int, opts experiment.ShardRunOptions) error {
-	var stop func() bool
-	if st.metric != nil {
-		stop = experiment.StopWhenAll(st.metric)
-	}
-	res, err := experiment.RunCell(spec, workers, opts, st.fold, stop)
-	if err != nil {
-		return err
-	}
-	if res.Interrupted {
-		return fmt.Errorf("point %s: %w", st.value, experiment.ErrInterrupted)
-	}
-	return nil
 }
 
 func buildConfig(param, value string, n int64, k int, keps float64, u0 int64) (*usd.Config, error) {

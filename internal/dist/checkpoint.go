@@ -10,12 +10,13 @@ import (
 	"path/filepath"
 )
 
-// Checkpoint is the on-disk resume state of a distributed run, written
-// atomically after every folded wave. It captures everything the
-// coordinator needs to continue: how far the in-order fold has advanced,
-// whether the run already finished (and how), the spec hash guarding
-// against resuming a different configuration, and the caller's serialized
-// aggregate state.
+// Checkpoint is one record of a distributed run's on-disk resume state. A
+// checkpoint file holds one record per folded wave, each this JSON object
+// on its own line, appended in fold order (see Options.CheckpointPath). A
+// record captures how far the in-order fold has advanced, whether the run
+// already finished (and how), the run's identity — spec hash, seed, trial
+// cap and stopping policy — guarding against resuming a different
+// configuration, and what the wave changed in the caller's aggregate state.
 type Checkpoint struct {
 	// V is the checkpoint schema version.
 	V int `json:"v"`
@@ -43,7 +44,8 @@ type Checkpoint struct {
 	// Stopped reports that the stopping predicate fired (as opposed to the
 	// cap being exhausted); only meaningful when Done is set.
 	Stopped bool `json:"stopped"`
-	// State is the caller's aggregate state, produced by State.Snapshot.
+	// State is the wave's State.Snapshot: what the wave changed in the
+	// caller's aggregate state.
 	State json.RawMessage `json:"state"`
 }
 
@@ -56,22 +58,28 @@ type Checkpoint struct {
 // n = ⌊√MaxInt64⌋ and cannot be resumed.
 const checkpointVersion = 3
 
-// State is the caller-owned fold state a checkpoint captures: the
-// aggregates the sink updates, serialized well enough that Restore followed
-// by the remaining folds is bit-identical to never having been
-// interrupted (stats.Online and stats.P2 provide such snapshots).
+// State is the caller-owned fold state a checkpoint captures, serialized
+// well enough that restoring it and folding the remaining trials is
+// bit-identical to never having been interrupted (stats.Online and
+// stats.P2 provide such snapshots). Run calls Snapshot after every folded
+// wave and stores the result in that wave's record, so Snapshot returns
+// what changed since the previous Snapshot (everything, the first time).
+// On resume Run hands every record's state to Restore, oldest first,
+// before it folds anything.
 type State interface {
-	// Snapshot serializes the current aggregate state.
+	// Snapshot serializes what changed since the previous Snapshot.
 	Snapshot() ([]byte, error)
-	// Restore replaces the aggregate state with a previous Snapshot.
+	// Restore applies one record's Snapshot; records arrive oldest first.
 	Restore(data []byte) error
 }
 
-// JSONState adapts a JSON-(un)marshalable value to the State interface. V
-// must be a pointer for Restore to take effect. Note that encoding/json
-// round-trips finite float64s exactly but rejects NaN and the infinities;
-// aggregate states containing those must use stats.F64Bits (or the
-// stats.Online / stats.P2 snapshots, which already do).
+// JSONState adapts a JSON-(un)marshalable value to the State interface:
+// Snapshot returns the full value and each Restore overwrites it, so the
+// newest record restored is the state. V must be a pointer for Restore to
+// take effect. Note that encoding/json round-trips finite float64s exactly
+// but rejects NaN and the infinities; aggregate states containing those
+// must use stats.F64Bits (or the stats.Online / stats.P2 snapshots, which
+// already do).
 type JSONState struct {
 	// V is the pointed-to aggregate state.
 	V any
@@ -85,19 +93,15 @@ func (s JSONState) Restore(data []byte) error { return json.Unmarshal(data, s.V)
 
 // WriteFileAtomic writes data to path via a temporary file in the same
 // directory and an atomic rename, so readers never observe a partial file
-// and an interrupted write cannot clobber the previous version. cmd/bench
-// shares it for BENCH_core.json.
+// and an interrupted write cannot clobber the previous version. A
+// checkpoint's first record is written with it, so a crash during that
+// write leaves no file; cmd/bench shares it for BENCH_core.json.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
 	if err := tmp.Chmod(perm); err != nil {
 		tmp.Close()
 		return err
@@ -105,117 +109,180 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	// Sync before the rename: on a power loss the rename may be durable
 	// while unsynced data blocks are not, which would leave a truncated
 	// file at the final path — the one loss checkpointing must prevent.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
+	if err := writeSync(tmp, data); err != nil {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
 }
 
-// saveCheckpoint snapshots the caller state and writes the checkpoint
-// atomically.
-func saveCheckpoint(path string, cp Checkpoint, state State) error {
+// writeSync writes data to fh, fsyncs and closes it.
+func writeSync(fh *os.File, data []byte) error {
+	_, err := fh.Write(data)
+	if err == nil {
+		err = fh.Sync()
+	}
+	if cerr := fh.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// checkpointFile is a checkpoint file as loadCheckpoint read it, and the
+// writer of its next records.
+type checkpointFile struct {
+	// Checkpoint is the file's newest record.
+	Checkpoint
+	// states holds every record's State, oldest first.
+	states []json.RawMessage
+	path   string
+	// exists reports that the file holds a record, so the next one is
+	// appended rather than written atomically.
+	exists bool
+	// cut, when positive, is where the newest loaded record's JSON ends.
+	// The first append truncates the file there and starts a new line,
+	// which drops a torn append and supplies a missing newline alike.
+	cut int64
+}
+
+// append snapshots the caller state into cp and adds it to the file as
+// one record: the first record with WriteFileAtomic, every later one by
+// an fsynced O_APPEND write.
+func (f *checkpointFile) append(cp Checkpoint, state State) error {
 	snap, err := state.Snapshot()
 	if err != nil {
 		return fmt.Errorf("dist: snapshot state for checkpoint: %w", err)
 	}
-	cp.V = checkpointVersion
-	cp.State = snap
-	data, err := json.Marshal(cp)
+	cp.V, cp.State = checkpointVersion, snap
+	rec, err := json.Marshal(cp)
 	if err != nil {
 		return fmt.Errorf("dist: marshal checkpoint: %w", err)
 	}
-	data = append(data, '\n')
-	if err := WriteFileAtomic(path, data, 0o644); err != nil {
-		return fmt.Errorf("dist: write checkpoint %s: %w", path, err)
+	rec = append(rec, '\n')
+	if f.exists {
+		err = f.appendRecord(rec)
+	} else {
+		err = WriteFileAtomic(f.path, rec, 0o644)
 	}
+	if err != nil {
+		return fmt.Errorf("dist: write checkpoint %s: %w", f.path, err)
+	}
+	f.exists, f.cut = true, 0
 	return nil
 }
 
-// parseCheckpoint decodes and structurally validates checkpoint bytes: a
-// well-formed checkpoint is one JSON object of the current schema version
-// whose counters are internally consistent and whose aggregate state is
-// present. Truncated, corrupt, or inconsistent input yields a descriptive
-// error — never a panic, and never a silently accepted state a resume
-// would then fold garbage onto. FuzzCheckpoint drives it with arbitrary
-// bytes.
-func parseCheckpoint(data []byte) (Checkpoint, error) {
-	if len(bytes.TrimSpace(data)) == 0 {
-		return Checkpoint{}, errors.New("file is empty (truncated write?)")
+// appendRecord appends rec to the file and fsyncs it. The first append
+// after a load truncates the file at the cut and starts rec on a new line.
+func (f *checkpointFile) appendRecord(rec []byte) error {
+	fh, err := os.OpenFile(f.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
 	}
-	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return Checkpoint{}, fmt.Errorf("not a valid checkpoint (truncated or corrupt): %w", err)
-	}
-	if cp.V != checkpointVersion {
-		switch cp.V {
-		case 1:
-			return Checkpoint{}, fmt.Errorf(
-				"schema version 1, want %d: it was written by a pre-128-bit-clock build and its aggregates cannot be resumed losslessly",
-				checkpointVersion)
-		case 2:
-			return Checkpoint{}, fmt.Errorf(
-				"schema version 2, want %d: it was written by a pre-variant-engine build, which does not record the dynamics variant a resume must replay under",
-				checkpointVersion)
+	if f.cut > 0 {
+		if err := fh.Truncate(f.cut); err != nil {
+			fh.Close()
+			return err
 		}
-		return Checkpoint{}, fmt.Errorf("schema version %d, want %d", cp.V, checkpointVersion)
+		rec = append([]byte{'\n'}, rec...)
 	}
-	if cp.MaxTrials < 1 {
-		return Checkpoint{}, fmt.Errorf("corrupt: trial cap %d, want >= 1", cp.MaxTrials)
+	return writeSync(fh, rec)
+}
+
+// parseCheckpoint decodes and structurally validates one checkpoint
+// record: a well-formed record is one JSON object on one line, of the
+// current schema version, whose counters are internally consistent and
+// whose state is present. Truncated, corrupt, or inconsistent input yields
+// a descriptive error — never a panic, and never a silently accepted state
+// a resume would then fold garbage onto. FuzzCheckpoint drives it with
+// arbitrary bytes.
+func parseCheckpoint(data []byte) (Checkpoint, error) {
+	var cp Checkpoint
+	if bytes.IndexByte(bytes.TrimSpace(data), '\n') >= 0 {
+		return cp, errors.New("not a valid checkpoint: a record spans more than one line")
 	}
-	if cp.NextTrial < 0 || cp.NextTrial > cp.MaxTrials {
-		return Checkpoint{}, fmt.Errorf("corrupt: resume point %d outside [0, %d]", cp.NextTrial, cp.MaxTrials)
+	if err := json.Unmarshal(data, &cp); err != nil {
+		return cp, fmt.Errorf("not a valid checkpoint (truncated or corrupt): %w", err)
 	}
-	if cp.Waves < 0 {
-		return Checkpoint{}, fmt.Errorf("corrupt: negative folded-wave count %d", cp.Waves)
-	}
-	if cp.NextTrial > 0 && cp.Waves == 0 {
-		return Checkpoint{}, fmt.Errorf("corrupt: %d folded trials but no folded waves", cp.NextTrial)
-	}
-	if len(bytes.TrimSpace(cp.State)) == 0 {
-		return Checkpoint{}, errors.New("corrupt: aggregate state is missing")
+	switch {
+	case cp.V == 1:
+		return cp, fmt.Errorf(
+			"schema version 1, want %d: it was written by a pre-128-bit-clock build and its aggregates cannot be resumed losslessly",
+			checkpointVersion)
+	case cp.V == 2:
+		return cp, fmt.Errorf(
+			"schema version 2, want %d: it was written by a pre-variant-engine build, which does not record the dynamics variant a resume must replay under",
+			checkpointVersion)
+	case cp.V != checkpointVersion:
+		return cp, fmt.Errorf("schema version %d, want %d", cp.V, checkpointVersion)
+	case cp.MaxTrials < 1:
+		return cp, fmt.Errorf("corrupt: trial cap %d, want >= 1", cp.MaxTrials)
+	case cp.NextTrial < 0 || cp.NextTrial > cp.MaxTrials:
+		return cp, fmt.Errorf("corrupt: resume point %d outside [0, %d]", cp.NextTrial, cp.MaxTrials)
+	case cp.Waves < 0:
+		return cp, fmt.Errorf("corrupt: negative folded-wave count %d", cp.Waves)
+	case cp.NextTrial > 0 && cp.Waves == 0:
+		return cp, fmt.Errorf("corrupt: %d folded trials but no folded waves", cp.NextTrial)
+	case len(bytes.TrimSpace(cp.State)) == 0:
+		return cp, errors.New("corrupt: aggregate state is missing")
 	}
 	return cp, nil
 }
 
-// loadCheckpoint reads a checkpoint if one exists and verifies it belongs
-// to this run: same spec hash, same seed, same trial cap, same stopping
-// policy. A missing file is not an error: it returns ok = false, meaning a
-// fresh run.
-func loadCheckpoint(path, wantHash string, wantSeed uint64, wantMax int, wantPolicy string) (Checkpoint, bool, error) {
+// loadCheckpoint reads a checkpoint file if one exists and verifies that
+// every record belongs to this run — same spec hash, same seed, same trial
+// cap, same stopping policy — and follows its predecessor: NextTrial never
+// decreases, Waves strictly increases, and nothing follows a Done record.
+// Blank lines are skipped. An unparseable last line after a good record is
+// a torn append: it is skipped, and cut off by the next append. Any other
+// bad line is an error naming the file. A missing file is not an
+// error: it returns ok = false, meaning a fresh run.
+func loadCheckpoint(path, wantHash string, wantSeed uint64, wantMax int, wantPolicy string) (*checkpointFile, bool, error) {
+	f := &checkpointFile{path: path}
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return Checkpoint{}, false, nil
+		return f, false, nil
 	}
 	if err != nil {
-		return Checkpoint{}, false, fmt.Errorf("dist: read checkpoint %s: %w", path, err)
+		return nil, false, fmt.Errorf("dist: read checkpoint %s: %w", path, err)
 	}
-	cp, err := parseCheckpoint(data)
-	if err != nil {
-		return Checkpoint{}, false, fmt.Errorf("dist: checkpoint %s: %v — delete it to start over", path, err)
+	if len(bytes.TrimSpace(data)) == 0 {
+		return nil, false, fmt.Errorf("dist: checkpoint %s: file is empty (truncated write?) — delete it to start over", path)
 	}
-	if cp.Hash != wantHash {
-		return Checkpoint{}, false, fmt.Errorf(
-			"dist: checkpoint %s was written by a different configuration (spec hash %.12s, this run %.12s); delete it to start over",
-			path, cp.Hash, wantHash)
+	off, rec := int64(0), 0
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		off += int64(len(line))
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		if rec++; rec > 1 && !json.Valid(line) && len(bytes.TrimSpace(data[off:])) == 0 {
+			break // a torn append, which the next append cuts off
+		}
+		cp, err := parseCheckpoint(line)
+		if err != nil {
+			return nil, false, fmt.Errorf("dist: checkpoint %s: record %d: %v — delete it to start over", path, rec, err)
+		}
+		prev, why := f.Checkpoint, ""
+		switch {
+		case cp.Hash != wantHash:
+			why = fmt.Sprintf("was written by a different configuration (spec hash %.12s, this run %.12s)", cp.Hash, wantHash)
+		case cp.Seed != wantSeed:
+			why = fmt.Sprintf("was written with seed %d, this run uses %d; resuming would mix two trial streams", cp.Seed, wantSeed)
+		case cp.MaxTrials != wantMax:
+			why = fmt.Sprintf("was written with a trial cap of %d, this run uses %d", cp.MaxTrials, wantMax)
+		case cp.Policy != wantPolicy:
+			why = fmt.Sprintf("was written under stopping policy %q, this run uses %q; the stop point would match neither", cp.Policy, wantPolicy)
+		case rec > 1 && prev.Done:
+			why = fmt.Sprintf("record %d follows a done record", rec)
+		case rec > 1 && cp.NextTrial < prev.NextTrial:
+			why = fmt.Sprintf("record %d moves the resume point back from %d to %d", rec, prev.NextTrial, cp.NextTrial)
+		case rec > 1 && cp.Waves <= prev.Waves:
+			why = fmt.Sprintf("record %d does not advance the folded-wave count %d", rec, prev.Waves)
+		}
+		if why != "" {
+			return nil, false, fmt.Errorf("dist: checkpoint %s %s — delete it to start over", path, why)
+		}
+		f.Checkpoint, f.cut = cp, off-int64(len(line)-len(bytes.TrimRight(line, " \t\r\n")))
+		f.states = append(f.states, cp.State)
 	}
-	if cp.Seed != wantSeed {
-		return Checkpoint{}, false, fmt.Errorf(
-			"dist: checkpoint %s was written with seed %d, this run uses %d; resuming would mix two trial streams — delete it to start over",
-			path, cp.Seed, wantSeed)
-	}
-	if cp.MaxTrials != wantMax {
-		return Checkpoint{}, false, fmt.Errorf(
-			"dist: checkpoint %s was written with a trial cap of %d, this run uses %d; delete it to start over",
-			path, cp.MaxTrials, wantMax)
-	}
-	if cp.Policy != wantPolicy {
-		return Checkpoint{}, false, fmt.Errorf(
-			"dist: checkpoint %s was written under stopping policy %q, this run uses %q; the stop point would match neither — delete it to start over",
-			path, cp.Policy, wantPolicy)
-	}
-	return cp, true, nil
+	f.exists = true
+	return f, true, nil
 }

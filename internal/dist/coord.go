@@ -309,9 +309,12 @@ type Options struct {
 	// failure the coordinator calls Launch again for the same shard.
 	// Required.
 	Launcher Launcher
-	// CheckpointPath, when non-empty, makes the run write a checkpoint
-	// after every folded wave and resume from an existing one. Requires a
-	// non-nil State in Run.
+	// CheckpointPath, when non-empty, makes the run add one checkpoint
+	// record after every folded wave and resume from an existing file.
+	// The first record is written with WriteFileAtomic and every later
+	// one appended and fsynced, so each write costs what its wave changed
+	// (State.Snapshot). A torn last append is skipped on resume and cut
+	// off before the next one. Requires a non-nil State in Run.
 	CheckpointPath string
 	// Policy is an opaque identity of the caller's stopping policy (for
 	// example "adaptive rel=0.05" or "fixed"). It is recorded in the

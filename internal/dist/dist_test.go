@@ -68,7 +68,7 @@ func TestParseShardArg(t *testing.T) {
 	if err != nil || shard != 3 || shards != 8 {
 		t.Fatalf("round trip: %d/%d, %v", shard, shards, err)
 	}
-	for _, bad := range []string{"", "3", "8/3", "-1/4", "a/b", "4/4"} {
+	for _, bad := range []string{"", "3", "8/3", "-1/4", "a/b", "4/4", "0/2x", "1/2/3", "+1/2", " 0/2"} {
 		if _, _, err := ParseShardArg(bad); err == nil {
 			t.Fatalf("ParseShardArg(%q) accepted", bad)
 		}

@@ -104,6 +104,128 @@ func TestRunRefusesCorruptCheckpoint(t *testing.T) {
 	}
 }
 
+// checkpointLines runs the echo job (40 trials, 6-trial waves, seed 9)
+// for waves waves against a fresh checkpoint file (0 = to completion) and
+// returns the file's path and its record lines.
+func checkpointLines(t *testing.T, waves int) (string, [][]byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	runEcho(t, Options{Shards: 2, MaxTrials: 40, Wave: 6, Seed: 9, Spec: []byte(`{"job":"echo"}`),
+		CheckpointPath: path, MaxWaves: waves}, nil)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(data, []byte("\n")) {
+		t.Fatalf("checkpoint does not end in a newline: %q", data)
+	}
+	return path, bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+}
+
+// TestCheckpointResumesPastTornAppend cuts a multi-wave checkpoint inside
+// its last record, and just before that record's newline: the resume must
+// continue bit-exact from the last whole record, and the records it
+// appends must each land on a line of their own.
+func TestCheckpointResumesPastTornAppend(t *testing.T) {
+	spec := []byte(`{"job":"echo"}`)
+	full, fullRes := runEcho(t, Options{Shards: 2, MaxTrials: 40, Wave: 6, Seed: 9, Spec: spec}, nil)
+	for _, tc := range []struct {
+		name string
+		keep func(last []byte) int // bytes of the last record kept
+		from int                   // expected resume point
+	}{
+		{"inside-last-record", func(last []byte) int { return len(last) / 2 }, 12},
+		{"before-last-newline", func(last []byte) int { return len(last) }, 18},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path, lines := checkpointLines(t, 3)
+			if len(lines) != 3 {
+				t.Fatalf("3 waves wrote %d records, want 3", len(lines))
+			}
+			last := lines[2]
+			cut := append(bytes.Join(lines[:2], []byte("\n")), '\n')
+			cut = append(cut, last[:tc.keep(last)]...)
+			if err := os.WriteFile(path, cut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st := &foldState{}
+			res, err := Run(Options{Shards: 2, MaxTrials: 40, Wave: 6, Seed: 9, Spec: spec,
+				CheckpointPath: path, Launcher: &PipeLauncher{Build: echoBuild}}, st.sink, nil, st)
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if res.ResumedFrom != tc.from || res.Trials != 40 || res.Waves != fullRes.Waves {
+				t.Fatalf("resume result %+v, want resumed from %d", res, tc.from)
+			}
+			if !reflect.DeepEqual(st.Seq, full.Seq) {
+				t.Fatalf("resume past a torn append diverged from the uninterrupted run")
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+			if len(got) != fullRes.Waves {
+				t.Fatalf("file holds %d lines after the resume, want one record per wave (%d)", len(got), fullRes.Waves)
+			}
+			for i, line := range got {
+				cp, err := parseCheckpoint(line)
+				if err != nil || cp.Waves != i+1 {
+					t.Fatalf("line %d %.80q: waves %d, err %v", i+1, line, cp.Waves, err)
+				}
+			}
+		})
+	}
+}
+
+// TestLoadCheckpointRejectsBadLaterRecord pins that every record, not just
+// the first, must belong to the run and follow its predecessor: a second
+// record from another configuration, seed, cap or policy, one whose
+// counters go back, and one after a done record all fail naming the file.
+func TestLoadCheckpointRejectsBadLaterRecord(t *testing.T) {
+	hash := HashSpec([]byte(`{"job":"echo"}`))
+	for _, tc := range []struct {
+		name   string
+		field  string
+		value  string
+		reason string
+	}{
+		{"hash", "hash", `"` + HashSpec([]byte(`{"job":"other"}`)) + `"`, "different configuration"},
+		{"seed", "seed", "8", "seed"},
+		{"cap", "max_trials", "41", "trial cap"},
+		{"policy", "policy", `"adaptive rel=0.05"`, "policy"},
+		{"resume-point-back", "next_trial", "5", "moves the resume point back"},
+		{"waves-stall", "waves", "1", "does not advance the folded-wave count"},
+		{"after-done", "", "", "follows a done record"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path, lines := checkpointLines(t, 2)
+			i := 1 // the record to edit
+			field, value := tc.field, tc.value
+			if field == "" {
+				i, field, value = 0, "done", "true"
+			}
+			var rec map[string]json.RawMessage
+			if err := json.Unmarshal(lines[i], &rec); err != nil {
+				t.Fatal(err)
+			}
+			rec[field] = json.RawMessage(value)
+			var err error
+			if lines[i], err = json.Marshal(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, ok, err := loadCheckpoint(path, hash, 9, 40, "")
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.reason) ||
+				!strings.Contains(err.Error(), "delete it to start over") {
+				t.Fatalf("ok=%v err=%v, want an error naming %s and %q", ok, err, path, tc.reason)
+			}
+		})
+	}
+}
+
 // FuzzFrame drives the JSONL wire decoder with arbitrary bytes — the exact
 // surface a remote transport exposes to line noise, truncation, and
 // garbage. It must never panic, every accepted frame must carry the current

@@ -43,6 +43,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // ProtocolVersion is the version tag every protocol line carries. Workers
@@ -471,13 +472,14 @@ func ShardArg(shard, shards int) string {
 }
 
 // ParseShardArg parses the "i/of" form produced by ShardArg, validating
-// 0 <= i < of.
+// 0 <= i < of. Only ShardArg's exact form is accepted: no signs, spaces,
+// leading zeros or trailing bytes.
 func ParseShardArg(s string) (shard, shards int, err error) {
-	if _, err := fmt.Sscanf(s, "%d/%d", &shard, &shards); err != nil {
-		return 0, 0, fmt.Errorf("dist: bad shard argument %q (want i/of): %w", s, err)
-	}
-	if shards < 1 || shard < 0 || shard >= shards {
-		return 0, 0, fmt.Errorf("dist: bad shard argument %q: want 0 <= i < of", s)
+	a, b, _ := strings.Cut(s, "/")
+	shard, errA := strconv.Atoi(a)
+	shards, errB := strconv.Atoi(b)
+	if errA != nil || errB != nil || ShardArg(shard, shards) != s || shard < 0 || shard >= shards {
+		return 0, 0, fmt.Errorf("dist: bad shard argument %q (want i/of with 0 <= i < of)", s)
 	}
 	return shard, shards, nil
 }

@@ -194,24 +194,28 @@ func Run(opts Options, sink func(trial int, data []byte) error, stop func() bool
 
 	res := Result{}
 	start := 0
+	var ckpt *checkpointFile
 	if opts.CheckpointPath != "" {
-		cp, ok, err := loadCheckpoint(opts.CheckpointPath, hash, opts.Seed, opts.MaxTrials, opts.Policy)
+		f, ok, err := loadCheckpoint(opts.CheckpointPath, hash, opts.Seed, opts.MaxTrials, opts.Policy)
 		if err != nil {
 			return Result{}, err
 		}
+		ckpt = f
 		if ok {
-			if err := state.Restore(cp.State); err != nil {
-				return Result{}, fmt.Errorf("dist: restore state from checkpoint: %w", err)
+			for i, st := range f.states {
+				if err := state.Restore(st); err != nil {
+					return Result{}, fmt.Errorf("dist: restore state from checkpoint record %d: %w", i+1, err)
+				}
 			}
-			start = cp.NextTrial
-			res.ResumedFrom = cp.NextTrial
-			res.Waves = cp.Waves
-			if cp.Done {
+			start = f.NextTrial
+			res.ResumedFrom = f.NextTrial
+			res.Waves = f.Waves
+			if f.Done {
 				// The run already finished; the restored state is the final
 				// aggregate, so report its recorded outcome without
 				// launching anything.
-				res.Trials = cp.NextTrial
-				res.Stopped = cp.Stopped
+				res.Trials = f.NextTrial
+				res.Stopped = f.Stopped
 				return res, nil
 			}
 		}
@@ -306,7 +310,7 @@ func Run(opts Options, sink func(trial int, data []byte) error, stop func() bool
 		res.Waves++
 		res.Trials = co.done
 		res.Stopped = stopped
-		if opts.CheckpointPath != "" {
+		if ckpt != nil {
 			cp := Checkpoint{
 				Hash:      hash,
 				Seed:      opts.Seed,
@@ -317,7 +321,7 @@ func Run(opts Options, sink func(trial int, data []byte) error, stop func() bool
 				Done:      stopped || co.done >= opts.MaxTrials,
 				Stopped:   stopped,
 			}
-			if err := saveCheckpoint(opts.CheckpointPath, cp, state); err != nil {
+			if err := ckpt.append(cp, state); err != nil {
 				return res, err
 			}
 		}

@@ -115,7 +115,7 @@ func a2Engine() Experiment {
 			}
 			agg := make([]float64, trials)
 			spec := NewShardSpec(cfg, core.Variant{}, p.Kernel, core.NoBudget, 0, false)
-			if _, err := p.cell(spec, trials, p.Seed+83, func(i int, r ShardResult) {
+			if _, err := p.Cell(spec, trials, p.Seed+83, func(i int, r ShardResult) {
 				agg[i] = math.NaN()
 				if r.Consensus() {
 					agg[i] = r.Interactions().Float64()

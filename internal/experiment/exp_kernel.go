@@ -90,7 +90,7 @@ func k1KernelAgreement() Experiment {
 			gather := func(cfg *conf.Config, kern core.Kernel, seedOff uint64) (gathered, error) {
 				g := gathered{phases: make([][]float64, 5)}
 				spec := NewShardSpec(cfg, core.Variant{}, kern, core.NoBudget, 0, true)
-				_, err := p.cell(spec, trials, p.Seed+seedOff, func(_ int, r ShardResult) {
+				_, err := p.Cell(spec, trials, p.Seed+seedOff, func(_ int, r ShardResult) {
 					if !r.Consensus() {
 						return
 					}

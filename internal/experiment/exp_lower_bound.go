@@ -64,7 +64,7 @@ func k4LowerBound() Experiment {
 					}
 					st := &ConsensusCellState{Metric: NewAdaptiveMetric("consensus T", p.consensusRule(maxTrials))}
 					metric := st.Metric
-					res, err := p.cell(
+					res, err := p.Cell(
 						NewShardSpec(cfg, core.Variant{}, core.KernelBatched(0), core.NoBudget, 0, false),
 						maxTrials, p.Seed+uint64(n)*31+uint64(k)*1_000_003, st.fold, StopWhenAll(metric), ConsensusPolicy(rel))
 					if err != nil {

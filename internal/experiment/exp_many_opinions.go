@@ -95,7 +95,7 @@ func k3ManyOpinions() Experiment {
 					// Stream the cell: only the online aggregates are held,
 					// never the per-trial results.
 					st := &ConsensusCellState{Metric: NewAdaptiveMetric("consensus T", rule)}
-					res, err := p.cell(
+					res, err := p.Cell(
 						NewShardSpec(cfg, core.Variant{}, core.KernelBatched(0), core.NoBudget, 0, false),
 						trials, p.Seed+uint64(n)*13+uint64(g.eps*1000), st.fold, StopWhenAll(st.Metric), policy)
 					if err != nil {

@@ -39,7 +39,7 @@ func t1Phases() Experiment {
 					norm := make([][]float64, 5)
 					var totals []float64
 					spec := NewShardSpec(cfg, core.Variant{}, p.Kernel, core.NoBudget, 0, true)
-					_, err = p.cell(spec, trials, p.Seed+uint64(n)+uint64(k), func(_ int, r ShardResult) {
+					_, err = p.Cell(spec, trials, p.Seed+uint64(n)+uint64(k), func(_ int, r ShardResult) {
 						if !r.Consensus() {
 							return
 						}

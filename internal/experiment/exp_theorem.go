@@ -34,7 +34,7 @@ func timeStats(p Params, seed uint64, cfg *conf.Config, trials int) (stats.Summa
 func consensusSamples(p Params, kern core.Kernel, seed uint64, cfg *conf.Config, trials int) ([]float64, int, error) {
 	var times []float64
 	wins := 0
-	_, err := p.cell(NewShardSpec(cfg, core.Variant{}, kern, core.NoBudget, 0, false), trials, seed, func(_ int, r ShardResult) {
+	_, err := p.Cell(NewShardSpec(cfg, core.Variant{}, kern, core.NoBudget, 0, false), trials, seed, func(_ int, r ShardResult) {
 		if !r.Consensus() {
 			return
 		}
@@ -168,7 +168,7 @@ func t4NoBias() Experiment {
 				agree := 0
 				completed := 0
 				spec := NewShardSpec(cfg, core.Variant{}, p.Kernel, core.NoBudget, 0, true)
-				if _, err := p.cell(spec, trials, p.Seed+uint64(n)*41, func(_ int, r ShardResult) {
+				if _, err := p.Cell(spec, trials, p.Seed+uint64(n)*41, func(_ int, r ShardResult) {
 					if r.Winner < 0 {
 						return
 					}

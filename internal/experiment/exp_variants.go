@@ -106,7 +106,7 @@ func k5Stubborn(p Params, w io.Writer, focus core.Variant, verdict func(bool) st
 		spec := NewShardSpec(cfg, core.Variant{Name: "stubborn", Stubborn: bs}, p.Kernel, budget, 0, true)
 		decided, wins := 0, 0
 		var par float64
-		if _, err := p.cell(spec, trials, p.Seed+uint64(ri)*1000, func(_ int, r ShardResult) {
+		if _, err := p.Cell(spec, trials, p.Seed+uint64(ri)*1000, func(_ int, r ShardResult) {
 			if !r.Decided() {
 				return
 			}
@@ -170,7 +170,7 @@ func k5Unconstrained(p Params, w io.Writer, verdict func(bool) string) error {
 		oks := 0
 		var sum float64
 		spec := NewShardSpec(cfg, core.Variant{Name: "unconstrained"}, core.KernelExact, core.NoBudget, 0, false)
-		if _, err := p.cell(spec, trials, p.Seed+uint64(ki)*7777, func(_ int, r ShardResult) {
+		if _, err := p.Cell(spec, trials, p.Seed+uint64(ki)*7777, func(_ int, r ShardResult) {
 			if !r.Consensus() {
 				return
 			}

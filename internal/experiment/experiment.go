@@ -54,7 +54,7 @@ type Params struct {
 	// default. A positive Trials overrides both (fixed and adaptive runs
 	// then use the same count ceiling, which keeps -quick smoke runs cheap).
 	MaxTrials int
-	// Engine is the engine every USD cell (Params.cell) runs on: the shard
+	// Engine is the engine every USD cell (Params.Cell) runs on: the shard
 	// count (0 keeps cells in-process; 1 runs the distributed engine with
 	// a single worker, still useful for checkpointing), the worker
 	// launcher, the fault-tolerance settings and the interrupt channel.
@@ -132,15 +132,16 @@ func ConsensusPolicy(rel float64) string {
 	return fmt.Sprintf("consensus-rule rel=%g level=%g min=%d", rel, DefaultCILevel, MinAdaptiveTrials)
 }
 
-// cell runs one cell of spec on p.Engine (see RunCell): in process at
+// Cell runs one cell of spec on p.Engine (see RunCell): in process at
 // p.Parallelism when p.Engine.Shards is 0, across p.Engine.Shards workers
 // otherwise, checkpointed under p.CheckpointDir (see CellCheckpoint) when
 // that is set. Trials fold into fold in trial order until stop (nil =
 // never) fires or maxTrials trials have folded; trial i draws from
 // rng.Derive(seed, i), and policy names stop in the checkpoint (see
 // ShardRunOptions.Policy). It returns ErrInterrupted when
-// p.Engine.Interrupt stopped the cell.
-func (p Params) cell(spec ShardSpec, maxTrials int, seed uint64, fold func(i int, r ShardResult), stop func() bool, policy string) (dist.Result, error) {
+// p.Engine.Interrupt stopped the cell. Every experiment cell and every
+// cmd/sweep point runs through it.
+func (p Params) Cell(spec ShardSpec, maxTrials int, seed uint64, fold func(i int, r ShardResult), stop func() bool, policy string) (dist.Result, error) {
 	opts := p.Engine
 	opts.MaxTrials, opts.Seed, opts.Policy = maxTrials, seed, policy
 	if p.CheckpointDir != "" {

@@ -491,10 +491,11 @@ type ShardRunOptions struct {
 // ShardResults — so a cell folds the same sequence at every shard count.
 //
 // A sharded cell with opts.Checkpoint checkpoints its results, not its
-// fold: after every wave it saves the log of the results folded so far
-// (see resultLog), and a resumed cell replays that log through fold before
-// folding the rest, so any fold resumes bit-identical to an uninterrupted
-// run. A checkpoint with Shards 0 is an error.
+// fold: after every wave it appends the wave's result payloads to the
+// checkpoint (see resultLog), and a resumed cell replays every record's
+// results through fold before folding the rest, so any fold resumes
+// bit-identical to an uninterrupted run. A checkpoint with Shards 0 is an
+// error.
 func RunCell(spec ShardSpec, parallelism int, opts ShardRunOptions, fold func(i int, r ShardResult), stop func() bool) (dist.Result, error) {
 	specBytes, err := spec.Encode()
 	if err != nil {
@@ -516,15 +517,11 @@ func RunCell(spec ShardSpec, parallelism int, opts ShardRunOptions, fold func(i 
 			w.trial, fold, stop)
 		return dist.Result{Trials: res.Trials, Stopped: res.Stopped}, w.err
 	}
-	sink := func(i int, r ShardResult) error {
-		fold(i, r)
-		return nil
-	}
 	var log *resultLog
 	var state dist.State
 	if opts.Checkpoint != "" {
 		log = &resultLog{path: opts.Checkpoint, fold: fold}
-		sink, state = log.add, log
+		state = log
 	}
 	res, err := dist.Run(dist.Options{
 		Shards:         opts.Shards,
@@ -545,128 +542,90 @@ func RunCell(spec ShardSpec, parallelism int, opts ShardRunOptions, fold func(i 
 		if err := json.Unmarshal(data, &r); err != nil {
 			return err
 		}
-		return sink(i, r)
+		if log != nil {
+			return log.add(i, data, r)
+		}
+		fold(i, r)
+		return nil
 	}, stop, state)
 	if err == nil && log != nil && res.Trials != log.n {
-		// A finished checkpoint returns without folding: its log must
-		// hold exactly the trials it records.
+		// A finished checkpoint returns without folding: its records
+		// must hold exactly the trials it counts.
 		return res, log.mismatch(res.Trials)
 	}
 	return res, err
 }
 
-// resultLog is a sharded cell's checkpoint state (a dist.State): the JSON
-// array of the ShardResults folded so far, in trial order, each in its
-// positional log form (appendLogEntry). Restore replays a saved log
-// through the cell's fold, which rebuilds every aggregate the fold keeps —
-// stopping latches included — with no codec of its own. The log grows by
-// one result per trial, so each checkpoint write costs O(folded trials)
-// bytes.
+// resultLog is a sharded cell's checkpoint state (a dist.State): the
+// payloads of the wave being folded, exactly as the workers sent them.
+// Snapshot hands them to the wave's checkpoint record as a JSON array and
+// starts the next wave empty, so a record costs O(wave) bytes. Restore
+// decodes a record's array as the live sink decodes each payload and
+// replays it through the cell's fold, which rebuilds every aggregate the
+// fold keeps — stopping latches included — with no codec of its own.
 type resultLog struct {
 	path string
 	fold func(i int, r ShardResult)
-	// buf is the log's open array "[r0,r1,…" (empty before the first
-	// result); Snapshot closes it.
-	buf []byte
-	n   int
+	// wave is the open array "[p0,p1,…" of the wave's payloads (empty
+	// before its first result); Snapshot closes and empties it.
+	wave []byte
+	// n counts the results folded, restored ones included.
+	n int
 }
 
-// add appends trial i's result to the log and folds it. Trials arrive in
-// order from 0, so i must equal the number already logged; a resumed log
-// that disagrees with its checkpoint's resume point fails here, before
-// anything is folded out of place.
-func (l *resultLog) add(i int, r ShardResult) error {
+// add logs trial i's payload data, decoded as r, and folds it. Trials
+// arrive in order from 0, so i must equal the number already folded; a
+// checkpoint whose records disagree with its resume point fails here,
+// before anything is folded out of place.
+func (l *resultLog) add(i int, data []byte, r ShardResult) error {
 	if i != l.n {
 		return l.mismatch(i)
 	}
-	if l.n == 0 {
-		l.buf = append(l.buf, '[')
+	if len(l.wave) == 0 {
+		l.wave = append(l.wave, '[')
 	} else {
-		l.buf = append(l.buf, ',')
+		l.wave = append(l.wave, ',')
 	}
-	l.buf = r.appendLogEntry(l.buf)
+	l.wave = append(l.wave, data...) // copied: data aliases the read buffer
 	l.n++
 	l.fold(i, r)
 	return nil
 }
 
-// mismatch reports a log whose length disagrees with its checkpoint's
-// trial count.
+// mismatch reports checkpoint records whose result count disagrees with
+// the trial count they record.
 func (l *resultLog) mismatch(trials int) error {
 	return fmt.Errorf("experiment: checkpoint %s logs %d results but records %d folded trials; delete it to start over",
 		l.path, l.n, trials)
 }
 
-// Snapshot implements dist.State. The returned slice aliases the log's
-// buffer; dist.Run marshals it before the next add overwrites the
-// closing bracket.
+// Snapshot implements dist.State: the wave's payloads as a JSON array.
+// The returned slice aliases the wave buffer; dist.Run marshals it before
+// the next add overwrites it.
 func (l *resultLog) Snapshot() ([]byte, error) {
-	if l.n == 0 {
+	if len(l.wave) == 0 {
 		return []byte("[]"), nil
 	}
-	return append(l.buf, ']'), nil
+	snap := append(l.wave, ']')
+	l.wave = l.wave[:0]
+	return snap, nil
 }
 
-// Restore implements dist.State: it decodes a saved log and replays it
-// through add. Anything but a JSON array of results — such as the fold
-// snapshot (a JSON object) that builds which checkpointed folds wrote — is
-// rejected before anything is folded.
+// Restore implements dist.State: it decodes one record's payload array and
+// replays it through the fold. Anything but a JSON array of wire results —
+// such as the fold snapshot (a JSON object) of builds that checkpointed
+// folds, or the positional result log of builds that rewrote it every
+// wave — is rejected before anything of the record is folded.
 func (l *resultLog) Restore(data []byte) error {
-	var entries []json.RawMessage
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return fmt.Errorf("experiment: checkpoint %s holds no result log (a fold snapshot from an older build?): %v; delete it to start over", l.path, err)
+	var rs []ShardResult
+	if err := json.Unmarshal(data, &rs); err != nil {
+		return fmt.Errorf("experiment: checkpoint %s holds no result log (a fold snapshot or positional log from an older build?): %v; delete it to start over", l.path, err)
 	}
-	for i, e := range entries {
-		r, err := parseLogEntry(e)
-		if err != nil {
-			return fmt.Errorf("experiment: checkpoint %s: result %d: %v; delete it to start over", l.path, i, err)
-		}
-		if err := l.add(i, r); err != nil {
-			return err
-		}
+	for _, r := range rs {
+		l.fold(l.n, r)
+		l.n++
 	}
 	return nil
-}
-
-// appendLogEntry appends r's log form to dst: the JSON array
-// [interactions_hi, interactions_lo, winner, initial_leader, outcome],
-// extended by [leader_at_t2, phase_ends_hi, phase_ends_lo, phase_ended]
-// when the wire form carries any of those. It holds what the wire form
-// holds without the field names, a quarter of its size for an untracked
-// trial, which keeps the per-wave checkpoint rewrite small.
-func (r ShardResult) appendLogEntry(dst []byte) []byte {
-	dst = strconv.AppendUint(append(dst, '['), r.InteractionsHi, 10)
-	dst = strconv.AppendUint(append(dst, ','), r.InteractionsLo, 10)
-	dst = strconv.AppendInt(append(dst, ','), int64(r.Winner), 10)
-	dst = strconv.AppendInt(append(dst, ','), int64(r.InitialLeader), 10)
-	dst = appendJSONString(append(dst, ','), r.Outcome)
-	if r.LeaderAtT2 != 0 || len(r.PhaseEndsHi)+len(r.PhaseEndsLo)+len(r.PhaseEnded) > 0 {
-		dst = strconv.AppendInt(append(dst, ','), int64(r.LeaderAtT2), 10)
-		dst = appendUints(append(dst, ','), r.PhaseEndsHi)
-		dst = appendUints(append(dst, ','), r.PhaseEndsLo)
-		dst = appendBools(append(dst, ','), r.PhaseEnded)
-	}
-	return append(dst, ']')
-}
-
-// parseLogEntry decodes appendLogEntry's form.
-func parseLogEntry(data []byte) (ShardResult, error) {
-	var r ShardResult
-	var fields []json.RawMessage
-	if err := json.Unmarshal(data, &fields); err != nil {
-		return r, err
-	}
-	to := []any{&r.InteractionsHi, &r.InteractionsLo, &r.Winner, &r.InitialLeader, &r.Outcome,
-		&r.LeaderAtT2, &r.PhaseEndsHi, &r.PhaseEndsLo, &r.PhaseEnded}
-	if len(fields) != 5 && len(fields) != len(to) {
-		return r, fmt.Errorf("%d fields, want 5 or %d", len(fields), len(to))
-	}
-	for i, f := range fields {
-		if err := json.Unmarshal(f, to[i]); err != nil {
-			return r, err
-		}
-	}
-	return r, nil
 }
 
 // CellCheckpoint returns the checkpoint file, under dir, of a cell of spec

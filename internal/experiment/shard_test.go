@@ -684,8 +684,11 @@ func TestT1ShardedKilledResumedTablesByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The newest record, on the file's last line, holds the
+		// resume point.
+		lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
 		var cp dist.Checkpoint
-		if err := json.Unmarshal(data, &cp); err != nil {
+		if err := json.Unmarshal(lines[len(lines)-1], &cp); err != nil {
 			t.Fatal(err)
 		}
 		partial = partial || (!cp.Done && cp.NextTrial > 0)
@@ -705,9 +708,10 @@ func TestT1ShardedKilledResumedTablesByteIdentical(t *testing.T) {
 
 // TestResumeRejectsFoldSnapshotCheckpoint pins that a checkpoint whose
 // state is not a result log fails loudly, naming the file and saying to
-// delete it, before anything is folded: both a fold snapshot (the JSON
-// object builds that checkpointed folds wrote) and a log shorter than the
-// trial count its checkpoint records.
+// delete it, before anything is folded: a fold snapshot (the JSON object
+// builds that checkpointed folds wrote), a positional result log (the
+// field-less arrays builds that rewrote the whole log every wave wrote)
+// and a log shorter than the trial count its checkpoint records.
 func TestResumeRejectsFoldSnapshotCheckpoint(t *testing.T) {
 	cfg, err := conf.Uniform(2000, 4, 0)
 	if err != nil {
@@ -765,14 +769,24 @@ func TestResumeRejectsFoldSnapshotCheckpoint(t *testing.T) {
 	}
 	resume("holds no result log")
 
+	rewrite := func(state string) {
+		t.Helper()
+		cp["state"] = json.RawMessage(state)
+		if data, err = json.Marshal(cp); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ckpt, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A one-record file whose state is a positional result log:
+	// [interactions_hi, interactions_lo, winner, initial_leader, outcome]
+	// per trial.
+	rewrite(`[[0,15211,1,1,"consensus"],[0,14870,3,3,"consensus"],[0,16023,0,2,"consensus"],[0,15544,2,2,"consensus"]]`)
+	resume("holds no result log")
+
 	// A log that holds fewer results than the checkpoint's resume point.
-	cp["state"] = json.RawMessage("[]")
-	if data, err = json.Marshal(cp); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewrite("[]")
 	resume("logs 0 results but records 4 folded trials")
 }
 
