@@ -716,7 +716,7 @@ func (f *fleet) arm(launcher dist.Launcher, shards int) (time.Duration, dist.Res
 		Log:             io.Discard,
 	}, func(i int, data []byte) error {
 		var r experiment.ShardResult
-		if err := json.Unmarshal(data, &r); err != nil {
+		if err := r.UnmarshalJSON(data); err != nil {
 			return err
 		}
 		shardFingerprint(h, i, r.Interactions(), r.Winner)

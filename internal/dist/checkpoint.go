@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -127,17 +129,16 @@ func writeSync(fh *os.File, data []byte) error {
 	return err
 }
 
-// checkpointFile is a checkpoint file as loadCheckpoint read it, and the
-// writer of its next records.
+// checkpointFile is a checkpoint file as loadCheckpoint validated it, and
+// the writer of its next records.
 type checkpointFile struct {
 	// Checkpoint is the file's newest record.
 	Checkpoint
-	// states holds every record's State, oldest first.
-	states []json.RawMessage
-	path   string
-	// exists reports that the file holds a record, so the next one is
-	// appended rather than written atomically.
-	exists bool
+	path string
+	// records counts the records loaded, which restore replays; 0 means
+	// the file holds none, so the next record is written atomically
+	// rather than appended.
+	records int
 	// cut, when positive, is where the newest loaded record's JSON ends.
 	// The first append truncates the file there and starts a new line,
 	// which drops a torn append and supplies a missing newline alike.
@@ -158,7 +159,7 @@ func (f *checkpointFile) append(cp Checkpoint, state State) error {
 		return fmt.Errorf("dist: marshal checkpoint: %w", err)
 	}
 	rec = append(rec, '\n')
-	if f.exists {
+	if f.records > 0 {
 		err = f.appendRecord(rec)
 	} else {
 		err = WriteFileAtomic(f.path, rec, 0o644)
@@ -166,7 +167,7 @@ func (f *checkpointFile) append(cp Checkpoint, state State) error {
 	if err != nil {
 		return fmt.Errorf("dist: write checkpoint %s: %w", f.path, err)
 	}
-	f.exists, f.cut = true, 0
+	f.records, f.cut = f.records+1, 0
 	return nil
 }
 
@@ -227,35 +228,48 @@ func parseCheckpoint(data []byte) (Checkpoint, error) {
 	return cp, nil
 }
 
-// loadCheckpoint reads a checkpoint file if one exists and verifies that
-// every record belongs to this run — same spec hash, same seed, same trial
-// cap, same stopping policy — and follows its predecessor: NextTrial never
+// loadCheckpoint validates a checkpoint file, if one exists, in one
+// streaming pass that keeps only the newest record: every record must
+// belong to this run — same spec hash, same seed, same trial cap, same
+// stopping policy — and follow its predecessor: NextTrial never
 // decreases, Waves strictly increases, and nothing follows a Done record.
 // Blank lines are skipped. An unparseable last line after a good record is
 // a torn append: it is skipped, and cut off by the next append. Any other
-// bad line is an error naming the file. A missing file is not an
-// error: it returns ok = false, meaning a fresh run.
+// bad line is an error naming the file. A missing file is not an error: it
+// returns ok = false, meaning a fresh run. The records' states are left on
+// disk for restore, so a resume holds one record in memory at a time.
 func loadCheckpoint(path, wantHash string, wantSeed uint64, wantMax int, wantPolicy string) (*checkpointFile, bool, error) {
 	f := &checkpointFile{path: path}
-	data, err := os.ReadFile(path)
+	fh, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return f, false, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("dist: read checkpoint %s: %w", path, err)
 	}
-	if len(bytes.TrimSpace(data)) == 0 {
-		return nil, false, fmt.Errorf("dist: checkpoint %s: file is empty (truncated write?) — delete it to start over", path)
-	}
-	off, rec := int64(0), 0
-	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
-		off += int64(len(line))
+	defer fh.Close()
+	lr := lineReader{r: bufio.NewReader(fh)}
+	for {
+		line, err := lr.next()
+		if err != nil {
+			return nil, false, fmt.Errorf("dist: read checkpoint %s: %w", path, err)
+		}
+		if line == nil {
+			break
+		}
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if rec++; rec > 1 && !json.Valid(line) && len(bytes.TrimSpace(data[off:])) == 0 {
-			break // a torn append, which the next append cuts off
+		if f.records > 0 && !validJSON(line) {
+			blank, err := lr.blankRest()
+			if err != nil {
+				return nil, false, fmt.Errorf("dist: read checkpoint %s: %w", path, err)
+			}
+			if blank {
+				break // a torn append, which the next append cuts off
+			}
 		}
+		rec := f.records + 1
 		cp, err := parseCheckpoint(line)
 		if err != nil {
 			return nil, false, fmt.Errorf("dist: checkpoint %s: record %d: %v — delete it to start over", path, rec, err)
@@ -280,9 +294,94 @@ func loadCheckpoint(path, wantHash string, wantSeed uint64, wantMax int, wantPol
 		if why != "" {
 			return nil, false, fmt.Errorf("dist: checkpoint %s %s — delete it to start over", path, why)
 		}
-		f.Checkpoint, f.cut = cp, off-int64(len(line)-len(bytes.TrimRight(line, " \t\r\n")))
-		f.states = append(f.states, cp.State)
+		cp.State = nil // restore reads it again
+		f.Checkpoint, f.records = cp, rec
+		f.cut = lr.off - int64(len(line)-len(bytes.TrimRight(line, " \t\r\n")))
 	}
-	f.exists = true
+	if f.records == 0 {
+		return nil, false, fmt.Errorf("dist: checkpoint %s: file is empty (truncated write?) — delete it to start over", path)
+	}
 	return f, true, nil
+}
+
+// restore hands the loaded records' states to state, oldest first, reading
+// the file a second time one record at a time. loadCheckpoint validated
+// every record, so a resume fails on a bad later record before anything
+// is restored.
+func (f *checkpointFile) restore(state State) error {
+	fh, err := os.Open(f.path)
+	if err != nil {
+		return fmt.Errorf("dist: read checkpoint %s: %w", f.path, err)
+	}
+	defer fh.Close()
+	lr := lineReader{r: bufio.NewReader(fh)}
+	for rec := 1; rec <= f.records; {
+		line, err := lr.next()
+		if err == nil && line == nil {
+			err = io.ErrUnexpectedEOF // the file shrank since the load
+		}
+		if err != nil {
+			return fmt.Errorf("dist: read checkpoint %s: %w", f.path, err)
+		}
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		cp, err := parseCheckpoint(line)
+		if err == nil {
+			err = state.Restore(cp.State)
+		}
+		if err != nil {
+			return fmt.Errorf("dist: restore state from checkpoint record %d: %w", rec, err)
+		}
+		rec++
+	}
+	return nil
+}
+
+// lineReader yields a file's lines one at a time, each with its newline
+// (the last may lack one), through one reused buffer.
+type lineReader struct {
+	r   *bufio.Reader
+	buf []byte
+	// off is the file offset just past the last line returned.
+	off int64
+}
+
+// next returns the next line, valid until the following call, or nil at
+// the end of the file.
+func (lr *lineReader) next() ([]byte, error) {
+	line, err := lr.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		lr.buf = append(lr.buf[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = lr.r.ReadSlice('\n')
+			lr.buf = append(lr.buf, line...)
+		}
+		line = lr.buf
+	}
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	if len(line) == 0 {
+		return nil, nil
+	}
+	lr.off += int64(len(line))
+	return line, nil
+}
+
+// blankRest reports whether nothing but whitespace follows the last line
+// returned, reading up to the first byte that is not.
+func (lr *lineReader) blankRest() (bool, error) {
+	for {
+		b, err := lr.r.ReadByte()
+		if err == io.EOF {
+			return true, nil
+		}
+		if err != nil {
+			return false, err
+		}
+		if !isSpace(b) {
+			return false, lr.r.UnreadByte()
+		}
+	}
 }

@@ -27,6 +27,9 @@ var WriteFrame = writeFrame
 // pump.
 var NewMsgReader = newMsgReader
 
+// DecodeLine is decodeLine, the coordinator's parse of one protocol line.
+var DecodeLine = decodeLine
+
 // Next is next.
 func (d *msgReader) Next() (Msg, error) { return d.next() }
 

@@ -3,9 +3,11 @@ package dist_test
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/experiment"
 )
@@ -13,7 +15,7 @@ import (
 // frameResult is a typical untracked trial result: a fleet trial stopped
 // by its interaction budget.
 var frameResult = experiment.ShardResult{
-	InteractionsLo: 1, Winner: -1, InitialLeader: 17, Outcome: "budget",
+	InteractionsLo: 1, Winner: -1, InitialLeader: 17, Outcome: core.OutcomeBudget.String(),
 }
 
 // frameWave is a typical wave command of a 2-member fleet at the default
@@ -133,6 +135,28 @@ func BenchmarkResultFrameDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		n += len(ms)
+	}
+}
+
+// BenchmarkResultPath times the coordinator's per-trial result path
+// without the stream: parse one result line and decode its payload into a
+// ShardResult, as a sharded cell's sink does. The canonical payload
+// decodes with 0 allocs/op.
+func BenchmarkResultPath(b *testing.B) {
+	line := resultLine(b)
+	var r experiment.ShardResult
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := dist.DecodeLine(line)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.UnmarshalJSON(m.Data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(r, frameResult) {
+		b.Fatalf("decoded %+v, want %+v", r, frameResult)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -226,6 +227,70 @@ func TestLoadCheckpointRejectsBadLaterRecord(t *testing.T) {
 	}
 }
 
+// recordingState is a State whose snapshots are large JSON strings, one
+// per wave, and which records every state it restores.
+type recordingState struct {
+	waves    int
+	restored []string
+}
+
+func (s *recordingState) Snapshot() ([]byte, error) {
+	s.waves++
+	return json.Marshal(fmt.Sprintf("wave %d %s", s.waves, strings.Repeat("x", 9000)))
+}
+
+func (s *recordingState) Restore(data []byte) error {
+	var v string
+	if err := json.Unmarshal(data, &v); err != nil {
+		return err
+	}
+	s.restored = append(s.restored, v)
+	return nil
+}
+
+// TestCheckpointRestoresRecordsInOrder pins the two-pass resume on records
+// longer than the read buffer, with blank lines between them and a torn
+// append after them: the load keeps only the newest record's header, and
+// restore hands every whole record's state over oldest first.
+func TestCheckpointRestoresRecordsInOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	f := &checkpointFile{path: path}
+	written := &recordingState{}
+	for w := 1; w <= 4; w++ {
+		if err := f.append(Checkpoint{Hash: "h", Seed: 3, NextTrial: 5 * w, MaxTrials: 40, Waves: w}, written); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.ReplaceAll(data, []byte("\n"), []byte("\n \n"))
+	data = append(data, `{"v":3,"hash":"h","se`...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := loadCheckpoint(path, "h", 3, 40, "")
+	if err != nil || !ok {
+		t.Fatalf("load: ok=%v err=%v", ok, err)
+	}
+	if got.records != 4 || got.NextTrial != 20 || got.Waves != 4 || got.State != nil {
+		t.Fatalf("loaded %d records, newest %+v; want 4, resuming at 20 after 4 waves, state left on disk", got.records, got.Checkpoint)
+	}
+	restored := &recordingState{}
+	if err := got.restore(restored); err != nil {
+		t.Fatal(err)
+	}
+	if len(restored.restored) != 4 {
+		t.Fatalf("restored %d states, want 4", len(restored.restored))
+	}
+	for i, v := range restored.restored {
+		if want := fmt.Sprintf("wave %d ", i+1); !strings.HasPrefix(v, want) {
+			t.Fatalf("state %d restored as %.12q…, want %q…", i+1, v, want)
+		}
+	}
+}
+
 // FuzzFrame drives the JSONL wire decoder with arbitrary bytes — the exact
 // surface a remote transport exposes to line noise, truncation, and
 // garbage. It must never panic, every accepted frame must carry the current
@@ -415,6 +480,35 @@ func FuzzCheckpoint(f *testing.F) {
 		}
 		if got.NextTrial != cp.NextTrial || got.Done != cp.Done {
 			t.Fatalf("loadCheckpoint round trip diverged: %+v vs %+v", got, cp)
+		}
+	})
+}
+
+// FuzzValidJSON pins validJSON to json.Valid on arbitrary bytes: the
+// payload check on both ends of the wire and the checkpoint loader's torn
+// record test must accept exactly what encoding/json accepts.
+func FuzzValidJSON(f *testing.F) {
+	// 64 and 65 straddle a word of validJSON's container stack, 10000 and
+	// 10001 the nesting limit.
+	for _, depth := range []int{64, 65, maxNestingDepth, maxNestingDepth + 1} {
+		objects := strings.Repeat(`{"a":`, depth)
+		f.Add([]byte(strings.Repeat("[", depth) + strings.Repeat("]", depth)))
+		f.Add([]byte(objects)) // unclosed
+		f.Add([]byte(objects + "1" + strings.Repeat("}", depth)))
+		f.Add([]byte(strings.Repeat(`[{"k":`, depth/2) + "0" + strings.Repeat("}]", depth/2)))
+	}
+	for _, s := range []string{
+		``, ` `, `null`, `true`, `false`, `nul`, `truex`, ` {} `, "\t[ ]\r\n", `[1,]`, `{"a":1,}`, `{"a"}`, `{1:2}`,
+		`"\"\\\/\b\f\n\r\té\uD83D"`, `"\x"`, `"\u12G4"`, `"\u123"`, "\"a\x1fb\"", "\"\xff\xfe\"", `"abc`,
+		`0`, `-0`, `01`, `-`, `1.`, `.5`, `1.5e+10`, `1E-3`, `1e`, `-1.0e5`, `123456789012345678901234567890`,
+		`{"interactions_hi":0,"interactions_lo":1,"winner":-1,"initial_leader":17,"outcome":"budget-exhausted"}`,
+		`[1 2]`, `{"a":1 "b":2}`, `1 2`, `[[[]]]`, `[[[]]`, `]`, `}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := validJSON(data), json.Valid(data); got != want {
+			t.Fatalf("validJSON(%.200q) = %v, json.Valid = %v", data, got, want)
 		}
 	})
 }

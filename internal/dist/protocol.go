@@ -20,7 +20,9 @@
 // trial and per wave are encoded and parsed by hand rather than by
 // reflection, into the same bytes encoding/json writes: result frames
 // carrying only a trial number and payload, and wave and wavedone frames
-// carrying only lo, hi and indices. Every other message (job, hello, halt,
+// carrying only lo, hi and indices. A result payload is checked on both
+// ends by validJSON, a one-pass scanner accepting exactly what json.Valid
+// accepts. Every other message (job, hello, halt,
 // error) and any other spelling goes through encoding/json. A worker writes
 // a wave share's frames in one write, and the coordinator hands every line
 // already buffered to its event loop in one channel send. The wave barrier is
@@ -41,9 +43,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/jsonint"
 )
 
 // ProtocolVersion is the version tag every protocol line carries. Workers
@@ -221,7 +224,7 @@ func verbatimJSON(data []byte) bool {
 			return false
 		}
 	}
-	return json.Valid(data)
+	return validJSON(data)
 }
 
 // rewritten marks the bytes that can make json.Marshal rewrite a raw
@@ -338,7 +341,7 @@ func decodeLine(line []byte) (Msg, error) {
 // parseResultFrame decodes, in one pass, a line in the canonical form
 // appendMsg writes for a result: {"v":V,"type":"result","trial":N,"data":P}
 // and a newline, with V = ProtocolVersion, N an int in json.Marshal's
-// spelling (see cutInt), and P a valid JSON value with no whitespace
+// spelling (see jsonint), and P a valid JSON value with no whitespace
 // around it. Data aliases line. Any other line reports false and goes to
 // encoding/json, which decodes a canonical line to the same Msg, so the
 // fast path changes neither the accepted language nor the decoded
@@ -348,7 +351,7 @@ func parseResultFrame(line []byte) (Msg, bool) {
 	if !ok {
 		return Msg{}, false
 	}
-	trial, rest, ok := cutInt(rest)
+	trial, rest, ok := jsonint.CutInt(rest)
 	if !ok {
 		return Msg{}, false
 	}
@@ -356,7 +359,7 @@ func parseResultFrame(line []byte) (Msg, bool) {
 		return Msg{}, false
 	}
 	data, ok := bytes.CutSuffix(rest, []byte(resultTail))
-	if !ok || len(data) == 0 || isSpace(data[0]) || isSpace(data[len(data)-1]) || !json.Valid(data) {
+	if !ok || len(data) == 0 || isSpace(data[0]) || isSpace(data[len(data)-1]) || !validJSON(data) {
 		return Msg{}, false
 	}
 	return Msg{V: ProtocolVersion, Type: TypeResult, Trial: trial, Data: data}, true
@@ -384,12 +387,12 @@ func parseRangeFrame(line []byte) (Msg, bool) {
 		return Msg{}, false
 	}
 	if rest, ok = cutString(rest, `,"lo":`); ok {
-		if m.Lo, rest, ok = cutInt(rest); !ok || m.Lo == 0 {
+		if m.Lo, rest, ok = jsonint.CutInt(rest); !ok || m.Lo == 0 {
 			return Msg{}, false
 		}
 	}
 	if rest, ok = cutString(rest, `,"hi":`); ok {
-		if m.Hi, rest, ok = cutInt(rest); !ok || m.Hi == 0 {
+		if m.Hi, rest, ok = jsonint.CutInt(rest); !ok || m.Hi == 0 {
 			return Msg{}, false
 		}
 	}
@@ -398,7 +401,7 @@ func parseRangeFrame(line []byte) (Msg, bool) {
 		m.Indices = make([]int, 0, bytes.Count(list, []byte{','})+1)
 		for sep := byte(','); sep == ','; {
 			var x int
-			if x, rest, ok = cutInt(rest); !ok || len(rest) == 0 {
+			if x, rest, ok = jsonint.CutInt(rest); !ok || len(rest) == 0 {
 				return Msg{}, false
 			}
 			m.Indices = append(m.Indices, x)
@@ -412,35 +415,6 @@ func parseRangeFrame(line []byte) (Msg, bool) {
 		return Msg{}, false
 	}
 	return m, true
-}
-
-// cutInt parses, off the front of b, an int in the spelling json.Marshal
-// writes: an optional minus sign and decimal digits without a leading zero,
-// never -0. It reports false when there is none or it overflows an int.
-func cutInt(b []byte) (int, []byte, bool) {
-	neg := len(b) > 0 && b[0] == '-'
-	limit := uint64(math.MaxInt)
-	if neg {
-		b, limit = b[1:], limit+1
-	}
-	var u uint64
-	i := 0
-	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		d := uint64(b[i] - '0')
-		if u > (limit-d)/10 {
-			return 0, nil, false
-		}
-		u = u*10 + d
-	}
-	if i == 0 || b[0] == '0' && (i > 1 || neg) {
-		return 0, nil, false
-	}
-	// Negating in int wraps the magnitude 2^63 to math.MinInt.
-	v := int(u)
-	if neg {
-		v = -v
-	}
-	return v, b[i:], true
 }
 
 // cutString is bytes.CutPrefix for a string prefix.

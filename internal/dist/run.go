@@ -202,10 +202,8 @@ func Run(opts Options, sink func(trial int, data []byte) error, stop func() bool
 		}
 		ckpt = f
 		if ok {
-			for i, st := range f.states {
-				if err := state.Restore(st); err != nil {
-					return Result{}, fmt.Errorf("dist: restore state from checkpoint record %d: %w", i+1, err)
-				}
+			if err := f.restore(state); err != nil {
+				return Result{}, err
 			}
 			start = f.NextTrial
 			res.ResumedFrom = f.NextTrial

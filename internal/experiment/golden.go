@@ -42,14 +42,30 @@ type GoldenRun struct {
 	ShardResult
 }
 
+// goldenRecord is a GoldenRun as the corpus spells it. It embeds the
+// result's method-free fields: GoldenRun's promoted ShardResult.UnmarshalJSON
+// would decode the result fields alone and drop the cell.
+type goldenRecord struct {
+	Config  string `json:"config"`
+	Kernel  string `json:"kernel"`
+	Seed    uint64 `json:"seed"`
+	Tracked bool   `json:"tracked"`
+	shardResultFields
+}
+
 // GoldenClassicRuns decodes the embedded pre-refactor corpus.
 func GoldenClassicRuns() ([]GoldenRun, error) {
-	var runs []GoldenRun
-	if err := json.Unmarshal(goldenClassicJSON, &runs); err != nil {
+	var recs []goldenRecord
+	if err := json.Unmarshal(goldenClassicJSON, &recs); err != nil {
 		return nil, fmt.Errorf("experiment: corrupt golden corpus: %w", err)
 	}
-	if len(runs) == 0 {
+	if len(recs) == 0 {
 		return nil, fmt.Errorf("experiment: empty golden corpus")
+	}
+	runs := make([]GoldenRun, len(recs))
+	for i, g := range recs {
+		runs[i] = GoldenRun{Config: g.Config, Kernel: g.Kernel, Seed: g.Seed, Tracked: g.Tracked,
+			ShardResult: ShardResult(g.shardResultFields)}
 	}
 	return runs, nil
 }

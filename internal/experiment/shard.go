@@ -15,6 +15,7 @@ import (
 	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/jsonint"
 	"repro/internal/phase"
 	"repro/internal/rng"
 	"repro/internal/u128"
@@ -248,6 +249,97 @@ func (r ShardResult) AppendJSON(dst []byte) []byte {
 		dst = strconv.AppendInt(dst, int64(r.LeaderAtT2), 10)
 	}
 	return append(dst, '}')
+}
+
+// shardResultFields is ShardResult without its methods: the type
+// UnmarshalJSON hands to encoding/json's reflective decoder, and the one a
+// struct embeds to decode a ShardResult's fields among its own (a struct
+// embedding ShardResult would have its whole object decoded by the
+// promoted UnmarshalJSON).
+type shardResultFields ShardResult
+
+// canonicalKeys are the keys of the canonical untracked form AppendJSON
+// writes, each with the punctuation that opens it.
+var canonicalKeys = [...]string{`{"interactions_hi":`, `,"interactions_lo":`, `,"winner":`, `,"initial_leader":`, `,"outcome":"`}
+
+// UnmarshalJSON implements json.Unmarshaler. The canonical untracked form
+// AppendJSON writes,
+// {"interactions_hi":U,"interactions_lo":U,"winner":I,"initial_leader":I,"outcome":"S"}
+// with every number in json.Marshal's spelling and S printable ASCII with
+// no escape, is parsed in one pass, and allocation-free when S is a
+// core.Outcome name; r changes only once the whole input has matched.
+// Anything else goes to encoding/json's reflective decoder, which decodes
+// a canonical payload to the same values, so the fast path changes neither
+// the accepted language nor the decoded results (FuzzShardResultDecode
+// pins both). A sharded cell's sink calls it directly, so a canonical
+// payload never enters encoding/json.
+func (r *ShardResult) UnmarshalJSON(data []byte) error {
+	if r.parseCanonical(data) {
+		return nil
+	}
+	// Decoding into a copy keeps r from escaping on the fast path; the
+	// copy shares r's slices, so the result equals an in-place decode.
+	f := shardResultFields(*r)
+	err := json.Unmarshal(data, &f)
+	*r = ShardResult(f)
+	return err
+}
+
+// parseCanonical sets r from data and reports true when data is in the
+// canonical untracked form (see UnmarshalJSON); otherwise r is untouched.
+func (r *ShardResult) parseCanonical(data []byte) bool {
+	var words [2]uint64
+	var ints [2]int
+	rest, ok := data, false
+	for i, key := range canonicalKeys {
+		if len(rest) < len(key) || string(rest[:len(key)]) != key {
+			return false
+		}
+		rest = rest[len(key):]
+		switch {
+		case i < 2:
+			words[i], rest, ok = jsonint.CutUint64(rest)
+		case i < 4:
+			ints[i-2], rest, ok = jsonint.CutInt(rest)
+		default:
+			ok = true
+		}
+		if !ok {
+			return false
+		}
+	}
+	end := len(rest) - len(`"}`)
+	if end < 0 || string(rest[end:]) != `"}` {
+		return false
+	}
+	outcome := rest[:end]
+	for _, c := range outcome {
+		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	r.InteractionsHi, r.InteractionsLo = words[0], words[1]
+	r.Winner, r.InitialLeader = ints[0], ints[1]
+	r.Outcome = outcomeName(outcome)
+	return true
+}
+
+// outcomeName returns b as a string, without allocating when it names a
+// core.Outcome.
+func outcomeName(b []byte) string {
+	switch string(b) {
+	case "consensus":
+		return "consensus"
+	case "all-undecided":
+		return "all-undecided"
+	case "budget-exhausted":
+		return "budget-exhausted"
+	case "frozen":
+		return "frozen"
+	case "dominance":
+		return "dominance"
+	}
+	return string(b)
 }
 
 // appendUints appends a JSON array of unsigned integers.
@@ -539,7 +631,7 @@ func RunCell(spec ShardSpec, parallelism int, opts ShardRunOptions, fold func(i 
 		Log:            opts.Log,
 	}, func(i int, data []byte) error {
 		var r ShardResult
-		if err := json.Unmarshal(data, &r); err != nil {
+		if err := r.UnmarshalJSON(data); err != nil {
 			return err
 		}
 		if log != nil {

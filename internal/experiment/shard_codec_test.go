@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
+	"unicode/utf8"
 
+	"repro/internal/core"
 	"repro/internal/phase"
 )
 
@@ -103,5 +106,99 @@ func FuzzShardResultAppendJSON(f *testing.F) {
 			}
 		}
 		checkAppendJSON(t, r)
+	})
+}
+
+// prefilled is a tracked result with every field set, fresh each call, so
+// a decode that leaves a field alone shows.
+func prefilled() ShardResult {
+	return ShardResult{
+		InteractionsHi: 7, InteractionsLo: 8, Winner: 3, InitialLeader: 4, Outcome: "frozen",
+		PhaseEndsHi: []uint64{1, 2}, PhaseEndsLo: []uint64{3, 4}, PhaseEnded: []bool{true, false},
+		LeaderAtT2: 5,
+	}
+}
+
+// TestShardResultDecodeAllocFree pins the canonical decode: a payload in
+// AppendJSON's untracked form carrying any core.Outcome decodes to the
+// encoded result without allocating, and leaves the phase fields it does
+// not carry alone.
+func TestShardResultDecodeAllocFree(t *testing.T) {
+	for o := core.OutcomeConsensus; o <= core.OutcomeDominance; o++ {
+		want := ShardResult{InteractionsHi: 1, InteractionsLo: math.MaxUint64, Winner: -1, InitialLeader: 31, Outcome: o.String()}
+		data := want.AppendJSON(nil)
+		r := prefilled()
+		var err error
+		if avg := testing.AllocsPerRun(100, func() { err = r.UnmarshalJSON(data) }); avg != 0 {
+			t.Errorf("decoding %s allocates %v objects, want 0", data, avg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := prefilled()
+		want.PhaseEndsHi, want.PhaseEndsLo, want.PhaseEnded, want.LeaderAtT2 = p.PhaseEndsHi, p.PhaseEndsLo, p.PhaseEnded, p.LeaderAtT2
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("decoded %s to %+v, want %+v", data, r, want)
+		}
+	}
+}
+
+// FuzzShardResultDecode pins the decoder to encoding/json's reflective
+// one: arbitrary bytes decoded into the same pre-filled result through the
+// method, called directly and by encoding/json, and through the method-free
+// type must give DeepEqual values and agree on failing. AppendJSON output
+// for the fuzzed fields must decode back to them.
+func FuzzShardResultDecode(f *testing.F) {
+	f.Add([]byte(`{"interactions_hi":0,"interactions_lo":1,"winner":-1,"initial_leader":17,"outcome":"budget-exhausted"}`),
+		uint64(0), uint64(1), -1, 17, "budget-exhausted", false)
+	f.Add([]byte(`{"interactions_hi":18446744073709551615,"interactions_lo":0,"winner":-9223372036854775808,"initial_leader":0,"outcome":"<&>"}`),
+		uint64(math.MaxUint64), uint64(0), math.MinInt, 0, "<&>", true)
+	f.Add([]byte(`{"interactions_hi":18446744073709551616,"interactions_lo":0,"winner":0,"initial_leader":0,"outcome":"x"}`),
+		uint64(1), uint64(2), 3, 4, "consensus", true)
+	f.Add([]byte(`{"interactions_hi":01,"interactions_lo":-0,"winner":-0,"initial_leader":1.0,"outcome":"a\"b"}`),
+		uint64(0), uint64(0), 0, 0, "a\"b\u2028", false)
+	f.Add([]byte(`{"interactions_lo":5,"interactions_hi":4,"winner":1,"initial_leader":1,"outcome":"consensus","phase_ended":[true]}`),
+		uint64(0), uint64(0), 0, 0, "", false)
+	f.Add([]byte(`{"winner":"x","interactions_lo":5}`), uint64(0), uint64(0), 0, 0, "\xff", false)
+	for _, s := range []string{` {"winner":1} `, `null`, `[]`, `[1,2]`, `"s"`, `7`, `{"OUTCOME":"frozen"}`, `{`, ``} {
+		f.Add([]byte(s), uint64(0), uint64(0), 0, 0, "", false)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, hi, lo uint64, winner, leader int, outcome string, tracked bool) {
+		method, viaJSON, fields := prefilled(), prefilled(), prefilled()
+		errMethod := method.UnmarshalJSON(data)
+		errViaJSON := json.Unmarshal(data, &viaJSON)
+		errFields := json.Unmarshal(data, (*shardResultFields)(&fields))
+		if (errMethod == nil) != (errFields == nil) || (errViaJSON == nil) != (errFields == nil) {
+			t.Fatalf("decoding %q: method error %v, via encoding/json %v, reflective %v", data, errMethod, errViaJSON, errFields)
+		}
+		if !reflect.DeepEqual(method, fields) || !reflect.DeepEqual(viaJSON, fields) {
+			t.Fatalf("decoding %q: method %+v, via encoding/json %+v, reflective %+v", data, method, viaJSON, fields)
+		}
+
+		want := ShardResult{InteractionsHi: hi, InteractionsLo: lo, Winner: winner, InitialLeader: leader, Outcome: outcome}
+		if tracked {
+			for i := 0; i < phase.Count; i++ {
+				want.PhaseEndsHi = append(want.PhaseEndsHi, hi>>i)
+				want.PhaseEndsLo = append(want.PhaseEndsLo, lo^uint64(i))
+				want.PhaseEnded = append(want.PhaseEnded, i%2 == 0)
+			}
+			want.LeaderAtT2 = winner
+		}
+		enc := want.AppendJSON(nil)
+		var got, ref ShardResult
+		if err := got.UnmarshalJSON(enc); err != nil {
+			t.Fatalf("decoding AppendJSON output %s: %v", enc, err)
+		}
+		if err := json.Unmarshal(enc, (*shardResultFields)(&ref)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("AppendJSON output %s decoded to %+v, reflective %+v", enc, got, ref)
+		}
+		// json.Marshal replaces invalid UTF-8, so only valid strings
+		// come back unchanged.
+		if utf8.ValidString(outcome) && !reflect.DeepEqual(got, want) {
+			t.Fatalf("AppendJSON output %s decoded to %+v, want %+v", enc, got, want)
+		}
 	})
 }
