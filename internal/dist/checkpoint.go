@@ -6,15 +6,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // Checkpoint is one record of a distributed run's on-disk resume state. A
 // checkpoint file holds one record per folded wave, each this JSON object
-// on its own line, appended in fold order (see Options.CheckpointPath). A
+// on its own line, appended in fold order (see Options.CheckpointPath).
+// The object's last member, "crc", is the CRC-32C of every byte of the
+// line before it, header and state alike (see sealRecord). A
 // record captures how far the in-order fold has advanced, whether the run
 // already finished (and how), the run's identity — spec hash, seed, trial
 // cap and stopping policy — guarding against resuming a different
@@ -51,14 +55,48 @@ type Checkpoint struct {
 	State json.RawMessage `json:"state"`
 }
 
-// checkpointVersion is the current Checkpoint schema version. Version 3
-// accompanies the pluggable dynamics engine: resumed folds must replay
-// under the exact dynamics variant that produced the checkpoint, which
-// pre-variant builds neither record nor understand. Version 2 switched the
-// sharded trial payloads held in State to the 128-bit interaction clock's
-// hi/lo word pairs; version 1 states carry int64 clocks that overflow past
+// checkpointVersion is the current Checkpoint schema version. Version 4
+// seals every record with a CRC-32C, so a record corrupted on disk fails
+// the resume instead of folding silently. Version 3 accompanies the
+// pluggable dynamics engine: resumed folds must replay under the exact
+// dynamics variant that produced the checkpoint, which pre-variant builds
+// neither record nor understand. Version 2 switched the sharded trial
+// payloads held in State to the 128-bit interaction clock's hi/lo word
+// pairs; version 1 states carry int64 clocks that overflow past
 // n = ⌊√MaxInt64⌋ and cannot be resumed.
-const checkpointVersion = 3
+const checkpointVersion = 4
+
+// recordSum returns the CRC-32C (Castagnoli) that seals a record's bytes.
+// Its table is built on first use, which takes ~0.2 ms, so a process that
+// never checkpoints — every worker — does not pay for it at start-up.
+func recordSum(b []byte) uint32 {
+	return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli))
+}
+
+// crcKey opens a record's checksum member, the last of its object.
+const crcKey = `,"crc":`
+
+// sealRecord turns a marshaled Checkpoint into its record line: the object
+// gains a last member "crc" holding the CRC-32C of every byte before that
+// member, and the line a newline.
+func sealRecord(obj []byte) []byte {
+	n := len(obj) - 1 // the closing brace
+	body := obj[:n:n]
+	line := strconv.AppendUint(append(body, crcKey...), uint64(recordSum(body)), 10)
+	return append(line, '}', '\n')
+}
+
+// sealed reports whether a record line, whitespace around it aside, ends
+// in a crc member holding the CRC-32C of every byte before that member.
+func sealed(line []byte) bool {
+	line = bytes.TrimSpace(line)
+	i := bytes.LastIndex(line, []byte(crcKey))
+	if i < 0 || line[len(line)-1] != '}' {
+		return false
+	}
+	sum, err := strconv.ParseUint(string(line[i+len(crcKey):len(line)-1]), 10, 32)
+	return err == nil && uint32(sum) == recordSum(line[:i])
+}
 
 // State is the caller-owned fold state a checkpoint captures, serialized
 // well enough that restoring it and folding the remaining trials is
@@ -154,11 +192,11 @@ func (f *checkpointFile) append(cp Checkpoint, state State) error {
 		return fmt.Errorf("dist: snapshot state for checkpoint: %w", err)
 	}
 	cp.V, cp.State = checkpointVersion, snap
-	rec, err := json.Marshal(cp)
+	obj, err := json.Marshal(cp)
 	if err != nil {
 		return fmt.Errorf("dist: marshal checkpoint: %w", err)
 	}
-	rec = append(rec, '\n')
+	rec := sealRecord(obj)
 	if f.records > 0 {
 		err = f.appendRecord(rec)
 	} else {
@@ -190,11 +228,11 @@ func (f *checkpointFile) appendRecord(rec []byte) error {
 
 // parseCheckpoint decodes and structurally validates one checkpoint
 // record: a well-formed record is one JSON object on one line, of the
-// current schema version, whose counters are internally consistent and
-// whose state is present. Truncated, corrupt, or inconsistent input yields
-// a descriptive error — never a panic, and never a silently accepted state
-// a resume would then fold garbage onto. FuzzCheckpoint drives it with
-// arbitrary bytes.
+// current schema version, whose counters are internally consistent, whose
+// state is present, and whose checksum matches. Truncated, corrupt, or
+// inconsistent input yields a descriptive error — never a panic, and never
+// a silently accepted state a resume would then fold garbage onto.
+// FuzzCheckpoint drives it with arbitrary bytes.
 func parseCheckpoint(data []byte) (Checkpoint, error) {
 	var cp Checkpoint
 	if bytes.IndexByte(bytes.TrimSpace(data), '\n') >= 0 {
@@ -212,6 +250,10 @@ func parseCheckpoint(data []byte) (Checkpoint, error) {
 		return cp, fmt.Errorf(
 			"schema version 2, want %d: it was written by a pre-variant-engine build, which does not record the dynamics variant a resume must replay under",
 			checkpointVersion)
+	case cp.V == 3:
+		return cp, fmt.Errorf(
+			"schema version 3, want %d: it was written by a pre-checksum build, whose records a resume cannot tell from corrupted ones",
+			checkpointVersion)
 	case cp.V != checkpointVersion:
 		return cp, fmt.Errorf("schema version %d, want %d", cp.V, checkpointVersion)
 	case cp.MaxTrials < 1:
@@ -224,6 +266,8 @@ func parseCheckpoint(data []byte) (Checkpoint, error) {
 		return cp, fmt.Errorf("corrupt: %d folded trials but no folded waves", cp.NextTrial)
 	case len(bytes.TrimSpace(cp.State)) == 0:
 		return cp, errors.New("corrupt: aggregate state is missing")
+	case !sealed(data):
+		return cp, errors.New("corrupt: the record does not match its checksum")
 	}
 	return cp, nil
 }

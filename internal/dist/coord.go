@@ -12,9 +12,13 @@ import (
 )
 
 // DefaultWave is the coordinator's dispatch wave size when Options.Wave is
-// zero. A wave is both the cross-process stop-check barrier and the
-// checkpoint granularity: at most one wave of work is lost to an
-// interruption or to a stopping predicate firing mid-wave.
+// zero, and the floor of its cost-sized waves: the first two waves hold
+// DefaultWave trials, and each later one as many as the last fold's rate
+// fits in about a millisecond, at most double the wave before and at most
+// 1024. A wave is both the cross-process stop-check barrier and the
+// checkpoint granularity: an interruption, or a stopping predicate firing
+// mid-wave, discards at most the two waves in flight, each of
+// max(DefaultWave trials, about 1 ms of work).
 const DefaultWave = 16
 
 // DefaultMaxRelaunches is how many times a failed shard worker is
@@ -295,8 +299,14 @@ type Options struct {
 	// MaxTrials is the trial budget: the fixed count when Stop is nil, the
 	// hard cap when it is not. Must be positive.
 	MaxTrials int
-	// Wave is the dispatch wave size (DefaultWave when zero): the stop-check
-	// barrier and checkpoint granularity.
+	// Wave is the dispatch wave size: the stop-check barrier and
+	// checkpoint granularity. Zero sizes the waves by cost: DefaultWave
+	// trials at first, then each wave as many trials as the last fold's
+	// rate fits in about 1 ms, at most double the wave before and at most
+	// 1024. Waves of cheap trials so grow until they pay for the round
+	// trip, while waves of trials costing more than ~60 µs each stay at
+	// DefaultWave. Wave sizes move only wave and checkpoint-record
+	// boundaries, never a trial's result or the fold's stop point.
 	Wave int
 	// Seed is the trial-stream family seed, forwarded to every worker;
 	// trial i draws from rng.Derive(Seed, i) exactly as in-process runs do.

@@ -14,7 +14,8 @@ import (
 	"testing"
 )
 
-// validCheckpointBytes marshals a well-formed checkpoint for seeding tests.
+// validCheckpointBytes returns a well-formed checkpoint record, without its
+// newline, for seeding tests.
 func validCheckpointBytes(t testing.TB) []byte {
 	t.Helper()
 	data, err := json.Marshal(Checkpoint{
@@ -30,7 +31,7 @@ func validCheckpointBytes(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	return bytes.TrimSuffix(sealRecord(data), []byte("\n"))
 }
 
 // TestLoadCheckpointRejectsCorruptFiles pins the hardening contract: a
@@ -51,12 +52,13 @@ func TestLoadCheckpointRejectsCorruptFiles(t *testing.T) {
 		{"wrong-version", []byte(`{"v":99,"hash":"x","max_trials":10,"state":{}}`)},
 		{"old-version-v1", []byte(`{"v":1,"hash":"x","seed":7,"next_trial":12,"max_trials":40,"waves":3,"state":{"count":12}}`)},
 		{"old-version-v2", []byte(`{"v":2,"hash":"x","seed":7,"next_trial":12,"max_trials":40,"waves":3,"state":{"count":12}}`)},
-		{"negative-resume", []byte(`{"v":3,"hash":"x","next_trial":-3,"max_trials":10,"state":{}}`)},
-		{"resume-past-cap", []byte(`{"v":3,"hash":"x","next_trial":11,"max_trials":10,"state":{}}`)},
-		{"zero-cap", []byte(`{"v":3,"hash":"x","max_trials":0,"state":{}}`)},
-		{"negative-waves", []byte(`{"v":3,"hash":"x","max_trials":10,"waves":-1,"state":{}}`)},
-		{"trials-no-waves", []byte(`{"v":3,"hash":"x","next_trial":4,"max_trials":10,"state":{}}`)},
-		{"missing-state", []byte(`{"v":3,"hash":"x","max_trials":10}`)},
+		{"old-version-v3", []byte(`{"v":3,"hash":"x","seed":7,"next_trial":12,"max_trials":40,"waves":3,"state":{"count":12}}`)},
+		{"negative-resume", []byte(`{"v":4,"hash":"x","next_trial":-3,"max_trials":10,"state":{}}`)},
+		{"resume-past-cap", []byte(`{"v":4,"hash":"x","next_trial":11,"max_trials":10,"state":{}}`)},
+		{"zero-cap", []byte(`{"v":4,"hash":"x","max_trials":0,"state":{}}`)},
+		{"negative-waves", []byte(`{"v":4,"hash":"x","max_trials":10,"waves":-1,"state":{}}`)},
+		{"trials-no-waves", []byte(`{"v":4,"hash":"x","next_trial":4,"max_trials":10,"state":{}}`)},
+		{"missing-state", []byte(`{"v":4,"hash":"x","max_trials":10}`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,6 +77,9 @@ func TestLoadCheckpointRejectsCorruptFiles(t *testing.T) {
 				t.Fatalf("old-version error %q does not explain the version gap", err)
 			}
 			if tc.name == "old-version-v2" && !strings.Contains(err.Error(), "pre-variant-engine") {
+				t.Fatalf("old-version error %q does not explain the version gap", err)
+			}
+			if tc.name == "old-version-v3" && !strings.Contains(err.Error(), "pre-checksum") {
 				t.Fatalf("old-version error %q does not explain the version gap", err)
 			}
 		})
@@ -179,6 +184,95 @@ func TestCheckpointResumesPastTornAppend(t *testing.T) {
 	}
 }
 
+// TestCheckpointByteFlips flips each byte of a 3-record checkpoint in
+// turn: every flip must fail the load, or leave an unparseable last line
+// that the resume skips, continuing bit-exact from the record before it.
+func TestCheckpointByteFlips(t *testing.T) {
+	spec := []byte(`{"job":"echo"}`)
+	full, _ := runEcho(t, Options{Shards: 2, MaxTrials: 40, Wave: 6, Seed: 9, Spec: spec}, nil)
+	path, _ := checkpointLines(t, 3)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	resumed := 0
+	for off := range clean {
+		f := loadFlipped(t, dir, clean, off, []byte{0xff})
+		if f == nil {
+			continue
+		}
+		if f.records == 3 {
+			t.Fatalf("byte %d flipped: the load kept every record", off)
+		}
+		st := &foldState{}
+		res, err := Run(Options{Shards: 2, MaxTrials: 40, Wave: 6, Seed: 9, Spec: spec,
+			CheckpointPath: f.path, Launcher: &PipeLauncher{Build: echoBuild}}, st.sink, nil, st)
+		if err != nil {
+			t.Fatalf("byte %d flipped: resume: %v", off, err)
+		}
+		if res.ResumedFrom != f.NextTrial || res.Trials != 40 || !reflect.DeepEqual(st.Seq, full.Seq) {
+			t.Fatalf("byte %d flipped: resume %+v diverged from the uninterrupted run", off, res)
+		}
+		resumed++
+	}
+	if resumed == 0 {
+		t.Fatal("no flip left a torn last line to resume past")
+	}
+}
+
+// loadFlipped writes clean, a checkpoint file of the echo job (40 trials,
+// seed 9), XORed with mask from byte off on (wrapping), to a file in dir
+// and loads it. It fails t unless the load fails, or keeps a prefix of the
+// clean records whose states restore unchanged, oldest first. It returns
+// the loaded file, or nil when the load failed.
+func loadFlipped(t testing.TB, dir string, clean []byte, off int, mask []byte) *checkpointFile {
+	t.Helper()
+	data := bytes.Clone(clean)
+	for i, b := range mask {
+		data[(off+i)%len(data)] ^= b
+	}
+	path := filepath.Join(dir, "flipped.ckpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, ok, err := loadCheckpoint(path, HashSpec([]byte(`{"job":"echo"}`)), 9, 40, "")
+	if err != nil {
+		return nil
+	}
+	var want []Checkpoint
+	for _, line := range bytes.Split(bytes.TrimSuffix(clean, []byte("\n")), []byte("\n")) {
+		cp, err := parseCheckpoint(line)
+		if err != nil {
+			t.Fatalf("clean record %.80q: %v", line, err)
+		}
+		want = append(want, cp)
+	}
+	got := &stateLog{}
+	if !ok || f.records > len(want) || f.restore(got) != nil || len(got.states) != f.records {
+		t.Fatalf("%x XORed in at byte %d: loaded %d of %d records (ok %v), restored %d", mask, off, f.records, len(want), ok, len(got.states))
+	}
+	for i, st := range got.states {
+		if !bytes.Equal(st, want[i].State) {
+			t.Fatalf("%x XORed in at byte %d: record %d restored a state unlike the clean record's", mask, off, i+1)
+		}
+	}
+	if last := want[f.records-1]; f.NextTrial != last.NextTrial || f.Waves != last.Waves || f.Done != last.Done {
+		t.Fatalf("%x XORed in at byte %d: newest record %+v, want %+v", mask, off, f.Checkpoint, last)
+	}
+	return f
+}
+
+// stateLog is a State that keeps a copy of every state restored into it.
+type stateLog struct{ states [][]byte }
+
+func (s *stateLog) Snapshot() ([]byte, error) { return nil, errors.New("stateLog only restores") }
+
+func (s *stateLog) Restore(data []byte) error {
+	s.states = append(s.states, bytes.Clone(data))
+	return nil
+}
+
 // TestLoadCheckpointRejectsBadLaterRecord pins that every record, not just
 // the first, must belong to the run and follow its predecessor: a second
 // record from another configuration, seed, cap or policy, one whose
@@ -211,10 +305,12 @@ func TestLoadCheckpointRejectsBadLaterRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec[field] = json.RawMessage(value)
-			var err error
-			if lines[i], err = json.Marshal(rec); err != nil {
+			delete(rec, "crc")
+			obj, err := json.Marshal(rec)
+			if err != nil {
 				t.Fatal(err)
 			}
+			lines[i] = bytes.TrimSuffix(sealRecord(obj), []byte("\n"))
 			if err := os.WriteFile(path, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -449,18 +545,37 @@ func encodeLike(t *testing.T, m Msg) []byte {
 // FuzzCheckpoint drives checkpoint parsing with arbitrary bytes: it must
 // never panic, and anything it accepts must satisfy the structural
 // invariants the coordinator relies on — and round-trip through
-// loadCheckpoint identically.
+// loadCheckpoint identically. It also XORs mask into a 3-record checkpoint
+// file from byte off on: the load must fail, or keep a prefix of the
+// records that restores their states unchanged (loadFlipped).
 func FuzzCheckpoint(f *testing.F) {
 	good := validCheckpointBytes(f)
-	f.Add(good)
-	f.Add(good[:len(good)/2])
-	f.Add([]byte(`{"v":2,"hash":"x","max_trials":10,"state":{}}`))
-	f.Add([]byte(`{"v":1,"hash":"x","seed":7,"next_trial":12,"max_trials":40,"waves":3,"state":{"count":12}}`))
-	f.Add([]byte(`{"v":2,"next_trial":-1}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(``))
-	f.Add([]byte(`{"v":1e999}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(good, uint(0), []byte(nil))
+	f.Add(good[:len(good)/2], uint(0), []byte(nil))
+	f.Add([]byte(`{"v":2,"hash":"x","max_trials":10,"state":{}}`), uint(0), []byte(nil))
+	f.Add([]byte(`{"v":3,"hash":"x","max_trials":10,"state":{}}`), uint(0), []byte(nil))
+	f.Add([]byte(`{"v":1,"hash":"x","seed":7,"next_trial":12,"max_trials":40,"waves":3,"state":{"count":12}}`), uint(0), []byte(nil))
+	f.Add([]byte(`{"v":2,"next_trial":-1}`), uint(0), []byte(nil))
+	f.Add([]byte(`[]`), uint(0), []byte(nil))
+	f.Add([]byte(``), uint(0), []byte(nil))
+	f.Add([]byte(`{"v":1e999}`), uint(0), []byte(nil))
+	f.Add([]byte(nil), uint(7), []byte{0xff})
+	f.Add([]byte(nil), uint(1<<20), []byte{0x2a})
+	f.Add([]byte(nil), uint(30), []byte{0x01, 0, 0, 0, 0x80})
+
+	path := filepath.Join(f.TempDir(), "run.ckpt")
+	st := &foldState{}
+	if _, err := Run(Options{Shards: 2, MaxTrials: 40, Wave: 6, Seed: 9, Spec: []byte(`{"job":"echo"}`),
+		Launcher: &PipeLauncher{Build: echoBuild}, CheckpointPath: path, MaxWaves: 3}, st.sink, nil, st); err != nil {
+		f.Fatal(err)
+	}
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, off uint, mask []byte) {
+		loadFlipped(t, t.TempDir(), clean, int(off%uint(len(clean))), mask)
+
 		cp, err := parseCheckpoint(data)
 		if err != nil {
 			return
@@ -509,6 +624,31 @@ func FuzzValidJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if got, want := validJSON(data), json.Valid(data); got != want {
 			t.Fatalf("validJSON(%.200q) = %v, json.Valid = %v", data, got, want)
+		}
+	})
+}
+
+// FuzzVerbatimJSON pins verbatimJSON to json.Marshal on arbitrary bytes: it
+// reports true exactly when json.Marshal copies the bytes, as a
+// json.RawMessage, unchanged. When it does, the worker's hand-built result
+// frame must be json.Marshal's line byte for byte.
+func FuzzVerbatimJSON(f *testing.F) {
+	for _, s := range []string{
+		``, ` `, `null`, ` null`, `null `, `{}`, `{ }`, `[1, 2]`, `{"a":1,"b":[true,false,null]}`, `{"a" :1}`,
+		`"a b"`, "\"a\tb\"", `"<"`, `">"`, `"&"`, `"\u003c"`, "\"\u2028\"", "\"\u2029\"", "\"\u202a\"", "\"\u2027\"",
+		"\"\xe2\"", "\"\xe2\x80\"", "\"\xe2\x80\xa8", "\"\xe2\x82\xac\"", "\"\xff\"", `"\"<\""`, `1e5`, `-0.5`, `01`,
+		`{"interactions_hi":0,"interactions_lo":1,"winner":-1,"initial_leader":17,"outcome":"budget-exhausted"}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, err := json.Marshal(json.RawMessage(data))
+		want := err == nil && bytes.Equal(out, data)
+		if got := verbatimJSON(data); got != want {
+			t.Fatalf("verbatimJSON(%.200q) = %v; json.Marshal copies it unchanged: %v", data, got, want)
+		}
+		if want {
+			encodeLike(t, Msg{V: ProtocolVersion, Type: TypeResult, Trial: len(data), Data: data})
 		}
 	})
 }

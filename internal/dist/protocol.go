@@ -20,16 +20,19 @@
 // trial and per wave are encoded and parsed by hand rather than by
 // reflection, into the same bytes encoding/json writes: result frames
 // carrying only a trial number and payload, and wave and wavedone frames
-// carrying only lo, hi and indices. A result payload is checked on both
-// ends by validJSON, a one-pass scanner accepting exactly what json.Valid
-// accepts. Every other message (job, hello, halt,
-// error) and any other spelling goes through encoding/json. A worker writes
-// a wave share's frames in one write, and the coordinator hands every line
-// already buffered to its event loop in one channel send. The wave barrier is
-// the cross-process analogue of StreamAdaptive's dispatch window: after
-// folding a wave the coordinator evaluates the stopping predicate, writes a
-// checkpoint (caller aggregate state + next trial index + spec hash), and
-// either dispatches the next wave or halts every worker. Interrupted runs
+// carrying only lo, hi and indices. A result payload is checked in one
+// pass on each end: by verbatimJSON on the worker, which also proves that
+// json.Marshal would copy it unchanged, and by validJSON on the
+// coordinator, which accepts exactly what json.Valid accepts. Every other
+// message (job, hello, halt, error) and any other spelling goes through
+// encoding/json. A worker writes a wave share's frames in one write, and
+// the coordinator hands every line already buffered to its event loop in
+// one channel send. The wave barrier is the cross-process analogue of
+// StreamAdaptive's dispatch window: after folding a wave the coordinator
+// evaluates the stopping predicate, writes a checksummed checkpoint record
+// (caller aggregate state + next trial index + spec hash), and either
+// dispatches the next wave, sized by what the last one cost, or halts
+// every worker. Interrupted runs
 // resume from the checkpoint instead of restarting, and a resumed run's
 // final aggregates are bit-identical to an uninterrupted one's.
 package dist
@@ -214,24 +217,6 @@ func appendMsg(dst []byte, m Msg) ([]byte, error) {
 	return append(dst, '\n'), nil
 }
 
-// verbatimJSON reports whether json.Marshal copies a json.RawMessage
-// unchanged: a valid JSON value with no whitespace for it to compact away
-// and none of the characters (<, >, &, U+2028, U+2029) its HTML-safe
-// encoder rewrites.
-func verbatimJSON(data []byte) bool {
-	for i, c := range data {
-		if rewritten[c] && (c != 0xE2 || i+2 < len(data) && data[i+1] == 0x80 && data[i+2]&^1 == 0xA8) {
-			return false
-		}
-	}
-	return validJSON(data)
-}
-
-// rewritten marks the bytes that can make json.Marshal rewrite a raw
-// payload: whitespace, <, > and &, and 0xE2, which opens U+2028 and
-// U+2029 (E2 80 A8 and E2 80 A9).
-var rewritten = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, '<': true, '>': true, '&': true, 0xE2: true}
-
 // msgReader decodes protocol lines from a stream, with no fixed line-length
 // limit (result payloads can be large).
 type msgReader struct {
@@ -241,13 +226,15 @@ type msgReader struct {
 	err   error
 }
 
-// msgReaderSize is a decoder's buffer size. At the default wave a
-// connection has at most pipelineDepth·DefaultWave result lines of ~100
-// bytes in flight (~3 KB, half that per shard of two), so one read takes
-// in everything a batch could decode; a longer line, such as a large job
-// spec, is gathered whole by batch's long path. Every worker launch gets
-// a fresh decoder, so a larger buffer would only add to the coordinator's
-// peak RSS.
+// msgReaderSize is a decoder's buffer size. A worker writes a wave share in
+// one write (or early, flushAfter past its last write): at DefaultWave that
+// is ~8 result lines of ~100 bytes for each of two shards, which one read
+// takes in whole; a cost-sized wave of cheap trials (a few hundred trials
+// on perfbench dispatch-bound) makes shares of 15–20 KB, which a few reads
+// and batches take in. A 32 KB buffer measured within noise of this one there.
+// A longer line, such as a large job spec, is gathered whole by batch's
+// long path. Every worker launch gets a fresh decoder, so a larger buffer
+// would only add to the coordinator's peak RSS.
 const msgReaderSize = 4 << 10
 
 // newMsgReader wraps a stream in a protocol decoder.

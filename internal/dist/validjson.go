@@ -8,10 +8,22 @@ const maxNestingDepth = 10000
 // whitespace around it, accepting exactly what json.Valid accepts — the
 // nesting limit included, and bytes >= 0x80 inside strings without a UTF-8
 // check, as encoding/json's scanner does — in one pass without allocating.
-// It checks every result payload on the worker (verbatimJSON) and on the
-// coordinator (parseResultFrame), and the torn last record of a checkpoint.
-// FuzzValidJSON pins it to json.Valid.
-func validJSON(data []byte) bool {
+// It checks every result payload on the coordinator (parseResultFrame) and
+// the torn last record of a checkpoint. FuzzValidJSON pins it to
+// json.Valid.
+func validJSON(data []byte) bool { return scanJSON(data, false) }
+
+// verbatimJSON reports whether json.Marshal copies a json.RawMessage
+// unchanged: a valid JSON value with no whitespace outside its strings for
+// the marshaler to compact away, and none of the characters (<, >, &,
+// U+2028, U+2029) its HTML-safe encoder rewrites inside them. It is
+// validJSON's one pass with those checks folded into the whitespace and
+// string scans; a worker calls it on every result payload.
+// FuzzVerbatimJSON pins it to json.Marshal.
+func verbatimJSON(data []byte) bool { return scanJSON(data, true) }
+
+// scanJSON is validJSON, and verbatimJSON when verbatim is set.
+func scanJSON(data []byte, verbatim bool) bool {
 	// Bit d%64 of word d/64 is set when the container open at depth d is
 	// an object.
 	var objects [(maxNestingDepth + 63) / 64]uint64
@@ -19,7 +31,7 @@ func validJSON(data []byte) bool {
 	var ok bool
 	for {
 		// A value starts at i, after optional whitespace.
-		if i = skipSpace(data, i); i == len(data) {
+		if i = skipSpace(data, i, verbatim); i == len(data) {
 			return false
 		}
 		switch c := data[i]; c {
@@ -34,19 +46,19 @@ func validJSON(data []byte) bool {
 			}
 			depth++
 			// '}' and ']' are their openers plus two.
-			if i = skipSpace(data, i+1); i < len(data) && data[i] == c+2 {
+			if i = skipSpace(data, i+1, verbatim); i < len(data) && data[i] == c+2 {
 				i, ok = i+1, true
 				depth--
 				break
 			}
 			if c == '{' {
-				if i, ok = scanKey(data, i); !ok {
+				if i, ok = scanKey(data, i, verbatim); !ok {
 					return false
 				}
 			}
 			continue
 		case '"':
-			i, ok = scanString(data, i)
+			i, ok = scanString(data, i, verbatim)
 		case 't':
 			i, ok = scanLiteral(data, i, "true")
 		case 'f':
@@ -62,7 +74,7 @@ func validJSON(data []byte) bool {
 		// A value ended at i: close containers until a comma opens the
 		// next value, or the top-level value ends.
 		for {
-			if i = skipSpace(data, i); depth == 0 {
+			if i = skipSpace(data, i, verbatim); depth == 0 {
 				return i == len(data)
 			}
 			if i == len(data) {
@@ -73,7 +85,7 @@ func validJSON(data []byte) bool {
 			i++
 			if c == ',' {
 				if obj {
-					if i, ok = scanKey(data, i); !ok {
+					if i, ok = scanKey(data, i, verbatim); !ok {
 						return false
 					}
 				}
@@ -88,9 +100,10 @@ func validJSON(data []byte) bool {
 }
 
 // skipSpace returns the index of the first non-whitespace byte of data at
-// or after i, or len(data).
-func skipSpace(data []byte, i int) int {
-	for i < len(data) && isSpace(data[i]) {
+// or after i, or len(data). A verbatim scan skips nothing, so whitespace
+// fails it wherever the grammar would allow it.
+func skipSpace(data []byte, i int, verbatim bool) int {
+	for !verbatim && i < len(data) && isSpace(data[i]) {
 		i++
 	}
 	return i
@@ -98,15 +111,15 @@ func skipSpace(data []byte, i int) int {
 
 // scanKey scans an object member's key and colon, with optional whitespace
 // before each, from i; it returns the index just past the colon.
-func scanKey(data []byte, i int) (int, bool) {
-	if i = skipSpace(data, i); i == len(data) || data[i] != '"' {
+func scanKey(data []byte, i int, verbatim bool) (int, bool) {
+	if i = skipSpace(data, i, verbatim); i == len(data) || data[i] != '"' {
 		return i, false
 	}
-	i, ok := scanString(data, i)
+	i, ok := scanString(data, i, verbatim)
 	if !ok {
 		return i, false
 	}
-	if i = skipSpace(data, i); i == len(data) || data[i] != ':' {
+	if i = skipSpace(data, i, verbatim); i == len(data) || data[i] != ':' {
 		return i, false
 	}
 	return i + 1, true
@@ -115,10 +128,15 @@ func scanKey(data []byte, i int) (int, bool) {
 // scanString scans the string whose opening quote is at i and returns the
 // index just past its closing quote. Control bytes must be escaped, an
 // escape is one of \" \\ \/ \b \f \n \r \t or \u and four hex digits, and
-// every other byte passes unchecked.
-func scanString(data []byte, i int) (int, bool) {
+// every other byte passes unchecked — except, in a verbatim scan, the
+// bytes json.Marshal's HTML-safe encoder rewrites.
+func scanString(data []byte, i int, verbatim bool) (int, bool) {
+	tab := &plain
+	if verbatim {
+		tab = &plainVerbatim
+	}
 	for i++; i < len(data); i++ {
-		for i < len(data) && plain[data[i]] {
+		for i < len(data) && tab[data[i]] {
 			i++
 		}
 		if i == len(data) {
@@ -129,6 +147,10 @@ func scanString(data []byte, i int) (int, bool) {
 			return i + 1, true
 		case c < 0x20:
 			return i, false
+		case c != '\\': // verbatim only: <, >, &, or 0xE2
+			if c != 0xE2 || i+2 < len(data) && data[i+1] == 0x80 && data[i+2]&^1 == 0xA8 {
+				return i, false
+			}
 		default: // a backslash
 			if i++; i == len(data) {
 				return i, false
@@ -158,6 +180,17 @@ func scanString(data []byte, i int) (int, bool) {
 var plain = func() (t [256]bool) {
 	for c := 0x20; c < 256; c++ {
 		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// plainVerbatim is plain without the bytes that can make json.Marshal
+// rewrite a string: <, > and &, and 0xE2, which opens U+2028 and U+2029
+// (E2 80 A8 and E2 80 A9).
+var plainVerbatim = func() (t [256]bool) {
+	t = plain
+	for _, c := range []byte{'<', '>', '&', 0xE2} {
+		t[c] = false
 	}
 	return t
 }()

@@ -540,8 +540,9 @@ type ShardRunOptions struct {
 	// MaxTrials is the trial budget: the fixed count without a stopping
 	// predicate, the cap with one. It must be positive.
 	MaxTrials int
-	// Wave is the dispatch wave size (0 = dist.DefaultWave): the stop-check
-	// barrier and checkpoint granularity.
+	// Wave is the dispatch wave size (0 = sized by cost, from
+	// dist.DefaultWave; see dist.Options.Wave): the stop-check barrier and
+	// checkpoint granularity.
 	Wave int
 	// Seed is the cell's trial-stream family seed.
 	Seed uint64
