@@ -304,7 +304,7 @@ func loadCheckpoint(path, wantHash string, wantSeed uint64, wantMax int, wantPol
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if f.records > 0 && !validJSON(line) {
+		if f.records > 0 && !json.Valid(line) {
 			blank, err := lr.blankRest()
 			if err != nil {
 				return nil, false, fmt.Errorf("dist: read checkpoint %s: %w", path, err)
@@ -424,7 +424,7 @@ func (lr *lineReader) blankRest() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if !isSpace(b) {
+		if b != ' ' && b != '\t' && b != '\n' && b != '\r' {
 			return false, lr.r.UnreadByte()
 		}
 	}

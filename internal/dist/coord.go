@@ -42,12 +42,12 @@ var errWorkerKilled = errors.New("worker killed by coordinator")
 
 // Conn is one live worker connection: a writer carrying coordinator
 // commands (the worker's stdin) and a reader yielding the worker's protocol
-// lines (its stdout).
+// frames (its stdout).
 type Conn struct {
-	// W receives coordinator-to-worker protocol lines. The coordinator
+	// W receives coordinator-to-worker protocol frames. The coordinator
 	// closes it to signal end of session.
 	W io.WriteCloser
-	// R yields worker-to-coordinator protocol lines.
+	// R yields worker-to-coordinator protocol frames.
 	R io.ReadCloser
 	// Wait, if non-nil, blocks until the worker has exited and returns its
 	// terminal status; the coordinator calls it after closing W and
@@ -62,7 +62,7 @@ type Conn struct {
 	// mu serializes coordinator writes to W: the shard's sender goroutine
 	// and the shutdown path can address the same worker concurrently.
 	mu sync.Mutex
-	// frame is the line buffer every send reuses, guarded by mu.
+	// frame is the frame buffer every send reuses, guarded by mu.
 	frame []byte
 }
 
@@ -253,7 +253,7 @@ func SelfExecLauncher(extraArgs ...string) *ExecLauncher {
 
 // PipeLauncher runs shard workers as goroutines inside this process,
 // connected through synchronous in-memory pipes. The coordinator speaks
-// exactly the same protocol as with ExecLauncher — every line is marshaled,
+// exactly the same protocol as with ExecLauncher — every frame is encoded,
 // written, read, and parsed — so tests of the distributed path cover the
 // full codec without spawning processes.
 type PipeLauncher struct {
@@ -341,7 +341,7 @@ type Options struct {
 	MaxWaves int
 	// WorkerTimeout, when positive, is the per-shard liveness deadline: a
 	// worker that is busy (mid-handshake, or owing dispatched trials) and
-	// has produced no protocol line for this long is declared dead and
+	// has produced no protocol frame for this long is declared dead and
 	// recovered exactly like a crashed one. Zero disables the deadline,
 	// and a hung worker then blocks the run forever. Set it comfortably
 	// above the cost of the slowest single trial plus 1 ms: a worker

@@ -457,7 +457,7 @@ type failingDispatchWriter struct {
 }
 
 func (f *failingDispatchWriter) Write(p []byte) (int, error) {
-	if strings.Contains(string(p), `"type":"wave"`) {
+	if len(p) > 1 && MsgType(p[1]) == TypeWave {
 		if f.remaining <= 0 {
 			return 0, errors.New("injected dispatch failure")
 		}
@@ -570,9 +570,9 @@ func TestHandleDropsBatchTailAfterTeardown(t *testing.T) {
 	}
 	s.owed = 2
 	co.handle(shardMsg{ms: []Msg{
-		{V: ProtocolVersion, Type: TypeResult, Trial: 3, Data: []byte(`{}`)},
-		{V: ProtocolVersion, Type: TypeHello}, // a second hello: the worker is misbehaving
-		{V: ProtocolVersion, Type: TypeResult, Trial: 5, Data: []byte(`{}`)},
+		{Type: TypeResult, Trial: 3, Data: []byte(`{}`)},
+		{Type: TypeHello}, // a second hello: the worker is misbehaving
+		{Type: TypeResult, Trial: 5, Data: []byte(`{}`)},
 	}})
 	if _, ok := co.pending[3]; !ok {
 		t.Fatal("result ahead of the teardown was dropped")
@@ -585,16 +585,16 @@ func TestHandleDropsBatchTailAfterTeardown(t *testing.T) {
 	}
 }
 
-// TestBatchReadsLinesPastTheBuffer pins the batched reader on lines longer
-// than its buffer: they are gathered whole, between the short lines around
-// them, in stream order.
+// TestBatchReadsLinesPastTheBuffer pins the batched reader on frames
+// longer than its buffer: they are gathered whole, between the short
+// frames around them, in stream order.
 func TestBatchReadsLinesPastTheBuffer(t *testing.T) {
 	long := []byte(`"` + strings.Repeat("x", 3<<16) + `"`)
 	want := []Msg{
-		{V: ProtocolVersion, Type: TypeResult, Trial: 1, Data: []byte(`{}`)},
-		{V: ProtocolVersion, Type: TypeResult, Trial: 2, Data: long},
-		{V: ProtocolVersion, Type: TypeResult, Trial: 3, Data: []byte(`{}`)},
-		{V: ProtocolVersion, Type: TypeWaveDone, Hi: 4, Indices: []int{1, 2, 3}},
+		{Type: TypeResult, Trial: 1, Data: []byte(`{}`)},
+		{Type: TypeResult, Trial: 2, Data: long},
+		{Type: TypeResult, Trial: 3, Data: []byte(`{}`)},
+		{Type: TypeWaveDone, Hi: 4, Indices: []int{1, 2, 3}},
 	}
 	var stream []byte
 	for _, m := range want {

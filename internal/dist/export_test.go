@@ -27,8 +27,9 @@ var WriteFrame = writeFrame
 // pump.
 var NewMsgReader = newMsgReader
 
-// DecodeLine is decodeLine, the coordinator's parse of one protocol line.
-var DecodeLine = decodeLine
+// DecodeFrame is decodeFrame, the coordinator's check and parse of one
+// protocol frame.
+var DecodeFrame = decodeFrame
 
 // Next is next.
 func (d *msgReader) Next() (Msg, error) { return d.next() }

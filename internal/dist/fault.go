@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -30,20 +28,20 @@ const (
 	// run — the cleanest crash, caught on the command stream.
 	FaultCrashBeforeWave FaultKind = iota
 	// FaultCrashMidWave kills the worker once it has emitted After result
-	// lines: the result stream dies with a wave half-computed, so the
+	// frames: the result stream dies with a wave half-computed, so the
 	// coordinator must requeue exactly the unreceived remainder.
 	FaultCrashMidWave
 	// FaultHang silences the worker after it has emitted After protocol
-	// lines without exiting or closing anything: results stop flowing and
+	// frames without exiting or closing anything: results stop flowing and
 	// nothing errors, so only Options.WorkerTimeout can catch it. After = 0
 	// hangs before the hello — a worker that connects but never completes
 	// the handshake.
 	FaultHang
-	// FaultGarbage injects one non-JSON line into the result stream after
-	// After forwarded lines — a corrupted frame, caught by the protocol
-	// decoder.
+	// FaultGarbage injects one corrupted frame into the result stream after
+	// After forwarded frames: a copy of the next frame with its checksum
+	// flipped, caught by the protocol decoder.
 	FaultGarbage
-	// FaultPartition severs the link after After forwarded protocol lines,
+	// FaultPartition severs the link after After forwarded protocol frames,
 	// silently and in both directions: the worker's further output is
 	// blackholed and coordinator commands are swallowed without error,
 	// while the worker itself stays alive and healthy. Nothing errors, so
@@ -55,14 +53,14 @@ const (
 	// flows normally — a lossy link, caught by the coordinator's
 	// frame-integrity check on the barrier's echoed indices.
 	FaultDropFrames
-	// FaultSlowLink delays every forwarded result-stream line by Delay once
-	// After lines have passed — a degraded link. It is the one fault a
+	// FaultSlowLink delays every forwarded result-stream frame by Delay once
+	// After frames have passed — a degraded link. It is the one fault a
 	// correct coordinator must NOT react to: as long as Delay stays under
 	// the liveness deadline the run completes without any relaunch.
 	FaultSlowLink
 	// FaultCrashOnConnect kills the worker the instant it is launched,
-	// before a single byte flows — the building block of reconnect storms
-	// (see ReconnectStorm). After is ignored.
+	// before a single byte flows — the building block of reconnect storms.
+	// After is ignored.
 	FaultCrashOnConnect
 )
 
@@ -101,11 +99,11 @@ type Fault struct {
 	// Kind is the failure mode.
 	Kind FaultKind
 	// After is the kind-specific trigger count: wave commands written
-	// (FaultCrashBeforeWave), result lines emitted (FaultCrashMidWave,
-	// FaultDropFrames), or protocol lines emitted (FaultHang, FaultGarbage,
+	// (FaultCrashBeforeWave), result frames emitted (FaultCrashMidWave,
+	// FaultDropFrames), or protocol frames emitted (FaultHang, FaultGarbage,
 	// FaultPartition, FaultSlowLink). FaultCrashOnConnect ignores it.
 	After int
-	// Delay is FaultSlowLink's per-line forwarding delay.
+	// Delay is FaultSlowLink's per-frame forwarding delay.
 	Delay time.Duration
 }
 
@@ -151,7 +149,7 @@ func (l *FaultLauncher) Launch(shard, shards int) (*Conn, error) {
 }
 
 // faultConn mediates one faulted connection. The result stream is forwarded
-// line by line through a pipe so the fault can cut, corrupt, or freeze it
+// frame by frame through a pipe so the fault can cut, corrupt, or freeze it
 // at an exact protocol position; the command stream is intercepted in
 // Write. Killing the faulted connection kills the real worker underneath,
 // so no fault leaks a live process.
@@ -208,7 +206,8 @@ func (c *faultConn) Write(p []byte) (int, error) {
 			return len(p), nil
 		}
 	}
-	if c.f.Kind == FaultCrashBeforeWave && bytes.Contains(p, []byte(`"type":"`+TypeWave+`"`)) {
+	// Every command arrives in its own Write; its second byte is its type.
+	if c.f.Kind == FaultCrashBeforeWave && len(p) > 1 && MsgType(p[1]) == TypeWave {
 		c.mu.Lock()
 		n := c.waves
 		c.waves++
@@ -234,17 +233,19 @@ func (c *faultConn) forward() {
 		c.pw.CloseWithError(errFaultCrash)
 		return
 	}
-	br := bufio.NewReaderSize(c.inner.R, 1<<16)
-	lines := 0
+	dec := newMsgReader(c.inner.R)
+	seen := 0
 	results := 0
-	injected := false
 	for {
-		line, err := br.ReadBytes('\n')
-		if len(line) > 0 {
+		raw, _, err := dec.frames()
+		for len(raw) > 0 {
+			size, _ := frameSize(raw)
+			frame := raw[:size]
+			raw = raw[size:]
 			drop := false
 			switch c.f.Kind {
 			case FaultCrashMidWave:
-				if bytes.Contains(line, []byte(`"type":"`+TypeResult+`"`)) {
+				if MsgType(frame[1]) == TypeResult {
 					if results == c.f.After {
 						c.kill()
 						c.pw.CloseWithError(errFaultCrash)
@@ -253,7 +254,7 @@ func (c *faultConn) forward() {
 					results++
 				}
 			case FaultHang:
-				if lines == c.f.After {
+				if seen == c.f.After {
 					// Fall silent without closing anything: the worker
 					// stays alive, the coordinator hears nothing, and only
 					// the liveness deadline (or a kill) ends it.
@@ -261,18 +262,19 @@ func (c *faultConn) forward() {
 					c.pw.CloseWithError(errFaultCrash)
 					return
 				}
-				lines++
+				seen++
 			case FaultGarbage:
-				if lines == c.f.After && !injected {
-					injected = true
-					if _, werr := c.pw.Write([]byte("%% corrupted frame %%\n")); werr != nil {
+				if seen == c.f.After {
+					bad := append([]byte(nil), frame...)
+					bad[size-1] ^= 0xff
+					if _, werr := c.pw.Write(bad); werr != nil {
 						c.inner.kill()
 						return
 					}
 				}
-				lines++
+				seen++
 			case FaultPartition:
-				if lines == c.f.After {
+				if seen == c.f.After {
 					// Trip the partition: swallow writes from here on (see
 					// Write) and blackhole the rest of the worker's output
 					// without closing anything. Only the liveness deadline
@@ -284,16 +286,14 @@ func (c *faultConn) forward() {
 					c.pw.CloseWithError(errFaultCrash)
 					return
 				}
-				lines++
+				seen++
 			case FaultDropFrames:
-				if bytes.Contains(line, []byte(`"type":"`+TypeResult+`"`)) {
-					if results == c.f.After {
-						drop = true // the frame vanishes; the stream lives on
-					}
+				if MsgType(frame[1]) == TypeResult {
+					drop = results == c.f.After // the frame vanishes; the stream lives on
 					results++
 				}
 			case FaultSlowLink:
-				if lines >= c.f.After && c.f.Delay > 0 {
+				if seen >= c.f.After && c.f.Delay > 0 {
 					select {
 					case <-time.After(c.f.Delay):
 					case <-c.killed:
@@ -301,10 +301,10 @@ func (c *faultConn) forward() {
 						return
 					}
 				}
-				lines++
+				seen++
 			}
 			if !drop {
-				if _, werr := c.pw.Write(line); werr != nil {
+				if _, werr := c.pw.Write(frame); werr != nil {
 					// The coordinator closed its end (teardown); stop the
 					// worker so nothing leaks.
 					c.inner.kill()
@@ -321,76 +321,4 @@ func (c *faultConn) forward() {
 			return
 		}
 	}
-}
-
-// ChaosSchedule builds a deterministic, seed-dependent fault schedule that
-// kills each shard's first worker incarnation exactly once, cycling the
-// fault kinds across shards with a seeded rotation and small trigger
-// counts. Schedules are pure functions of (seed, shards), so a failing
-// chaos run reproduces exactly.
-func ChaosSchedule(seed uint64, shards int) []Fault {
-	x := seed*2862933555777941757 + 3037000493
-	next := func() uint64 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return x
-	}
-	kinds := []FaultKind{FaultCrashBeforeWave, FaultCrashMidWave, FaultHang, FaultGarbage}
-	rot := int(next() >> 33)
-	out := make([]Fault, shards)
-	for i := range out {
-		out[i] = Fault{
-			Shard: i,
-			Kind:  kinds[(rot+i)%len(kinds)],
-			After: 1 + int(next()>>33)%3,
-		}
-	}
-	return out
-}
-
-// NetworkChaosSchedule is ChaosSchedule's network-shaped sibling: a
-// deterministic, seed-dependent plan that gives each shard's first worker
-// incarnation one network fault — partition, dropped frame, slow link, or
-// crash-on-connect — cycling the kinds across shards with a seeded
-// rotation. Like ChaosSchedule it is a pure function of (seed, shards), so
-// a failing run reproduces exactly. Slow links get a small Delay, well
-// under any sane liveness deadline, since a slow link is the fault the
-// coordinator must tolerate rather than react to.
-func NetworkChaosSchedule(seed uint64, shards int) []Fault {
-	x := seed*2862933555777941757 + 3037000493
-	next := func() uint64 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return x
-	}
-	kinds := []FaultKind{FaultPartition, FaultDropFrames, FaultSlowLink, FaultCrashOnConnect}
-	rot := int(next() >> 33)
-	out := make([]Fault, shards)
-	for i := range out {
-		f := Fault{
-			Shard: i,
-			Kind:  kinds[(rot+i)%len(kinds)],
-			After: 1 + int(next()>>33)%3,
-		}
-		if f.Kind == FaultSlowLink {
-			f.Delay = time.Duration(1+int(next()>>33)%3) * time.Millisecond
-		}
-		out[i] = f
-	}
-	return out
-}
-
-// ReconnectStorm schedules a shard's first count incarnations to die the
-// instant they connect — the reconnect-storm scenario: every relaunch
-// immediately fails again, exercising the backoff ladder. Incarnation count
-// (the count+1-th) connects cleanly, so a run self-heals as long as count
-// is within the relaunch budget.
-func ReconnectStorm(shard, count int) []Fault {
-	out := make([]Fault, count)
-	for i := range out {
-		out[i] = Fault{Shard: shard, Launch: i, Kind: FaultCrashOnConnect}
-	}
-	return out
 }

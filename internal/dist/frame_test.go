@@ -26,7 +26,7 @@ var frameWave = dist.Msg{
 }
 
 // repeatReader yields the same bytes forever, so a msgReader over it reads
-// an endless stream of one protocol line.
+// an endless stream of one protocol frame.
 type repeatReader struct {
 	line []byte
 	off  int
@@ -42,8 +42,8 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// resultLine is frameResult's result frame for trial 123456.
-func resultLine(t testing.TB) []byte {
+// resultFrame is frameResult's result frame for trial 123456.
+func resultFrame(t testing.TB) []byte {
 	var buf bytes.Buffer
 	ww := dist.NewWaveWriter(&buf)
 	if err := ww.EmitResult(123456, frameResult.AppendJSON(nil)); err != nil {
@@ -55,8 +55,8 @@ func resultLine(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// waveLine is frameWave's protocol line.
-func waveLine(t testing.TB) []byte {
+// waveFrame is frameWave's protocol frame.
+func waveFrame(t testing.TB) []byte {
 	var buf bytes.Buffer
 	if _, err := dist.WriteFrame(&buf, nil, frameWave); err != nil {
 		t.Fatal(err)
@@ -67,8 +67,8 @@ func waveLine(t testing.TB) []byte {
 // TestResultFrameAllocFree pins the per-trial codec cost on both ends of
 // the pipe: a worker encoding a ShardResult into its reused payload buffer
 // and appending the frame to its reused wave buffer allocates nothing, and
-// the coordinator's batched reads decode result lines with at most one
-// allocation per line.
+// the coordinator's batched reads decode result frames with at most one
+// allocation per frame.
 func TestResultFrameAllocFree(t *testing.T) {
 	var payload []byte
 	var err error
@@ -89,19 +89,19 @@ func TestResultFrameAllocFree(t *testing.T) {
 
 	// AllocsPerRun calls batch once more than it measures.
 	const runs = 100
-	dec := dist.NewMsgReader(&repeatReader{line: resultLine(t)})
+	dec := dist.NewMsgReader(&repeatReader{line: resultFrame(t)})
 	var ms []dist.Msg
-	lines := 0
+	frames := 0
 	batch := func() {
 		ms, err = dec.Batch()
-		lines += len(ms)
+		frames += len(ms)
 	}
 	perBatch := testing.AllocsPerRun(runs, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perLine := perBatch / (float64(lines) / (runs + 1)); perLine > 1 {
-		t.Errorf("batched result decode allocates %v objects per line (%v per batch), want at most 1", perLine, perBatch)
+	if perFrame := perBatch / (float64(frames) / (runs + 1)); perFrame > 1 {
+		t.Errorf("batched result decode allocates %v objects per frame (%v per batch), want at most 1", perFrame, perBatch)
 	}
 	for _, m := range ms {
 		if m.Type != dist.TypeResult || m.Trial != 123456 || !bytes.Equal(m.Data, frameResult.AppendJSON(nil)) {
@@ -125,9 +125,9 @@ func BenchmarkResultFrameEncode(b *testing.B) {
 }
 
 // BenchmarkResultFrameDecode times the coordinator's batched read of
-// result lines off a buffered stream, per line.
+// result frames off a buffered stream, per frame.
 func BenchmarkResultFrameDecode(b *testing.B) {
-	dec := dist.NewMsgReader(&repeatReader{line: resultLine(b)})
+	dec := dist.NewMsgReader(&repeatReader{line: resultFrame(b)})
 	b.ReportAllocs()
 	for n := 0; n < b.N; {
 		ms, err := dec.Batch()
@@ -139,15 +139,15 @@ func BenchmarkResultFrameDecode(b *testing.B) {
 }
 
 // BenchmarkResultPath times the coordinator's per-trial result path
-// without the stream: parse one result line and decode its payload into a
-// ShardResult, as a sharded cell's sink does. The canonical payload
-// decodes with 0 allocs/op.
+// without the stream: check and parse one result frame and decode its
+// payload into a ShardResult, as a sharded cell's sink does. The canonical
+// payload decodes with 0 allocs/op.
 func BenchmarkResultPath(b *testing.B) {
-	line := resultLine(b)
+	frame := resultFrame(b)
 	var r experiment.ShardResult
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := dist.DecodeLine(line)
+		m, err := dist.DecodeFrame(frame)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func BenchmarkWaveFrameEncode(b *testing.B) {
 // BenchmarkWaveFrameDecode times a worker's read of one wave command off a
 // buffered stream.
 func BenchmarkWaveFrameDecode(b *testing.B) {
-	dec := dist.NewMsgReader(&repeatReader{line: waveLine(b)})
+	dec := dist.NewMsgReader(&repeatReader{line: waveFrame(b)})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := dec.Next(); err != nil {

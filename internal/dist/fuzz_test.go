@@ -3,13 +3,17 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -315,7 +319,10 @@ func TestLoadCheckpointRejectsBadLaterRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, ok, err := loadCheckpoint(path, hash, 9, 40, "")
-			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.reason) ||
+			// The path holds the subtest's name, so the reason is looked
+			// for in the rest of the message.
+			if err == nil || !strings.Contains(err.Error(), path) ||
+				!strings.Contains(strings.ReplaceAll(err.Error(), path, ""), tc.reason) ||
 				!strings.Contains(err.Error(), "delete it to start over") {
 				t.Fatalf("ok=%v err=%v, want an error naming %s and %q", ok, err, path, tc.reason)
 			}
@@ -387,87 +394,36 @@ func TestCheckpointRestoresRecordsInOrder(t *testing.T) {
 	}
 }
 
-// FuzzFrame drives the JSONL wire decoder with arbitrary bytes — the exact
+// FuzzFrame drives the frame decoder with arbitrary bytes — the exact
 // surface a remote transport exposes to line noise, truncation, and
-// garbage. It must never panic, every accepted frame must carry the current
-// protocol version and a known message type, and a version mismatch must
-// keep the rebuild guidance the cmds' error paths point users at.
+// garbage. It must never panic, every accepted frame must carry a known
+// message type, and an older peer's JSON line must keep the rebuild
+// guidance the cmds' error paths point users at.
 //
-// It also pins the hand-written codecs to encoding/json in both
-// directions: every line the canonical result or wave/wavedone parser
-// accepts must unmarshal to a DeepEqual Msg; a result frame for the fuzzed
-// trial number and the compacted input (when the input is one JSON value)
-// must equal json.Marshal's bytes; and so must a wave and a wavedone frame
-// for the fuzzed lo and hi and indices read from the input's 8-byte words,
-// which the wave parser must then decode back to the same Msg.
+// It also encodes a message of the fuzzed type from the fuzzed fields,
+// XORs mask into its frame from byte off on, and decodes the result: the
+// decoder must reject it, or decode exactly the message encoded.
 func FuzzFrame(f *testing.F) {
-	marshal := func(m Msg) []byte {
-		data, err := json.Marshal(m)
-		if err != nil {
-			f.Fatal(err)
+	for typ := TypeJob; typ <= TypeError; typ++ {
+		for _, v := range []int{0, 1, 3, 127, 128, 1 << 40, -1, math.MinInt, math.MaxInt} {
+			f.Add([]byte(`{"x":1}`), byte(typ), v, 16-v, uint(v), []byte{byte(v)})
 		}
-		return append(data, '\n')
 	}
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeJob, Shard: 0, Shards: 2, Seed: 7, Hash: "h", Spec: []byte(`{}`)}), 0, 0, 0)
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWave, Lo: 0, Hi: 4, Indices: []int{0, 2}}), 0, 0, 4)
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeResult, Trial: 3, Data: []byte(`{"x":1}`)}), 3, 0, 0)
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeResult, Trial: 0, Data: []byte(`null`)}), 0, 0, 0)
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWaveDone, Lo: 0, Hi: 4, Indices: []int{0, 2}}), 0, 16, 32)
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWave, Lo: -5, Hi: math.MaxInt, Indices: []int{math.MinInt, -1, 0}}), 1, -5, math.MaxInt)
-	f.Add(marshal(Msg{V: ProtocolVersion, Type: TypeWaveDone}), 1, math.MinInt, 0)
-	f.Add(marshal(Msg{V: 1, Type: TypeResult, Trial: 3}), 3, 0, 0)
-	f.Add(marshal(Msg{V: 2, Type: TypeWaveDone, Lo: 0, Hi: 4}), 0, 0, 4)
-	f.Add([]byte("{\"v\":3}\n{\"v\":3}\n"), 0, 0, 0)
-	f.Add([]byte("not json\n"), 0, 0, 0)
-	f.Add([]byte("{\"v\":1e999}\n"), 0, 0, 0)
-	f.Add([]byte("{}"), 0, 0, 0)
-	f.Add([]byte("\n"), 0, 0, 0)
-	f.Add([]byte{}, 0, 0, 0)
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 0, 0, -1)
-	// Near misses of the canonical result form, which must fall through to
-	// encoding/json: leading zeros, a trial that does not fit an int, -0,
-	// fields after the payload, a missing newline, whitespace inside the
-	// frame, and payloads that json.Marshal would rewrite. The largest int
-	// and a negative trial are canonical.
-	f.Add([]byte(`{"v":4,"type":"result","trial":007,"data":{}}`+"\n"), 7, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"result","trial":00,"data":{}}`+"\n"), 0, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"result","trial":9223372036854775807,"data":{}}`+"\n"), math.MaxInt, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"result","trial":9223372036854775808,"data":{}}`+"\n"), math.MinInt, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"result","trial":-3,"data":{}}`+"\n"), -3, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"result","trial":-0,"data":{}}`+"\n"), 0, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{},"err":"boom"}`+"\n"), 3, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{},"v":5}`+"\n"), 3, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":1},"v":5}`+"\n"), 3, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{}}`), 3, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data":{}}`+"\r\n"), 3, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"result","trial":3,"data": {"a" : 1} }`+"\n"), 3, 0, 0)
-	f.Add([]byte(`{"v": 4, "type": "result", "trial": 3, "data": {}}`+"\n"), 3, 0, 0)
-	f.Add([]byte("{\"v\":4,\"type\":\"result\",\"trial\":3,\"data\":\"<a\u2028&>\"}\n"), 3, 0, 0)
-	f.Add([]byte("{\"v\":4,\"type\":\"result\",\"trial\":3,\"data\":\"\xff\u00e9\"}\n"), 3, 0, 0)
-	// Near misses of the canonical wave and wavedone forms: leading zeros,
-	// explicit zero lo, hi and indices members, -0, an index past an int,
-	// whitespace, members out of order, trailing fields, a non-zero trial,
-	// an unknown type and a missing newline. -1 and math.MinInt are
-	// canonical.
-	f.Add([]byte(`{"v":4,"type":"wave","lo":016,"hi":32,"indices":[16],"trial":0}`+"\n"), 0, 16, 32)
-	f.Add([]byte(`{"v":4,"type":"wave","lo":0,"hi":32,"indices":[16],"trial":0}`+"\n"), 0, 0, 32)
-	f.Add([]byte(`{"v":4,"type":"wave","hi":0,"trial":0}`+"\n"), 0, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"wave","hi":4,"indices":[],"trial":0}`+"\n"), 0, 0, 4)
-	f.Add([]byte(`{"v":4,"type":"wave","lo":-1,"hi":4,"indices":[-1,03],"trial":0}`+"\n"), 0, -1, 4)
-	f.Add([]byte(`{"v":4,"type":"wave","lo":-1,"hi":4,"indices":[-1,3],"trial":0}`+"\n"), 0, -1, 4)
-	f.Add([]byte(`{"v":4,"type":"wavedone","lo":-0,"hi":4,"trial":0}`+"\n"), 0, 0, 4)
-	f.Add([]byte(`{"v":4,"type":"wavedone","indices":[-9223372036854775808,9223372036854775808],"trial":0}`+"\n"), 0, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"wavedone","indices":[-9223372036854775808],"trial":0}`+"\n"), 0, 0, 0)
-	f.Add([]byte(`{"v":4,"type":"wave","lo":16,"hi":32,"indices":[16, 18],"trial":0}`+"\n"), 0, 16, 32)
-	f.Add([]byte(`{"v":4,"type":"wave","hi":32,"lo":16,"trial":0}`+"\n"), 0, 16, 32)
-	f.Add([]byte(`{"v":4,"type":"wave","lo":16,"hi":32,"indices":[16,],"trial":0}`+"\n"), 0, 16, 32)
-	f.Add([]byte(`{"v":4,"type":"wave","lo":16,"hi":32,"trial":0,"err":"x"}`+"\n"), 0, 16, 32)
-	f.Add([]byte(`{"v":4,"type":"wave","lo":16,"hi":32,"trial":0,"lo":17}`+"\n"), 0, 16, 32)
-	f.Add([]byte(`{"v":4,"type":"wave","lo":16,"hi":32,"trial":1}`+"\n"), 0, 16, 32)
-	f.Add([]byte(`{"v":4,"type":"waved","lo":16,"hi":32,"trial":0}`+"\n"), 0, 16, 32)
-	f.Add([]byte(`{"v":4,"type":"wavedone","lo":16,"hi":32,"trial":0}`), 0, 16, 32)
-	f.Add([]byte(`{"v":4,"type":"wavedone","lo":16,"hi":32,"trial":0}`+"\r\n"), 0, 16, 32)
-	f.Fuzz(func(t *testing.T, data []byte, trial, lo, hi int) {
+	for _, s := range []string{
+		`{"v":4,"type":"hello","shard":0,"shards":1}` + "\n",
+		`{"v":1,"type":"result","trial":3}` + "\n",
+		`{"v":5,"type":"result"}` + "\n",
+		`{"v":1e999}` + "\n",
+		"not a frame\n",
+		"\x05\x05\x03\x00{}\x00\x00\x00\x00",
+		"\x05\x09\x00\x00\x00\x00\x00",
+		"\x05\x05\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01",
+		"\x05\x05\x81\x80\x80\x20",
+		"",
+	} {
+		f.Add([]byte(s), byte(TypeResult), 0, 0, uint(0), []byte(nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, typ byte, a, b int, off uint, mask []byte) {
 		dec := newMsgReader(bytes.NewReader(data))
 		for {
 			m, err := dec.next()
@@ -477,69 +433,84 @@ func FuzzFrame(f *testing.F) {
 				}
 				break // any error ends the stream, matching the reader pump
 			}
-			if m.V != ProtocolVersion {
-				t.Fatalf("decoder accepted frame with version %d", m.V)
-			}
-			switch m.Type {
-			case TypeJob, TypeWave, TypeHalt, TypeHello, TypeResult, TypeWaveDone, TypeError:
-			default:
-				t.Fatalf("decoder accepted frame with unknown type %q", m.Type)
+			if m.Type < TypeJob || m.Type > TypeError {
+				t.Fatalf("decoder accepted frame with unknown type %d", m.Type)
 			}
 		}
 
-		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
-			for name, parse := range map[string]func([]byte) (Msg, bool){"result": parseResultFrame, "wave": parseRangeFrame} {
-				m, ok := parse(line)
-				if !ok {
-					continue
-				}
-				var want Msg
-				if err := json.Unmarshal(line, &want); err != nil {
-					t.Fatalf("%s parser accepted %q, which encoding/json rejects: %v", name, line, err)
-				}
-				if !reflect.DeepEqual(m, want) {
-					t.Fatalf("%s parser decoded %q to %+v, encoding/json to %+v", name, line, m, want)
-				}
+		m := fuzzMsg(MsgType(typ%byte(TypeError)+1), data, a, b)
+		frame, err := appendMsg(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range mask {
+			if k := int(off%uint(len(frame))) + i; k < len(frame) {
+				frame[k] ^= mask[i]
 			}
 		}
-
-		var indices []int
-		for w := data; len(w) >= 8; w = w[8:] {
-			indices = append(indices, int(binary.LittleEndian.Uint64(w)))
-		}
-		for _, typ := range []string{TypeWave, TypeWaveDone} {
-			m := Msg{V: ProtocolVersion, Type: typ, Lo: lo, Hi: hi, Indices: indices}
-			got := encodeLike(t, m)
-			back, ok := parseRangeFrame(got)
-			if !ok || !reflect.DeepEqual(back, m) {
-				t.Fatalf("wave parser decoded %q to %+v (ok %v), want %+v", got, back, ok, m)
-			}
-		}
-
-		var payload bytes.Buffer
-		if json.Compact(&payload, data) != nil {
+		dec = newMsgReader(bytes.NewReader(frame))
+		got, err := dec.next()
+		if err != nil {
 			return
 		}
-		encodeLike(t, Msg{V: ProtocolVersion, Type: TypeResult, Trial: trial, Data: payload.Bytes()})
+		if _, err := dec.next(); err != io.EOF {
+			t.Fatalf("frame of %+v decoded, then %v; want io.EOF", m, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("frame of %+v decoded to %+v", m, got)
+		}
 	})
 }
 
-// encodeLike returns m's protocol line from appendMsg, failing t unless it
-// equals json.Marshal's bytes and a newline.
-func encodeLike(t *testing.T, m Msg) []byte {
-	t.Helper()
-	got, err := appendMsg(nil, m)
-	if err != nil {
-		t.Fatalf("encode %s frame %+v: %v", m.Type, m, err)
+// fuzzMsg builds a message of type typ from fuzzed fields, with only the
+// fields its type sends, spelled as the decoder returns them.
+func fuzzMsg(typ MsgType, data []byte, a, b int) Msg {
+	m := Msg{Type: typ}
+	switch typ {
+	case TypeResult:
+		m.Trial, m.Data = a, append([]byte{}, data...)
+	case TypeWave, TypeWaveDone:
+		m.Lo, m.Hi = a, b
+		for w := data; len(w) >= 8; w = w[8:] {
+			m.Indices = append(m.Indices, int(binary.LittleEndian.Uint64(w)))
+		}
+	case TypeJob, TypeHello:
+		m.Shard, m.Shards, m.Seed, m.Hash = a, b, uint64(a)*3, hex.EncodeToString(data)
+		if typ == TypeJob {
+			m.Spec = []byte(`{"n":` + strconv.Itoa(b) + `}`)
+		}
+	case TypeError:
+		m.Err = hex.EncodeToString(data)
 	}
-	want, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
+	return m
+}
+
+// TestFrameRejectsOversizeBody pins the decoder's size cap: a header that
+// declares a body longer than DefaultMaxFrame is rejected before any of
+// the body is read, and one within the cap whose body never arrives
+// allocates no more than arrived.
+func TestFrameRejectsOversizeBody(t *testing.T) {
+	for _, tc := range []struct {
+		declared uint64
+		want     string
+	}{
+		{DefaultMaxFrame + 1, "cap"},
+		{DefaultMaxFrame, "unexpected EOF"},
+	} {
+		stream := binary.AppendUvarint([]byte{ProtocolVersion, byte(TypeResult)}, tc.declared)
+		stream = append(stream, make([]byte, 3*msgReaderSize)...)
+		dec := newMsgReader(bytes.NewReader(stream))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := dec.next()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("declared %d: err %v, want one naming %q", tc.declared, err, tc.want)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<16 {
+			t.Fatalf("declared %d: decoder allocated %d bytes for a %d-byte stream", tc.declared, grown, len(stream))
+		}
 	}
-	if want = append(want, '\n'); !bytes.Equal(got, want) {
-		t.Fatalf("%s frame\n got %q\nwant %q", m.Type, got, want)
-	}
-	return got
 }
 
 // FuzzCheckpoint drives checkpoint parsing with arbitrary bytes: it must
@@ -595,60 +566,6 @@ func FuzzCheckpoint(f *testing.F) {
 		}
 		if got.NextTrial != cp.NextTrial || got.Done != cp.Done {
 			t.Fatalf("loadCheckpoint round trip diverged: %+v vs %+v", got, cp)
-		}
-	})
-}
-
-// FuzzValidJSON pins validJSON to json.Valid on arbitrary bytes: the
-// payload check on both ends of the wire and the checkpoint loader's torn
-// record test must accept exactly what encoding/json accepts.
-func FuzzValidJSON(f *testing.F) {
-	// 64 and 65 straddle a word of validJSON's container stack, 10000 and
-	// 10001 the nesting limit.
-	for _, depth := range []int{64, 65, maxNestingDepth, maxNestingDepth + 1} {
-		objects := strings.Repeat(`{"a":`, depth)
-		f.Add([]byte(strings.Repeat("[", depth) + strings.Repeat("]", depth)))
-		f.Add([]byte(objects)) // unclosed
-		f.Add([]byte(objects + "1" + strings.Repeat("}", depth)))
-		f.Add([]byte(strings.Repeat(`[{"k":`, depth/2) + "0" + strings.Repeat("}]", depth/2)))
-	}
-	for _, s := range []string{
-		``, ` `, `null`, `true`, `false`, `nul`, `truex`, ` {} `, "\t[ ]\r\n", `[1,]`, `{"a":1,}`, `{"a"}`, `{1:2}`,
-		`"\"\\\/\b\f\n\r\té\uD83D"`, `"\x"`, `"\u12G4"`, `"\u123"`, "\"a\x1fb\"", "\"\xff\xfe\"", `"abc`,
-		`0`, `-0`, `01`, `-`, `1.`, `.5`, `1.5e+10`, `1E-3`, `1e`, `-1.0e5`, `123456789012345678901234567890`,
-		`{"interactions_hi":0,"interactions_lo":1,"winner":-1,"initial_leader":17,"outcome":"budget-exhausted"}`,
-		`[1 2]`, `{"a":1 "b":2}`, `1 2`, `[[[]]]`, `[[[]]`, `]`, `}`,
-	} {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if got, want := validJSON(data), json.Valid(data); got != want {
-			t.Fatalf("validJSON(%.200q) = %v, json.Valid = %v", data, got, want)
-		}
-	})
-}
-
-// FuzzVerbatimJSON pins verbatimJSON to json.Marshal on arbitrary bytes: it
-// reports true exactly when json.Marshal copies the bytes, as a
-// json.RawMessage, unchanged. When it does, the worker's hand-built result
-// frame must be json.Marshal's line byte for byte.
-func FuzzVerbatimJSON(f *testing.F) {
-	for _, s := range []string{
-		``, ` `, `null`, ` null`, `null `, `{}`, `{ }`, `[1, 2]`, `{"a":1,"b":[true,false,null]}`, `{"a" :1}`,
-		`"a b"`, "\"a\tb\"", `"<"`, `">"`, `"&"`, `"\u003c"`, "\"\u2028\"", "\"\u2029\"", "\"\u202a\"", "\"\u2027\"",
-		"\"\xe2\"", "\"\xe2\x80\"", "\"\xe2\x80\xa8", "\"\xe2\x82\xac\"", "\"\xff\"", `"\"<\""`, `1e5`, `-0.5`, `01`,
-		`{"interactions_hi":0,"interactions_lo":1,"winner":-1,"initial_leader":17,"outcome":"budget-exhausted"}`,
-	} {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := json.Marshal(json.RawMessage(data))
-		want := err == nil && bytes.Equal(out, data)
-		if got := verbatimJSON(data); got != want {
-			t.Fatalf("verbatimJSON(%.200q) = %v; json.Marshal copies it unchanged: %v", data, got, want)
-		}
-		if want {
-			encodeLike(t, Msg{V: ProtocolVersion, Type: TypeResult, Trial: len(data), Data: data})
 		}
 	})
 }

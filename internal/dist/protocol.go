@@ -12,35 +12,31 @@
 // on exactly the same bits at every shard count, which is the property the
 // shard-determinism CI job pins.
 //
-// The wire protocol is versioned JSONL over the worker's stdin/stdout: the
-// coordinator sends a job header (spec, seed, shard identity, spec hash),
-// the worker answers with a hello echoing the verified hash, and then
-// explicit trial-index lists flow down and per-trial result payloads flow
-// back, each wave closed by a wavedone barrier message. The lines sent per
-// trial and per wave are encoded and parsed by hand rather than by
-// reflection, into the same bytes encoding/json writes: result frames
-// carrying only a trial number and payload, and wave and wavedone frames
-// carrying only lo, hi and indices. A result payload is checked in one
-// pass on each end: by verbatimJSON on the worker, which also proves that
-// json.Marshal would copy it unchanged, and by validJSON on the
-// coordinator, which accepts exactly what json.Valid accepts. Every other
-// message (job, hello, halt, error) and any other spelling goes through
-// encoding/json. A worker writes a wave share's frames in one write, and
-// the coordinator hands every line already buffered to its event loop in
-// one channel send. The wave barrier is the cross-process analogue of
-// StreamAdaptive's dispatch window: after folding a wave the coordinator
-// evaluates the stopping predicate, writes a checksummed checkpoint record
-// (caller aggregate state + next trial index + spec hash), and either
-// dispatches the next wave, sized by what the last one cost, or halts
-// every worker. Interrupted runs
-// resume from the checkpoint instead of restarting, and a resumed run's
-// final aggregates are bit-identical to an uninterrupted one's.
+// The wire protocol runs over the worker's stdin/stdout as a stream of
+// versioned frames: the coordinator sends a job header (spec, seed, shard
+// identity, spec hash), the worker answers with a hello echoing the
+// verified hash, and then explicit trial-index lists flow down and
+// per-trial result payloads flow back, each wave closed by a wavedone
+// barrier message. Every frame carries its body's length and a CRC-32C,
+// so it can carry any bytes: dist never looks inside a result payload,
+// which only the caller's sink decodes. Wave, wavedone and result bodies
+// are uvarints (and a result's payload bytes); job, hello, halt and error
+// bodies are the JSON of Msg. A worker writes a wave share's frames in one
+// write, and the coordinator hands every frame already buffered to its
+// event loop in one channel send. The wave barrier is the cross-process
+// analogue of StreamAdaptive's dispatch window: after folding a wave the
+// coordinator evaluates the stopping predicate, writes a checksummed
+// checkpoint record (caller aggregate state + next trial index + spec
+// hash), and either dispatches the next wave, sized by what the last one
+// cost, or halts every worker. Interrupted runs resume from the checkpoint
+// instead of restarting, and a resumed run's final aggregates are
+// bit-identical to an uninterrupted one's.
 package dist
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -48,61 +44,79 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"repro/internal/jsonint"
 )
 
-// ProtocolVersion is the version tag every protocol line carries. Workers
-// and coordinators reject lines from any other version, so mixed-binary
-// fleets — much easier to assemble by accident now that RemoteLauncher
-// starts workers from per-host binaries — fail loudly instead of folding
-// garbage. Version 4 made explicit index lists the only dispatch form: a
-// version 3 coordinator's index-less wave would run nothing on a version 4
-// worker and stall the run until the liveness deadline. Version 3 made the
-// wavedone barrier echo the indices the worker computed, which the
-// coordinator's frame-integrity check relies on to detect result frames
-// lost in transit; version 2 switched the trial payloads and job specs to
-// the 128-bit interaction clock's hi/lo word pairs (budget_hi/budget_lo,
-// interactions_hi/interactions_lo); version 1 carried single int64 clock
-// fields, which overflow past n = ⌊√MaxInt64⌋.
-const ProtocolVersion = 4
+// ProtocolVersion is the first byte of every frame. Workers and
+// coordinators reject frames of any other version, so mixed-binary fleets
+// — much easier to assemble by accident now that RemoteLauncher starts
+// workers from per-host binaries — fail loudly instead of folding garbage.
+// Version 5 replaced JSON lines with length-prefixed, checksummed frames; a
+// stream that opens a JSON line comes from a version 4 or older peer and
+// fails the run naming that peer's version. Version 4 made explicit index
+// lists the only dispatch form: a version 3 coordinator's index-less wave
+// would run nothing on a version 4 worker and stall the run until the
+// liveness deadline. Version 3 made the wavedone barrier echo the indices
+// the worker computed, which the coordinator's frame-integrity check relies
+// on to detect result frames lost in transit; version 2 switched the trial
+// payloads and job specs to the 128-bit interaction clock's hi/lo word
+// pairs (budget_hi/budget_lo, interactions_hi/interactions_lo); version 1
+// carried single int64 clock fields, which overflow past n = ⌊√MaxInt64⌋.
+const ProtocolVersion = 5
 
-// errProtocolVersion marks a cross-version protocol line: the failure is a
-// build mismatch, deterministic across relaunches, so the coordinator
-// aborts instead of spending relaunch budget reproducing it.
+// DefaultMaxFrame caps a frame's body in bytes: the decoder rejects a
+// frame that declares a longer body before it reads any of it, so a
+// corrupted length cannot make it buffer without bound.
+const DefaultMaxFrame = 64 << 20
+
+// errProtocolVersion marks a cross-version peer: the failure is a build
+// mismatch, deterministic across relaunches, so the coordinator aborts
+// instead of spending relaunch budget reproducing it.
 var errProtocolVersion = errors.New("protocol version mismatch")
+
+// MsgType is a message's type, sent as the second byte of its frame.
+type MsgType byte
 
 // Message types sent by the coordinator.
 const (
 	// TypeJob opens the session: spec, seed, shard identity, spec hash.
-	TypeJob = "job"
+	TypeJob MsgType = iota + 1
 	// TypeWave dispatches the explicit global trial indices Indices, all
 	// within the wave range [Lo, Hi).
-	TypeWave = "wave"
+	TypeWave
 	// TypeHalt asks the worker to exit cleanly.
-	TypeHalt = "halt"
+	TypeHalt
 )
 
 // Message types sent by the worker.
 const (
 	// TypeHello acknowledges the job header after verifying the spec hash.
-	TypeHello = "hello"
+	TypeHello MsgType = iota + TypeHalt + 1
 	// TypeResult carries one trial's result payload.
-	TypeResult = "result"
+	TypeResult
 	// TypeWaveDone marks the wave barrier: every dispatched index has been
 	// emitted.
-	TypeWaveDone = "wavedone"
+	TypeWaveDone
 	// TypeError aborts the session with a worker-side error.
-	TypeError = "error"
+	TypeError
 )
 
-// Msg is one JSONL protocol line. Fields are populated according to Type;
-// unused fields are omitted from the wire form.
+// typeNames names the message types for diagnostics.
+var typeNames = [...]string{TypeJob: "job", TypeWave: "wave", TypeHalt: "halt",
+	TypeHello: "hello", TypeResult: "result", TypeWaveDone: "wavedone", TypeError: "error"}
+
+// String names the message type.
+func (t MsgType) String() string {
+	if t >= TypeJob && t <= TypeError {
+		return typeNames[t]
+	}
+	return "type " + strconv.Itoa(int(t))
+}
+
+// Msg is one protocol message. Fields are populated according to Type;
+// the fields a type does not use are not sent.
 type Msg struct {
-	// V is the protocol version, always ProtocolVersion.
-	V int `json:"v"`
-	// Type is one of the Type* constants.
-	Type string `json:"type"`
+	// Type is one of the Type* constants; the frame header carries it.
+	Type MsgType `json:"-"`
 	// Shard and Shards identify the worker in job and hello messages.
 	Shard int `json:"shard,omitempty"`
 	// Shards is the total shard count.
@@ -114,9 +128,9 @@ type Msg struct {
 	// Spec is the opaque job specification (job messages).
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Lo and Hi bound a wave's global index range (wave and wavedone).
-	Lo int `json:"lo,omitempty"`
+	Lo int `json:"-"`
 	// Hi is the wave range's exclusive upper bound.
-	Hi int `json:"hi,omitempty"`
+	Hi int `json:"-"`
 	// Indices, on a wave message, lists exactly the global indices the
 	// worker runs. The coordinator deals every wave this way — first-time
 	// dispatch, requeues to a relaunched incarnation, redistribution to
@@ -126,43 +140,36 @@ type Msg struct {
 	// the worker actually computed and emitted, the coordinator's
 	// frame-integrity evidence: an echoed index the coordinator never
 	// received a result for was lost in transit.
-	Indices []int `json:"indices,omitempty"`
+	Indices []int `json:"-"`
 	// Trial is the global trial index of a result.
-	Trial int `json:"trial"`
+	Trial int `json:"-"`
 	// Data is the trial's result payload (result messages).
-	Data json.RawMessage `json:"data,omitempty"`
+	Data []byte `json:"-"`
 	// Err describes a worker-side failure (error messages).
 	Err string `json:"err,omitempty"`
 }
 
-// msgHead is the opening of every message up to its type name.
-var msgHead = `{"v":` + strconv.Itoa(ProtocolVersion) + `,"type":"`
+// A frame is the version byte, the type byte, the body's length as a
+// uvarint, the body, and the little-endian CRC-32C (recordSum) of every
+// byte from the type through the body. A wave or wavedone body is the
+// uvarints lo, hi and then each index; a result body the uvarint trial
+// number and then the payload; any other body the JSON of the Msg.
+const (
+	// frameHead is the longest header: version, type and length.
+	frameHead = 2 + binary.MaxVarintLen64
+	// frameSum is the length of the trailing checksum.
+	frameSum = 4
+)
 
-// resultHead is the opening of a result frame up to its trial number:
-// the bytes json.Marshal writes for a Msg whose only non-zero fields are
-// V, Type, Trial and Data.
-var resultHead = msgHead + TypeResult + `","trial":`
-
-// resultDataKey separates a result frame's trial number from its payload.
-const resultDataKey = `,"data":`
-
-// resultTail closes a result frame and its line.
-const resultTail = "}\n"
-
-// rangeTail closes a wave or wavedone frame and its line: json.Marshal
-// writes the zero trial number because Trial has no omitempty.
-const rangeTail = `,"trial":0}` + "\n"
-
-// writeMsg emits one protocol line. The marshaled message and its newline
-// go out in a single Write call, so concurrent pipes never interleave
-// partial lines.
+// writeMsg emits one protocol frame in a single Write call, so concurrent
+// pipes never interleave partial frames.
 func writeMsg(w io.Writer, m Msg) error {
 	_, err := writeFrame(w, nil, m)
 	return err
 }
 
-// writeFrame is writeMsg building the line in buf, reused across calls: it
-// returns the grown buffer for the next frame.
+// writeFrame is writeMsg building the frame in buf, reused across calls:
+// it returns the grown buffer for the next frame.
 func writeFrame(w io.Writer, buf []byte, m Msg) ([]byte, error) {
 	buf, err := appendMsg(buf[:0], m)
 	if err != nil {
@@ -174,51 +181,34 @@ func writeFrame(w io.Writer, buf []byte, m Msg) ([]byte, error) {
 	return buf, nil
 }
 
-// appendMsg appends m's protocol line, newline included, to dst. The
-// frames sent per trial and per wave — a result carrying only its trial
-// number and payload, a wave or wavedone carrying only its range and
-// indices — are assembled by hand; every other message goes through
-// encoding/json. Both give the same bytes: a result takes the hand path
-// only when json.Marshal would copy its payload verbatim.
+// appendMsg appends m's frame to dst. The body is built after room for the
+// longest header and moved up against the header once its length is known.
 func appendMsg(dst []byte, m Msg) ([]byte, error) {
-	m.V = ProtocolVersion
-	bare := m.Shard == 0 && m.Shards == 0 && m.Seed == 0 && m.Hash == "" && len(m.Spec) == 0 && m.Err == ""
-	switch {
-	case bare && m.Type == TypeResult && m.Lo == 0 && m.Hi == 0 && len(m.Indices) == 0 && verbatimJSON(m.Data):
-		dst = append(dst, resultHead...)
-		dst = strconv.AppendInt(dst, int64(m.Trial), 10)
-		dst = append(dst, resultDataKey...)
-		dst = append(dst, m.Data...)
-		return append(dst, resultTail...), nil
-	case bare && (m.Type == TypeWave || m.Type == TypeWaveDone) && m.Trial == 0 && len(m.Data) == 0:
-		dst = append(append(append(dst, msgHead...), m.Type...), '"')
-		if m.Lo != 0 {
-			dst = strconv.AppendInt(append(dst, `,"lo":`...), int64(m.Lo), 10)
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHead)...)
+	body := len(dst)
+	switch m.Type {
+	case TypeResult:
+		dst = append(binary.AppendUvarint(dst, uint64(m.Trial)), m.Data...)
+	case TypeWave, TypeWaveDone:
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(m.Lo)), uint64(m.Hi))
+		for _, x := range m.Indices {
+			dst = binary.AppendUvarint(dst, uint64(x))
 		}
-		if m.Hi != 0 {
-			dst = strconv.AppendInt(append(dst, `,"hi":`...), int64(m.Hi), 10)
+	default:
+		b, err := json.Marshal(m)
+		if err != nil {
+			return dst[:start], fmt.Errorf("dist: marshal %s message: %w", m.Type, err)
 		}
-		if len(m.Indices) > 0 {
-			dst = append(dst, `,"indices":`...)
-			sep := byte('[')
-			for _, x := range m.Indices {
-				dst = strconv.AppendInt(append(dst, sep), int64(x), 10)
-				sep = ','
-			}
-			dst = append(dst, ']')
-		}
-		return append(dst, rangeTail...), nil
+		dst = append(dst, b...)
 	}
-	b, err := json.Marshal(m)
-	if err != nil {
-		return dst, fmt.Errorf("dist: marshal %s message: %w", m.Type, err)
-	}
-	dst = append(dst, b...)
-	return append(dst, '\n'), nil
+	head := binary.AppendUvarint(append(dst[:start], ProtocolVersion, byte(m.Type)), uint64(len(dst)-body))
+	end := len(head) + copy(dst[len(head):], dst[body:])
+	return binary.LittleEndian.AppendUint32(dst[:end], recordSum(dst[start+1:end])), nil
 }
 
-// msgReader decodes protocol lines from a stream, with no fixed line-length
-// limit (result payloads can be large).
+// msgReader decodes protocol frames from a stream, with no fixed frame
+// size limit below DefaultMaxFrame (result payloads can be large).
 type msgReader struct {
 	r *bufio.Reader
 	// queue and err hold the rest of the last batch for next.
@@ -228,13 +218,13 @@ type msgReader struct {
 
 // msgReaderSize is a decoder's buffer size. A worker writes a wave share in
 // one write (or early, flushAfter past its last write): at DefaultWave that
-// is ~8 result lines of ~100 bytes for each of two shards, which one read
+// is ~8 result frames of ~110 bytes for each of two shards, which one read
 // takes in whole; a cost-sized wave of cheap trials (a few hundred trials
 // on perfbench dispatch-bound) makes shares of 15–20 KB, which a few reads
-// and batches take in. A 32 KB buffer measured within noise of this one there.
-// A longer line, such as a large job spec, is gathered whole by batch's
-// long path. Every worker launch gets a fresh decoder, so a larger buffer
-// would only add to the coordinator's peak RSS.
+// and batches take in. A 32 KB buffer measured within noise of this one
+// there. A longer frame, such as a large job spec, is gathered whole by
+// frames' long path. Every worker launch gets a fresh decoder, so a larger
+// buffer would only add to the coordinator's peak RSS.
 const msgReaderSize = 4 << 10
 
 // newMsgReader wraps a stream in a protocol decoder.
@@ -242,8 +232,8 @@ func newMsgReader(r io.Reader) *msgReader {
 	return &msgReader{r: bufio.NewReaderSize(r, msgReaderSize)}
 }
 
-// next reads and validates one protocol line, by way of batch. It returns
-// io.EOF untouched at a clean end of stream.
+// next reads and validates one protocol message, by way of batch. It
+// returns io.EOF untouched at a clean end of stream.
 func (d *msgReader) next() (Msg, error) {
 	for len(d.queue) == 0 {
 		if d.err != nil {
@@ -256,165 +246,196 @@ func (d *msgReader) next() (Msg, error) {
 	return m, nil
 }
 
-// batch reads the next protocol line, blocking until it is complete, and
-// then every further line already complete in the buffer, without
-// blocking. It copies the lines out of the buffer in one allocation, which
-// the decoded payloads alias. The lines decoded before a failing one come
-// back with its error, and the reader is spent after any error; io.EOF
-// comes back untouched at a clean end of stream.
+// batch decodes the frames of one frames call. The messages decoded before
+// a failing frame come back with its error, and the reader is spent after
+// any error; io.EOF comes back untouched at a clean end of stream.
 func (d *msgReader) batch() ([]Msg, error) {
-	line, err := d.r.ReadSlice('\n')
-	var long []byte // a line longer than the buffer, gathered in pieces
-	for err == bufio.ErrBufferFull {
-		long = append(long, line...)
-		line, err = d.r.ReadSlice('\n')
-	}
-	if err != nil {
-		if err == io.EOF && len(long)+len(line) == 0 {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("dist: read protocol line: %w", err)
-	}
-	// Peeking at and discarding no more than is buffered never reads, so
-	// neither fails, and line stays valid until the copy.
-	rest, _ := d.r.Peek(d.r.Buffered())
-	rest = rest[:bytes.LastIndexByte(rest, '\n')+1]
-	lines := make([]byte, 0, len(long)+len(line)+len(rest))
-	lines = append(append(append(lines, long...), line...), rest...)
-	d.r.Discard(len(rest))
-	ms := make([]Msg, 0, bytes.Count(lines, []byte{'\n'}))
-	for len(lines) > 0 {
-		i := bytes.IndexByte(lines, '\n') + 1
-		m, err := decodeLine(lines[:i:i])
-		if err != nil {
-			return ms, err
+	raw, n, err := d.frames()
+	ms := make([]Msg, 0, n)
+	for len(raw) > 0 {
+		size, _ := frameSize(raw)
+		m, ferr := decodeFrame(raw[:size:size])
+		if ferr != nil {
+			return ms, ferr
 		}
 		ms = append(ms, m)
-		lines = lines[i:]
+		raw = raw[size:]
 	}
-	return ms, nil
+	return ms, err
 }
 
-// decodeLine decodes and validates one protocol line, newline included.
-// The hand-coded frames are parsed in one pass; every other line goes
-// through encoding/json.
-func decodeLine(line []byte) (Msg, error) {
-	if m, ok := parseResultFrame(line); ok {
-		return m, nil
+// frames reads the next frame, blocking until it is whole, and then every
+// further frame already whole in the buffer, without blocking. It returns
+// their bytes in one copy, which the decoded payloads alias, and how many
+// frames that is. Only the headers are checked here: the checksums and
+// bodies are decodeFrame's. io.EOF comes back untouched at a clean end of
+// stream.
+func (d *msgReader) frames() ([]byte, int, error) {
+	size, err := d.head()
+	if err != nil {
+		return nil, 0, err
 	}
-	if m, ok := parseRangeFrame(line); ok {
-		return m, nil
+	var long []byte // a frame longer than the buffer, gathered in pieces
+	for size > d.r.Size() && len(long) < size {
+		if _, err := d.r.Peek(1); err != nil {
+			return nil, 0, readErr(err)
+		}
+		b, _ := d.r.Peek(min(d.r.Buffered(), size-len(long)))
+		long = append(long, b...)
+		d.r.Discard(len(b))
 	}
-	var m Msg
-	if err := json.Unmarshal(line, &m); err != nil {
-		return Msg{}, fmt.Errorf("dist: bad protocol line %.80q: %w", line, err)
+	if long != nil {
+		size = 0
+	} else if _, err := d.r.Peek(size); err != nil {
+		return nil, 0, readErr(err)
 	}
-	if m.V != ProtocolVersion {
-		return Msg{}, fmt.Errorf("dist: protocol version %d, want %d (%w; version 1 predates the 128-bit interaction clock, version 2 the wavedone integrity echo, version 3 explicit-only dealing — rebuild so coordinator and every worker host match)",
-			m.V, ProtocolVersion, errProtocolVersion)
+	// Peeking at and discarding no more than is buffered never reads, so
+	// neither fails, and the frames stay valid until the copy.
+	buf, _ := d.r.Peek(d.r.Buffered())
+	end, n := size, 1
+	for {
+		next, err := frameSize(buf[end:])
+		if err != nil || next == 0 || next > len(buf)-end {
+			break
+		}
+		end, n = end+next, n+1
 	}
+	out := append(long, buf[:end]...)
+	d.r.Discard(end)
+	return out, n, nil
+}
+
+// head blocks until the next frame's header is whole and returns the
+// frame's size. A JSON line in its place is an older peer's.
+func (d *msgReader) head() (int, error) {
+	for need := 1; ; {
+		if _, err := d.r.Peek(need); err != nil {
+			if err == io.EOF && need == 1 {
+				return 0, io.EOF
+			}
+			return 0, readErr(err)
+		}
+		b, _ := d.r.Peek(d.r.Buffered())
+		size, err := frameSize(b)
+		if err == errJSONLine {
+			return 0, d.jsonLine()
+		}
+		if err != nil || size > 0 {
+			return size, err
+		}
+		need = len(b) + 1
+	}
+}
+
+// readErr wraps a stream error met inside a frame.
+func readErr(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("dist: read protocol frame: %w", err)
+}
+
+// errJSONLine reports a frame that opens with '{': a JSON protocol line
+// from a peer of version 4 or older.
+var errJSONLine = errors.New("dist: JSON protocol line")
+
+// jsonLine reads an older peer's JSON line and fails naming its version.
+func (d *msgReader) jsonLine() error {
+	line, _ := d.r.ReadSlice('\n')
+	var head struct {
+		V int `json:"v"`
+	}
+	if json.Unmarshal(line, &head) != nil || head.V == ProtocolVersion {
+		return fmt.Errorf("dist: bad protocol line %.80q", line)
+	}
+	return fmt.Errorf("dist: protocol version %d, want %d (%w; version 1 predates the 128-bit interaction clock, version 2 the wavedone integrity echo, version 3 explicit-only dealing, version 4 checksummed frames — rebuild so coordinator and every worker host match)",
+		head.V, ProtocolVersion, errProtocolVersion)
+}
+
+// frameSize checks the header of the frame that b opens and returns the
+// frame's size, or 0 while b holds only part of the header. It rejects an
+// unknown version or type and a body longer than DefaultMaxFrame.
+func frameSize(b []byte) (int, error) {
+	if len(b) > 0 && b[0] == '{' {
+		return 0, errJSONLine
+	}
+	if len(b) < 2 {
+		return 0, nil
+	}
+	if b[0] != ProtocolVersion {
+		return 0, fmt.Errorf("dist: bad frame: version byte %d, want %d", b[0], ProtocolVersion)
+	}
+	if t := MsgType(b[1]); t < TypeJob || t > TypeError {
+		return 0, fmt.Errorf("dist: bad frame: unknown message type %d", b[1])
+	}
+	n, k := binary.Uvarint(b[2:])
+	if k < 0 || n > DefaultMaxFrame {
+		return 0, fmt.Errorf("dist: bad frame: declared body length over the %d-byte cap", DefaultMaxFrame)
+	}
+	if k == 0 {
+		return 0, nil
+	}
+	return 2 + k + int(n) + frameSum, nil
+}
+
+// decodeFrame checks a whole frame's checksum and decodes its body. A
+// result's Data aliases the frame.
+func decodeFrame(f []byte) (Msg, error) {
+	sum := len(f) - frameSum
+	if binary.LittleEndian.Uint32(f[sum:]) != recordSum(f[1:sum]) {
+		return Msg{}, fmt.Errorf("dist: bad %s frame: checksum mismatch", MsgType(f[1]))
+	}
+	m := Msg{Type: MsgType(f[1])}
+	_, k := binary.Uvarint(f[2:])
+	body := f[2+k : sum : sum]
+	ok := true
 	switch m.Type {
-	case TypeJob, TypeWave, TypeHalt, TypeHello, TypeResult, TypeWaveDone, TypeError:
+	case TypeResult:
+		var trial uint64
+		trial, body, ok = cutUvarint(body)
+		m.Trial, m.Data = int(trial), body
+	case TypeWave, TypeWaveDone:
+		var lo, hi, x uint64
+		lo, body, ok = cutUvarint(body)
+		if ok {
+			hi, body, ok = cutUvarint(body)
+		}
+		m.Lo, m.Hi = int(lo), int(hi)
+		if ok && len(body) > 0 {
+			// Every uvarint ends in its one byte below 0x80.
+			n := 0
+			for _, c := range body {
+				n += int(^c >> 7)
+			}
+			m.Indices = make([]int, 0, n)
+		}
+		for ok && len(body) > 0 {
+			x, body, ok = cutUvarint(body)
+			m.Indices = append(m.Indices, int(x))
+		}
 	default:
-		// Reject unknown frames at the decoder: over a real transport a
-		// right-version-wrong-type frame means stream corruption, not a
-		// feature gap, and both endpoints' message loops would reject it
-		// anyway.
-		return Msg{}, fmt.Errorf("dist: unknown protocol message type %q", m.Type)
+		// Unmarshaled into its own variable, so that only these rare
+		// frames move a Msg to the heap.
+		j := Msg{Type: m.Type}
+		if err := json.Unmarshal(body, &j); err != nil {
+			return Msg{}, fmt.Errorf("dist: bad %s frame: %w", m.Type, err)
+		}
+		m = j
+	}
+	if !ok {
+		return Msg{}, fmt.Errorf("dist: bad %s frame: malformed uvarint", m.Type)
 	}
 	return m, nil
 }
 
-// parseResultFrame decodes, in one pass, a line in the canonical form
-// appendMsg writes for a result: {"v":V,"type":"result","trial":N,"data":P}
-// and a newline, with V = ProtocolVersion, N an int in json.Marshal's
-// spelling (see jsonint), and P a valid JSON value with no whitespace
-// around it. Data aliases line. Any other line reports false and goes to
-// encoding/json, which decodes a canonical line to the same Msg, so the
-// fast path changes neither the accepted language nor the decoded
-// messages.
-func parseResultFrame(line []byte) (Msg, bool) {
-	rest, ok := cutString(line, resultHead)
-	if !ok {
-		return Msg{}, false
+// cutUvarint decodes the uvarint that b opens and returns the bytes after
+// it.
+func cutUvarint(b []byte) (uint64, []byte, bool) {
+	x, k := binary.Uvarint(b)
+	if k <= 0 {
+		return 0, b, false
 	}
-	trial, rest, ok := jsonint.CutInt(rest)
-	if !ok {
-		return Msg{}, false
-	}
-	if rest, ok = cutString(rest, resultDataKey); !ok {
-		return Msg{}, false
-	}
-	data, ok := bytes.CutSuffix(rest, []byte(resultTail))
-	if !ok || len(data) == 0 || isSpace(data[0]) || isSpace(data[len(data)-1]) || !validJSON(data) {
-		return Msg{}, false
-	}
-	return Msg{V: ProtocolVersion, Type: TypeResult, Trial: trial, Data: data}, true
-}
-
-// parseRangeFrame decodes, in one pass, a line in the canonical form
-// appendMsg writes for a wave or wavedone:
-// {"v":V,"type":T,"lo":L,"hi":H,"indices":[I,…],"trial":0} and a newline,
-// with V = ProtocolVersion, T "wave" or "wavedone", the lo and hi members
-// present only when non-zero and indices only when non-empty, and every
-// number an int in json.Marshal's spelling. Any other line reports false
-// and goes to encoding/json, which decodes a canonical line to the same
-// Msg.
-func parseRangeFrame(line []byte) (Msg, bool) {
-	rest, ok := cutString(line, msgHead)
-	if !ok {
-		return Msg{}, false
-	}
-	m := Msg{V: ProtocolVersion}
-	if rest, ok = cutString(rest, TypeWave+`"`); ok {
-		m.Type = TypeWave
-	} else if rest, ok = cutString(rest, TypeWaveDone+`"`); ok {
-		m.Type = TypeWaveDone
-	} else {
-		return Msg{}, false
-	}
-	if rest, ok = cutString(rest, `,"lo":`); ok {
-		if m.Lo, rest, ok = jsonint.CutInt(rest); !ok || m.Lo == 0 {
-			return Msg{}, false
-		}
-	}
-	if rest, ok = cutString(rest, `,"hi":`); ok {
-		if m.Hi, rest, ok = jsonint.CutInt(rest); !ok || m.Hi == 0 {
-			return Msg{}, false
-		}
-	}
-	if rest, ok = cutString(rest, `,"indices":[`); ok {
-		list := rest[:max(bytes.IndexByte(rest, ']'), 0)]
-		m.Indices = make([]int, 0, bytes.Count(list, []byte{','})+1)
-		for sep := byte(','); sep == ','; {
-			var x int
-			if x, rest, ok = jsonint.CutInt(rest); !ok || len(rest) == 0 {
-				return Msg{}, false
-			}
-			m.Indices = append(m.Indices, x)
-			sep, rest = rest[0], rest[1:]
-			if sep != ',' && sep != ']' {
-				return Msg{}, false
-			}
-		}
-	}
-	if string(rest) != rangeTail {
-		return Msg{}, false
-	}
-	return m, true
-}
-
-// cutString is bytes.CutPrefix for a string prefix.
-func cutString(b []byte, prefix string) ([]byte, bool) {
-	if len(b) < len(prefix) || string(b[:len(prefix)]) != prefix {
-		return b, false
-	}
-	return b[len(prefix):], true
-}
-
-// isSpace reports whether c is JSON insignificant whitespace.
-func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
+	return x, b[k:], true
 }
 
 // HashSpec returns the hex SHA-256 of a job spec's wire bytes. Workers

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -17,40 +16,36 @@ import (
 // shell for loopback testing) and wraps the resulting byte streams with the
 // defenses a real network needs that same-host pipes do not: a handshake
 // deadline (a worker that never says anything), a frame deadline (a stream
-// that stalls mid-line), a frame size cap (a corrupted stream that never
-// produces a newline), and a write deadline (a command write that blocks
-// forever on a wedged link). Every violation kills the transport process,
-// which surfaces to the coordinator as an ordinary worker death — recovered
-// by the same relaunch/requeue machinery as a local crash, with the same
-// byte-identical fold.
+// that stalls mid-frame), and a write deadline (a command write that
+// blocks forever on a wedged link); the frame decoder's size cap
+// (DefaultMaxFrame) guards every transport alike. Every violation kills
+// the transport process, which surfaces to the coordinator as an ordinary
+// worker death — recovered by the same relaunch/requeue machinery as a
+// local crash, with the same byte-identical fold.
 
-// Connection guard defaults. The handshake deadline and the frame cap apply
-// to RemoteLauncher fields left zero; the frame and write deadlines always
+// Connection guard defaults. The handshake deadline applies to a
+// RemoteLauncher field left zero; the frame and write deadlines always
 // apply.
 const (
 	// DefaultHandshakeTimeout bounds launch-to-first-byte: a worker (or the
 	// transport under it) that produces nothing for this long is declared
 	// unreachable.
 	DefaultHandshakeTimeout = 45 * time.Second
-	// DefaultFrameTimeout bounds a started protocol frame: once a line's
+	// DefaultFrameTimeout bounds a started protocol frame: once a frame's
 	// first byte has arrived, the rest must follow within this window. Idle
 	// gaps between frames are not limited (that is WorkerTimeout's job —
 	// only the coordinator knows whether a silent worker owes anything).
 	DefaultFrameTimeout = 2 * time.Minute
 	// DefaultWriteTimeout bounds one command write to the transport.
 	DefaultWriteTimeout = time.Minute
-	// DefaultMaxFrame caps one protocol frame's size in bytes: a corrupted
-	// stream that never yields a newline is cut off instead of buffering
-	// without bound.
-	DefaultMaxFrame = 64 << 20
 )
 
 // RemoteLauncher starts shard workers through a pluggable command template —
 // ssh first, but any exec wrapper (container runtime, scheduler submit
 // command, /bin/sh for loopback tests) works the same way — and guards each
-// connection with handshake, frame, and write deadlines plus a frame size
-// cap. Deadline violations kill the transport process and recover through
-// the coordinator's ordinary worker-death path.
+// connection with handshake, frame, and write deadlines. Deadline
+// violations kill the transport process and recover through the
+// coordinator's ordinary worker-death path.
 //
 // Template placeholders are expanded in every Command element:
 //
@@ -76,9 +71,6 @@ type RemoteLauncher struct {
 	// HandshakeTimeout bounds launch-to-first-byte. Zero means
 	// DefaultHandshakeTimeout; negative disables the deadline.
 	HandshakeTimeout time.Duration
-	// MaxFrame caps one received frame's bytes. Zero means DefaultMaxFrame;
-	// negative disables the cap.
-	MaxFrame int
 	// Stderr receives the workers' stderr, each line prefixed with the
 	// worker's "[shard i/S host] " identity; nil means this process's
 	// stderr.
@@ -138,16 +130,11 @@ func (l *RemoteLauncher) Launch(shard, shards int) (*Conn, error) {
 	if handshake == 0 {
 		handshake = DefaultHandshakeTimeout
 	}
-	maxFrame := l.MaxFrame
-	if maxFrame == 0 {
-		maxFrame = DefaultMaxFrame
-	}
 	g := &frameGuard{
 		src:       stdout,
 		kill:      kill,
 		handshake: handshake,
 		frame:     DefaultFrameTimeout,
-		maxFrame:  maxFrame,
 	}
 	pr, pw := io.Pipe()
 	g.pw = pw
@@ -190,18 +177,19 @@ func (dw *deadlineWriter) Write(p []byte) (int, error) {
 // Close implements io.Closer.
 func (dw *deadlineWriter) Close() error { return dw.w.Close() }
 
-// frameGuard relays the worker's result stream while enforcing the
-// handshake deadline, the mid-frame deadline, and the frame size cap. It
-// kills the transport process on a violation: the blocked read then fails
-// (the pipe collapses with the process) and the coordinator sees a worker
-// death with a descriptive cause.
+// frameGuard relays the worker's result stream, frame by frame, while
+// enforcing the handshake deadline and the mid-frame deadline. It kills the
+// transport process on a violation: the blocked read then fails (the pipe
+// collapses with the process) and the coordinator sees a worker death with
+// a descriptive cause. A stream the frame decoder rejects ends the relay
+// with the decoder's error, which the coordinator handles as if it had
+// decoded the stream itself.
 type frameGuard struct {
 	src       io.ReadCloser
 	pw        *io.PipeWriter
 	kill      func()
 	handshake time.Duration
 	frame     time.Duration
-	maxFrame  int
 
 	reason atomic.Value // string: why the guard killed the transport
 }
@@ -213,53 +201,38 @@ func (g *frameGuard) expire(reason string) {
 	}
 }
 
-// run relays bytes until EOF or a violation. Frame accounting is by bytes
-// since the last newline: zero between frames (no deadline — idleness is
-// the coordinator's liveness domain), positive mid-frame (deadline armed).
+// run relays whole frames until EOF, a violation or a bad frame. The
+// handshake deadline runs until the first byte; after it, the frame
+// deadline runs from each frame's first byte until the frame is whole, and
+// no deadline runs between frames (idleness is the coordinator's liveness
+// domain).
 func (g *frameGuard) run() {
 	var timer *time.Timer
-	stop := func() {
+	arm := func(d time.Duration, reason string) {
 		if timer != nil {
 			timer.Stop()
-			timer = nil
 		}
-	}
-	arm := func(d time.Duration, reason string) {
-		stop()
 		if d > 0 {
 			timer = time.AfterFunc(d, func() { g.expire(reason) })
 		}
 	}
 	arm(g.handshake, fmt.Sprintf("no handshake byte within %v", g.handshake))
-	buf := make([]byte, 32*1024)
-	inFrame := 0
+	dec := newMsgReader(g.src)
 	for {
-		n, err := g.src.Read(buf)
-		if n > 0 {
-			chunk := buf[:n]
-			if i := bytes.LastIndexByte(chunk, '\n'); i >= 0 {
-				inFrame = n - i - 1
-			} else {
-				inFrame += n
-			}
-			if g.maxFrame > 0 && inFrame > g.maxFrame {
-				g.expire(fmt.Sprintf("frame exceeds %d bytes without a newline", g.maxFrame))
-			}
-			if inFrame > 0 {
-				arm(g.frame, fmt.Sprintf("frame stalled %v mid-line", g.frame))
-			} else {
-				stop()
-			}
-			if _, werr := g.pw.Write(chunk); werr != nil {
+		if _, err := dec.r.Peek(1); err == nil {
+			arm(g.frame, fmt.Sprintf("frame stalled %v mid-frame", g.frame))
+		}
+		raw, _, err := dec.frames()
+		arm(0, "")
+		if len(raw) > 0 {
+			if _, werr := g.pw.Write(raw); werr != nil {
 				// The coordinator closed its end (teardown); stop the
 				// transport so nothing leaks.
-				stop()
 				g.kill()
 				return
 			}
 		}
 		if err != nil {
-			stop()
 			if reason, ok := g.reason.Load().(string); ok {
 				err = fmt.Errorf("dist: transport guard: %s", reason)
 			} else if err == io.EOF {

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"reflect"
@@ -104,7 +106,7 @@ func TestRemoteHandshakeTimeout(t *testing.T) {
 // guardHarness builds a frameGuard over an in-test source pipe, with kill
 // wired the way RemoteLauncher wires it: killing the transport collapses
 // the source stream.
-func guardHarness(handshake, frame time.Duration, maxFrame int) (src *io.PipeWriter, out *io.PipeReader) {
+func guardHarness(handshake, frame time.Duration) (src *io.PipeWriter, out *io.PipeReader) {
 	srcR, srcW := io.Pipe()
 	outR, outW := io.Pipe()
 	g := &frameGuard{
@@ -112,27 +114,32 @@ func guardHarness(handshake, frame time.Duration, maxFrame int) (src *io.PipeWri
 		pw:        outW,
 		handshake: handshake,
 		frame:     frame,
-		maxFrame:  maxFrame,
 	}
 	g.kill = func() { srcR.CloseWithError(io.ErrUnexpectedEOF) }
 	go g.run()
 	return srcW, outR
 }
 
-// TestFrameGuardMidFrameStall starts a frame and then stalls: the guard
-// must cut the stream with a mid-line diagnosis. A completed frame followed
-// by idleness must NOT trip it — idle gaps belong to the coordinator's
-// liveness deadline.
-func TestFrameGuardMidFrameStall(t *testing.T) {
-	srcW, out := guardHarness(-1, 30*time.Millisecond, 0)
-	go srcW.Write([]byte(`{"partial":`)) // a frame starts, never finishes
-	buf := make([]byte, 64)
-	n, _ := out.Read(buf)
-	if n == 0 {
-		t.Fatal("guard did not relay the partial frame bytes")
+// guardFrame is a whole result frame for trial i.
+func guardFrame(t *testing.T, i int) []byte {
+	t.Helper()
+	frame, err := appendMsg(nil, Msg{Type: TypeResult, Trial: i, Data: []byte(`{"whole":1}`)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := out.Read(buf); err == nil || !strings.Contains(err.Error(), "mid-line") {
-		t.Fatalf("expected a mid-frame stall diagnosis, got %v", err)
+	return frame
+}
+
+// TestFrameGuardMidFrameStall starts a frame and then stalls: the guard
+// must cut the stream with a mid-frame diagnosis, relaying nothing of the
+// partial frame. A completed frame followed by idleness must NOT trip it —
+// idle gaps belong to the coordinator's liveness deadline.
+func TestFrameGuardMidFrameStall(t *testing.T) {
+	srcW, out := guardHarness(-1, 30*time.Millisecond)
+	go srcW.Write(guardFrame(t, 1)[:5]) // a frame starts, never finishes
+	buf := make([]byte, 64)
+	if n, err := out.Read(buf); n != 0 || err == nil || !strings.Contains(err.Error(), "mid-frame") {
+		t.Fatalf("read %d bytes and %v, want a mid-frame stall diagnosis", n, err)
 	}
 }
 
@@ -140,37 +147,31 @@ func TestFrameGuardMidFrameStall(t *testing.T) {
 // followed by silence pass through untouched, because idleness between
 // frames is not a transport fault.
 func TestFrameGuardIdleBetweenFramesOK(t *testing.T) {
-	srcW, out := guardHarness(-1, 30*time.Millisecond, 0)
-	go srcW.Write([]byte("{\"whole\":1}\n"))
-	buf := make([]byte, 64)
-	n, err := out.Read(buf)
-	if err != nil || n == 0 {
-		t.Fatalf("relay failed: %d bytes, %v", n, err)
-	}
-	time.Sleep(90 * time.Millisecond) // three frame deadlines of idleness
-	go srcW.Write([]byte("{\"whole\":2}\n"))
-	if n, err = out.Read(buf); err != nil || n == 0 {
-		t.Fatalf("guard tripped on idle gap between frames: %d bytes, %v", n, err)
+	srcW, out := guardHarness(-1, 30*time.Millisecond)
+	for i := 1; i <= 2; i++ {
+		frame := guardFrame(t, i)
+		go srcW.Write(frame)
+		buf := make([]byte, 64)
+		n, err := io.ReadFull(out, buf[:len(frame)])
+		if err != nil || !bytes.Equal(buf[:n], frame) {
+			t.Fatalf("frame %d: relayed %q, %v; want %q", i, buf[:n], err, frame)
+		}
+		time.Sleep(90 * time.Millisecond) // three frame deadlines of idleness
 	}
 }
 
-// TestFrameGuardMaxFrame feeds an unbounded line: the guard must cut the
-// stream at the cap instead of buffering a corrupted frame forever.
+// TestFrameGuardMaxFrame feeds a header that declares a body past
+// DefaultMaxFrame: the guard must end the stream with the decoder's cap
+// error instead of waiting for, or buffering, the body.
 func TestFrameGuardMaxFrame(t *testing.T) {
-	srcW, out := guardHarness(-1, -1, 64)
-	go func() {
-		junk := make([]byte, 256) // newline-free
-		for i := range junk {
-			junk[i] = 'x'
-		}
-		srcW.Write(junk)
-	}()
+	srcW, out := guardHarness(-1, -1)
+	go srcW.Write(binary.AppendUvarint([]byte{ProtocolVersion, byte(TypeResult)}, DefaultMaxFrame+1))
 	var err error
 	buf := make([]byte, 1024)
 	for err == nil {
 		_, err = out.Read(buf)
 	}
-	if !strings.Contains(err.Error(), "exceeds 64 bytes") {
+	if !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("expected a frame-cap diagnosis, got %v", err)
 	}
 }
@@ -178,7 +179,7 @@ func TestFrameGuardMaxFrame(t *testing.T) {
 // TestFrameGuardHandshakeDeadline checks silence before the first byte is
 // its own violation with its own diagnosis.
 func TestFrameGuardHandshakeDeadline(t *testing.T) {
-	_, out := guardHarness(30*time.Millisecond, -1, 0)
+	_, out := guardHarness(30*time.Millisecond, -1)
 	buf := make([]byte, 64)
 	if _, err := out.Read(buf); err == nil || !strings.Contains(err.Error(), "handshake") {
 		t.Fatalf("expected a handshake diagnosis, got %v", err)

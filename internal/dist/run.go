@@ -58,7 +58,7 @@ type waveRange struct{ lo, hi int }
 type shardMsg struct {
 	shard int
 	gen   int
-	// ms is a batch of messages in stream order: every line the reader
+	// ms is a batch of messages in stream order: every frame the reader
 	// found already buffered, or one undelivered command.
 	ms  []Msg
 	err error
@@ -102,7 +102,7 @@ type shardSlot struct {
 	owed       int       // dispatched, not-yet-received indices owned
 	relaunches int       // relaunch budget consumed
 	relaunchAt time.Time // healthBackoff: earliest relaunch time
-	lastHeard  time.Time // last protocol line; the liveness clock
+	lastHeard  time.Time // last protocol frame; the liveness clock
 	lastErr    error     // most recent failure cause
 }
 
@@ -417,11 +417,11 @@ func (co *coordinator) sender(shard, gen int, c *Conn, sendq chan Msg) {
 	}
 }
 
-// reader pumps a connection's protocol lines to the event loop, every line
+// reader pumps a connection's protocol frames to the event loop, every frame
 // already buffered in one send. EOF mid-run means the worker died (a
 // worker that exits cleanly does so only after a halt, when nobody is
 // waiting on its messages); decode errors mean it is emitting garbage.
-// Both become death events, sent after the lines decoded before them.
+// Both become death events, sent after the frames decoded before them.
 func (co *coordinator) reader(shard, gen int, r io.ReadCloser) {
 	defer co.pumps.Done()
 	dec := newMsgReader(r)
@@ -544,7 +544,7 @@ func (co *coordinator) busy(s *shardSlot) bool {
 // handle processes one worker event on the event loop: a death, or a
 // batch of messages in stream order. A message that severs the connection
 // bumps the generation, so the rest of its batch is dropped like any dead
-// incarnation's trailing lines.
+// incarnation's trailing frames.
 func (co *coordinator) handle(sm shardMsg) {
 	s := co.slots[sm.shard]
 	if sm.gen != s.gen {
@@ -611,7 +611,7 @@ func (co *coordinator) handleMsg(s *shardSlot, m Msg) {
 		// Wave completion itself is tracked by index coverage, which
 		// survives requeues and redistribution. The barrier's echoed index
 		// list is the frame-integrity check: the connection delivered every
-		// result line before this wavedone, so an echoed index this shard
+		// result frame before this wavedone, so an echoed index this shard
 		// still owns with no result pending means the result frame was lost
 		// in transit (a lossy or corrupting transport). The worker is
 		// recovered like any failed one — recomputation is free of

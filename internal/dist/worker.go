@@ -102,7 +102,7 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 			}
 			// The barrier echoes the indices actually emitted — the
 			// coordinator's frame-integrity evidence: stream ordering puts
-			// every result line before this wavedone, so an echoed index the
+			// every result frame before this wavedone, so an echoed index the
 			// coordinator still lacks a result for was lost in transit. It
 			// closes the wave share's single write.
 			if err := out.add(Msg{Type: TypeWaveDone, Lo: m.Lo, Hi: m.Hi, Indices: emitted}); err != nil {
@@ -119,7 +119,7 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 	}
 }
 
-// waveWriter coalesces a worker's protocol lines: frames accumulate in one
+// waveWriter coalesces a worker's protocol frames: they accumulate in one
 // buffer, reused across waves, and go out in a single Write at the end of
 // the wave share — or early, at the first emit flushAfter past the last
 // write.
@@ -156,7 +156,7 @@ func (ww *waveWriter) flush() error {
 	_, err := ww.w.Write(ww.buf)
 	ww.buf, ww.last = ww.buf[:0], time.Now()
 	if err != nil {
-		return fmt.Errorf("dist: write protocol lines: %w", err)
+		return fmt.Errorf("dist: write protocol frames: %w", err)
 	}
 	return nil
 }

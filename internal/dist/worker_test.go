@@ -49,7 +49,7 @@ func serveWave(t *testing.T, n int, runner TrialRunner) (*recordWriter, error) {
 	return w, err
 }
 
-// decodeWrite decodes the protocol lines of one recorded write.
+// decodeWrite decodes the protocol frames of one recorded write.
 func decodeWrite(t *testing.T, p []byte) []Msg {
 	t.Helper()
 	dec := newMsgReader(bytes.NewReader(p))
@@ -176,13 +176,13 @@ func TestServeFlushesResultsBeforeError(t *testing.T) {
 				if !strings.Contains(m.Err, "boom") {
 					t.Fatalf("error frame %q does not carry the trial error", m.Err)
 				}
-				got = append(got, m.Type)
+				got = append(got, m.Type.String())
 			default:
-				got = append(got, m.Type)
+				got = append(got, m.Type.String())
 			}
 		}
 	}
-	want := []string{TypeHello, "result 0", "result 1", "result 2", TypeError}
+	want := []string{TypeHello.String(), "result 0", "result 1", "result 2", TypeError.String()}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("wire carried %v, want %v", got, want)
 	}

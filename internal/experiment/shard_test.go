@@ -449,7 +449,7 @@ type killingWriter struct {
 }
 
 func (k *killingWriter) Write(p []byte) (int, error) {
-	if bytes.Contains(p, []byte(`"type":"wave"`)) {
+	if len(p) > 1 && dist.MsgType(p[1]) == dist.TypeWave { // one command per Write
 		if *k.remaining <= 0 {
 			return 0, errors.New("injected kill")
 		}
