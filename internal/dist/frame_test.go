@@ -140,7 +140,7 @@ func BenchmarkResultFrameDecode(b *testing.B) {
 
 // BenchmarkResultPath times the coordinator's per-trial result path
 // without the stream: check and parse one result frame and decode its
-// payload into a ShardResult, as a sharded cell's sink does. The canonical
+// payload into a ShardResult, as a sharded cell's sink does. An untracked
 // payload decodes with 0 allocs/op.
 func BenchmarkResultPath(b *testing.B) {
 	frame := resultFrame(b)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -35,16 +36,21 @@ var ErrInterrupted = errors.New("interrupted: checkpoint written, rerun the same
 // function, in process or sharded.
 
 // ShardSpecKind is the job-spec discriminator of the USD trial family.
-// v3 added the dynamics variant selection (Variant, Stubborn) introduced by
-// the pluggable dynamics engine; v2 moved the interaction budget and every
-// clock-valued result field to a 128-bit hi/lo integer encoding (the clock
-// exceeds int64 once n > ~3·10⁹). Older kinds are rejected by name with a
-// descriptive error rather than silently misread.
-const ShardSpecKind = "usd-trial/v3"
+// v4 made the result payload a positional JSON array (see
+// ShardResult.AppendJSON); v3 added the dynamics variant selection
+// (Variant, Stubborn) introduced by the pluggable dynamics engine; v2 moved
+// the interaction budget and every clock-valued result field to a 128-bit
+// hi/lo integer encoding (the clock exceeds int64 once n > ~3·10⁹). Older
+// kinds are rejected by name with a descriptive error rather than silently
+// misread.
+const ShardSpecKind = "usd-trial/v4"
 
-// shardSpecKindV2 is the pre-variant-engine spec kind, recognized only to
-// reject it by name.
-const shardSpecKindV2 = "usd-trial/v2"
+// oldShardSpecKinds name the kinds older builds sent, recognized only to
+// reject them by name with the build change that retired each.
+var oldShardSpecKinds = map[string]string{
+	"usd-trial/v2": "a pre-variant-engine build",
+	"usd-trial/v3": "a build that sent object result payloads",
+}
 
 // ShardSpec is the distributed job specification of a USD trial family: a
 // full opinion configuration plus the kernel and run options that the
@@ -137,8 +143,8 @@ func decodeShardSpec(data []byte) (ShardSpec, *conf.Config, core.Kernel, core.Dy
 		return s, nil, core.Kernel{}, nil, fmt.Errorf("experiment: parse shard spec: %w", err)
 	}
 	if s.Kind != ShardSpecKind {
-		if s.Kind == shardSpecKindV2 {
-			return s, nil, core.Kernel{}, nil, fmt.Errorf("experiment: shard spec kind %q, want %q: it was produced by a pre-variant-engine build; coordinator and workers must run matching binaries", s.Kind, ShardSpecKind)
+		if build, ok := oldShardSpecKinds[s.Kind]; ok {
+			return s, nil, core.Kernel{}, nil, fmt.Errorf("experiment: shard spec kind %q, want %q: it was produced by %s; coordinator and workers must run matching binaries", s.Kind, ShardSpecKind, build)
 		}
 		return s, nil, core.Kernel{}, nil, fmt.Errorf("experiment: shard spec kind %q, want %q", s.Kind, ShardSpecKind)
 	}
@@ -160,6 +166,11 @@ func decodeShardSpec(data []byte) (ShardSpec, *conf.Config, core.Kernel, core.Dy
 // ShardResult is the wire form of one trial outcome. Every field is integer
 // or string valued, so encoding is lossless and a coordinator folding these
 // payloads computes bit-identical aggregates to an in-process run.
+//
+// The wire payload is the positional JSON array AppendJSON writes and
+// UnmarshalJSON reads. The json tags name the fields only for the golden
+// corpus file (testdata/golden_classic.json), which spells each result as
+// an object and is decoded through shardResultFields.
 type ShardResult struct {
 	// InteractionsHi is the high word of the 128-bit interaction clock
 	// at termination.
@@ -219,127 +230,156 @@ func (r ShardResult) Phases() phase.Times {
 	return t
 }
 
+// tracked reports whether r carries any phase field, which selects the
+// tracked wire form.
+func (r ShardResult) tracked() bool {
+	return len(r.PhaseEndsHi) > 0 || len(r.PhaseEndsLo) > 0 || len(r.PhaseEnded) > 0 || r.LeaderAtT2 != 0
+}
+
 // AppendJSON appends r's wire encoding to dst and returns the extended
-// slice. The bytes equal json.Marshal(r)'s for every value; the encoding is
-// assembled field by field without reflection, and only an Outcome string
-// that needs escaping takes encoding/json's path (and allocates), so a
-// worker encoding into a reused buffer emits each trial allocation-free.
+// slice. The encoding is a positional JSON array,
+//
+//	[interactions_hi,interactions_lo,winner,initial_leader,"outcome"]
+//
+// and a tracked result (one with any phase field set) appends
+// [phase_ends_hi…],[phase_ends_lo…],[phase_ended…],leader_at_t2 before
+// the closing bracket. Numbers and the string are spelled as json.Marshal
+// spells them, so the payload is valid JSON; only an Outcome string that
+// needs escaping takes encoding/json's path (and allocates), so a worker
+// encoding into a reused buffer emits each trial allocation-free.
 func (r ShardResult) AppendJSON(dst []byte) []byte {
-	dst = append(dst, `{"interactions_hi":`...)
+	dst = append(dst, '[')
 	dst = strconv.AppendUint(dst, r.InteractionsHi, 10)
-	dst = append(dst, `,"interactions_lo":`...)
+	dst = append(dst, ',')
 	dst = strconv.AppendUint(dst, r.InteractionsLo, 10)
-	dst = append(dst, `,"winner":`...)
+	dst = append(dst, ',')
 	dst = strconv.AppendInt(dst, int64(r.Winner), 10)
-	dst = append(dst, `,"initial_leader":`...)
+	dst = append(dst, ',')
 	dst = strconv.AppendInt(dst, int64(r.InitialLeader), 10)
-	dst = append(dst, `,"outcome":`...)
-	dst = appendJSONString(dst, r.Outcome)
-	if len(r.PhaseEndsHi) > 0 {
-		dst = appendUints(append(dst, `,"phase_ends_hi":`...), r.PhaseEndsHi)
-	}
-	if len(r.PhaseEndsLo) > 0 {
-		dst = appendUints(append(dst, `,"phase_ends_lo":`...), r.PhaseEndsLo)
-	}
-	if len(r.PhaseEnded) > 0 {
-		dst = appendBools(append(dst, `,"phase_ended":`...), r.PhaseEnded)
-	}
-	if r.LeaderAtT2 != 0 {
-		dst = append(dst, `,"leader_at_t2":`...)
+	dst = appendJSONString(append(dst, ','), r.Outcome)
+	if r.tracked() {
+		dst = appendUints(append(dst, ','), r.PhaseEndsHi)
+		dst = appendUints(append(dst, ','), r.PhaseEndsLo)
+		dst = appendBools(append(dst, ','), r.PhaseEnded)
+		dst = append(dst, ',')
 		dst = strconv.AppendInt(dst, int64(r.LeaderAtT2), 10)
 	}
-	return append(dst, '}')
+	return append(dst, ']')
 }
 
-// shardResultFields is ShardResult without its methods: the type
-// UnmarshalJSON hands to encoding/json's reflective decoder, and the one a
-// struct embeds to decode a ShardResult's fields among its own (a struct
-// embedding ShardResult would have its whole object decoded by the
-// promoted UnmarshalJSON).
+// shardResultFields is ShardResult without its methods: the type the
+// golden corpus embeds to decode a result's object fields among its own
+// through encoding/json (a struct embedding ShardResult would have its
+// whole object handed to the promoted UnmarshalJSON).
 type shardResultFields ShardResult
 
-// canonicalKeys are the keys of the canonical untracked form AppendJSON
-// writes, each with the punctuation that opens it.
-var canonicalKeys = [...]string{`{"interactions_hi":`, `,"interactions_lo":`, `,"winner":`, `,"initial_leader":`, `,"outcome":"`}
-
-// UnmarshalJSON implements json.Unmarshaler. The canonical untracked form
-// AppendJSON writes,
-// {"interactions_hi":U,"interactions_lo":U,"winner":I,"initial_leader":I,"outcome":"S"}
-// with every number in json.Marshal's spelling and S printable ASCII with
-// no escape, is parsed in one pass, and allocation-free when S is a
-// core.Outcome name; r changes only once the whole input has matched.
-// Anything else goes to encoding/json's reflective decoder, which decodes
-// a canonical payload to the same values, so the fast path changes neither
-// the accepted language nor the decoded results (FuzzShardResultDecode
-// pins both). A sharded cell's sink calls it directly, so a canonical
-// payload never enters encoding/json.
+// UnmarshalJSON implements json.Unmarshaler. It accepts exactly the bytes
+// AppendJSON writes for some result whose Outcome is a core.Outcome name,
+// and sets r to that result; anything else is an error that leaves r
+// untouched. An untracked payload decodes allocation-free.
 func (r *ShardResult) UnmarshalJSON(data []byte) error {
-	if r.parseCanonical(data) {
-		return nil
+	v, rest, ok := cutShardResult(data)
+	if !ok || len(rest) != 0 {
+		return fmt.Errorf("experiment: not a shard result payload: %.64q", data)
 	}
-	// Decoding into a copy keeps r from escaping on the fast path; the
-	// copy shares r's slices, so the result equals an in-place decode.
-	f := shardResultFields(*r)
-	err := json.Unmarshal(data, &f)
-	*r = ShardResult(f)
-	return err
+	*r = v
+	return nil
 }
 
-// parseCanonical sets r from data and reports true when data is in the
-// canonical untracked form (see UnmarshalJSON); otherwise r is untouched.
-func (r *ShardResult) parseCanonical(data []byte) bool {
-	var words [2]uint64
-	var ints [2]int
-	rest, ok := data, false
-	for i, key := range canonicalKeys {
-		if len(rest) < len(key) || string(rest[:len(key)]) != key {
-			return false
+// cutShardResult parses one wire payload off the front of b and returns
+// it with the rest of b. It reports false unless b starts with the
+// encoding AppendJSON writes for the returned result. Every cut returns a
+// nil rest when it fails, and every cut fails on empty input, so a failed
+// cut fails each one after it: only the last cut's ok needs checking.
+func cutShardResult(b []byte) (r ShardResult, rest []byte, ok bool) {
+	b, _ = cutByte(b, '[')
+	r.InteractionsHi, b, _ = jsonint.CutUint64(b)
+	b, _ = cutByte(b, ',')
+	r.InteractionsLo, b, _ = jsonint.CutUint64(b)
+	b, _ = cutByte(b, ',')
+	r.Winner, b, _ = jsonint.CutInt(b)
+	b, _ = cutByte(b, ',')
+	r.InitialLeader, b, _ = jsonint.CutInt(b)
+	b, _ = cutByte(b, ',')
+	r.Outcome, b, _ = cutOutcome(b)
+	if rest, ok = cutByte(b, ']'); ok {
+		return r, rest, true
+	}
+	b, _ = cutByte(b, ',')
+	r.PhaseEndsHi, b, _ = cutArray(b, jsonint.CutUint64)
+	b, _ = cutByte(b, ',')
+	r.PhaseEndsLo, b, _ = cutArray(b, jsonint.CutUint64)
+	b, _ = cutByte(b, ',')
+	r.PhaseEnded, b, _ = cutArray(b, cutBool)
+	b, _ = cutByte(b, ',')
+	r.LeaderAtT2, b, _ = jsonint.CutInt(b)
+	// A tracked form carrying no phase field is not what AppendJSON
+	// writes for the result it decodes to.
+	if rest, ok = cutByte(b, ']'); !ok || !r.tracked() {
+		return ShardResult{}, nil, false
+	}
+	return r, rest, true
+}
+
+// cutByte cuts c off the front of b.
+func cutByte(b []byte, c byte) ([]byte, bool) {
+	if len(b) == 0 || b[0] != c {
+		return nil, false
+	}
+	return b[1:], true
+}
+
+// cutBool parses a JSON boolean off the front of b.
+func cutBool(b []byte) (bool, []byte, bool) {
+	switch {
+	case bytes.HasPrefix(b, []byte("true")):
+		return true, b[len("true"):], true
+	case bytes.HasPrefix(b, []byte("false")):
+		return false, b[len("false"):], true
+	}
+	return false, nil, false
+}
+
+// cutArray parses a JSON array, without whitespace, of elements cut by
+// elem off the front of b. An empty array decodes to a nil slice.
+func cutArray[T any](b []byte, elem func([]byte) (T, []byte, bool)) ([]T, []byte, bool) {
+	b, ok := cutByte(b, '[')
+	if !ok {
+		return nil, nil, false
+	}
+	if rest, ok := cutByte(b, ']'); ok {
+		return nil, rest, true
+	}
+	var vs []T
+	for {
+		v, rest, ok := elem(b)
+		if !ok || len(rest) == 0 {
+			return nil, nil, false
 		}
-		rest = rest[len(key):]
-		switch {
-		case i < 2:
-			words[i], rest, ok = jsonint.CutUint64(rest)
-		case i < 4:
-			ints[i-2], rest, ok = jsonint.CutInt(rest)
+		vs = append(vs, v)
+		switch rest[0] {
+		case ',':
+			b = rest[1:]
+		case ']':
+			return vs, rest[1:], true
 		default:
-			ok = true
-		}
-		if !ok {
-			return false
+			return nil, nil, false
 		}
 	}
-	end := len(rest) - len(`"}`)
-	if end < 0 || string(rest[end:]) != `"}` {
-		return false
-	}
-	outcome := rest[:end]
-	for _, c := range outcome {
-		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
-			return false
-		}
-	}
-	r.InteractionsHi, r.InteractionsLo = words[0], words[1]
-	r.Winner, r.InitialLeader = ints[0], ints[1]
-	r.Outcome = outcomeName(outcome)
-	return true
 }
 
-// outcomeName returns b as a string, without allocating when it names a
-// core.Outcome.
-func outcomeName(b []byte) string {
-	switch string(b) {
-	case "consensus":
-		return "consensus"
-	case "all-undecided":
-		return "all-undecided"
-	case "budget-exhausted":
-		return "budget-exhausted"
-	case "frozen":
-		return "frozen"
-	case "dominance":
-		return "dominance"
+// cutOutcome parses a quoted core.Outcome name off the front of b and
+// returns the name's own string, so decoding it does not allocate.
+func cutOutcome(b []byte) (string, []byte, bool) {
+	b, _ = cutByte(b, '"')
+	if end := bytes.IndexByte(b, '"'); end >= 0 {
+		for o := core.OutcomeConsensus; o <= core.OutcomeDominance; o++ {
+			if name := o.String(); string(b[:end]) == name {
+				return name, b[end+1:], true
+			}
+		}
 	}
-	return string(b)
+	return "", nil, false
 }
 
 // appendUints appends a JSON array of unsigned integers.
@@ -704,15 +744,16 @@ func (l *resultLog) Snapshot() ([]byte, error) {
 	return snap, nil
 }
 
-// Restore implements dist.State: it decodes one record's payload array and
-// replays it through the fold. Anything but a JSON array of wire results —
-// such as the fold snapshot (a JSON object) of builds that checkpointed
-// folds, or the positional result log of builds that rewrote it every
-// wave — is rejected before anything of the record is folded.
+// Restore implements dist.State: it decodes one record's payload array,
+// [p0,p1,…], with the parser the live sink uses and replays it through the
+// fold. Anything else — such as the fold snapshot (a JSON object) of builds
+// that checkpointed folds, or a record of the object payloads that builds
+// before usd-trial/v4 sent — is rejected before anything of the record is
+// folded.
 func (l *resultLog) Restore(data []byte) error {
-	var rs []ShardResult
-	if err := json.Unmarshal(data, &rs); err != nil {
-		return fmt.Errorf("experiment: checkpoint %s holds no result log (a fold snapshot or positional log from an older build?): %v; delete it to start over", l.path, err)
+	rs, rest, ok := cutArray(data, cutShardResult)
+	if !ok || len(rest) != 0 {
+		return fmt.Errorf("experiment: checkpoint %s holds no result log (a fold snapshot or object payloads from an older build?): its state %.64q is not an array of result payloads; delete it to start over", l.path, data)
 	}
 	for _, r := range rs {
 		l.fold(l.n, r)

@@ -5,18 +5,30 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/phase"
 )
 
-// checkAppendJSON fails unless r.AppendJSON writes exactly json.Marshal(r)
-// after whatever dst already held.
+// positional is r's wire payload as encoding/json would spell it: the five
+// untracked elements, then, for a tracked result, the phase arrays (empty
+// rather than null) and LeaderAtT2.
+func positional(r ShardResult) []any {
+	v := []any{r.InteractionsHi, r.InteractionsLo, r.Winner, r.InitialLeader, r.Outcome}
+	if r.tracked() {
+		v = append(v, append([]uint64{}, r.PhaseEndsHi...), append([]uint64{}, r.PhaseEndsLo...),
+			append([]bool{}, r.PhaseEnded...), r.LeaderAtT2)
+	}
+	return v
+}
+
+// checkAppendJSON fails unless r.AppendJSON writes exactly
+// json.Marshal(positional(r)) after whatever dst already held.
 func checkAppendJSON(t *testing.T, r ShardResult) {
 	t.Helper()
-	want, err := json.Marshal(r)
+	want, err := json.Marshal(positional(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +43,8 @@ func checkAppendJSON(t *testing.T, r ShardResult) {
 }
 
 // TestShardResultAppendJSON pins the hand-written encoder byte for byte to
-// json.Marshal: the wire form of a trial result must not change with the
-// encoder that writes it.
+// json.Marshal of the positional array: numbers, booleans and strings,
+// escapes included, are spelled as encoding/json spells them.
 func TestShardResultAppendJSON(t *testing.T) {
 	ends := func(v uint64) []uint64 {
 		e := make([]uint64, phase.Count)
@@ -119,10 +131,56 @@ func prefilled() ShardResult {
 	}
 }
 
-// TestShardResultDecodeAllocFree pins the canonical decode: a payload in
-// AppendJSON's untracked form carrying any core.Outcome decodes to the
-// encoded result without allocating, and leaves the phase fields it does
-// not carry alone.
+// TestShardResultRoundTrip decodes the payload of untracked and tracked
+// results at the extremes of every field, for every core.Outcome: the
+// payload is valid JSON, and both the method and encoding/json (the path
+// a caller decoding with json.Unmarshal takes) return the encoded result,
+// whatever the destination held before.
+func TestShardResultRoundTrip(t *testing.T) {
+	ends := func(v uint64) []uint64 {
+		e := make([]uint64, phase.Count)
+		for i := range e {
+			e[i] = v - uint64(i)
+		}
+		return e
+	}
+	var cases []ShardResult
+	for o := core.OutcomeConsensus; o <= core.OutcomeDominance; o++ {
+		cases = append(cases,
+			ShardResult{Winner: -1, Outcome: o.String()},
+			ShardResult{InteractionsHi: math.MaxUint64, InteractionsLo: math.MaxUint64,
+				Winner: math.MinInt, InitialLeader: math.MaxInt, Outcome: o.String()},
+			ShardResult{InteractionsLo: 1, Winner: math.MaxInt, InitialLeader: math.MinInt, Outcome: o.String()},
+			ShardResult{InteractionsHi: 3, InteractionsLo: 1 << 63, Winner: 2, InitialLeader: 2, Outcome: o.String(),
+				PhaseEndsHi: ends(math.MaxUint64), PhaseEndsLo: ends(99),
+				PhaseEnded: []bool{true, true, false, true, false}, LeaderAtT2: -1},
+			ShardResult{Winner: math.MinInt, InitialLeader: 1, Outcome: o.String(),
+				PhaseEndsHi: ends(4), PhaseEndsLo: ends(math.MaxUint64),
+				PhaseEnded: []bool{false, false, false, false, false}, LeaderAtT2: math.MaxInt},
+			ShardResult{Winner: 1, Outcome: o.String(), LeaderAtT2: math.MinInt},
+		)
+	}
+	for _, want := range cases {
+		data := want.AppendJSON(nil)
+		if !json.Valid(data) {
+			t.Fatalf("AppendJSON(%+v) = %s, not valid JSON", want, data)
+		}
+		method, viaJSON := prefilled(), prefilled()
+		if err := method.UnmarshalJSON(data); err != nil {
+			t.Fatalf("UnmarshalJSON(%s): %v", data, err)
+		}
+		if err := json.Unmarshal(data, &viaJSON); err != nil {
+			t.Fatalf("json.Unmarshal(%s): %v", data, err)
+		}
+		if !reflect.DeepEqual(method, want) || !reflect.DeepEqual(viaJSON, want) {
+			t.Fatalf("decoding %s: method %+v, encoding/json %+v, want %+v", data, method, viaJSON, want)
+		}
+	}
+}
+
+// TestShardResultDecodeAllocFree pins the untracked decode: a payload
+// carrying any core.Outcome decodes to exactly the encoded result, phase
+// fields cleared, without allocating.
 func TestShardResultDecodeAllocFree(t *testing.T) {
 	for o := core.OutcomeConsensus; o <= core.OutcomeDominance; o++ {
 		want := ShardResult{InteractionsHi: 1, InteractionsLo: math.MaxUint64, Winner: -1, InitialLeader: 31, Outcome: o.String()}
@@ -135,70 +193,86 @@ func TestShardResultDecodeAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := prefilled()
-		want.PhaseEndsHi, want.PhaseEndsLo, want.PhaseEnded, want.LeaderAtT2 = p.PhaseEndsHi, p.PhaseEndsLo, p.PhaseEnded, p.LeaderAtT2
 		if !reflect.DeepEqual(r, want) {
 			t.Fatalf("decoded %s to %+v, want %+v", data, r, want)
 		}
 	}
 }
 
-// FuzzShardResultDecode pins the decoder to encoding/json's reflective
-// one: arbitrary bytes decoded into the same pre-filled result through the
-// method, called directly and by encoding/json, and through the method-free
-// type must give DeepEqual values and agree on failing. AppendJSON output
-// for the fuzzed fields must decode back to them.
+// FuzzShardResultDecode pins the payload grammar to the encoder: any input
+// the decoder accepts is exactly the AppendJSON encoding of the result it
+// decodes to, and valid JSON that encoding/json decodes to the same value;
+// any input it rejects leaves the destination untouched. The same holds
+// for the checkpoint record form, an array of payloads.
 func FuzzShardResultDecode(f *testing.F) {
-	f.Add([]byte(`{"interactions_hi":0,"interactions_lo":1,"winner":-1,"initial_leader":17,"outcome":"budget-exhausted"}`),
-		uint64(0), uint64(1), -1, 17, "budget-exhausted", false)
-	f.Add([]byte(`{"interactions_hi":18446744073709551615,"interactions_lo":0,"winner":-9223372036854775808,"initial_leader":0,"outcome":"<&>"}`),
-		uint64(math.MaxUint64), uint64(0), math.MinInt, 0, "<&>", true)
-	f.Add([]byte(`{"interactions_hi":18446744073709551616,"interactions_lo":0,"winner":0,"initial_leader":0,"outcome":"x"}`),
-		uint64(1), uint64(2), 3, 4, "consensus", true)
-	f.Add([]byte(`{"interactions_hi":01,"interactions_lo":-0,"winner":-0,"initial_leader":1.0,"outcome":"a\"b"}`),
-		uint64(0), uint64(0), 0, 0, "a\"b\u2028", false)
-	f.Add([]byte(`{"interactions_lo":5,"interactions_hi":4,"winner":1,"initial_leader":1,"outcome":"consensus","phase_ended":[true]}`),
-		uint64(0), uint64(0), 0, 0, "", false)
-	f.Add([]byte(`{"winner":"x","interactions_lo":5}`), uint64(0), uint64(0), 0, 0, "\xff", false)
-	for _, s := range []string{` {"winner":1} `, `null`, `[]`, `[1,2]`, `"s"`, `7`, `{"OUTCOME":"frozen"}`, `{`, ``} {
-		f.Add([]byte(s), uint64(0), uint64(0), 0, 0, "", false)
+	for _, s := range []string{
+		`[0,1,-1,0,"budget-exhausted"]`,
+		`[18446744073709551615,0,-9223372036854775808,9223372036854775807,"consensus"]`,
+		`[0,1,2,3,"all-undecided"]`,
+		`[5,6,-1,0,"frozen"]`,
+		`[0,9,1,1,"dominance"]`,
+		`[1,12345,2,2,"consensus",[0,1,2,3,4],[1000,1001,1002,1003,1004],[true,true,false,true,false],-1]`,
+		`[0,0,1,1,"consensus",[],[],[],5]`,
+		`[0,0,1,1,"consensus",[],[],[],0]`,
+		`[0,0,1,1,"consensus",[1],[],[false],0]`,
+		`{"interactions_hi":0,"interactions_lo":1,"winner":-1,"initial_leader":0,"outcome":"budget-exhausted"}`,
+		`[18446744073709551616,0,0,0,"consensus"]`,
+		`[0,0,9223372036854775808,0,"consensus"]`,
+		`[01,-0,0,0,"consensus"]`,
+		`[0,1.0,0,0,"consensus"]`,
+		`[0, 1,-1,0,"frozen"]`,
+		`[0,1,-1,0,"x"]`,
+		`[0,1,-1,0,"frozen\u0022"]`,
+		`[0,1,-1,0,"frozen"] `,
+		`[0,1,-1,0,"frozen"`,
+		`[[0,1,-1,0,"frozen"],[2,3,1,1,"consensus"]]`,
+		`[[0,1,-1,0,"frozen"],]`,
+		`null`, `[]`, `"s"`, ``,
+	} {
+		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, hi, lo uint64, winner, leader int, outcome string, tracked bool) {
-		method, viaJSON, fields := prefilled(), prefilled(), prefilled()
-		errMethod := method.UnmarshalJSON(data)
-		errViaJSON := json.Unmarshal(data, &viaJSON)
-		errFields := json.Unmarshal(data, (*shardResultFields)(&fields))
-		if (errMethod == nil) != (errFields == nil) || (errViaJSON == nil) != (errFields == nil) {
-			t.Fatalf("decoding %q: method error %v, via encoding/json %v, reflective %v", data, errMethod, errViaJSON, errFields)
-		}
-		if !reflect.DeepEqual(method, fields) || !reflect.DeepEqual(viaJSON, fields) {
-			t.Fatalf("decoding %q: method %+v, via encoding/json %+v, reflective %+v", data, method, viaJSON, fields)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := prefilled()
+		if err := r.UnmarshalJSON(data); err != nil {
+			if !reflect.DeepEqual(r, prefilled()) {
+				t.Fatalf("rejecting %q (%v) changed the destination to %+v", data, err, r)
+			}
+		} else {
+			if enc := r.AppendJSON(nil); !bytes.Equal(enc, data) {
+				t.Fatalf("accepted %q, which decodes to %+v, whose encoding is %q", data, r, enc)
+			}
+			viaJSON := prefilled()
+			if err := json.Unmarshal(data, &viaJSON); err != nil || !reflect.DeepEqual(viaJSON, r) {
+				t.Fatalf("accepted %q as %+v; encoding/json gives %+v, %v", data, r, viaJSON, err)
+			}
 		}
 
-		want := ShardResult{InteractionsHi: hi, InteractionsLo: lo, Winner: winner, InitialLeader: leader, Outcome: outcome}
-		if tracked {
-			for i := 0; i < phase.Count; i++ {
-				want.PhaseEndsHi = append(want.PhaseEndsHi, hi>>i)
-				want.PhaseEndsLo = append(want.PhaseEndsLo, lo^uint64(i))
-				want.PhaseEnded = append(want.PhaseEnded, i%2 == 0)
+		rs, rest, ok := cutArray(data, cutShardResult)
+		if !ok || len(rest) != 0 {
+			return
+		}
+		enc := []byte{'['}
+		for i, r := range rs {
+			if i > 0 {
+				enc = append(enc, ',')
 			}
-			want.LeaderAtT2 = winner
+			enc = r.AppendJSON(enc)
 		}
-		enc := want.AppendJSON(nil)
-		var got, ref ShardResult
-		if err := got.UnmarshalJSON(enc); err != nil {
-			t.Fatalf("decoding AppendJSON output %s: %v", enc, err)
-		}
-		if err := json.Unmarshal(enc, (*shardResultFields)(&ref)); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("AppendJSON output %s decoded to %+v, reflective %+v", enc, got, ref)
-		}
-		// json.Marshal replaces invalid UTF-8, so only valid strings
-		// come back unchanged.
-		if utf8.ValidString(outcome) && !reflect.DeepEqual(got, want) {
-			t.Fatalf("AppendJSON output %s decoded to %+v, want %+v", enc, got, want)
+		if enc = append(enc, ']'); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted the record %q, whose results encode as %q", data, enc)
 		}
 	})
+}
+
+// TestDecodeShardSpecRejectsOldKinds pins that a job spec of an older
+// kind fails by name, telling the user to run matching binaries, rather
+// than being misread.
+func TestDecodeShardSpecRejectsOldKinds(t *testing.T) {
+	for _, kind := range []string{"usd-trial/v2", "usd-trial/v3"} {
+		spec := []byte(`{"kind":"` + kind + `","support":[10,10],"undecided":0,"kernel":"exact","tol":0}`)
+		_, _, _, _, err := decodeShardSpec(spec)
+		if err == nil || !strings.Contains(err.Error(), kind) || !strings.Contains(err.Error(), "matching binaries") {
+			t.Fatalf("kind %s: err = %v, want one naming the kind and asking for matching binaries", kind, err)
+		}
+	}
 }

@@ -710,9 +710,9 @@ func TestT1ShardedKilledResumedTablesByteIdentical(t *testing.T) {
 // TestResumeRejectsFoldSnapshotCheckpoint pins that a checkpoint whose
 // state is not a result log fails loudly, naming the file and saying to
 // delete it, before anything is folded: a fold snapshot (the JSON object
-// builds that checkpointed folds wrote), a positional result log (the
-// field-less arrays builds that rewrote the whole log every wave wrote)
-// and a log shorter than the trial count its checkpoint records.
+// builds that checkpointed folds wrote), a log of object payloads (what
+// builds before usd-trial/v4 logged) and a log shorter than the trial
+// count its checkpoint records.
 func TestResumeRejectsFoldSnapshotCheckpoint(t *testing.T) {
 	cfg, err := conf.Uniform(2000, 4, 0)
 	if err != nil {
@@ -786,10 +786,12 @@ func TestResumeRejectsFoldSnapshotCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A one-record file whose state is a positional result log:
-	// [interactions_hi, interactions_lo, winner, initial_leader, outcome]
-	// per trial.
-	rewrite(`[[0,15211,1,1,"consensus"],[0,14870,3,3,"consensus"],[0,16023,0,2,"consensus"],[0,15544,2,2,"consensus"]]`)
+	// A one-record file whose state is a log of the object payloads that
+	// usd-trial/v3 builds sent.
+	rewrite(`[{"interactions_hi":0,"interactions_lo":15211,"winner":1,"initial_leader":1,"outcome":"consensus"},` +
+		`{"interactions_hi":0,"interactions_lo":14870,"winner":3,"initial_leader":3,"outcome":"consensus"},` +
+		`{"interactions_hi":0,"interactions_lo":16023,"winner":0,"initial_leader":2,"outcome":"consensus"},` +
+		`{"interactions_hi":0,"interactions_lo":15544,"winner":2,"initial_leader":2,"outcome":"consensus"}]`)
 	resume("holds no result log")
 
 	// A log that holds fewer results than the checkpoint's resume point.

@@ -1,9 +1,8 @@
 // Package jsonint parses integers in the one spelling json.Marshal writes
 // for Go integer types: decimal digits without a leading zero, after a
-// minus sign for a negative signed value, never -0. The hand-written
-// decoders of the per-trial wire frames (internal/dist) and of their
-// result payloads (internal/experiment) accept exactly this spelling and
-// leave any other to encoding/json.
+// minus sign for a negative signed value, never -0. The trial result
+// payload parser (internal/experiment) accepts exactly this spelling, so
+// every payload it accepts re-encodes to the same bytes.
 package jsonint
 
 import "math"
