@@ -68,7 +68,7 @@ type Conn struct {
 
 // send writes one coordinator-to-worker message under the connection's
 // write lock.
-func (c *Conn) send(m Msg) error {
+func (c *Conn) send(m *Msg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var err error

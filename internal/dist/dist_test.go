@@ -336,7 +336,7 @@ func TestProtocolVersionRejected(t *testing.T) {
 // worker must then exit cleanly without writing anything.
 func TestServeHaltBeforeJobIsClean(t *testing.T) {
 	var in, out strings.Builder
-	if err := writeMsg(&in, Msg{Type: TypeHalt}); err != nil {
+	if err := writeMsg(&in, &Msg{Type: TypeHalt}); err != nil {
 		t.Fatal(err)
 	}
 	if err := Serve(strings.NewReader(in.String()), &out, 1, 2, echoBuild); err != nil {
@@ -560,28 +560,84 @@ func TestRunDispatchFailureSelfHeals(t *testing.T) {
 // behind it belong to a dead incarnation and are dropped, as they would
 // have been arriving one channel send at a time.
 func TestHandleDropsBatchTailAfterTeardown(t *testing.T) {
-	s := &shardSlot{health: healthReady}
-	co := &coordinator{
-		slots:   []*shardSlot{s},
-		pending: map[int][]byte{},
-		owner:   map[int]int{3: 0, 5: 0},
-		log:     io.Discard,
-		res:     &Result{},
-	}
-	s.owed = 2
+	s := &shardSlot{health: healthReady, owed: 2}
+	co := &coordinator{slots: []*shardSlot{s}, log: io.Discard, res: &Result{}}
+	co.growRing(8)
+	co.next = 8
+	co.rec(3).owner, co.rec(5).owner = s, s
 	co.handle(shardMsg{ms: []Msg{
 		{Type: TypeResult, Trial: 3, Data: []byte(`{}`)},
 		{Type: TypeHello}, // a second hello: the worker is misbehaving
 		{Type: TypeResult, Trial: 5, Data: []byte(`{}`)},
 	}})
-	if _, ok := co.pending[3]; !ok {
+	if !co.rec(3).have {
 		t.Fatal("result ahead of the teardown was dropped")
 	}
-	if _, ok := co.pending[5]; ok || s.owed != 1 {
+	if co.rec(5).have || s.owed != 1 {
 		t.Fatalf("result behind the teardown was handled (owed %d)", s.owed)
 	}
 	if s.gen != 1 || co.fatal == nil {
 		t.Fatalf("bad hello did not sever the connection (gen %d, fatal %v)", s.gen, co.fatal)
+	}
+}
+
+// TestHandleDropsResultsOutsideSpan pins that a result for an index outside
+// the in-flight span [done, next) is dropped: one already folded, one not
+// yet dispatched (here sharing a ring record with a dispatched index), and
+// one never to be dispatched. None of them may mark an index received or
+// touch its owner's count.
+func TestHandleDropsResultsOutsideSpan(t *testing.T) {
+	s := &shardSlot{health: healthReady, owed: 4}
+	co := &coordinator{slots: []*shardSlot{s}, log: io.Discard, res: &Result{}, done: 16, next: 16, cover: 16}
+	co.growRing(4)
+	co.next = 20
+	for i := co.done; i < co.next; i++ {
+		co.rec(i).owner = s
+	}
+	co.handle(shardMsg{ms: []Msg{
+		{Type: TypeResult, Trial: 15, Data: []byte(`folded`)},
+		{Type: TypeResult, Trial: 16 + len(co.ring), Data: []byte(`ahead`)},
+		{Type: TypeResult, Trial: 1 << 40, Data: []byte(`never`)},
+		{Type: TypeResult, Trial: -1, Data: []byte(`negative`)},
+		{Type: TypeResult, Trial: 17, Data: []byte(`real`)},
+	}})
+	if s.owed != 3 || co.fatal != nil {
+		t.Fatalf("owed %d (fatal %v), want 3: only trial 17's result counts", s.owed, co.fatal)
+	}
+	for i := co.done; i < co.next; i++ {
+		if r := co.rec(i); r.have != (i == 17) || r.have && string(r.data) != "real" {
+			t.Fatalf("trial %d: have %v, data %q", i, r.have, r.data)
+		}
+	}
+}
+
+// TestRunDropsUndispatchedResults runs workers that, besides every
+// dispatched trial, emit results for trials not yet dispatched and for
+// trials past the cap. The fold must be exactly the fault-free one.
+func TestRunDropsUndispatchedResults(t *testing.T) {
+	spec := []byte(`{"job":"echo"}`)
+	const trials = 200
+	build := func(spec []byte, seed uint64) (TrialRunner, error) {
+		return func(indices []int, emit func(trial int, data []byte)) error {
+			for _, i := range indices {
+				emit(i+64, []byte(`"early"`))
+				emit(i+trials, []byte(`"past the cap"`))
+				emit(i, echoPayload(spec, seed, i))
+			}
+			return nil
+		}, nil
+	}
+	for _, shards := range []int{1, 2} {
+		st, res := runEcho(t, Options{Shards: shards, MaxTrials: trials, Wave: 4, Seed: 7, Spec: spec,
+			Launcher: &PipeLauncher{Build: build}}, nil)
+		if res.Trials != trials || res.Relaunches != 0 || res.Requeued != 0 {
+			t.Fatalf("shards=%d: result %+v", shards, res)
+		}
+		for i, got := range st.Seq {
+			if want := fmt.Sprintf("%d:%s", i, echoPayload(spec, 7, i)); got != want {
+				t.Fatalf("shards=%d: fold %d = %q, want %q", shards, i, got, want)
+			}
+		}
 	}
 }
 
@@ -599,7 +655,7 @@ func TestBatchReadsLinesPastTheBuffer(t *testing.T) {
 	var stream []byte
 	for _, m := range want {
 		var err error
-		if stream, err = appendMsg(stream, m); err != nil {
+		if stream, err = appendMsg(stream, &m); err != nil {
 			t.Fatal(err)
 		}
 	}

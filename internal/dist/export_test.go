@@ -14,7 +14,7 @@ func NewWaveWriter(w io.Writer) *waveWriter { return &waveWriter{w: w} }
 // the pending write, which goes out once flushAfter has passed since the
 // last write.
 func (ww *waveWriter) EmitResult(trial int, data []byte) error {
-	return ww.emit(Msg{Type: TypeResult, Trial: trial, Data: data})
+	return ww.emit(&Msg{Type: TypeResult, Trial: trial, Data: data})
 }
 
 // Flush writes the pending frames.

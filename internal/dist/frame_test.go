@@ -58,7 +58,7 @@ func resultFrame(t testing.TB) []byte {
 // waveFrame is frameWave's protocol frame.
 func waveFrame(t testing.TB) []byte {
 	var buf bytes.Buffer
-	if _, err := dist.WriteFrame(&buf, nil, frameWave); err != nil {
+	if _, err := dist.WriteFrame(&buf, nil, &frameWave); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -144,11 +144,11 @@ func BenchmarkResultFrameDecode(b *testing.B) {
 // payload decodes with 0 allocs/op.
 func BenchmarkResultPath(b *testing.B) {
 	frame := resultFrame(b)
+	var m dist.Msg
 	var r experiment.ShardResult
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := dist.DecodeFrame(frame)
-		if err != nil {
+		if err := dist.DecodeFrame(frame, &m); err != nil {
 			b.Fatal(err)
 		}
 		if err := r.UnmarshalJSON(m.Data); err != nil {
@@ -167,7 +167,7 @@ func BenchmarkWaveFrameEncode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if frame, err = dist.WriteFrame(io.Discard, frame, frameWave); err != nil {
+		if frame, err = dist.WriteFrame(io.Discard, frame, &frameWave); err != nil {
 			b.Fatal(err)
 		}
 	}

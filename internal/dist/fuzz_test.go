@@ -439,7 +439,7 @@ func FuzzFrame(f *testing.F) {
 		}
 
 		m := fuzzMsg(MsgType(typ%byte(TypeError)+1), data, a, b)
-		frame, err := appendMsg(nil, m)
+		frame, err := appendMsg(nil, &m)
 		if err != nil {
 			t.Fatal(err)
 		}

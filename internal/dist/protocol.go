@@ -163,14 +163,14 @@ const (
 
 // writeMsg emits one protocol frame in a single Write call, so concurrent
 // pipes never interleave partial frames.
-func writeMsg(w io.Writer, m Msg) error {
+func writeMsg(w io.Writer, m *Msg) error {
 	_, err := writeFrame(w, nil, m)
 	return err
 }
 
 // writeFrame is writeMsg building the frame in buf, reused across calls:
 // it returns the grown buffer for the next frame.
-func writeFrame(w io.Writer, buf []byte, m Msg) ([]byte, error) {
+func writeFrame(w io.Writer, buf []byte, m *Msg) ([]byte, error) {
 	buf, err := appendMsg(buf[:0], m)
 	if err != nil {
 		return buf, err
@@ -183,7 +183,7 @@ func writeFrame(w io.Writer, buf []byte, m Msg) ([]byte, error) {
 
 // appendMsg appends m's frame to dst. The body is built after room for the
 // longest header and moved up against the header once its length is known.
-func appendMsg(dst []byte, m Msg) ([]byte, error) {
+func appendMsg(dst []byte, m *Msg) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, make([]byte, frameHead)...)
 	body := len(dst)
@@ -196,7 +196,9 @@ func appendMsg(dst []byte, m Msg) ([]byte, error) {
 			dst = binary.AppendUvarint(dst, uint64(x))
 		}
 	default:
-		b, err := json.Marshal(m)
+		// Marshaled from a copy, so that m does not escape: only these rare
+		// frames move a Msg to the heap.
+		b, err := json.Marshal(*m)
 		if err != nil {
 			return dst[:start], fmt.Errorf("dist: marshal %s message: %w", m.Type, err)
 		}
@@ -251,14 +253,12 @@ func (d *msgReader) next() (Msg, error) {
 // any error; io.EOF comes back untouched at a clean end of stream.
 func (d *msgReader) batch() ([]Msg, error) {
 	raw, n, err := d.frames()
-	ms := make([]Msg, 0, n)
-	for len(raw) > 0 {
+	ms := make([]Msg, n)
+	for i := range ms {
 		size, _ := frameSize(raw)
-		m, ferr := decodeFrame(raw[:size:size])
-		if ferr != nil {
-			return ms, ferr
+		if ferr := decodeFrame(raw[:size:size], &ms[i]); ferr != nil {
+			return ms[:i], ferr
 		}
-		ms = append(ms, m)
 		raw = raw[size:]
 	}
 	return ms, err
@@ -378,14 +378,15 @@ func frameSize(b []byte) (int, error) {
 	return 2 + k + int(n) + frameSum, nil
 }
 
-// decodeFrame checks a whole frame's checksum and decodes its body. A
-// result's Data aliases the frame.
-func decodeFrame(f []byte) (Msg, error) {
+// decodeFrame checks a whole frame's checksum and decodes its body into m,
+// which it overwrites whole. A result's Data aliases the frame. After an
+// error m holds an unspecified partial decode.
+func decodeFrame(f []byte, m *Msg) error {
 	sum := len(f) - frameSum
 	if binary.LittleEndian.Uint32(f[sum:]) != recordSum(f[1:sum]) {
-		return Msg{}, fmt.Errorf("dist: bad %s frame: checksum mismatch", MsgType(f[1]))
+		return fmt.Errorf("dist: bad %s frame: checksum mismatch", MsgType(f[1]))
 	}
-	m := Msg{Type: MsgType(f[1])}
+	*m = Msg{Type: MsgType(f[1])}
 	_, k := binary.Uvarint(f[2:])
 	body := f[2+k : sum : sum]
 	ok := true
@@ -418,14 +419,14 @@ func decodeFrame(f []byte) (Msg, error) {
 		// frames move a Msg to the heap.
 		j := Msg{Type: m.Type}
 		if err := json.Unmarshal(body, &j); err != nil {
-			return Msg{}, fmt.Errorf("dist: bad %s frame: %w", m.Type, err)
+			return fmt.Errorf("dist: bad %s frame: %w", m.Type, err)
 		}
-		m = j
+		*m = j
 	}
 	if !ok {
-		return Msg{}, fmt.Errorf("dist: bad %s frame: malformed uvarint", m.Type)
+		return fmt.Errorf("dist: bad %s frame: malformed uvarint", m.Type)
 	}
-	return m, nil
+	return nil
 }
 
 // cutUvarint decodes the uvarint that b opens and returns the bytes after

@@ -123,7 +123,7 @@ func guardHarness(handshake, frame time.Duration) (src *io.PipeWriter, out *io.P
 // guardFrame is a whole result frame for trial i.
 func guardFrame(t *testing.T, i int) []byte {
 	t.Helper()
-	frame, err := appendMsg(nil, Msg{Type: TypeResult, Trial: i, Data: []byte(`{"whole":1}`)})
+	frame, err := appendMsg(nil, &Msg{Type: TypeResult, Trial: i, Data: []byte(`{"whole":1}`)})
 	if err != nil {
 		t.Fatal(err)
 	}

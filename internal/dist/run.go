@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"time"
 )
@@ -90,8 +89,8 @@ const (
 
 // shardSlot is the coordinator's view of one shard: its current connection
 // (generation-tagged, since workers are relaunched), its health, and its
-// relaunch bookkeeping. The indices a slot is responsible for live in the
-// coordinator's owner map, keyed by global index.
+// relaunch bookkeeping. The indices a slot is responsible for are those
+// whose trialRec names it as owner.
 type shardSlot struct {
 	id         int
 	gen        int
@@ -122,10 +121,13 @@ type coordinator struct {
 	pumps   sync.WaitGroup // reader + sender goroutines, all generations
 	reapers sync.WaitGroup // kill-and-reap goroutines for dead connections
 
-	pending map[int][]byte // received, unfolded results by global index
-	owner   map[int]int    // dispatched, unreceived index -> owning slot id
-	deadIdx map[int]bool   // dispatched index that can never arrive (NoRelaunch)
-	done    int            // fold position
+	// ring holds a trialRec for every index of the in-flight span
+	// [done, next): index i lives at ring[i&(len(ring)-1)]. Its length is a
+	// power of two at least next-done, grown as waves are dispatched
+	// (growRing), so no two indices of the span share a record, and a
+	// record is cleared when its index folds.
+	ring []trialRec
+	done int // fold position
 
 	// The wave schedule, built as the run goes: the dispatched, unfolded
 	// waves in index order (at most pipelineDepth), where the next one
@@ -134,8 +136,8 @@ type coordinator struct {
 	next       int
 	dispatched int
 	// cover is the coverage cursor: every index in [done, cover) has a
-	// result pending. Pending results leave only by folding, so it never
-	// moves back.
+	// result received. Results leave only by folding, so it never moves
+	// back.
 	cover int
 
 	interrupted bool
@@ -147,6 +149,25 @@ type coordinator struct {
 
 	res *Result
 }
+
+// trialRec is the coordinator's bookkeeping for one dispatched, unfolded
+// trial index.
+type trialRec struct {
+	// data is the received result payload, valid when have is set.
+	data []byte
+	// owner is the shard owing the result: set when the index is dealt,
+	// cleared when any shard's result for it arrives.
+	owner *shardSlot
+	// have marks a received result.
+	have bool
+	// dead marks an unreceived index whose command never reached its
+	// owner's connection, so that it can never arrive there (NoRelaunch).
+	dead bool
+}
+
+// minRing is the ring's length when the first wave is dispatched: the
+// pipeline's span at DefaultWave.
+const minRing = pipelineDepth * DefaultWave
 
 // Run executes a distributed trial run: it launches Options.Shards workers,
 // deals each wave's global trial indices across the current member set as
@@ -236,9 +257,6 @@ func Run(opts Options, sink func(trial int, data []byte) error, stop func() bool
 		backoff:       opts.RelaunchBackoff,
 		intr:          opts.Interrupt,
 		msgs:          make(chan shardMsg, opts.Shards),
-		pending:       make(map[int][]byte, pipelineDepth*DefaultWave),
-		owner:         make(map[int]int, pipelineDepth*DefaultWave),
-		deadIdx:       make(map[int]bool),
 		done:          start,
 		next:          start,
 		cover:         start,
@@ -291,8 +309,9 @@ func Run(opts Options, sink func(trial int, data []byte) error, stop func() bool
 		// depth.
 		stopped := false
 		for i := wv.lo; i < wv.hi && !stopped; i++ {
-			data := co.pending[i]
-			delete(co.pending, i)
+			r := co.rec(i)
+			data := r.data
+			*r = trialRec{}
 			if err := sink(i, data); err != nil {
 				res.Trials = co.done
 				return res, fmt.Errorf("dist: fold trial %d: %w", i, err)
@@ -403,7 +422,7 @@ func (co *coordinator) launchSlot(s *shardSlot) error {
 func (co *coordinator) sender(shard, gen int, c *Conn, sendq chan Msg) {
 	defer co.pumps.Done()
 	for m := range sendq {
-		if err := c.send(m); err != nil {
+		if err := c.send(&m); err != nil {
 			co.msgs <- shardMsg{shard: shard, gen: gen, err: fmt.Errorf("send %s: %w", m.Type, err), sendErr: true}
 			// The failed command, and everything queued behind it, never
 			// reached the worker; report each so the fold loop knows which
@@ -571,22 +590,22 @@ func (co *coordinator) handle(sm shardMsg) {
 		return
 	}
 	if sm.undelivered {
-		for _, m := range sm.ms {
-			co.markUndelivered(s, m)
+		for i := range sm.ms {
+			co.markUndelivered(s, &sm.ms[i])
 		}
 		return
 	}
 	s.lastHeard = time.Now()
-	for _, m := range sm.ms {
+	for i := range sm.ms {
 		if sm.gen != s.gen {
 			return
 		}
-		co.handleMsg(s, m)
+		co.handleMsg(s, &sm.ms[i])
 	}
 }
 
 // handleMsg processes one message from a shard's live connection.
-func (co *coordinator) handleMsg(s *shardSlot, m Msg) {
+func (co *coordinator) handleMsg(s *shardSlot, m *Msg) {
 	switch m.Type {
 	case TypeHello:
 		if s.health != healthLaunching || m.Shard != s.id || m.Hash != co.hash {
@@ -599,13 +618,14 @@ func (co *coordinator) handleMsg(s *shardSlot, m Msg) {
 		}
 		s.health = healthReady
 	case TypeResult:
-		if m.Trial < co.done {
-			return // duplicate of an already-folded trial
+		if !co.inSpan(m.Trial) {
+			return // a duplicate of a folded trial, or never dispatched
 		}
-		co.pending[m.Trial] = m.Data
-		if o, ok := co.owner[m.Trial]; ok {
-			delete(co.owner, m.Trial)
-			co.slots[o].owed--
+		r := co.rec(m.Trial)
+		r.data, r.have = m.Data, true
+		if r.owner != nil {
+			r.owner.owed--
+			r.owner = nil
 		}
 	case TypeWaveDone:
 		// Wave completion itself is tracked by index coverage, which
@@ -619,14 +639,12 @@ func (co *coordinator) handleMsg(s *shardSlot, m Msg) {
 		// meantime (owner moved on) and already-folded duplicates are
 		// skipped, so a healthy barrier can never be misread as loss.
 		for _, i := range m.Indices {
-			if i < co.done {
+			if !co.inSpan(i) {
 				continue
 			}
-			if o, ok := co.owner[i]; ok && o == s.id {
-				if _, have := co.pending[i]; !have {
-					co.slotDown(s, fmt.Errorf("wave [%d,%d) barrier: result frame for trial %d lost in transit", m.Lo, m.Hi, i), false)
-					return
-				}
+			if r := co.rec(i); r.owner == s && !r.have {
+				co.slotDown(s, fmt.Errorf("wave [%d,%d) barrier: result frame for trial %d lost in transit", m.Lo, m.Hi, i), false)
+				return
 			}
 		}
 	case TypeError:
@@ -649,15 +667,16 @@ func (co *coordinator) handleMsg(s *shardSlot, m Msg) {
 // ever compute them on this connection. Recovery requeues them anyway
 // (relaunch resends everything still owed), so the record only decides
 // when a NoRelaunch abort stops waiting.
-func (co *coordinator) markUndelivered(s *shardSlot, m Msg) {
+func (co *coordinator) markUndelivered(s *shardSlot, m *Msg) {
 	if m.Type != TypeWave {
 		return
 	}
 	for _, i := range m.Indices {
-		if o, ok := co.owner[i]; ok && o == s.id {
-			if _, have := co.pending[i]; !have {
-				co.deadIdx[i] = true
-			}
+		if !co.inSpan(i) {
+			continue
+		}
+		if r := co.rec(i); r.owner == s && !r.have {
+			r.dead = true
 		}
 	}
 }
@@ -766,16 +785,14 @@ func (co *coordinator) redistribute(from *shardSlot) {
 	co.assign(idx, true)
 }
 
-// owned returns, sorted, the dispatched indices a shard still owes — some
-// of a wave's indices may already have results.
+// owned returns, in index order, the dispatched indices a shard still owes.
 func (co *coordinator) owned(s *shardSlot) []int {
 	var idx []int
-	for i, o := range co.owner {
-		if o == s.id {
+	for i := co.done; i < co.next; i++ {
+		if co.rec(i).owner == s {
 			idx = append(idx, i)
 		}
 	}
-	sort.Ints(idx)
 	return idx
 }
 
@@ -806,7 +823,7 @@ func (co *coordinator) assign(idx []int, requeue bool) {
 	for k, t := range targets {
 		share := make([]int, 0, (len(idx)+nt-1)/nt)
 		for j := (k - idx[0]%nt + nt) % nt; j < len(idx); j += nt {
-			co.owner[idx[j]] = t.id
+			co.rec(idx[j]).owner = t
 			share = append(share, idx[j])
 		}
 		t.owed += len(share)
@@ -839,7 +856,7 @@ func (co *coordinator) sendIndices(s *shardSlot, idx []int, requeue bool) {
 		for end < len(idx) && idx[end] < wv.hi {
 			end++
 		}
-		if !co.enqueue(s, Msg{Type: TypeWave, Lo: wv.lo, Hi: wv.hi, Indices: idx[start:end:end]}) {
+		if !co.enqueue(s, &Msg{Type: TypeWave, Lo: wv.lo, Hi: wv.hi, Indices: idx[start:end:end]}) {
 			return
 		}
 		start = end
@@ -858,6 +875,7 @@ func (co *coordinator) dispatchNext() bool {
 		return false
 	}
 	wv := waveRange{co.next, min(co.next+co.size, co.opts.MaxTrials)}
+	co.growRing(wv.hi - co.done)
 	co.inflight = append(co.inflight, wv)
 	co.next, co.dispatched = wv.hi, co.dispatched+1
 	if co.fatal != nil {
@@ -874,12 +892,12 @@ func (co *coordinator) dispatchNext() bool {
 // enqueue hands a command to the shard's sender without ever blocking the
 // event loop. Overflow means the shard has stopped consuming commands far
 // beyond any legitimate backlog, so it is treated as a death.
-func (co *coordinator) enqueue(s *shardSlot, m Msg) bool {
+func (co *coordinator) enqueue(s *shardSlot, m *Msg) bool {
 	if s.sendq == nil {
 		return false
 	}
 	select {
-	case s.sendq <- m:
+	case s.sendq <- *m:
 		return true
 	default:
 		co.slotDown(s, fmt.Errorf("command queue overflow"), true)
@@ -888,17 +906,46 @@ func (co *coordinator) enqueue(s *shardSlot, m Msg) bool {
 	}
 }
 
-// covered reports whether every index of the wave has a result pending.
+// covered reports whether every index of the wave has a result received.
 // It advances the coverage cursor, so each index is looked up about once
 // however many events the wave waits through.
 func (co *coordinator) covered(wv waveRange) bool {
 	for co.cover < wv.hi {
-		if _, ok := co.pending[co.cover]; !ok {
+		if !co.rec(co.cover).have {
 			return false
 		}
 		co.cover++
 	}
 	return true
+}
+
+// inSpan reports whether index i is dispatched and unfolded, in the span
+// [done, next) the ring holds.
+func (co *coordinator) inSpan(i int) bool {
+	return i >= co.done && i < co.next
+}
+
+// rec returns index i's record; i must lie in the span [done, next).
+func (co *coordinator) rec(i int) *trialRec {
+	return &co.ring[i&(len(co.ring)-1)]
+}
+
+// growRing makes the ring hold a span of n indices from done, moving the
+// records of [done, next) into a longer ring when the current one is
+// shorter than n.
+func (co *coordinator) growRing(n int) {
+	if n <= len(co.ring) {
+		return
+	}
+	size := max(minRing, len(co.ring))
+	for size < n {
+		size *= 2
+	}
+	ring := make([]trialRec, size)
+	for i := co.done; i < co.next; i++ {
+		ring[i&(size-1)] = *co.rec(i)
+	}
+	co.ring = ring
 }
 
 // completable reports whether the wave can still be covered: every missing
@@ -908,16 +955,16 @@ func (co *coordinator) covered(wv waveRange) bool {
 // undispatched tail, exactly as an abort without pipelining would.
 func (co *coordinator) completable(wv waveRange) bool {
 	for i := wv.lo; i < wv.hi; i++ {
-		if _, ok := co.pending[i]; ok {
+		r := co.rec(i)
+		if r.have {
 			continue
 		}
-		o, ok := co.owner[i]
-		if !ok {
+		if r.owner == nil {
 			return false
 		}
 		// A lost shard can still deliver in NoRelaunch mode while its
 		// result stream is open and the index's command was delivered.
-		if s := co.slots[o]; s.health == healthLost && (s.conn == nil || co.deadIdx[i]) {
+		if s := r.owner; s.health == healthLost && (s.conn == nil || r.dead) {
 			return false
 		}
 	}
@@ -976,7 +1023,7 @@ func (co *coordinator) cleanup() {
 			// died) just yields a write error. The locked send serializes
 			// against a sender goroutine still mid-write on the same
 			// connection.
-			_ = c.send(Msg{Type: TypeHalt})
+			_ = c.send(&Msg{Type: TypeHalt})
 			c.W.Close()
 		}(c)
 	}

@@ -66,7 +66,7 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 	if err != nil {
 		return failWorker(w, fmt.Errorf("dist: build trial runner: %w", err))
 	}
-	if err := writeMsg(w, Msg{Type: TypeHello, Shard: shard, Shards: shards, Hash: job.Hash}); err != nil {
+	if err := writeMsg(w, &Msg{Type: TypeHello, Shard: shard, Shards: shards, Hash: job.Hash}); err != nil {
 		return err
 	}
 
@@ -87,7 +87,7 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 			emitted := make([]int, 0, len(m.Indices))
 			err := runner(m.Indices, func(trial int, data []byte) {
 				if emitErr == nil {
-					emitErr = out.emit(Msg{Type: TypeResult, Trial: trial, Data: data})
+					emitErr = out.emit(&Msg{Type: TypeResult, Trial: trial, Data: data})
 				}
 				emitted = append(emitted, trial)
 			})
@@ -105,7 +105,7 @@ func Serve(r io.Reader, w io.Writer, shard, shards int, build BuildRunner) error
 			// every result frame before this wavedone, so an echoed index the
 			// coordinator still lacks a result for was lost in transit. It
 			// closes the wave share's single write.
-			if err := out.add(Msg{Type: TypeWaveDone, Lo: m.Lo, Hi: m.Hi, Indices: emitted}); err != nil {
+			if err := out.add(&Msg{Type: TypeWaveDone, Lo: m.Lo, Hi: m.Hi, Indices: emitted}); err != nil {
 				return err
 			}
 			if err := out.flush(); err != nil {
@@ -130,7 +130,7 @@ type waveWriter struct {
 }
 
 // add appends one frame to the pending write.
-func (ww *waveWriter) add(m Msg) error {
+func (ww *waveWriter) add(m *Msg) error {
 	var err error
 	ww.buf, err = appendMsg(ww.buf, m)
 	return err
@@ -138,7 +138,7 @@ func (ww *waveWriter) add(m Msg) error {
 
 // emit adds one frame and writes everything pending once flushAfter has
 // passed since the last write.
-func (ww *waveWriter) emit(m Msg) error {
+func (ww *waveWriter) emit(m *Msg) error {
 	if err := ww.add(m); err != nil {
 		return err
 	}
@@ -164,6 +164,6 @@ func (ww *waveWriter) flush() error {
 // failWorker reports a worker-side error to the coordinator (best effort)
 // and returns it.
 func failWorker(w io.Writer, err error) error {
-	_ = writeMsg(w, Msg{Type: TypeError, Err: err.Error()})
+	_ = writeMsg(w, &Msg{Type: TypeError, Err: err.Error()})
 	return err
 }

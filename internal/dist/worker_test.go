@@ -40,7 +40,7 @@ func serveWave(t *testing.T, n int, runner TrialRunner) (*recordWriter, error) {
 		{Type: TypeHalt},
 	} {
 		var err error
-		if in, err = appendMsg(in, m); err != nil {
+		if in, err = appendMsg(in, &m); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -232,7 +232,7 @@ func (r ShardResult) Phases() phase.Times {
 
 // tracked reports whether r carries any phase field, which selects the
 // tracked wire form.
-func (r ShardResult) tracked() bool {
+func (r *ShardResult) tracked() bool {
 	return len(r.PhaseEndsHi) > 0 || len(r.PhaseEndsLo) > 0 || len(r.PhaseEnded) > 0 || r.LeaderAtT2 != 0
 }
 
@@ -247,7 +247,7 @@ func (r ShardResult) tracked() bool {
 // spells them, so the payload is valid JSON; only an Outcome string that
 // needs escaping takes encoding/json's path (and allocates), so a worker
 // encoding into a reused buffer emits each trial allocation-free.
-func (r ShardResult) AppendJSON(dst []byte) []byte {
+func (r *ShardResult) AppendJSON(dst []byte) []byte {
 	dst = append(dst, '[')
 	dst = strconv.AppendUint(dst, r.InteractionsHi, 10)
 	dst = append(dst, ',')
@@ -278,20 +278,21 @@ type shardResultFields ShardResult
 // and sets r to that result; anything else is an error that leaves r
 // untouched. An untracked payload decodes allocation-free.
 func (r *ShardResult) UnmarshalJSON(data []byte) error {
-	v, rest, ok := cutShardResult(data)
-	if !ok || len(rest) != 0 {
+	var v ShardResult
+	if rest, ok := cutShardResult(data, &v); !ok || len(rest) != 0 {
 		return fmt.Errorf("experiment: not a shard result payload: %.64q", data)
 	}
 	*r = v
 	return nil
 }
 
-// cutShardResult parses one wire payload off the front of b and returns
-// it with the rest of b. It reports false unless b starts with the
-// encoding AppendJSON writes for the returned result. Every cut returns a
-// nil rest when it fails, and every cut fails on empty input, so a failed
-// cut fails each one after it: only the last cut's ok needs checking.
-func cutShardResult(b []byte) (r ShardResult, rest []byte, ok bool) {
+// cutShardResult parses one wire payload off the front of b into r, which
+// must be the zero ShardResult, and returns the rest of b. It reports false
+// unless b starts with the encoding AppendJSON writes for the result it
+// decoded; r then holds a partial decode. Every cut returns a nil rest
+// when it fails, and every cut fails on empty input, so a failed cut fails
+// each one after it: only the last cut's ok needs checking.
+func cutShardResult(b []byte, r *ShardResult) (rest []byte, ok bool) {
 	b, _ = cutByte(b, '[')
 	r.InteractionsHi, b, _ = jsonint.CutUint64(b)
 	b, _ = cutByte(b, ',')
@@ -303,7 +304,7 @@ func cutShardResult(b []byte) (r ShardResult, rest []byte, ok bool) {
 	b, _ = cutByte(b, ',')
 	r.Outcome, b, _ = cutOutcome(b)
 	if rest, ok = cutByte(b, ']'); ok {
-		return r, rest, true
+		return rest, true
 	}
 	b, _ = cutByte(b, ',')
 	r.PhaseEndsHi, b, _ = cutArray(b, jsonint.CutUint64)
@@ -316,9 +317,15 @@ func cutShardResult(b []byte) (r ShardResult, rest []byte, ok bool) {
 	// A tracked form carrying no phase field is not what AppendJSON
 	// writes for the result it decodes to.
 	if rest, ok = cutByte(b, ']'); !ok || !r.tracked() {
-		return ShardResult{}, nil, false
+		return nil, false
 	}
-	return r, rest, true
+	return rest, true
+}
+
+// cutShardResultValue is cutShardResult in cutArray's element form.
+func cutShardResultValue(b []byte) (r ShardResult, rest []byte, ok bool) {
+	rest, ok = cutShardResult(b, &r)
+	return r, rest, ok
 }
 
 // cutByte cuts c off the front of b.
@@ -751,7 +758,7 @@ func (l *resultLog) Snapshot() ([]byte, error) {
 // before usd-trial/v4 sent — is rejected before anything of the record is
 // folded.
 func (l *resultLog) Restore(data []byte) error {
-	rs, rest, ok := cutArray(data, cutShardResult)
+	rs, rest, ok := cutArray(data, cutShardResultValue)
 	if !ok || len(rest) != 0 {
 		return fmt.Errorf("experiment: checkpoint %s holds no result log (a fold snapshot or object payloads from an older build?): its state %.64q is not an array of result payloads; delete it to start over", l.path, data)
 	}
@@ -768,9 +775,14 @@ func (l *resultLog) Restore(data []byte) error {
 // four things dist.Run checks on resume — so a rerun finds every cell's
 // checkpoint whatever cells it runs in whatever order, and two cells share
 // a file only when they run the same trials under the same policy, where
-// one's result log is the other's.
+// one's result log is the other's. The spec is hashed with its Kind
+// blanked, so a build of another spec kind names the same file: a rerun
+// after a kind change finds the older build's checkpoint and fails naming
+// it (its recorded spec hash differs) instead of silently starting over
+// beside it.
 func CellCheckpoint(dir string, spec ShardSpec, opts ShardRunOptions) (string, error) {
-	specBytes, err := spec.Encode()
+	spec.Kind = ""
+	specBytes, err := json.Marshal(spec)
 	if err != nil {
 		return "", err
 	}

@@ -247,7 +247,7 @@ func FuzzShardResultDecode(f *testing.F) {
 			}
 		}
 
-		rs, rest, ok := cutArray(data, cutShardResult)
+		rs, rest, ok := cutArray(data, cutShardResultValue)
 		if !ok || len(rest) != 0 {
 			return
 		}

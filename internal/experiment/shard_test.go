@@ -707,6 +707,64 @@ func TestT1ShardedKilledResumedTablesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCellCheckpointOutlivesSpecKind pins that a cell's checkpoint file is
+// named without the spec kind: the file a build of another kind wrote for
+// the same cell is where this build looks, so the cell fails naming it
+// (its recorded spec hash differs) instead of silently rerunning beside it.
+func TestCellCheckpointOutlivesSpecKind(t *testing.T) {
+	cfg, err := conf.Uniform(2000, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cap, seed = 12, 91
+	policy := ConsensusPolicy(0.05)
+	spec := NewShardSpec(cfg, core.Variant{}, core.KernelBatched(0), core.NoBudget, 0, false)
+	older := spec
+	older.Kind = "usd-trial/v3"
+	dir := t.TempDir()
+	path, err := CellCheckpoint(dir, older, ShardRunOptions{MaxTrials: cap, Seed: seed, Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One checkpointed wave of the older build's run of the cell.
+	olderBytes, err := json.Marshal(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func([]byte, uint64) (dist.TrialRunner, error) {
+		return func(indices []int, emit func(int, []byte)) error {
+			for _, i := range indices {
+				emit(i, []byte(`[0,15211,1,1,"consensus"]`))
+			}
+			return nil
+		}, nil
+	}
+	var folded int
+	if _, err := dist.Run(dist.Options{
+		Shards: 1, MaxTrials: cap, Wave: 4, MaxWaves: 1, Seed: seed, Spec: olderBytes,
+		Launcher: &dist.PipeLauncher{Build: build}, CheckpointPath: path, Policy: policy, Log: io.Discard,
+	}, func(int, []byte) error { folded++; return nil }, nil, dist.JSONState{V: &folded}); err != nil {
+		t.Fatal(err)
+	}
+
+	p := Params{CheckpointDir: dir, Engine: ShardRunOptions{
+		Shards: 1, Launcher: &dist.PipeLauncher{Build: ShardBuilder(1)}, Log: io.Discard,
+	}}
+	folded = 0
+	_, err = p.Cell(spec, cap, seed, func(int, ShardResult) { folded++ }, nil, policy)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "different configuration") ||
+		!strings.Contains(err.Error(), "delete it") {
+		t.Fatalf("err = %v, want one naming %s, a different configuration and saying to delete it", err, path)
+	}
+	if folded != 0 {
+		t.Fatalf("the rejected cell folded %d trials", folded)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 1 {
+		t.Fatalf("checkpoint dir holds %v, want only the older build's file", files)
+	}
+}
+
 // TestResumeRejectsFoldSnapshotCheckpoint pins that a checkpoint whose
 // state is not a result log fails loudly, naming the file and saying to
 // delete it, before anything is folded: a fold snapshot (the JSON object

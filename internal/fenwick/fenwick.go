@@ -144,12 +144,17 @@ func (t *Tree) SetAll(xs []int64) {
 //
 // The whole-array totals are kept current by every mutation, so Sum,
 // SumSquares and the weighted totals are O(1). SetAll and SetStubborn only
-// mark the prefix trees stale; the next descent (FindSupport, FindWeighted,
-// FindWeightedStubborn) rebuilds them once in O(n), and an Add on a stale
-// tree touches only the values and the totals. Bulk sets that no descent
+// mark the prefix trees stale, and an Add on a stale tree touches only the
+// values and the totals. The first descent (FindSupport, FindWeighted,
+// FindWeightedStubborn) on a stale tree answers with one linear pass over
+// the values and leaves the trees stale; only a second descent before the
+// next bulk set rebuilds them, once, in O(n). Bulk sets that no descent
 // reads in between — the windowed simulation kernels' steady state — cost
-// one O(n) copy each. Because a descent may rebuild, a Dual is not safe for
-// concurrent use, not even by readers alone.
+// one O(n) copy each, and a bulk set followed by a single descent — a
+// window and then one exact step, or a trial reset and a one-interaction
+// trial — costs that copy plus at most one O(n) pass. Because a descent may
+// rebuild, a Dual is not safe for concurrent use, not even by readers
+// alone.
 type Dual struct {
 	n    int
 	sx   []int64     // Fenwick over xᵢ (bounded by n, int64 suffices)
@@ -162,6 +167,9 @@ type Dual struct {
 	sumBX u128.U128 // Σbᵢxᵢ, zero without floors
 	// stale marks sx, sx2 and sbx as out of date with vals; see rebuild.
 	stale bool
+	// scanned marks a stale tree whose one linear-pass descent is spent:
+	// the next descent rebuilds (see scanOnce).
+	scanned bool
 
 	// Stubborn floors, nil unless SetStubborn installed them.
 	sb    []int64     // Fenwick over bᵢ (static after SetStubborn)
@@ -273,8 +281,16 @@ func (d *Dual) TotalWeighted(dTotal int64) u128.U128 {
 // r uniformly selects index i with probability wᵢ/Σw, the exact distribution
 // of the responder in a "decided meets differently-decided" interaction.
 func (d *Dual) FindWeighted(dTotal int64, r u128.U128) int {
-	if d.stale {
-		d.rebuild()
+	if d.scanOnce() {
+		// wᵢ = D·xᵢ − xᵢ² = xᵢ·(D−xᵢ), one 64×64 product for xᵢ <= D.
+		for i, v := range d.vals {
+			w := u128.Mul64(uint64(v), uint64(dTotal-v))
+			if r.Less(w) {
+				return i
+			}
+			r = r.Sub(w)
+		}
+		panic("fenwick: FindWeighted threshold >= TotalWeighted")
 	}
 	pos := 0
 	for step := 1 << d.log; step > 0; step >>= 1 {
@@ -301,8 +317,14 @@ func (d *Dual) FindSupport(r int64) int {
 	if r < 0 {
 		panic("fenwick: FindSupport called with negative threshold")
 	}
-	if d.stale {
-		d.rebuild()
+	if d.scanOnce() {
+		for i, v := range d.vals {
+			if r < v {
+				return i
+			}
+			r -= v
+		}
+		panic("fenwick: FindSupport threshold >= Sum")
 	}
 	pos := 0
 	for step := 1 << d.log; step > 0; step >>= 1 {
@@ -320,10 +342,11 @@ func (d *Dual) FindSupport(r int64) int {
 
 // SetAll replaces every value with xs, the bulk counterpart of n point
 // Adds: it copies the values and recomputes the totals in O(n) and leaves
-// the prefix trees stale for the next descent to rebuild. The batched
-// simulation kernel applies a whole window of per-opinion deltas with one
-// SetAll; consecutive windows pay no tree rebuild at all. xs must have
-// exactly Len() non-negative values.
+// the prefix trees stale (see Dual: the next descent scans the values, a
+// second one rebuilds the trees). The batched simulation kernel applies a
+// whole window of per-opinion deltas with one SetAll; consecutive windows
+// pay no tree rebuild at all, and a window followed by a single exact step
+// pays one linear pass. xs must have exactly Len() non-negative values.
 func (d *Dual) SetAll(xs []int64) {
 	if len(xs) != d.n {
 		panic("fenwick: SetAll called with wrong length")
@@ -341,7 +364,25 @@ func (d *Dual) SetAll(xs []int64) {
 	copy(d.vals, xs)
 	d.sum, d.sum2 = sum, sum2
 	d.sumBX = d.floorWeightedSum()
-	d.stale = true
+	d.stale, d.scanned = true, false
+}
+
+// scanOnce reports whether a descent should answer with a linear pass over
+// the values: true for the first descent on a stale tree. The second one
+// rebuilds the trees, and it and every later descent until the next bulk
+// set walk them. A pass returns the first index whose running weight
+// exceeds the threshold, the index the rebuilt tree's descent returns, so
+// which way a descent goes never shows in its answer.
+func (d *Dual) scanOnce() bool {
+	if !d.stale {
+		return false
+	}
+	if !d.scanned {
+		d.scanned = true
+		return true
+	}
+	d.rebuild()
+	return false
 }
 
 // rebuild brings the prefix trees (sx, sx2 and, with floors, sbx) up to
@@ -379,13 +420,13 @@ func (d *Dual) floorWeightedSum() u128.U128 {
 }
 
 // SetStubborn installs per-index stubborn floors bᵢ (a copy of b), builds
-// the static Σbᵢ tree and marks the Σbᵢxᵢ tree stale; passing nil clears
-// the floors and drops the extra maintenance from Add and SetAll. Floors
-// must be non-negative; the stubborn descent's weight contract additionally
-// needs xᵢ >= bᵢ, which the caller (the stubborn dynamics, whose transition
-// law never removes a stubborn agent) maintains. Buffers are reused across
-// calls when the length matches, so arena-style Reset cycles stay
-// allocation-free.
+// the static Σbᵢ tree and marks the prefix trees stale, as SetAll does;
+// passing nil clears the floors and drops the extra maintenance from Add
+// and SetAll. Floors must be non-negative; the stubborn descent's weight
+// contract additionally needs xᵢ >= bᵢ, which the caller (the stubborn
+// dynamics, whose transition law never removes a stubborn agent)
+// maintains. Buffers are reused across calls when the length matches, so
+// arena-style Reset cycles stay allocation-free.
 func (d *Dual) SetStubborn(b []int64) {
 	if b == nil {
 		d.sb, d.sbx, d.bvals, d.bsum, d.sumBX = nil, nil, nil, 0, u128.U128{}
@@ -418,7 +459,7 @@ func (d *Dual) SetStubborn(b []int64) {
 		}
 	}
 	d.sumBX = d.floorWeightedSum()
-	d.stale = true
+	d.stale, d.scanned = true, false
 }
 
 // Floors returns the installed stubborn floors without copying, or nil when
@@ -447,8 +488,16 @@ func (d *Dual) TotalWeightedStubborn(dTotal int64) u128.U128 {
 // subtraction is exact because every node's weight is a sum of non-negative
 // per-index weights.
 func (d *Dual) FindWeightedStubborn(dTotal int64, r u128.U128) int {
-	if d.stale {
-		d.rebuild()
+	if d.scanOnce() {
+		// wᵢ = (xᵢ−bᵢ)·(D−xᵢ), one 64×64 product for bᵢ <= xᵢ <= D.
+		for i, v := range d.vals {
+			w := u128.Mul64(uint64(v-d.bvals[i]), uint64(dTotal-v))
+			if r.Less(w) {
+				return i
+			}
+			r = r.Sub(w)
+		}
+		panic("fenwick: FindWeightedStubborn threshold >= TotalWeightedStubborn")
 	}
 	pos := 0
 	for step := 1 << d.log; step > 0; step >>= 1 {

@@ -1,6 +1,7 @@
 package fenwick
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -553,9 +554,9 @@ func BenchmarkDualFindWeighted(b *testing.B) {
 }
 
 // BenchmarkDualSetAll times one bulk set of 32 values (the small-n fleet's
-// opinion count), alone and followed by the descent that rebuilds the
-// stale prefix trees — the per-window cost of the windowed kernels when the
-// next window follows directly, and when an exact step follows.
+// opinion count), alone and followed by one descent, which answers by a
+// linear pass over the values — the per-window cost of the windowed kernels
+// when the next window follows directly, and when an exact step follows.
 func BenchmarkDualSetAll(b *testing.B) {
 	xs := make([]int64, 32)
 	for i := range xs {
@@ -573,6 +574,59 @@ func BenchmarkDualSetAll(b *testing.B) {
 			sinkIndex = d.FindSupport(int64(i) % d.Sum())
 		}
 	})
+}
+
+// BenchmarkDualSetAllDescent times a bulk set followed by one weighted
+// descent (the linear pass) and by two (the pass, then the rebuild and a
+// tree descent) at k = 32 and 128, at uniform thresholds: the cost a trial
+// reset or a window pays for the exact steps that follow it.
+func BenchmarkDualSetAllDescent(b *testing.B) {
+	for _, k := range []int{32, 128} {
+		xs := make([]int64, k)
+		for i := range xs {
+			xs[i] = int64(31 * (i + 1))
+		}
+		d := DualFromSlice(xs)
+		dTotal := d.Sum()
+		total := d.TotalWeighted(dTotal)
+		src := rng.New(1)
+		rs := make([]u128.U128, 1024)
+		for i := range rs {
+			rs[i] = src.Uint128n(total)
+		}
+		for _, descents := range []int{1, 2} {
+			b.Run(fmt.Sprintf("k=%d/descents=%d", k, descents), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					d.SetAll(xs)
+					for j := range descents {
+						sinkIndex = d.FindWeighted(dTotal, rs[(i+j)%len(rs)])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDualAllocFree pins a Dual's reset cycle at zero allocations: a bulk
+// set, the linear-pass descent, an Add on the stale tree and the descent
+// that rebuilds the trees.
+func TestDualAllocFree(t *testing.T) {
+	xs := []int64{5, 0, 9, 2, 7, 1, 3, 8}
+	d := NewDual(len(xs))
+	d.SetStubborn([]int64{1, 0, 2, 0, 0, 1, 0, 0})
+	cycle := func() {
+		d.SetAll(xs)
+		dTotal := d.Sum()
+		sinkIndex = d.FindWeighted(dTotal, u128.From64(17))
+		d.Add(2, 1)
+		d.Add(1, 1)
+		dTotal = d.Sum()
+		sinkIndex = d.FindWeightedStubborn(dTotal, u128.From64(23))
+		sinkIndex = d.FindSupport(11)
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("SetAll, descents and Add allocate %.1f objects per cycle, want 0", avg)
+	}
 }
 
 // sinkIndex keeps benchmarked descents from being optimized away.

@@ -12,8 +12,12 @@ import (
 // TotalWeighted and, with floors installed, TotalWeightedStubborn — are
 // checked after every operation; the descents (FindSupport, FindWeighted,
 // FindWeightedStubborn) only at explicit query operations, so point Adds
-// also land on trees a SetAll or SetStubborn left stale, and the next
-// descent must rebuild them to the model's values.
+// also land on trees a SetAll or SetStubborn left stale. A query checks
+// many descents in a row, so on a stale tree its first one answers by a
+// linear pass and the next rebuilds the trees to the model's values; the
+// single-descent operation issues exactly one descent at a fuzzed
+// threshold, which on a tree left stale by the operation before it takes
+// the linear pass (and, issued twice in a row, the rebuild).
 func FuzzDual(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x02, 0x03})
@@ -28,7 +32,28 @@ func FuzzDual(f *testing.F) {
 	// n = 2: SetAll, query (trees fresh), floors installed on the fresh
 	// trees, query.
 	f.Add([]byte{0x01, 0x00, 48, 1, 48, 1, 0x03, 0x02, 0x01, 48, 0, 0x03})
-
+	// n = 5: SetAll, single FindWeighted (a pass), single FindSupport (the
+	// rebuild), Add, single FindWeighted (the fresh tree), floors, single
+	// stubborn descent (a pass), Add on the stale tree, single FindSupport
+	// (the rebuild), SetAll, Add, single stubborn descent (a pass), query.
+	f.Add([]byte{0x04, 0x00, 30, 1, 7, 3, 0, 0, 90, 2, 11, 1,
+		0x05, 0x01, 0x00, 0x00, 0x05, 0x00, 0x02, 0x01,
+		0x01, 0x02, 0x90, 0x05, 0x01, 0x00, 0x02,
+		0x02, 0x03, 100, 50, 0, 200, 10, 0x05, 0x02, 0x00, 0x01,
+		0x01, 0x00, 0xB0, 0x05, 0x00, 0x03, 0x00,
+		0x00, 5, 1, 6, 3, 7, 2, 8, 1, 9, 3, 0x01, 0x04, 0x70, 0x05, 0x02, 0x01, 0x00,
+		0x03})
+	// n = 6, slot 0 empty: after each bulk set one pass, at the first
+	// threshold of the second band or the last threshold of the last band:
+	// SetAll, FindSupport; SetAll, FindWeighted twice (a pass, then the
+	// rebuild); SetAll, FindWeighted; floors, stubborn; SetAll, stubborn.
+	f.Add([]byte{0x05, 0x00, 0, 0, 5, 1, 9, 2, 0, 0, 4, 3, 7, 1,
+		0x05, 0x00, 0x01, 0x00,
+		0x00, 0, 0, 5, 1, 9, 2, 0, 0, 4, 3, 7, 1, 0x05, 0x01, 0x01, 0x00, 0x05, 0x01, 0x02, 0x00,
+		0x00, 0, 0, 5, 1, 9, 2, 0, 0, 4, 3, 7, 1, 0x05, 0x01, 0x03, 0x01,
+		0x02, 0x01, 0, 128, 255, 0, 64, 200, 0x05, 0x02, 0x01, 0x00,
+		0x00, 0, 0, 5, 1, 9, 2, 0, 0, 4, 3, 7, 1, 0x05, 0x02, 0x03, 0x01,
+		0x03})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -116,9 +141,58 @@ func FuzzDual(f *testing.F) {
 			}
 		}
 
+		// single issues one descent, chosen and aimed by the next three
+		// bytes: a kind, a slot among those of positive weight, and the
+		// first, last or middle threshold of that slot's cumulative band,
+		// where the descent must return exactly that slot. Without floors
+		// a stubborn pick descends FindWeighted.
+		single := func() {
+			sum := totals()
+			kind, pick, edge := next()%3, int(next()), next()%3
+			if kind == 2 && floors == nil {
+				kind = 1
+			}
+			weight := func(i int, v int64) int64 {
+				switch kind {
+				case 0:
+					return v
+				case 1:
+					return sum*v - v*v
+				}
+				return (v - floors[i]) * (sum - v)
+			}
+			var starts []int64 // band start of each slot of positive weight
+			var slots []int
+			var cum int64
+			for i, v := range model {
+				if w := weight(i, v); w > 0 {
+					starts, slots = append(starts, cum), append(slots, i)
+					cum += w
+				}
+			}
+			if len(slots) == 0 {
+				return
+			}
+			j := pick % len(slots)
+			want := slots[j]
+			r := starts[j] + []int64{0, weight(want, model[want]) - 1, weight(want, model[want]) / 2}[edge]
+			var got int
+			switch kind {
+			case 0:
+				got = d.FindSupport(r)
+			case 1:
+				got = d.FindWeighted(sum, u128.From64(r))
+			default:
+				got = d.FindWeightedStubborn(sum, u128.From64(r))
+			}
+			if got != want {
+				t.Fatalf("single descent %d at %d = %d, want %d (model %v, floors %v)", kind, r, got, want, model, floors)
+			}
+		}
+
 		descend()
 		for len(data) > 0 {
-			switch next() % 5 {
+			switch next() % 6 {
 			case 0: // SetAll from the next n byte pairs, kept on the floors
 				xs := make([]int64, n)
 				for i := range xs {
@@ -148,6 +222,8 @@ func FuzzDual(f *testing.F) {
 			case 3:
 				descend()
 			case 4: // a totals-only pass: the tree stays as it is
+			case 5:
+				single()
 			}
 			totals()
 		}

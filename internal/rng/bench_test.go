@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -126,4 +127,23 @@ func BenchmarkFloat64(b *testing.B) {
 		sink += src.Float64()
 	}
 	_ = sink
+}
+
+// BenchmarkReseedFirstDraws times a trial's start on a reused Source: one
+// Reseed and the first few draws. A one-interaction trial draws about 3
+// values; 128 draws cross every block length up to bufLen.
+func BenchmarkReseedFirstDraws(b *testing.B) {
+	for _, draws := range []int{3, 128} {
+		b.Run(fmt.Sprintf("draws=%d", draws), func(b *testing.B) {
+			var src Source
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				src.Reseed(uint64(i))
+				for range draws {
+					sink += src.Uint64()
+				}
+			}
+			_ = sink
+		})
+	}
 }

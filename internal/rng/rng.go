@@ -36,23 +36,35 @@ func Derive(seed, index uint64) uint64 {
 	return SplitMix64(&s)
 }
 
-// bufLen is the block size of the buffered generator: the number of outputs
-// refill produces per pass. One refill keeps the whole xoshiro state in
-// registers for bufLen iterations and leaves Uint64's per-draw fast path
-// small enough to inline at every call site, which is what removes the
-// per-draw call overhead from simulation hot loops. Reseeding discards any
-// unconsumed block, so the block size also bounds the work wasted per trial
-// reseed; 128 keeps that waste negligible against even the shortest trials.
+// bufLen is the block size of the buffered generator: the most outputs one
+// refill produces. One refill keeps the whole xoshiro state in registers
+// for its whole block and leaves Uint64's per-draw fast path small enough
+// to inline at every call site, which is what removes the per-draw call
+// overhead from simulation hot loops.
 const bufLen = 128
 
+// firstBlock is the length of the first block after a Reseed. Blocks then
+// double up to bufLen, so a trial that draws only a few values — a
+// one-interaction trial draws about three — pays for eight outputs, not
+// bufLen, while a long run still reaches full blocks after four refills.
+// Producing every reseed's first block at full length cost about 12% of
+// the worker CPU on a fleet of one-interaction trials.
+const firstBlock = 8
+
 // Source is a xoshiro256** generator with a buffered output block: raw
-// 64-bit outputs are produced bufLen at a time and served from an in-struct
-// buffer, so the common Uint64 path is a bounds-checked load. Buffering is
-// invisible in the output stream — the value sequence is exactly the
-// unbuffered generator's. A Source is not safe for concurrent use; create
-// one per goroutine (see Derive).
+// 64-bit outputs are produced a block at a time and served from an
+// in-struct buffer, so the common Uint64 path is a bounds-checked load.
+// A block of b outputs fills the tail buf[bufLen-b:], so the buffer is
+// exhausted exactly when pos reaches bufLen, whatever the block length.
+// Buffering is invisible in the output stream — the value sequence is
+// exactly the unbuffered generator's. A Source is not safe for concurrent
+// use; create one per goroutine (see Derive).
 type Source struct {
 	pos int
+	// blk is the length of the last block refill produced; 0 after a
+	// Reseed (and in a struct literal), which makes the next block
+	// firstBlock long.
+	blk int
 	buf [bufLen]uint64
 	s   [4]uint64
 }
@@ -69,18 +81,19 @@ func New(seed uint64) *Source {
 // produce, without allocating. Trial engines that reuse one Source per
 // worker reseed it with a per-trial derived seed, so results are identical
 // to fresh per-trial New calls. Any buffered outputs of the previous seed
-// are discarded.
+// are discarded, and the block length starts over at firstBlock, so the
+// outputs a reseed discards unread are at most the rest of one block.
 func (r *Source) Reseed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		r.s[i] = SplitMix64(&sm)
 	}
-	r.pos = bufLen
+	r.pos, r.blk = bufLen, 0
 }
 
 // Uint64 returns the next 64 uniformly distributed bits. The fast path is a
-// buffered load small enough to inline; refill regenerates the block from
-// the xoshiro state roughly once per bufLen draws.
+// buffered load small enough to inline; refill regenerates a block from the
+// xoshiro state once the buffer is spent.
 func (r *Source) Uint64() uint64 {
 	if r.pos < bufLen {
 		v := r.buf[r.pos]
@@ -90,13 +103,16 @@ func (r *Source) Uint64() uint64 {
 	return r.refill()
 }
 
-// refill regenerates the output block from the generator state — bufLen
-// xoshiro256** steps with the state held in registers — and returns the
-// block's first value.
+// refill produces the next block — twice the last one, from firstBlock up
+// to bufLen, xoshiro256** steps with the state held in registers — into the
+// tail of the buffer and returns the block's first value.
 func (r *Source) refill() uint64 {
+	r.blk = min(max(2*r.blk, firstBlock), bufLen)
+	start := bufLen - r.blk
+	blk := r.buf[start:]
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := range r.buf {
-		r.buf[i] = bits.RotateLeft64(s1*5, 7) * 9
+	for i := range blk {
+		blk[i] = bits.RotateLeft64(s1*5, 7) * 9
 		t := s1 << 17
 		s2 ^= s0
 		s3 ^= s1
@@ -106,8 +122,8 @@ func (r *Source) refill() uint64 {
 		s3 = bits.RotateLeft64(s3, 45)
 	}
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-	r.pos = 1
-	return r.buf[0]
+	r.pos = start + 1
+	return blk[0]
 }
 
 // Uint64n returns a uniform value in [0, n). It uses Lemire's multiply-shift

@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -407,6 +409,62 @@ func TestReseedMatchesNew(t *testing.T) {
 				t.Fatalf("seed %d output %d: Reseed diverged from New (%d vs %d)", seed, i, a, b)
 			}
 		}
+	}
+}
+
+// xoshiro256 is the unbuffered xoshiro256** step: it returns the next
+// output of state s and advances s.
+func xoshiro256(s *[4]uint64) uint64 {
+	out := bits.RotateLeft64(s[1]*5, 7) * 9
+	t := s[1] << 17
+	s[2] ^= s[0]
+	s[3] ^= s[1]
+	s[1] ^= s[2]
+	s[0] ^= s[3]
+	s[2] ^= t
+	s[3] = bits.RotateLeft64(s[3], 45)
+	return out
+}
+
+// TestBufferedMatchesUnbuffered checks that the buffered Source serves
+// exactly the unbuffered xoshiro256** sequence across every block length
+// (firstBlock, 2·firstBlock, …, bufLen) and past it: from a reseed, after
+// reseeding a Source midway through a block, and from a struct literal.
+func TestBufferedMatchesUnbuffered(t *testing.T) {
+	const outputs = 1000
+	check := func(t *testing.T, src *Source, state [4]uint64) {
+		t.Helper()
+		for i := 0; i < outputs; i++ {
+			if got, want := src.Uint64(), xoshiro256(&state); got != want {
+				t.Fatalf("output %d = %#x, want %#x", i, got, want)
+			}
+		}
+	}
+	seeded := func(seed uint64) [4]uint64 {
+		var s [4]uint64
+		for i := range s {
+			s[i] = SplitMix64(&seed)
+		}
+		return s
+	}
+	for _, seed := range []uint64{0, 1, 42, 0x9E3779B97F4A7C15, 1 << 63} {
+		t.Run(fmt.Sprintf("reseed-%#x", seed), func(t *testing.T) {
+			check(t, New(seed), seeded(seed))
+			// Reseed part-way through blocks of every length.
+			var src Source
+			for _, used := range []int{0, 1, 7, 8, 9, 23, 24, 100, 300} {
+				src.Reseed(seed ^ 0xdeadbeef)
+				for range used {
+					src.Uint64()
+				}
+				src.Reseed(seed)
+				check(t, &src, seeded(seed))
+			}
+		})
+		t.Run(fmt.Sprintf("literal-%#x", seed), func(t *testing.T) {
+			state := seeded(seed)
+			check(t, &Source{s: state, pos: bufLen}, state)
+		})
 	}
 }
 
