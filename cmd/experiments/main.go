@@ -23,8 +23,9 @@
 // experiment whose cells a job spec expresses shards (T1–T4, F3, F5, F6,
 // X2, X3, X5, K1–K5 and the population-protocol arms of F4 and A2); the
 // trajectory, timing and other-engine trials of T5, T6, F1, F2, F4's
-// gossip arm, F7, A1, A3, X1 and X4 stay in process. -checkpoint DIR additionally logs each sharded cell's trial
-// results after every wave and resumes by replaying them, so a killed
+// gossip arm, F7, A1, A2's agent arm, A3, X1 and X4 stay in process.
+// -checkpoint DIR additionally logs each sharded cell's trial results
+// after every wave and resumes by replaying them, so a killed
 // multi-hour run continues where it stopped (delete the directory to start
 // over).
 //

@@ -69,13 +69,6 @@ func LowerBound(n int64, k int) float64 {
 	return LowerConst * nf * nf * math.Log(nf) / (x1(n, k) * math.Log(math.Log(nf)))
 }
 
-// Gap returns the multiplicative width Theorem2Upper/LowerBound of the
-// envelope: (UpperConst/LowerConst)·ln ln n, the factor the experiment's
-// measured constant is localized within.
-func Gap(n int64, k int) float64 {
-	return Theorem2Upper(n, k) / LowerBound(n, k)
-}
-
 // Bracket evaluates both curves at (n, k) and reports whether the measured
 // consensus time t lies inside the envelope.
 func Bracket(n int64, k int, t float64) (lo, hi float64, ok bool) {

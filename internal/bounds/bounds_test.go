@@ -54,11 +54,6 @@ func TestCurveShapes(t *testing.T) {
 	if got := Theorem2Upper(n, k); math.Abs(got-want)/want > 1e-12 {
 		t.Fatalf("Theorem2Upper = %g, want %g", got, want)
 	}
-	// The envelope gap is exactly (UpperConst/LowerConst)·ln ln n.
-	wantGap := UpperConst / LowerConst * math.Log(math.Log(nf))
-	if got := Gap(n, k); math.Abs(got-wantGap)/wantGap > 1e-12 {
-		t.Fatalf("Gap = %g, want %g", got, wantGap)
-	}
 	// Both curves are increasing in n and in k.
 	for _, kk := range []int{2, 32, 512} {
 		prevUp, prevLo := 0.0, 0.0

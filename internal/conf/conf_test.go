@@ -62,7 +62,7 @@ func TestMaxNBoundary(t *testing.T) {
 	//     n²·ln n-scale worst-case consensus times;
 	//   - 2·MaxN must stay exact in float64 (the probability layer uses
 	//     quantities up to 2n) and fit int64 (Validate's running sum).
-	nSq := u128.From64(MaxN).Mul(u128.From64(MaxN))
+	nSq := u128.Mul64(uint64(MaxN), uint64(MaxN))
 	if want := (u128.U128{Hi: 542, Lo: 1864712049423024128}); nSq != want {
 		t.Fatalf("MaxN² = %v, want 10²² = %v", nSq, want)
 	}
@@ -303,7 +303,7 @@ func TestMultiplicativeBiasInf(t *testing.T) {
 
 func TestSumSquaresAndDecided(t *testing.T) {
 	c := &Config{Support: []int64{3, 4}, Undecided: 2}
-	if !c.SumSquares().Eq(u128.From64(25)) {
+	if c.SumSquares() != u128.From64(25) {
 		t.Fatalf("SumSquares = %v", c.SumSquares())
 	}
 	if c.Decided() != 7 {

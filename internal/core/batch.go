@@ -159,9 +159,6 @@ func ParseKernel(s string, tol float64) (Kernel, error) {
 // batched and auto kernels) rather than single events.
 func (k Kernel) Batched() bool { return kernelRows[k.row].floor > 0 }
 
-// Auto reports whether the kernel is the hybrid auto kernel.
-func (k Kernel) Auto() bool { return k.row == autoRow }
-
 // Tolerance returns the drift tolerance of a batched or auto kernel and 0
 // for the exact kernel.
 func (k Kernel) Tolerance() float64 { return k.tol }

@@ -98,7 +98,7 @@ func TestBatchedInvariantsEveryEvent(t *testing.T) {
 		default:
 			t.Fatalf("unexpected event kind %v", ev.Kind)
 		}
-		if ev.Interactions.Less(prevClock.Add64(uint64(ev.Count))) {
+		if ev.Interactions.Less(prevClock.Add(u128.FromU64(uint64(ev.Count)))) {
 			t.Fatalf("clock %v advanced less than Count from %v", ev.Interactions, prevClock)
 		}
 		prevClock = ev.Interactions
@@ -114,7 +114,7 @@ func TestBatchedInvariantsEveryEvent(t *testing.T) {
 		if sum+sim.Undecided() != sim.N() {
 			t.Fatalf("population leak: Σx=%d u=%d n=%d", sum, sim.Undecided(), sim.N())
 		}
-		if !sim.SumSquares().Eq(u128.From64(sq)) {
+		if sim.SumSquares() != u128.From64(sq) {
 			t.Fatalf("r₂ drift: tracked %v, actual %d", sim.SumSquares(), sq)
 		}
 	})
@@ -269,10 +269,10 @@ func TestBatchedBudgetComparisonDoesNotWrap(t *testing.T) {
 	cfg := mustConfig(t, []int64{995_000, 1000}, 4000)
 	for _, kern := range []Kernel{KernelExact, KernelBatched(0)} {
 		s := newSim(t, cfg, 11, WithKernel(kern))
-		budget := u128.Max.Sub64(7)
-		forceClock(s, budget.Sub64(3))
+		budget := u128.Max.Sub(u128.From64(7))
+		forceClock(s, budget.Sub(u128.From64(3)))
 		res := s.Run(budget)
-		if res.Outcome == OutcomeBudget && !res.Interactions.Eq(budget) {
+		if res.Outcome == OutcomeBudget && res.Interactions != budget {
 			t.Fatalf("kernel %v: budget stop at %v, want exactly %v", kern, res.Interactions, budget)
 		}
 		if budget.Less(res.Interactions) {
@@ -290,12 +290,12 @@ func TestUnbudgetedClockSaturatesAtMax(t *testing.T) {
 	cfg := mustConfig(t, []int64{900, 100}, 24)
 	for _, kern := range []Kernel{KernelExact, KernelBatched(0)} {
 		s := newSim(t, cfg, 5, WithKernel(kern))
-		forceClock(s, u128.Max.Sub64(2))
+		forceClock(s, u128.Max.Sub(u128.From64(2)))
 		res := s.Run(NoBudget)
 		if res.Outcome != OutcomeConsensus {
 			t.Fatalf("kernel %v: outcome %v, want consensus", kern, res.Outcome)
 		}
-		if !res.Interactions.IsMax() {
+		if res.Interactions != u128.Max {
 			t.Fatalf("kernel %v: clock %v, want saturation at u128.Max", kern, res.Interactions)
 		}
 	}

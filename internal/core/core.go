@@ -389,12 +389,6 @@ func (s *Simulator) IsConsensus() bool {
 	return s.u == 0 && s.tree.SumSquares() == s.nSq
 }
 
-// IsAbsorbed reports whether no interaction can ever change the
-// configuration again: either consensus or all agents undecided.
-func (s *Simulator) IsAbsorbed() bool {
-	return s.productiveWeight().IsZero()
-}
-
 // productiveWeight returns W, the number of ordered agent pairs whose
 // interaction is productive under the active dynamics' transition law (for
 // the classic dynamics, W = u·D + (D²−r₂) with D = n−u; see

@@ -300,13 +300,14 @@ type Options struct {
 	// hard cap when it is not. Must be positive.
 	MaxTrials int
 	// Wave is the dispatch wave size: the stop-check barrier and
-	// checkpoint granularity. Zero sizes the waves by cost: DefaultWave
-	// trials at first, then each wave as many trials as the last fold's
-	// rate fits in about 1 ms, at most double the wave before and at most
-	// 1024. Waves of cheap trials so grow until they pay for the round
-	// trip, while waves of trials costing more than ~60 µs each stay at
-	// DefaultWave. Wave sizes move only wave and checkpoint-record
-	// boundaries, never a trial's result or the fold's stop point.
+	// checkpoint granularity; negative is rejected. Zero sizes the waves
+	// by cost: DefaultWave trials at first, then each wave as many trials
+	// as the last fold's rate fits in about 1 ms, at most double the wave
+	// before and at most 1024. Waves of cheap trials so grow until they
+	// pay for the round trip, while waves of trials costing more than
+	// ~60 µs each stay at DefaultWave. Wave sizes move only wave and
+	// checkpoint-record boundaries, never a trial's result or the fold's
+	// stop point.
 	Wave int
 	// Seed is the trial-stream family seed, forwarded to every worker;
 	// trial i draws from rng.Derive(Seed, i) exactly as in-process runs do.
@@ -334,9 +335,10 @@ type Options struct {
 	// and cannot be verified; Policy is the caller's declaration of it.
 	Policy string
 	// MaxWaves, when positive, bounds how many waves this invocation folds
-	// before halting with Result.Interrupted set — time-sliced operation:
-	// a later invocation with the same CheckpointPath continues where this
-	// one stopped. Requires CheckpointPath (an interrupted run without a
+	// before halting with Result.Interrupted set; zero folds every wave and
+	// negative is rejected. This is time-sliced operation: a later
+	// invocation with the same CheckpointPath continues where this one
+	// stopped. Requires CheckpointPath (an interrupted run without a
 	// checkpoint would be unresumable, its folded progress unrecoverable).
 	MaxWaves int
 	// WorkerTimeout, when positive, is the per-shard liveness deadline: a

@@ -270,6 +270,10 @@ func TestRunOptionValidation(t *testing.T) {
 		{"zero-trials", Options{Shards: 1, MaxTrials: 0, Launcher: failingLauncher{}}, "MaxTrials"},
 		{"nil-launcher", Options{Shards: 1, MaxTrials: 1}, "Launcher"},
 		{"checkpoint-without-state", Options{Shards: 1, MaxTrials: 1, Launcher: failingLauncher{}, CheckpointPath: "x"}, "State"},
+		// A negative wave size would silently run cost-sized waves, and a
+		// negative wave cap would silently run every wave.
+		{"negative-wave", Options{Shards: 1, MaxTrials: 1, Launcher: failingLauncher{}, Wave: -3}, "Wave = -3, want >= 0"},
+		{"negative-max-waves", Options{Shards: 1, MaxTrials: 1, Launcher: failingLauncher{}, MaxWaves: -1}, "MaxWaves = -1, want >= 0"},
 		// MaxWaves without a checkpoint would interrupt unresumably.
 		{"maxwaves-without-checkpoint", Options{Shards: 1, MaxTrials: 1, Launcher: failingLauncher{}, MaxWaves: 1}, "MaxWaves"},
 		// A negative liveness deadline would silently disable hang detection

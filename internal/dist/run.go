@@ -207,6 +207,12 @@ func Run(opts Options, sink func(trial int, data []byte) error, stop func() bool
 	if opts.CheckpointPath != "" && state == nil {
 		return Result{}, fmt.Errorf("dist: CheckpointPath is set but no State was provided")
 	}
+	if opts.Wave < 0 {
+		return Result{}, fmt.Errorf("dist: Wave = %d, want >= 0 (zero sizes the waves by cost)", opts.Wave)
+	}
+	if opts.MaxWaves < 0 {
+		return Result{}, fmt.Errorf("dist: MaxWaves = %d, want >= 0 (zero folds every wave)", opts.MaxWaves)
+	}
 	if opts.MaxWaves > 0 && opts.CheckpointPath == "" {
 		return Result{}, fmt.Errorf("dist: MaxWaves without CheckpointPath would interrupt unresumably")
 	}

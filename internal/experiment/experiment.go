@@ -62,7 +62,8 @@ type Params struct {
 	// it. Every cell runs one trial function through RunCell whatever the
 	// shard count, so sharded and in-process runs of the same cell are
 	// byte-identical. Trials a ShardSpec cannot express (those of T5, T6,
-	// F1, F2, F4's gossip arm, F7, A1, A3, X1 and X4) stay in process.
+	// F1, F2, F4's gossip arm, F7, A1, A2's agent arm, A3, X1 and X4) stay
+	// in process.
 	Engine ShardRunOptions
 	// CheckpointDir, when non-empty, makes sharded cells write per-cell
 	// checkpoints under this directory (named by CellCheckpoint) and

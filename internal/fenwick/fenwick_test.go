@@ -422,12 +422,12 @@ func TestDualDeferredRebuildMaxNScale(t *testing.T) {
 		}
 		// Band edges of every slot, plus random thresholds.
 		total := ref.TotalWeighted(dTotal)
-		thresholds := []u128.U128{{}, total.Sub64(1)}
+		thresholds := []u128.U128{{}, total.Sub(u128.From64(1))}
 		var cum u128.U128
 		for _, v := range ref.View() {
 			cum = cum.Add(u128.Mul64(uint64(dTotal), uint64(v)).Sub(u128.Mul64(uint64(v), uint64(v))))
 			if !cum.IsZero() && cum.Less(total) {
-				thresholds = append(thresholds, cum.Sub64(1), cum)
+				thresholds = append(thresholds, cum.Sub(u128.From64(1)), cum)
 			}
 		}
 		for range 64 {

@@ -66,17 +66,6 @@ func (s State) Mass() float64 {
 	return m
 }
 
-// Max returns the index and value of the largest opinion density.
-func (s State) Max() (int, float64) {
-	idx, best := 0, 0.0
-	for i, a := range s.A {
-		if a > best {
-			idx, best = i, a
-		}
-	}
-	return idx, best
-}
-
 // Validate checks non-negativity and unit mass.
 func (s State) Validate() error {
 	if len(s.A) == 0 {
@@ -191,24 +180,4 @@ func (in *Integrator) Solve(s0 State, horizon float64, each func(tau float64, s 
 		}
 	}
 	return s, nil
-}
-
-// ConsensusTime integrates until the largest opinion density exceeds the
-// given threshold (e.g. 0.999) and returns the parallel time taken. It
-// gives up after maxTime.
-func (in *Integrator) ConsensusTime(s0 State, threshold, maxTime float64) (float64, error) {
-	if err := s0.Validate(); err != nil {
-		return 0, err
-	}
-	if threshold <= 0 || threshold > 1 {
-		return 0, fmt.Errorf("fluid: invalid threshold %v", threshold)
-	}
-	s := s0.Clone()
-	for tau := 0.0; tau < maxTime; tau += in.dt {
-		if _, m := s.Max(); m >= threshold {
-			return tau, nil
-		}
-		in.Step(&s)
-	}
-	return 0, fmt.Errorf("fluid: no ε-consensus within horizon %v", maxTime)
 }

@@ -143,18 +143,12 @@ func TestBiasedStartFlowsToConsensus(t *testing.T) {
 		t.Fatal(err)
 	}
 	s0 := mustState(t, []float64{0.26, 0.25, 0.25, 0.24}, 0)
-	tau, err := in.ConsensusTime(s0, 0.999, 1000)
+	// The leader's density crosses 0.999 near τ ≈ 33.
+	final, err := in.Solve(s0, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tau <= 0 {
-		t.Fatalf("consensus time %v", tau)
-	}
-	final, err := in.Solve(s0, tau+1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx, m := final.Max(); idx != 0 || m < 0.999 {
+	if final.A[0] < 0.999 {
 		t.Fatalf("leader did not win the fluid flow: %+v", final)
 	}
 }
@@ -223,14 +217,6 @@ func TestSolveValidation(t *testing.T) {
 	}
 	if _, err := in.Solve(mustState(t, []float64{1}, 0), -1, nil); err == nil {
 		t.Fatal("negative horizon accepted")
-	}
-	if _, err := in.ConsensusTime(mustState(t, []float64{0.5, 0.5}, 0), 2, 10); err == nil {
-		t.Fatal("threshold > 1 accepted")
-	}
-	// Perfectly symmetric start never reaches consensus in the fluid
-	// limit (the symmetry is exact): ConsensusTime must report failure.
-	if _, err := in.ConsensusTime(mustState(t, []float64{0.5, 0.5}, 0), 0.999, 5); err == nil {
-		t.Fatal("symmetric fluid start cannot reach consensus")
 	}
 }
 

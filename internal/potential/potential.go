@@ -1,10 +1,9 @@
 // Package potential implements the analytic quantities the paper's proof
-// tracks: the phase-1 potential Z(t) = n − 2u − xmax, the unstable
-// undecided equilibrium u* = n(k−1)/(2k−1), the significance threshold
-// α√(n log n), the undecided-count band of Lemmas 3-4, the exact one-step
-// transition probabilities of Observations 6, 8 and 9, and the
-// monochromatic distance of Becchetti et al. used in the Appendix D
-// comparison.
+// tracks: the unstable undecided equilibrium u* = n(k−1)/(2k−1), the
+// significance threshold α√(n log n) below the maximum support, the
+// undecided-count band of Lemmas 3-4, the exact one-step transition
+// probabilities of Observations 6 and 8, and the monochromatic distance of
+// Becchetti et al. used in the Appendix D comparison.
 //
 // All logarithms follow the paper's convention: bounds stated with "log"
 // use the natural logarithm ln, matching the constants in Lemmas 3-4
@@ -16,12 +15,6 @@ import (
 
 	"repro/internal/conf"
 )
-
-// Z returns the phase-1 potential Z(t) = n − 2u − xmax (α = 1). Phase 1
-// ends as soon as Z(t) ≤ 0 (Lemma 1).
-func Z(n, u, xmax int64) int64 {
-	return n - 2*u - xmax
-}
 
 // EquilibriumUndecided returns u* = n(k−1)/(2k−1), the unstable equilibrium
 // for the number of undecided agents (paper, discussion before Lemma 3).
@@ -39,12 +32,6 @@ func SignificanceThreshold(n int64, alpha float64) float64 {
 		return 0
 	}
 	return alpha * math.Sqrt(float64(n)*math.Log(float64(n)))
-}
-
-// Significant reports whether an opinion with support x is significant in a
-// configuration whose largest support is xmax: x > xmax − α√(n ln n).
-func Significant(x, xmax, n int64, alpha float64) bool {
-	return float64(x) > float64(xmax)-SignificanceThreshold(n, alpha)
 }
 
 // UndecidedLowerBound returns the Lemma 4 floor that holds w.h.p. for all

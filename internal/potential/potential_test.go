@@ -17,21 +17,6 @@ func mustConfig(t *testing.T, support []int64, u int64) *conf.Config {
 	return c
 }
 
-func TestZ(t *testing.T) {
-	cases := []struct {
-		n, u, xmax, want int64
-	}{
-		{100, 0, 50, 50},
-		{100, 25, 50, 0},
-		{100, 40, 30, -10},
-	}
-	for _, tc := range cases {
-		if got := Z(tc.n, tc.u, tc.xmax); got != tc.want {
-			t.Fatalf("Z(%d,%d,%d) = %d, want %d", tc.n, tc.u, tc.xmax, got, tc.want)
-		}
-	}
-}
-
 func TestEquilibriumUndecided(t *testing.T) {
 	// k=2: u* = n/3; k→∞: u* → n/2.
 	if got := EquilibriumUndecided(300, 2); math.Abs(got-100) > 1e-9 {
@@ -65,35 +50,6 @@ func TestSignificanceThreshold(t *testing.T) {
 	}
 	if got := SignificanceThreshold(1, 1); got != 0 {
 		t.Fatalf("threshold(n=1) = %v, want 0", got)
-	}
-}
-
-func TestSignificant(t *testing.T) {
-	n := int64(10000)
-	thr := SignificanceThreshold(n, 1) // ~303.5
-	xmax := int64(5000)
-	if !Significant(xmax, xmax, n, 1) {
-		t.Fatal("the maximum itself must be significant")
-	}
-	if !Significant(xmax-int64(thr)+1, xmax, n, 1) {
-		t.Fatal("opinion just inside the margin must be significant")
-	}
-	if Significant(xmax-int64(thr)-1, xmax, n, 1) {
-		t.Fatal("opinion beyond the margin must be insignificant")
-	}
-}
-
-func TestSignificantCount(t *testing.T) {
-	c := mustConfig(t, []int64{5000, 4990, 1000}, 0)
-	_, xmax := c.Max()
-	count := 0
-	for _, x := range c.Support {
-		if Significant(x, xmax, c.N(), 1) {
-			count++
-		}
-	}
-	if count != 2 {
-		t.Fatalf("%d significant opinions, want 2", count)
 	}
 }
 
@@ -269,6 +225,10 @@ func TestConditionalUpAbsorbing(t *testing.T) {
 	}
 }
 
+// z returns the phase-1 potential Z(t) = n − 2u − xmax (α = 1); phase 1
+// ends as soon as Z(t) ≤ 0 (Lemma 1).
+func z(n, u, xmax int64) int64 { return n - 2*u - xmax }
+
 // driftZ returns the exact expected one-step decrease E[Z(t) − Z(t+1)] of
 // the phase-1 potential, conditioning on which opinion gains or loses an
 // agent (the displayed computation in the proof of Lemma 1): the closed
@@ -313,7 +273,7 @@ func driftZ(c *conf.Config) float64 {
 func bruteDriftZ(c *conf.Config) float64 {
 	n := c.N()
 	_, xmax := c.Max()
-	z0 := Z(n, c.Undecided, xmax)
+	z0 := z(n, c.Undecided, xmax)
 	var sum float64
 	// Build the agent-level state vector.
 	var states []int
@@ -337,7 +297,7 @@ func bruteDriftZ(c *conf.Config) float64 {
 				d.Support[init-1]++
 			}
 			_, xm := d.Max()
-			z1 := Z(n, d.Undecided, xm)
+			z1 := z(n, d.Undecided, xm)
 			sum += float64(z0 - z1)
 		}
 	}
@@ -370,12 +330,12 @@ func TestDriftZLowerBoundLemma1(t *testing.T) {
 	for _, c := range configs {
 		n := c.N()
 		_, xmax := c.Max()
-		z := Z(n, c.Undecided, xmax)
-		if z < 0 || c.Undecided >= n/2 {
+		zt := z(n, c.Undecided, xmax)
+		if zt < 0 || c.Undecided >= n/2 {
 			t.Fatalf("test case out of Lemma 1 preconditions: %v", c)
 		}
-		if got := driftZ(c); got < float64(z)/(2*float64(n))-1e-12 {
-			t.Fatalf("config %v: drift %v below Lemma 1 bound %v", c, got, float64(z)/(2*float64(n)))
+		if got := driftZ(c); got < float64(zt)/(2*float64(n))-1e-12 {
+			t.Fatalf("config %v: drift %v below Lemma 1 bound %v", c, got, float64(zt)/(2*float64(n)))
 		}
 	}
 }

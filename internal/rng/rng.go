@@ -196,14 +196,6 @@ func (r *Source) geometricInv(invLogQ float64) int64 {
 	return int64(g)
 }
 
-// Exponential returns an Exp(rate) variate. rate must be positive.
-func (r *Source) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exponential called with rate <= 0")
-	}
-	return -math.Log1p(-r.Float64()) / rate
-}
-
 // Normal returns a standard normal variate via the Marsaglia polar method.
 func (r *Source) Normal() float64 {
 	for {

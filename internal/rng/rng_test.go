@@ -158,18 +158,6 @@ func TestGeometricTinyPCapped(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	src := New(31)
-	const trials = 100000
-	var sum float64
-	for i := 0; i < trials; i++ {
-		sum += src.Exponential(2.0)
-	}
-	if mean := sum / trials; math.Abs(mean-0.5) > 0.01 {
-		t.Fatalf("Exponential(2) mean = %.4f, want 0.5", mean)
-	}
-}
-
 func TestBinomialEdges(t *testing.T) {
 	src := New(6)
 	if got := src.Binomial(0, 0.5); got != 0 {
@@ -609,7 +597,6 @@ func TestPanics(t *testing.T) {
 		{"Int63n(-1)", func() { src.Int63n(-1) }},
 		{"Intn(0)", func() { src.Intn(0) }},
 		{"Geometric(0)", func() { src.Geometric(0) }},
-		{"Exponential(0)", func() { src.Exponential(0) }},
 		{"Binomial(-1)", func() { src.Binomial(-1, 0.5) }},
 	}
 	for _, tc := range cases {

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzU128 cross-checks every arithmetic operation against math/big on
-// arbitrary word pairs: saturating add/sub/mul, exact Mul64 and DivMod64,
+// arbitrary word pairs: saturating add/sub, exact Mul64 and DivMod64,
 // ordering, shifts, decimal formatting, and the two float64 conversions
 // (correct rounding out, exact truncation in). It is the coverage-guided
 // arm of the corner-case tables in u128_test.go and runs in the CI
@@ -45,18 +45,11 @@ func FuzzU128(f *testing.F) {
 		if got := toBigF(a.Sub(b)); got.Cmp(wantSub) != 0 {
 			t.Fatalf("%v.Sub(%v) = %v, want %v", a, b, got, wantSub)
 		}
-		wantMul := new(big.Int).Mul(ab, bb)
-		if wantMul.Cmp(maxB) > 0 {
-			wantMul.Set(maxB)
-		}
-		if got := toBigF(a.Mul(b)); got.Cmp(wantMul) != 0 {
-			t.Fatalf("%v.Mul(%v) = %v, want %v", a, b, got, wantMul)
-		}
 		if got := toBigF(Mul64(alo, blo)); got.Cmp(new(big.Int).Mul(new(big.Int).SetUint64(alo), new(big.Int).SetUint64(blo))) != 0 {
 			t.Fatalf("Mul64(%d, %d) = %v", alo, blo, got)
 		}
-		if got, want := a.Cmp(b), ab.Cmp(bb); got != want {
-			t.Fatalf("%v.Cmp(%v) = %d, want %d", a, b, got, want)
+		if got, want := a.Less(b), ab.Cmp(bb) < 0; got != want {
+			t.Fatalf("%v.Less(%v) = %v, want %v", a, b, got, want)
 		}
 		if blo != 0 {
 			q, r := a.DivMod64(blo)

@@ -39,7 +39,7 @@ type U128 struct {
 }
 
 // Max is the largest representable value, 2¹²⁸ − 1: the saturation point of
-// Add and Mul.
+// Add.
 var Max = U128{Hi: math.MaxUint64, Lo: math.MaxUint64}
 
 // From64 converts a non-negative int64. Negative values clamp to zero,
@@ -74,11 +74,6 @@ func (x U128) Add(y U128) U128 {
 	return U128{Hi: hi, Lo: lo}
 }
 
-// Add64 returns x+v, saturating at Max.
-func (x U128) Add64(v uint64) U128 {
-	return x.Add(U128{Lo: v})
-}
-
 // Sub returns x−y, saturating at zero.
 func (x U128) Sub(y U128) U128 {
 	lo, b := bits.Sub64(x.Lo, y.Lo, 0)
@@ -87,51 +82,6 @@ func (x U128) Sub(y U128) U128 {
 		return U128{}
 	}
 	return U128{Hi: hi, Lo: lo}
-}
-
-// Sub64 returns x−v, saturating at zero.
-func (x U128) Sub64(v uint64) U128 {
-	return x.Sub(U128{Lo: v})
-}
-
-// Mul returns x·y, saturating at Max.
-func (x U128) Mul(y U128) U128 {
-	if x.Hi != 0 && y.Hi != 0 {
-		return Max
-	}
-	hi, lo := bits.Mul64(x.Lo, y.Lo)
-	c1hi, c1 := bits.Mul64(x.Hi, y.Lo)
-	c2hi, c2 := bits.Mul64(x.Lo, y.Hi)
-	if c1hi != 0 || c2hi != 0 {
-		return Max
-	}
-	hi, carry := bits.Add64(hi, c1, 0)
-	if carry != 0 {
-		return Max
-	}
-	hi, carry = bits.Add64(hi, c2, 0)
-	if carry != 0 {
-		return Max
-	}
-	return U128{Hi: hi, Lo: lo}
-}
-
-// Cmp returns -1, 0, or +1 as x is less than, equal to, or greater than y.
-func (x U128) Cmp(y U128) int {
-	switch {
-	case x.Hi != y.Hi:
-		if x.Hi < y.Hi {
-			return -1
-		}
-		return 1
-	case x.Lo != y.Lo:
-		if x.Lo < y.Lo {
-			return -1
-		}
-		return 1
-	default:
-		return 0
-	}
 }
 
 // Less reports x < y.
@@ -144,14 +94,8 @@ func (x U128) Leq(y U128) bool {
 	return !y.Less(x)
 }
 
-// Eq reports x == y.
-func (x U128) Eq(y U128) bool { return x == y }
-
 // IsZero reports x == 0.
 func (x U128) IsZero() bool { return x.Hi == 0 && x.Lo == 0 }
-
-// IsMax reports x == Max, the saturated state.
-func (x U128) IsMax() bool { return x == Max }
 
 // Lsh returns x << k for 0 <= k < 128. Bits shifted past the top are lost.
 func (x U128) Lsh(k uint) U128 {
